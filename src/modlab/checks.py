@@ -15,7 +15,7 @@ import numpy as np
 from . import fock as fk
 from . import freefield as ff
 from . import modloc as ml
-from .config import ExperimentConfig
+from .config import WEYL_PROBE_LEVEL, ExperimentConfig
 from .hilbert import (
     ComplexVectorSpace, RealSubspace, antilinear_adjoint, principal_angles,
     subspace_distance, subspace_intersection, subspace_sum,
@@ -183,7 +183,7 @@ def check_weyl(config, rng):
     Whk = fk.weyl_matrix(fs, e1 + ie1)
     lhs = (Wh @ Wk).apply(fk.vacuum(fs))
     rhs = np.exp(-0.5j) * Whk.apply(fk.vacuum(fs))
-    low = fs.level_slices[8].stop
+    low = fs.level_slices[WEYL_PROBE_LEVEL].stop
     ccr = float(np.linalg.norm(lhs.coeffs[:low] - rhs.coeffs[:low]))
     monotone = all(a > b for a, b in zip(devs, devs[1:])) and \
         all(a > b for a, b in zip(defects, defects[1:]))
@@ -458,8 +458,12 @@ def run_checks(config: ExperimentConfig):
 def run_refinement(config: ExperimentConfig, ladder):
     """Re-run the resolution-dependent freefield checks across rung
     presets and check the residuals decrease (a 10 percent slack allows
-    stalls at the numerical floor)."""
-    rows = []
+    stalls at the numerical floor).
+
+    Returns (records, rows, timings); timings holds the seconds of each
+    check on each rung, keyed "rung<k>.<check function>".
+    """
+    rows, timings = [], {}
     for rung in ladder:
         preset = ff.REFINEMENT_RUNGS[int(rung)]
         cfg = ExperimentConfig.from_dict(config.to_dict())
@@ -470,7 +474,10 @@ def run_refinement(config: ExperimentConfig, ladder):
         rng = np.random.default_rng(cfg.seed)
         for fn in (check_bisognano_wichmann, check_covariance,
                    check_locality):
-            for rec in fn(cfg, rng):
+            t0 = time.perf_counter()
+            recs = fn(cfg, rng)
+            timings[f"rung{rung}.{fn.__name__}"] = time.perf_counter() - t0
+            for rec in recs:
                 if rec["name"] in REFINEMENT_SENSITIVE:
                     rows.append({"resolution": int(rung),
                                  "check": rec["name"],
@@ -488,7 +495,7 @@ def run_refinement(config: ExperimentConfig, ladder):
                         "value": float(seq[-1]), "threshold": float(seq[0]),
                         "direction": "below",
                         "passed": bool(ok), "sequence": seq})
-    return records, rows
+    return records, rows, timings
 
 
 def list_checks():

@@ -90,7 +90,9 @@ def cmd_refine(args):
         raise ConfigError("ladder must be strictly increasing")
     if any(r not in (1, 2, 3) for r in ladder):
         raise ConfigError("ladder rungs must be chosen from 1, 2, 3")
-    records, rows = run_refinement(config, ladder)
+    t0 = time.perf_counter()
+    records, rows, timings = run_refinement(config, ladder)
+    total = time.perf_counter() - t0
     status = "pass" if all(r["passed"] for r in records) else "fail"
     report = {
         "config": config.to_dict(),
@@ -98,7 +100,7 @@ def cmd_refine(args):
         "checks": records,
         "status": status,
         "environment": _environment(),
-        "timings": {},
+        "timings": {**timings, "total": total},
     }
     path = _write_report(report, config.out_dir, "refine_report")
     _write_csv(rows, ["resolution", "check", "residual"], config.out_dir,

@@ -8,6 +8,7 @@ run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ConfigError", "ExperimentConfig", "SCHEMA", "schema_text"]
@@ -18,6 +19,7 @@ class ConfigError(ValueError):
 
 
 KINDS = ("subspace", "fock", "freefield", "modloc", "all")
+WEYL_PROBE_LEVEL = 8        # checks.check_weyl reads Fock levels up to 8
 
 # section -> key -> (type, default, description)
 SCHEMA = {
@@ -72,20 +74,27 @@ SCHEMA = {
 }
 
 
+def _check_type(path, value, typ):
+    """value as typ (an int is a valid float), or ConfigError.  No field
+    is boolean, and bool is an int subclass, so booleans are rejected."""
+    if typ is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, typ):
+        raise ConfigError(f"{path}: expected {typ.__name__}, got "
+                          f"{type(value).__name__}")
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return value
+
+
 def _check_section(section, data, out):
     schema = SCHEMA[section]
     for key, value in data.items():
-        path = f"{section}.{key}" if section else key
-        if key in KINDS and section == "" and isinstance(value, dict):
-            continue
+        path = f"{section}.{key}"
         if key not in schema:
             raise ConfigError(f"unknown key: {path}")
         typ = schema[key][0]
-        if typ is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, typ):
-            raise ConfigError(f"{path}: expected {typ.__name__}, got "
-                              f"{type(value).__name__}")
+        value = _check_type(path, value, typ)
         if typ is float and ("tolerance" in key or key in
                              ("timelike_floor", "blowup_factor",
                               "extraction_tol")) and value <= 0:
@@ -101,6 +110,15 @@ def _check_section(section, data, out):
                         f"{path}[{i}]: expected [x0, x1, radius]")
                 if entry[2] <= 0:
                     raise ConfigError(f"{path}[{i}]: radius must be positive")
+        if key == "weyl_cutoffs":
+            if not value or not all(isinstance(n, int) and not isinstance(n, bool)
+                                    and n >= 0 for n in value):
+                raise ConfigError(
+                    f"{path}: expected a non-empty list of cutoffs >= 0")
+            if max(value) < WEYL_PROBE_LEVEL:
+                raise ConfigError(
+                    f"{path}: the largest cutoff must be >= {WEYL_PROBE_LEVEL}, "
+                    f"the highest Fock level the CCR check compares")
         out[key] = value
 
 
@@ -135,10 +153,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{key}: expected a section object")
                 sections[key] = value
             elif key in SCHEMA[""]:
-                typ = SCHEMA[""][key][0]
-                if not isinstance(value, typ):
-                    raise ConfigError(f"{key}: expected {typ.__name__}")
-                top[key] = value
+                top[key] = _check_type(key, value, SCHEMA[""][key][0])
             else:
                 raise ConfigError(f"unknown key: {key}")
         return cls(**top, **sections)

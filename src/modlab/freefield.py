@@ -19,7 +19,10 @@ representatives, for which the capped operator is faithful.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,6 +322,7 @@ class TestFunction2:
         (lo0, hi0), (lo1, hi1) = bbox
         i0, i1 = math.floor(lo0 / step) - 1, math.ceil(hi0 / step) + 1
         j0, j1 = math.floor(lo1 / step) - 1, math.ceil(hi1 / step) + 1
+        self.origin = (i0, j0)          # lattice integers of x0[0], x1[0]
         self.x0 = step * np.arange(i0, i1 + 1)
         self.x1 = step * np.arange(j0, j1 + 1)
         self.values = profile(self.x0[:, None], self.x1[None, :])
@@ -399,6 +403,70 @@ def _window(model: FreeFieldModel, theta):
     return b / (a + b)
 
 
+class _LRUCache:
+    """Least-recently-used map of arrays, bounded by their total bytes;
+    a lock keeps it consistent when embeddings run in several threads."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._data = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key, value: np.ndarray):
+        with self._lock:
+            old = self._data.pop(key, None)
+            if old is not None:
+                self.nbytes -= old.nbytes
+            self._data[key] = value
+            self.nbytes += value.nbytes
+            while self.nbytes > self.max_bytes and len(self._data) > 1:
+                self.nbytes -= self._data.popitem(last=False)[1].nbytes
+
+    def clear(self):
+        with self._lock:
+            self._data.clear()
+            self.nbytes = 0
+
+
+PHASE_CHUNK = 32                                # lattice rows per cached chunk
+_PHASE_ROWS = _LRUCache(96 * 2 ** 20)           # chunks of exp(+-i (k h) p)
+_EMBEDDINGS = _LRUCache(16 * 2 ** 20)           # read-only embed results
+
+
+def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
+                count: int) -> np.ndarray:
+    """Rows exp(i (k h) p0) (axis 0) or exp(-i (k h) p1) (axis 1) for the
+    lattice integers k0 <= k < k0 + count.
+
+    The rows depend on the model only through its momenta, so chunks of
+    PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk).  A
+    chunk is evaluated by the same float operations as the whole table
+    exp(1j * outer(x, p)), so the rows are bit-identical to it.
+    """
+    sign = 1j if axis == 0 else -1j
+    first, last = k0 // PHASE_CHUNK, (k0 + count - 1) // PHASE_CHUNK
+    parts = []
+    for c in range(first, last + 1):
+        key = (model.mass, model.grid, step, axis, c)
+        rows = _PHASE_ROWS.get(key)
+        if rows is None:
+            x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
+            rows = np.exp(sign * np.outer(x, model.momenta()[axis]))
+            _PHASE_ROWS.put(key, rows)
+        lo = max(k0 - c * PHASE_CHUNK, 0)
+        hi = min(k0 + count - c * PHASE_CHUNK, PHASE_CHUNK)
+        parts.append(rows[lo:hi])
+    return np.concatenate(parts)
+
+
 def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     """(Ef)(theta) = sqrt(2 pi) fhat(p(theta)) with
     fhat(p) = (2 pi)^(-1) int f(x) exp(i p.x) d^2x, p.x = p0 x0 - p1 x1.
@@ -406,13 +474,23 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     Trapezoid quadrature on the function's lattice, evaluated through
     the separable structure of exp(i p.x), then windowed where the
     lattice no longer resolves the phase.
+
+    Results are memoized on (model, step, lattice origin, shape and
+    digest of the sampled values); the returned values are read-only.
     """
-    p0, p1 = model.momenta()
-    E0 = np.exp(1j * np.outer(f.x0, p0))
-    E1 = np.exp(-1j * np.outer(f.x1, p1))
-    v = np.einsum("xt,xt->t", E0, f.values @ E1)
-    v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
-    return OneParticleVector(model, v * _window(model, model.grid.theta))
+    values = f.values
+    key = (model, f.step, f.origin, values.shape, values.dtype.str,
+           hashlib.blake2b(values.tobytes(), digest_size=16).digest())
+    v = _EMBEDDINGS.get(key)
+    if v is None:
+        E0 = _phase_rows(model, f.step, 0, f.origin[0], len(f.x0))
+        E1 = _phase_rows(model, f.step, 1, f.origin[1], len(f.x1))
+        v = np.einsum("xt,xt->t", E0, values @ E1)
+        v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
+        v *= _window(model, model.grid.theta)
+        v.flags.writeable = False
+        _EMBEDDINGS.put(key, v)
+    return OneParticleVector(model, v)
 
 
 def embed_with_error(f: TestFunction2, model: FreeFieldModel):

@@ -6,6 +6,11 @@ matrix Jc = [[0, -I], [I, 0]], the Euclidean inner product on R^(2d)
 equals Re<x, y>, and antilinearity of a map is the checkable condition
 that its real matrix anticommutes with Jc.
 
+Jc is never formed on the library's own paths: times_i applies it to
+realified columns as (a, b) -> (-b, a) in O(d r) work.
+ComplexVectorSpace.complex_structure() still returns the dense 2d x 2d
+matrix for callers that want it.
+
 The inner product <x, y> is conjugate-linear in the FIRST argument.
 """
 
@@ -15,7 +20,7 @@ import numpy as np
 
 __all__ = [
     "ComplexVectorSpace", "ComplexVector", "RealLinearMap", "RealSubspace",
-    "inner", "orthonormalize_columns", "antilinear_adjoint",
+    "inner", "times_i", "orthonormalize_columns", "antilinear_adjoint",
     "symplectic_complement", "subspace_sum", "subspace_intersection",
     "inclusion_residual", "subspace_distance", "subspaces_equal",
     "principal_angles", "SpaceMismatchError", "LinearityError",
@@ -125,6 +130,16 @@ def inner(x: ComplexVector, y: ComplexVector) -> complex:
     return complex(np.vdot(x.coords, y.coords))
 
 
+def times_i(M: np.ndarray) -> np.ndarray:
+    """Multiplication by i on realified vectors or columns: Jc @ M,
+    computed as (a, b) -> (-b, a) without forming Jc."""
+    M = np.asarray(M, dtype=float)
+    d = M.shape[0] // 2
+    out = np.concatenate([-M[d:], M[:d]])
+    out += 0.0          # -0.0 -> +0.0, as in the matrix product Jc @ M
+    return out
+
+
 def orthonormalize_columns(M: np.ndarray, drop_tol: float = ORTHO_DROP_TOL) -> np.ndarray:
     """Modified Gram-Schmidt with a re-orthogonalization pass.
 
@@ -172,9 +187,9 @@ class RealLinearMap:
 
     @staticmethod
     def _linearity_residual(space, matrix, kind) -> float:
-        J = space.complex_structure()
         sign = 1.0 if kind == "linear" else -1.0
-        return float(np.linalg.norm(matrix @ J - sign * (J @ matrix), 2))
+        MJ = -times_i(matrix.T).T           # matrix @ Jc = -(Jc @ matrix.T).T
+        return float(np.linalg.norm(MJ - sign * times_i(matrix), 2))
 
     # -- constructors -------------------------------------------------
 
@@ -297,8 +312,7 @@ class RealSubspace:
 
     def mult_i(self) -> "RealSubspace":
         """The subspace iK."""
-        return RealSubspace(self.space, self.space.complex_structure() @ self.basis,
-                            check=False)
+        return RealSubspace(self.space, times_i(self.basis), check=False)
 
     def projector(self) -> np.ndarray:
         """Orthogonal projection onto the realified subspace."""
@@ -331,7 +345,7 @@ def symplectic_complement(K: RealSubspace) -> RealSubspace:
     dim K + dim K' = 2d always.
     """
     space = K.space
-    JB = space.complex_structure() @ K.basis
+    JB = times_i(K.basis)
     r = JB.shape[1]
     if r == 0:
         return RealSubspace(space, np.eye(space.rdim), check=False)

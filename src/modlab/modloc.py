@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .freefield import (
-    OneParticleVector, PoincareElement, Region2, TestFunction2, band_project,
+    OneParticleVector, PoincareElement, Region2, TestFunction2,
     compressed_fixed_defect, domain_certificate, embed, poincare_act,
     wedge_modular_half,
 )
 from .hilbert import (
     ComplexVector, ComplexVectorSpace, RealSubspace, inclusion_residual,
     orthonormalize_columns, subspace_distance, subspace_intersection,
-    subspace_sum,
+    subspace_sum, times_i,
 )
 
 __all__ = [
@@ -146,15 +146,6 @@ def wedge_tomita_apply_rep(rep: PoincareRep2, W: Region2, v: SumVector,
 def wedge_domain_certificate(rep: PoincareRep2, W: Region2, v: SumVector) -> float:
     pulled = rep.act(wedge_frame(W).inv(), v)
     return max(domain_certificate(b) for b in pulled.blocks)
-
-
-def _band_project_sum(v: SumVector):
-    blocks, kept = [], []
-    for b in v.blocks:
-        pb, k = band_project(b)
-        blocks.append(pb)
-        kept.append(k)
-    return SumVector(blocks), min(kept)
 
 
 def compressed_defect_rep(rep: PoincareRep2, W: Region2, v: SumVector) -> SumVector:
@@ -327,8 +318,7 @@ def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspac
     want = joint.dim - K.dim
     if want <= 0:
         return RealSubspace(space, np.zeros((space.rdim, 0)), check=False)
-    J = space.complex_structure()
-    C = (J @ K.basis).T @ joint.basis          # constraints  x  joint coords
+    C = times_i(K.basis).T @ joint.basis       # constraints  x  joint coords
     _, _, Vt = np.linalg.svd(C, full_matrices=True)
     return RealSubspace.from_real_span(space, joint.basis @ Vt[-want:].T)
 

@@ -23,6 +23,7 @@ from .hilbert import (
     orthonormalize_columns,
     subspace_intersection,
     subspace_sum,
+    times_i,
 )
 
 __all__ = [
@@ -76,9 +77,9 @@ def tomita_operator(K: RealSubspace) -> RealLinearMap:
     if not ok:
         raise NotStandardError(cert)
     B = K.basis
-    J = K.space.complex_structure()
-    P = np.hstack([B, J @ B])          # x = B u + (iB) v
-    Q = np.hstack([B, -(J @ B)])       # s x = B u - (iB) v
+    iB = times_i(B)
+    P = np.hstack([B, iB])             # x = B u + (iB) v
+    Q = np.hstack([B, -iB])            # s x = B u - (iB) v
     S = Q @ np.linalg.solve(P, np.eye(P.shape[0]))
     return RealLinearMap(K.space, S, "antilinear", check=False)
 
@@ -157,8 +158,7 @@ def modular_flow(md: ModularData, t: float) -> RealLinearMap:
     logev = np.log(ev)
     C = (V * np.cos(t * logev)) @ V.T
     S = (V * np.sin(t * logev)) @ V.T
-    J = md.s.space.complex_structure()
-    return RealLinearMap(md.s.space, C + J @ S, "linear", check=False)
+    return RealLinearMap(md.s.space, C + times_i(S), "linear", check=False)
 
 
 @dataclass
@@ -187,7 +187,6 @@ def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
     s = tomita_operator(K)
     md = modular_data(s)
     space = K.space
-    J = space.complex_structure()
     ev, V = md._eigenvalues, md._eigenvectors
     jmat = md.j.matrix
 
@@ -203,7 +202,7 @@ def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
         for val, cnt in groups:
             W = V[:, idx[pos:pos + cnt]]
             pos += cnt
-            lines = _complex_lines(W, J)
+            lines = _complex_lines(W)
             lam = float(val)
             t = np.sqrt(lam)
             theta = 2.0 * np.arctan(t)
@@ -211,7 +210,7 @@ def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
             for v_r in lines:
                 jv_r = jmat @ v_r
                 y_plus_r = scale * (v_r + t * jv_r)
-                y_minus_r = scale * (J @ (v_r - t * jv_r))
+                y_minus_r = scale * times_i(v_r - t * jv_r)
                 blocks.append(FiberBlock(
                     theta=theta,
                     frame=(ComplexVector(space, space.unrealify(v_r)),
@@ -240,7 +239,7 @@ def _group_by_value(vals, rel_tol=1e-9):
     return groups
 
 
-def _complex_lines(W, J):
+def _complex_lines(W):
     """Split a Jc-invariant realified eigenspace (columns of W, orthonormal,
     even count) into representatives v of complex lines {v, Jc v}."""
     reps = []
@@ -256,7 +255,7 @@ def _complex_lines(W, J):
             continue
         v /= nv
         reps.append(v)
-        used = np.hstack([used, v[:, None], (J @ v)[:, None]])
+        used = np.hstack([used, v[:, None], times_i(v)[:, None]])
     return reps
 
 
@@ -269,22 +268,22 @@ def reassemble_modular(space: ComplexVectorSpace, blocks, fixed_part: RealSubspa
     reflection fixing it, 2P - 1 on the realification.
     """
     rdim = space.rdim
-    J = space.complex_structure()
     delta = np.zeros((rdim, rdim))
     jmat = np.zeros((rdim, rdim))
     for b in blocks:
         v = b.frame[0].real()
         jv = b.frame[1].real()
+        iv, ijv = times_i(v), times_i(jv)
         lam = np.tan(b.theta / 2.0) ** 2
-        Pv = np.outer(v, v) + np.outer(J @ v, J @ v)
-        Pjv = np.outer(jv, jv) + np.outer(J @ jv, J @ jv)
+        Pv = np.outer(v, v) + np.outer(iv, iv)
+        Pjv = np.outer(jv, jv) + np.outer(ijv, ijv)
         delta += lam * Pv + (1.0 / lam) * Pjv
         # j maps v -> jv, i v -> -i jv (antilinear swap with conjugation)
-        jmat += np.outer(jv, v) - np.outer(J @ jv, J @ v)
-        jmat += np.outer(v, jv) - np.outer(J @ v, J @ jv)
+        jmat += np.outer(jv, v) - np.outer(ijv, iv)
+        jmat += np.outer(v, jv) - np.outer(iv, ijv)
     if fixed_part.dim > 0:
         P = fixed_part.projector()
-        iP = J @ P @ J.T           # projector onto i K_fix
+        iP = times_i(times_i(P).T).T   # Jc P Jc^T: projector onto i K_fix
         delta += P + iP
         jmat += P - iP             # 2P - 1 restricted to the fixed complex sector
     return jmat, delta

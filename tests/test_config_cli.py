@@ -87,6 +87,19 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"seed": True}, "seed"),
+    ({"subspace": {"tolerance": float("nan")}}, "subspace.tolerance"),
+    ({"fock": {"weyl_cutoffs": [4]}}, "fock.weyl_cutoffs"),
+], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level"])
+def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
+    cfg = write_config(tmp_path, {"kind": "fock",
+                                  "out_dir": str(tmp_path / "out"), **data})
+    assert main(["run", "--config", cfg]) == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_refine_single_rung_is_plain_run(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "kind": "freefield", "out_dir": str(tmp_path / "out")})
@@ -94,6 +107,11 @@ def test_refine_single_rung_is_plain_run(tmp_path, capsys):
     rows = (tmp_path / "out" / "refinement.csv").read_text().splitlines()
     assert rows[0] == "resolution,check,residual"
     assert len(rows) > 1
+    report = json.loads((tmp_path / "out" / "refine_report.json").read_text())
+    assert set(report["timings"]) == {
+        "rung2.check_bisognano_wichmann", "rung2.check_covariance",
+        "rung2.check_locality", "total"}
+    assert report["timings"]["total"] >= max(report["timings"].values()) > 0
     capsys.readouterr()
 
 

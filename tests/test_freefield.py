@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from modlab import freefield
+from modlab.freefield import _window
 from modlab.freefield import (
     DomainViolationError, FreeFieldModel, LeakageError, PoincareElement,
     RapidityGrid, Region2, SupportError, TestFunction2,
@@ -113,6 +117,89 @@ def test_embed_reality(light_model):
     v = np.einsum("xt,xt->t", E0, f.values @ E1) * f.step ** 2 / math.sqrt(2 * np.pi)
     bulk = np.abs(light_model.grid.theta) < 3.0
     np.testing.assert_allclose(np.conj(Ef.values[bulk]), v[bulk], atol=1e-12)
+
+
+def uncached_embedding(f, model):
+    """The embedding formula with whole exp(i p.x) tables and no cache."""
+    p0, p1 = model.momenta()
+    E0 = np.exp(1j * np.outer(f.x0, p0))
+    E1 = np.exp(-1j * np.outer(f.x1, p1))
+    v = np.einsum("xt,xt->t", E0, f.values @ E1)
+    v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
+    return v * _window(model, model.grid.theta)
+
+
+# both lattice origins positive for the first center, negative for the second
+@pytest.mark.parametrize("center", [(1.0, 3.0), (-1.2, -2.6)])
+@pytest.mark.parametrize("g", [
+    PoincareElement.translation(0.3, -0.45),
+    PoincareElement.boost(0.2),
+    PoincareElement.reflection(),
+], ids=["translated", "boosted", "reflected"])
+def test_embed_equals_uncached_formula_exactly(light_model, center, g):
+    freefield._EMBEDDINGS.clear()
+    freefield._PHASE_ROWS.clear()
+    f = TestFunction2.bump(center, 0.5).transform(g)
+    expected = uncached_embedding(f, light_model)
+    assert np.array_equal(embed(f, light_model).values, expected)   # cold
+    assert np.array_equal(embed(f, light_model).values, expected)   # memo
+
+
+def test_embed_memo_tells_lattice_origins_apart(light_model):
+    f = TestFunction2.bump((0.0, 2.5), 0.5)
+    g = f.transform(PoincareElement.translation(8 * f.step, 16 * f.step))
+    assert np.array_equal(f.values, g.values) and f.origin != g.origin
+    Ef, Eg = embed(f, light_model), embed(g, light_model)
+    assert np.array_equal(Eg.values, uncached_embedding(g, light_model))
+    assert not np.array_equal(Ef.values, Eg.values)
+
+
+def test_embed_result_is_read_only(light_model):
+    f = TestFunction2.bump((0.2, 2.2), 0.5)
+    first = embed(f, light_model)
+    kept = first.values.copy()
+    with pytest.raises(ValueError):
+        first.values[0] = 1.0
+    with pytest.raises(ValueError):
+        first.values *= 2.0
+    assert np.array_equal(embed(f, light_model).values, kept)
+
+
+def test_lru_cache_evicts_least_recent_within_budget():
+    cache = freefield._LRUCache(max_bytes=3 * 8)
+    for key in "abc":
+        cache.put(key, np.zeros(1))
+    cache.get("a")                      # "b" is now the least recent
+    cache.put("d", np.zeros(1))
+    assert cache.get("b") is None
+    assert all(cache.get(k) is not None for k in "acd")
+    assert cache.nbytes == 24
+    cache.put("e", np.zeros(5))         # over budget alone: kept, others go
+    assert cache.nbytes == 40 and cache.get("e") is not None
+
+
+def test_lru_cache_keeps_its_byte_count_under_concurrent_use():
+    cache = freefield._LRUCache(max_bytes=16 * 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(2000):
+                key = int(rng.integers(0, 40))
+                if cache.get(key) is None:
+                    cache.put(key, np.zeros(int(rng.integers(1, 4))))
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    held = list(cache._data.values())
+    assert cache.nbytes == sum(v.nbytes for v in held) <= cache.max_bytes
 
 
 def test_embed_error_estimate(light_model):

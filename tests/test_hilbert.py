@@ -6,7 +6,7 @@ from modlab.hilbert import (
     LinearityError, inner, antilinear_adjoint, symplectic_complement,
     subspace_sum, subspace_intersection, inclusion_residual,
     subspace_distance, subspaces_equal, principal_angles,
-    orthonormalize_columns,
+    orthonormalize_columns, times_i,
 )
 
 
@@ -55,6 +55,21 @@ def test_realification_roundtrip_and_structure():
     J = V.complex_structure()
     np.testing.assert_allclose(J @ J, -np.eye(6), atol=1e-15)
     np.testing.assert_allclose(V.unrealify(J @ V.realify(z)), 1j * z)
+
+
+@pytest.mark.parametrize("d, r", [(1, 1), (1, 3), (8, 5), (8, 16), (8, 0)])
+def test_times_i_equals_complex_structure_product(d, r):
+    V = ComplexVectorSpace(d)
+    B = np.random.default_rng(d + r).standard_normal((2 * d, r))
+    B[::3] = 0.0
+    B[1::3] = -0.0      # the product with Jc turns every zero into +0.0
+    JB = V.complex_structure() @ B
+    out = times_i(B)
+    assert out.shape == JB.shape == (2 * d, r)
+    assert np.array_equal(out, JB)
+    assert np.array_equal(np.signbit(out), np.signbit(JB))
+    if r:
+        assert np.array_equal(times_i(B[:, 0]), JB[:, 0])
 
 
 def test_linearity_classification():
