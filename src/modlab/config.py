@@ -29,7 +29,7 @@ SCHEMA = {
         "out_dir": (str, "results", "output directory for reports and CSV data"),
     },
     "subspace": {
-        "max_dim": (int, 8, "largest complex dimension sampled"),
+        "max_dim": (int, 8, "largest complex dimension sampled (>= 2)"),
         "n_samples": (int, 200, "number of seeded random standard subspaces"),
         "flow_times": (list, [0.3, 1.7], "modular flow times checked"),
         "tolerance": (float, 1e-9, "residual bound for the suite"),
@@ -47,9 +47,9 @@ SCHEMA = {
     },
     "freefield": {
         "mass": (float, 1.0, "field mass (> 0)"),
-        "theta_max": (float, 6.0, "rapidity half-width of the grid"),
-        "n_points": (int, 4096, "rapidity grid size (power of two)"),
-        "window": (float, 5.8, "embedding window position"),
+        "theta_max": (float, 6.0, "rapidity half-width of the grid (>= 4)"),
+        "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
+        "window": (float, 5.8, "embedding window position (< theta_max)"),
         "window_width": (float, 1.2, "embedding window taper width"),
         "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps"),
         "locality_tolerance": (float, 1e-6, "spacelike pairing bound"),
@@ -65,7 +65,7 @@ SCHEMA = {
         "net_tolerance": (float, 1e-3, "isotony/duality/covariance bound"),
         "cone_tolerance": (float, 1e-2, "double-cone containment bound"),
         "block_tolerance": (float, 1e-10, "direct-sum block property bound"),
-        "second_mass": (float, 1.4, "mass of the second summand"),
+        "second_mass": (float, 1.4, "mass of the second summand (> 0)"),
         "dictionary": (list,
                        [[0.0, 3.0, 0.5], [0.4, 3.6, 0.55],
                         [-0.3, 2.8, 0.45], [0.1, 4.0, 0.6]],
@@ -97,8 +97,16 @@ def _check_section(section, data, out):
         value = _check_type(path, value, typ)
         if typ is float and ("tolerance" in key or key in
                              ("timelike_floor", "blowup_factor",
-                              "extraction_tol")) and value <= 0:
+                              "extraction_tol", "mass",
+                              "second_mass")) and value <= 0:
             raise ConfigError(f"{path}: must be positive")
+        if key == "n_points" and (value < 8 or value & (value - 1)):
+            raise ConfigError(f"{path}: must be a power of two >= 8")
+        if key == "theta_max" and value < 4.0:
+            raise ConfigError(f"{path}: must be >= 4")
+        if key == "max_dim" and value < 2:
+            raise ConfigError(f"{path}: must be >= 2, the smallest "
+                              f"dimension the suite samples")
         if key == "dictionary":
             if not value:
                 raise ConfigError(f"{path}: dictionary must not be empty")
@@ -142,6 +150,9 @@ class ExperimentConfig:
             _check_section(section, given, checked)
             merged.update(checked)
             setattr(self, section, merged)
+        if self.freefield["window"] >= self.freefield["theta_max"]:
+            raise ConfigError("freefield.window: must be below "
+                              "freefield.theta_max, inside the grid")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import ComplexVector, RealLinearMap, RealSubspace
 from .standard import modular_data, modular_flow, tomita_operator
@@ -118,15 +117,13 @@ class FockOperator:
     adjoint (in the sense <F x, y> = <F* y, x>) has matrix M^T.
     """
 
-    def __init__(self, space: FockSpace, matrix, antilinear: bool = False,
-                 level_structure: str = "mixed"):
+    def __init__(self, space: FockSpace, matrix, antilinear: bool = False):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (space.dim, space.dim):
             raise ValueError("matrix shape mismatch")
         self.space = space
         self.matrix = matrix
         self.antilinear = bool(antilinear)
-        self.level_structure = level_structure
 
     def apply(self, v: FockVector) -> FockVector:
         x = np.conj(v.coeffs) if self.antilinear else v.coeffs
@@ -145,15 +142,10 @@ class FockOperator:
 
     def adjoint(self) -> "FockOperator":
         M = self.matrix.T if self.antilinear else self.matrix.conj().T
-        return FockOperator(self.space, M, antilinear=self.antilinear,
-                            level_structure=self.level_structure)
+        return FockOperator(self.space, M, antilinear=self.antilinear)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
-
-    @classmethod
-    def identity(cls, space: FockSpace) -> "FockOperator":
-        return cls(space, np.eye(space.dim), level_structure="preserving")
 
 
 # -- vectors ------------------------------------------------------------
@@ -295,7 +287,7 @@ def creation(space: FockSpace, g) -> FockOperator:
             beta[i] += 1
             row = space.index[tuple(beta)]
             M[row, col] += g[i] * math.sqrt(alpha[i] + 1)
-    return FockOperator(space, M, level_structure="raising")
+    return FockOperator(space, M)
 
 
 def annihilation(space: FockSpace, g) -> FockOperator:
@@ -310,7 +302,7 @@ def annihilation(space: FockSpace, g) -> FockOperator:
             beta[i] -= 1
             row = space.index[tuple(beta)]
             M[row, col] += np.conj(g[i]) * math.sqrt(alpha[i])
-    return FockOperator(space, M, level_structure="lowering")
+    return FockOperator(space, M)
 
 
 def creation_overflow_mass(space: FockSpace, g, v: FockVector) -> float:
@@ -345,8 +337,12 @@ def gamma(space: FockSpace, a) -> FockOperator:
 
     a may be a complex d x d matrix (complex-linear) or a RealLinearMap;
     an antilinear argument yields an antilinear Fock operator.  Built
-    column-by-column through creation operators, so it is exact on the
-    truncation and multiplicative: gamma(a) gamma(b) = gamma(ab).
+    through creation operators, so it is exact on the truncation and
+    multiplicative: gamma(a) gamma(b) = gamma(ab).
+
+    Column alpha is a*(A e_1)^a_1 ... a*(A e_d)^a_d Omega / sqrt(alpha!).
+    Its unnormalized vector is one creation matvec on that of its parent
+    alpha - e_i, i the last occupied mode, which comes one level earlier.
     """
     antilinear = False
     if isinstance(a, RealLinearMap):
@@ -357,29 +353,30 @@ def gamma(space: FockSpace, a) -> FockOperator:
     if A.shape != (space.d, space.d):
         raise ValueError("one-particle matrix has wrong shape")
     cols = [creation(space, A[:, i]).matrix for i in range(space.d)]
-    M = np.zeros((space.dim, space.dim), dtype=complex)
-    omega = np.zeros(space.dim, dtype=complex)
-    omega[0] = 1.0
-    for colidx, alpha in enumerate(space.occupations):
-        v = omega.copy()
-        for i, ai in enumerate(alpha):
-            for _ in range(ai):
-                v = cols[i] @ v
-        M[:, colidx] = v / space._sqrt_fact[colidx]
-    return FockOperator(space, M, antilinear=antilinear,
-                        level_structure="preserving")
+    V = np.zeros((space.dim, space.dim), dtype=complex)   # row k: column k
+    V[0, 0] = 1.0
+    for k, alpha in enumerate(space.occupations[1:], start=1):
+        i = max(j for j, aj in enumerate(alpha) if aj)
+        parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        V[k] = cols[i] @ V[space.index[parent]]
+    # C order: BLAS sums a transposed operand in another order, and the
+    # products the checks form from M would move at roundoff
+    M = (V / space._sqrt_fact[:, None]).T.copy()
+    return FockOperator(space, M, antilinear=antilinear)
 
 
 # -- Weyl operators -------------------------------------------------------
 
 def weyl_matrix(space: FockSpace, h) -> FockOperator:
-    """W(h) = exp(i phi(h)) by matrix exponential of the truncated field.
+    """W(h) = exp(i phi(h)) from the spectral decomposition of the
+    truncated field, V e^(i Lambda) V*.
 
-    Exactly unitary on the truncation; agrees with the closed-form action
-    on coherent vectors up to a truncation defect that shrinks with the
-    cutoff (roughly like sqrt(coherent_tail_mass))."""
-    phi = field_operator(space, h)
-    return FockOperator(space, scipy.linalg.expm(1j * phi.matrix))
+    The truncated phi(h) is exactly Hermitian, so this is unitary to
+    roundoff; it agrees with the closed-form action on coherent vectors
+    up to a truncation defect that shrinks with the cutoff (roughly like
+    sqrt(coherent_tail_mass))."""
+    lam, V = np.linalg.eigh(field_operator(space, h).matrix)
+    return FockOperator(space, (V * np.exp(1j * lam)) @ V.conj().T)
 
 
 def weyl_on_coherent(space: FockSpace, h, k):

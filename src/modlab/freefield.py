@@ -448,10 +448,12 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
 
     The rows depend on the model only through its momenta, so chunks of
     PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk).  A
-    chunk is evaluated by the same float operations as the whole table
-    exp(1j * outer(x, p)), so the rows are bit-identical to it.
+    chunk is filled as cos(arg) + i sin(arg), about a third cheaper than
+    the complex exponential exp(+-1j * outer(x, p)) and bit-identical to
+    it where the host's exp and cos/sin agree.  arg carries the signs of
+    zero of the complex products: 1j * t has imaginary part t + 0.0 and
+    -1j * t has -t.
     """
-    sign = 1j if axis == 0 else -1j
     first, last = k0 // PHASE_CHUNK, (k0 + count - 1) // PHASE_CHUNK
     parts = []
     for c in range(first, last + 1):
@@ -459,7 +461,11 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
         rows = _PHASE_ROWS.get(key)
         if rows is None:
             x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
-            rows = np.exp(sign * np.outer(x, model.momenta()[axis]))
+            arg = np.outer(x, model.momenta()[axis])
+            arg = arg + 0.0 if axis == 0 else -arg
+            rows = np.empty(arg.shape, dtype=complex)
+            rows.real = np.cos(arg)
+            rows.imag = np.sin(arg)
             _PHASE_ROWS.put(key, rows)
         lo = max(k0 - c * PHASE_CHUNK, 0)
         hi = min(k0 + count - c * PHASE_CHUNK, PHASE_CHUNK)

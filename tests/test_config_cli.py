@@ -91,7 +91,16 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"seed": True}, "seed"),
     ({"subspace": {"tolerance": float("nan")}}, "subspace.tolerance"),
     ({"fock": {"weyl_cutoffs": [4]}}, "fock.weyl_cutoffs"),
-], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level"])
+    ({"freefield": {"n_points": 1000}}, "freefield.n_points"),
+    ({"freefield": {"window": 6.5}}, "freefield.window"),
+    ({"freefield": {"theta_max": 3.0}}, "freefield.theta_max"),
+    ({"freefield": {"mass": 0.0}}, "freefield.mass"),
+    ({"modloc": {"second_mass": -1.0}}, "modloc.second_mass"),
+    ({"subspace": {"max_dim": 1}}, "subspace.max_dim"),
+], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
+        "n_points_not_power_of_two", "window_outside_grid",
+        "theta_max_below_4", "zero_mass", "negative_second_mass",
+        "max_dim_below_2"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})

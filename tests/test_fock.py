@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import modlab
 from modlab.fock import (
     FockSpace, TruncationError,
     vacuum, coherent, coherent_inner, tensor_power_level,
     sym_project, sym_power_expand, creation, annihilation,
-    creation_overflow_mass, gamma,
+    creation_overflow_mass, field_operator, gamma,
     weyl_matrix, weyl_on_coherent, weyl_unitarity_defect,
     second_quantized_modular_check,
 )
@@ -153,6 +157,39 @@ def test_creation_overflow_mass():
     assert creation_overflow_mass(fs, g, v) == pytest.approx(expected)
 
 
+def _gamma_by_creation_words(space, A):
+    """Reference: column alpha is (a*(A e_1))^a_1 ... (a*(A e_d))^a_d Omega
+    / sqrt(alpha!), built from the vacuum with sum(alpha) matvecs."""
+    cols = [creation(space, A[:, i]).matrix for i in range(space.d)]
+    M = np.zeros((space.dim, space.dim), dtype=complex)
+    omega = np.zeros(space.dim, dtype=complex)
+    omega[0] = 1.0
+    for colidx, alpha in enumerate(space.occupations):
+        v = omega.copy()
+        for i, ai in enumerate(alpha):
+            for _ in range(ai):
+                v = cols[i] @ v
+        M[:, colidx] = v / space._sqrt_fact[colidx]
+    return M
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gamma_equals_column_by_column_reference(d):
+    fs = FockSpace(d, 10)
+    rng = np.random.default_rng(48 + d)
+    A = rand_vec(rng, d * d).reshape(d, d)
+    G = gamma(fs, A)
+    assert not G.antilinear
+    np.testing.assert_array_equal(G.matrix, _gamma_by_creation_words(fs, A))
+    V1 = ComplexVectorSpace(d)
+    S = RealLinearMap.antilinear_from_complex(V1, rand_vec(rng, d * d)
+                                              .reshape(d, d))
+    G = gamma(fs, S)
+    assert G.antilinear
+    np.testing.assert_array_equal(
+        G.matrix, _gamma_by_creation_words(fs, S.to_complex()))
+
+
 def test_gamma_identity_and_multiplicativity():
     fs = FockSpace(2, 4)
     rng = np.random.default_rng(49)
@@ -214,6 +251,34 @@ def test_weyl_vacuum_coefficient():
     assert abs(v.coeffs[0] - math.exp(-0.25)) < 1e-12
 
 
+def test_weyl_matrix_is_unitary():
+    fs = FockSpace(3, 6)
+    rng = np.random.default_rng(54)
+    W = weyl_matrix(fs, rand_vec(rng, 3)).matrix
+    assert np.linalg.norm(W @ W.conj().T - np.eye(fs.dim), 2) < 1e-13
+    assert np.linalg.norm(W.conj().T @ W - np.eye(fs.dim), 2) < 1e-13
+
+
+@pytest.mark.parametrize("d, cutoff", [(1, 16), (3, 6)])
+def test_weyl_matrix_agrees_with_expm(d, cutoff):
+    linalg = pytest.importorskip("scipy.linalg")
+    fs = FockSpace(d, cutoff)
+    rng = np.random.default_rng(55)
+    h = rand_vec(rng, d) / math.sqrt(d)
+    expected = linalg.expm(1j * field_operator(fs, h).matrix)
+    assert np.linalg.norm(weyl_matrix(fs, h).matrix - expected, 2) < 1e-13
+
+
+def test_importing_the_cli_needs_no_scipy():
+    # a fresh interpreter, importing the same modlab as this test
+    root = os.path.dirname(os.path.dirname(modlab.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import modlab.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, root],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_weyl_on_coherent_h_zero():
     fs = FockSpace(2, 8)
     rng = np.random.default_rng(53)
@@ -224,7 +289,8 @@ def test_weyl_on_coherent_h_zero():
 
 
 def test_weyl_closed_form_vs_matrix_exponential():
-    # W(h) e^(-(i/sqrt2) h) = exp(|h|^2/4) vacuum, checked against expm
+    # W(h) e^(-(i/sqrt2) h) = exp(|h|^2/4) vacuum, checked against the
+    # spectral exponential of the truncated field
     fs = FockSpace(1, 14)
     h = np.array([1.0], dtype=complex)
     closed = weyl_on_coherent(fs, h, -h)
