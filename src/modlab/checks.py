@@ -15,7 +15,7 @@ import numpy as np
 from . import fock as fk
 from . import freefield as ff
 from . import modloc as ml
-from .config import WEYL_PROBE_LEVEL, ExperimentConfig
+from .config import WEYL_PROBE_LEVEL, ConfigError, ExperimentConfig
 from .hilbert import (
     ComplexVectorSpace, RealSubspace, antilinear_adjoint, principal_angles,
     subspace_distance, subspace_intersection, subspace_sum,
@@ -461,8 +461,15 @@ def run_refinement(config: ExperimentConfig, ladder):
     stalls at the numerical floor).
 
     Returns (records, rows, timings); timings holds the seconds of each
-    check on each rung, keyed "rung<k>.<check function>".
+    check on each rung, keyed "rung<k>.<check function>".  A rung window
+    outside the configured grid is a ConfigError, raised up front.
     """
+    for rung in ladder:
+        window = ff.REFINEMENT_RUNGS[int(rung)]["window"]
+        if window >= config.freefield["theta_max"]:
+            raise ConfigError(
+                f"freefield.theta_max: must be above {window}, the window "
+                f"of refinement rung {rung}")
     rows, timings = [], {}
     for rung in ladder:
         preset = ff.REFINEMENT_RUNGS[int(rung)]

@@ -50,7 +50,7 @@ SCHEMA = {
         "theta_max": (float, 6.0, "rapidity half-width of the grid (>= 4)"),
         "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
         "window": (float, 5.8, "embedding window position (< theta_max)"),
-        "window_width": (float, 1.2, "embedding window taper width"),
+        "window_width": (float, 1.2, "embedding window taper width (> 0)"),
         "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps"),
         "locality_tolerance": (float, 1e-6, "spacelike pairing bound"),
         "timelike_floor": (float, 1e-3, "required timelike pairing magnitude"),
@@ -97,8 +97,8 @@ def _check_section(section, data, out):
         value = _check_type(path, value, typ)
         if typ is float and ("tolerance" in key or key in
                              ("timelike_floor", "blowup_factor",
-                              "extraction_tol", "mass",
-                              "second_mass")) and value <= 0:
+                              "extraction_tol", "mass", "second_mass",
+                              "window_width")) and value <= 0:
             raise ConfigError(f"{path}: must be positive")
         if key == "n_points" and (value < 8 or value & (value - 1)):
             raise ConfigError(f"{path}: must be a power of two >= 8")

@@ -13,7 +13,6 @@ overflow mass is available as a diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,7 +14,8 @@ The wedge modular operator delta^(1/2) is the Fourier multiplier
 exp(pi omega) in the rapidity frequency omega.  Amplification is
 capped at 1e12; the input mass at capped frequencies is the domain
 diagnostic, and identity checks are run on band-limited
-representatives, for which the capped operator is faithful.
+representatives, for which the capped operator is faithful.  Maps act
+along the last axis, so a stack of vectors takes the path of one vector.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ComplexVector, ComplexVectorSpace, RealSubspace
+from .hilbert import ComplexVectorSpace, RealSubspace
 
 __all__ = [
     "RapidityGrid", "FreeFieldModel", "Region2", "TestFunction2",
     "OneParticleVector", "PoincareElement", "LeakageError",
     "DomainViolationError", "SupportError",
     "embed", "embed_with_error", "poincare_act", "covariance_residual",
-    "local_subspace", "locality_pairing", "grid_space", "as_complex_vector",
-    "band_project", "domain_certificate", "wedge_modular_half",
+    "local_subspace", "locality_pairing", "realify", "band_project",
+    "domain_certificate", "wedge_modular_half",
     "wedge_tomita_apply", "compressed_fixed_defect",
     "bw_residual", "bw_residual_of_vector",
     "modular_blowup_profile", "borchers_check", "gaussian_packet",
@@ -135,11 +136,13 @@ class FreeFieldModel:
 
 
 class OneParticleVector:
-    """Complex samples on the rapidity grid with the h-weighted product."""
+    """Complex samples on the rapidity grid with the h-weighted product:
+    one vector (n_points,) or a stack (..., n_points), on which the maps
+    below act vector by vector along the last axis."""
 
     def __init__(self, model: FreeFieldModel, values):
         values = np.asarray(values, dtype=complex)
-        if values.shape != (model.grid.n_points,):
+        if values.shape[-1:] != (model.grid.n_points,):
             raise ValueError("values do not match the grid")
         self.model = model
         self.values = values
@@ -277,13 +280,6 @@ class PoincareElement:
             y0, y1 = -y0, -y1
         return (y0 + self.a0, y1 + self.a1)
 
-    def inverse_point(self, y):
-        y0, y1 = float(y[0]) - self.a0, float(y[1]) - self.a1
-        if self.reflect:
-            y0, y1 = -y0, -y1
-        c, s = math.cosh(self.rapidity), math.sinh(self.rapidity)
-        return (c * y0 - s * y1, -s * y0 + c * y1)
-
     def __mul__(self, other: "PoincareElement") -> "PoincareElement":
         # L = L1 L2 (gamma is central in 2D), a = a1 + L1 a2
         La2 = PoincareElement(self.rapidity, 0.0, 0.0, self.reflect).apply_point(
@@ -394,13 +390,18 @@ class TestFunction2:
                              self.step, support_boundary=new_boundary)
 
 
-def _window(model: FreeFieldModel, theta):
-    s = (np.abs(theta) - (model.window - model.window_width)) / model.window_width
+def _smooth_step(s):
+    """C-infinity step from 1 at s <= 0 down to 0 at s >= 1."""
     s = np.clip(s, 0.0, 1.0)
     with np.errstate(divide="ignore", over="ignore"):
         a = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
         b = np.where(s < 1, np.exp(-1.0 / np.where(s < 1, 1.0 - s, 1.0)), 0.0)
     return b / (a + b)
+
+
+def _window(model: FreeFieldModel, theta):
+    return _smooth_step((np.abs(theta) - (model.window - model.window_width))
+                        / model.window_width)
 
 
 class _LRUCache:
@@ -508,15 +509,14 @@ def embed_with_error(f: TestFunction2, model: FreeFieldModel):
     return fine, err
 
 
-def grid_space(model: FreeFieldModel, summands: int = 1) -> ComplexVectorSpace:
-    return ComplexVectorSpace(summands * model.grid.n_points)
-
-
-def as_complex_vector(phi: OneParticleVector,
-                      space: ComplexVectorSpace = None) -> ComplexVector:
-    """Isometric coordinates: values scaled by sqrt(grid spacing)."""
-    space = space or grid_space(phi.model)
-    return ComplexVector(space, phi.values * math.sqrt(phi.model.grid.spacing))
+def realify(values, spacing: float) -> np.ndarray:
+    """Isometric real columns of a stack of vectors: column j holds the
+    real and then the imaginary parts of values[j], flattened and scaled
+    by sqrt(spacing), so the Euclidean product of columns is Re <., .>."""
+    values = np.asarray(values)
+    z = values.reshape(len(values), math.prod(values.shape[1:]))
+    z = z * math.sqrt(spacing)
+    return np.concatenate([z.real.T, z.imag.T])
 
 
 # -- Poincare action -------------------------------------------------------
@@ -525,18 +525,25 @@ def _shift(values, lam, omega):
     return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * omega * lam))
 
 
+def _mass_fraction(values, zone):
+    """Relative mass of each vector of a stack on the samples in zone."""
+    power = np.abs(values) ** 2
+    # compress keeps the rows contiguous, so each row sums as a lone vector
+    return (np.sum(np.compress(zone, power, axis=-1), axis=-1)
+            / np.maximum(np.sum(power, axis=-1), 1e-300))
+
+
 def _leaked_mass(values, grid: RapidityGrid) -> float:
+    """Largest relative mass over a stack within LEAKAGE_BUFFER of the ends."""
     zone = np.abs(grid.theta) > grid.theta_max - LEAKAGE_BUFFER
-    total = float(np.sum(np.abs(values) ** 2))
-    if total == 0:
-        return 0.0
-    return float(np.sum(np.abs(values[zone]) ** 2)) / total
+    return float(np.max(_mass_fraction(values, zone), initial=0.0))
 
 
 def poincare_act(g: PoincareElement, phi: OneParticleVector,
                  leakage_budget: float = LEAKAGE_BUDGET) -> OneParticleVector:
     """u(g) phi: reflection acts as conjugation, a boost of rapidity l as
-    the shift theta -> theta - l, a translation as the phase exp(i a.p)."""
+    the shift theta -> theta - l, a translation as the phase exp(i a.p).
+    A boost raises LeakageError if any vector of the stack leaks."""
     model = phi.model
     v = phi.values
     if g.reflect:
@@ -568,20 +575,31 @@ def locality_pairing(f: TestFunction2, g: TestFunction2,
     return embed(f, model).inner(embed(g, model)).imag
 
 
-def local_subspace(region: Region2, dictionary, model: FreeFieldModel,
-                   space: ComplexVectorSpace = None) -> RealSubspace:
+def local_subspace(region: Region2, dictionary,
+                   model: FreeFieldModel) -> RealSubspace:
     """Real span of the embeddings of a dictionary supported in region."""
     for f in dictionary:
         if f._boundary is not None:
             b0, b1 = f._boundary
             if not np.all(region.contains(b0, b1)):
                 raise SupportError("dictionary member not supported in region")
-    space = space or grid_space(model)
-    vecs = [as_complex_vector(embed(f, model), space) for f in dictionary]
-    return RealSubspace.from_complex_vectors(space, vecs)
+    n = model.grid.n_points
+    values = np.reshape([embed(f, model).values for f in dictionary], (-1, n))
+    return RealSubspace.from_real_span(ComplexVectorSpace(n),
+                                       realify(values, model.grid.spacing))
 
 
 # -- wedge modular structure ----------------------------------------------
+
+def _capped(values, grid: RapidityGrid, direction: int, cap: float):
+    """Spectrum of values, the log multiplier -direction pi omega of
+    delta^(1/2), the mask of frequencies it would amplify beyond cap, and
+    the relative input mass there (the tail), one per vector."""
+    ph = np.fft.fft(values)
+    logmult = -direction * np.pi * grid.omega
+    kill = logmult > math.log(cap)
+    return ph, logmult, kill, _mass_fraction(ph, kill)
+
 
 def wedge_modular_half(phi: OneParticleVector, direction: int = RIGHT_WEDGE_DIRECTION,
                        cap: float = AMPLIFICATION_CAP):
@@ -591,15 +609,9 @@ def wedge_modular_half(phi: OneParticleVector, direction: int = RIGHT_WEDGE_DIRE
     mass (relative) is returned as the tail diagnostic.  A large tail
     signals that phi is not in the domain of this half-boost.
     """
-    grid = phi.model.grid
-    ph = np.fft.fft(phi.values)
-    logmult = -direction * np.pi * grid.omega
-    kill = logmult > math.log(cap)
-    total = float(np.sum(np.abs(ph) ** 2))
-    tail = float(np.sum(np.abs(ph[kill]) ** 2)) / max(total, 1e-300)
+    ph, logmult, kill, tail = _capped(phi.values, phi.model.grid, direction, cap)
     mult = np.where(kill, 0.0, np.exp(np.where(kill, -np.inf, logmult)))
-    out = np.fft.ifft(ph * mult)
-    return OneParticleVector(phi.model, out), tail
+    return OneParticleVector(phi.model, np.fft.ifft(ph * mult)), tail
 
 
 def domain_certificate(phi: OneParticleVector,
@@ -608,11 +620,7 @@ def domain_certificate(phi: OneParticleVector,
     """Relative input mass at frequencies the capped half-boost cannot
     amplify; the spectral-decay certificate for membership in the
     numerical domain of delta^(1/2)."""
-    grid = phi.model.grid
-    ph = np.fft.fft(phi.values)
-    kill = -direction * np.pi * grid.omega > math.log(cap)
-    total = float(np.sum(np.abs(ph) ** 2))
-    return float(np.sum(np.abs(ph[kill]) ** 2)) / max(total, 1e-300)
+    return _capped(phi.values, phi.model.grid, direction, cap)[3]
 
 
 def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
@@ -621,12 +629,7 @@ def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
     the modular operator, so it maps wedge fixed points to fixed points;
     smoothness keeps the masked vectors decaying in theta."""
     wb = math.log(cap) / np.pi - margin
-    s = (np.abs(omega) - (wb - roll)) / roll
-    s = np.clip(s, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
-        b = np.where(s < 1, np.exp(-1.0 / np.where(s < 1, 1.0 - s, 1.0)), 0.0)
-    return b / (a + b)
+    return _smooth_step((np.abs(omega) - (wb - roll)) / roll)
 
 
 def band_project(phi: OneParticleVector, margin: float = BAND_MARGIN,
@@ -654,6 +657,17 @@ def wedge_tomita_apply(phi: OneParticleVector,
     return half.conj(), tail
 
 
+def _band_defect(c, grid: RapidityGrid, mask):
+    """Spectrum of s_W v - v for the origin right wedge, c that of v:
+    exp(-pi w) conj(c(-w)) - c(w) where mask > 0, and -c elsewhere."""
+    flip = -np.arange(grid.n_points) % grid.n_points      # index of -w
+    live = mask > 0.0
+    s_hat = np.zeros_like(c)
+    s_hat[..., live] = (np.exp(-np.pi * grid.omega[live])
+                        * np.conj(c[..., flip[live]]))
+    return s_hat - c
+
+
 def compressed_fixed_defect(phi: OneParticleVector,
                             margin: float = BAND_MARGIN,
                             cap: float = AMPLIFICATION_CAP) -> OneParticleVector:
@@ -665,13 +679,8 @@ def compressed_fixed_defect(phi: OneParticleVector,
     """
     grid = phi.model.grid
     mask = _band_mask(grid.omega, margin, cap)
-    ph = np.fft.fft(phi.values)
-    flip = np.zeros(grid.n_points, dtype=int)
-    flip[1:] = np.arange(grid.n_points - 1, 0, -1)
-    live = mask > 0.0
-    s_hat = np.zeros_like(ph)
-    s_hat[live] = np.exp(-np.pi * grid.omega[live]) * np.conj(ph[flip][live])
-    return OneParticleVector(phi.model, np.fft.ifft(mask * (s_hat - ph)))
+    defect = _band_defect(np.fft.fft(phi.values), grid, mask)
+    return OneParticleVector(phi.model, np.fft.ifft(mask * defect))
 
 
 def bw_residual_of_vector(phi: OneParticleVector,
@@ -692,15 +701,7 @@ def bw_residual_of_vector(phi: OneParticleVector,
     grid = phi.model.grid
     mask = _band_mask(grid.omega, margin, AMPLIFICATION_CAP)
     c = mask * np.fft.fft(phi.values)
-    # spectrum of conj(v) at w is conj(c(-w)); the index map w -> -w
-    flip = np.zeros(grid.n_points, dtype=int)
-    flip[1:] = np.arange(grid.n_points - 1, 0, -1)
-    live = mask > 0.0
-    s_hat = np.zeros_like(c)
-    s_hat[live] = np.exp(-np.pi * grid.omega[live]) * np.conj(c[flip][live])
-    num = np.linalg.norm(s_hat - c)
-    den = np.linalg.norm(c)
-    return float(num / den)
+    return float(np.linalg.norm(_band_defect(c, grid, mask)) / np.linalg.norm(c))
 
 
 def bw_residual(f: TestFunction2, model: FreeFieldModel,

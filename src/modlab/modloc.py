@@ -7,6 +7,9 @@ realized by transporting the origin right-wedge operators with u(g).
 The localized space K_W is the fixed-point set of s_W; its finite
 model is extracted from a dictionary of probes by singular-value
 thresholding of (s_W - 1) on their real span.
+
+A direct-sum vector is a complex array (n_summands, n_points), one row
+per summand; a probe dictionary is a stack (k, n_summands, n_points).
 """
 
 from __future__ import annotations
@@ -19,18 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .freefield import (
-    OneParticleVector, PoincareElement, Region2, TestFunction2,
-    compressed_fixed_defect, domain_certificate, embed, poincare_act,
-    wedge_modular_half,
+    AMPLIFICATION_CAP, OneParticleVector, PoincareElement, Region2,
+    TestFunction2, compressed_fixed_defect, domain_certificate, embed,
+    poincare_act, realify, wedge_tomita_apply,
 )
 from .hilbert import (
-    ComplexVector, ComplexVectorSpace, RealSubspace, inclusion_residual,
+    ComplexVectorSpace, RealSubspace, inclusion_residual,
     orthonormalize_columns, subspace_distance, subspace_intersection,
     subspace_sum, times_i,
 )
 
 __all__ = [
-    "SumVector", "PoincareRep2", "EmptyModelError", "ExtractionReport",
+    "PoincareRep2", "EmptyModelError", "ExtractionReport",
     "wedge_frame", "wedge_tomita_apply_rep", "wedge_domain_certificate",
     "compressed_defect_rep", "localized_subspace",
     "LocalizedNet", "net_checks", "doublecone_space", "embed_probe",
@@ -38,30 +41,7 @@ __all__ = [
 
 
 class EmptyModelError(RuntimeError):
-    """No dictionary probe passed the wedge domain certificate."""
-
-
-class SumVector:
-    """Element of a finite direct sum of one-particle spaces."""
-
-    def __init__(self, blocks):
-        self.blocks = list(blocks)
-
-    def inner(self, other: "SumVector") -> complex:
-        return sum((a.inner(b) for a, b in zip(self.blocks, other.blocks)),
-                   start=0.0 + 0.0j)
-
-    def norm(self) -> float:
-        return math.sqrt(max(self.inner(self).real, 0.0))
-
-    def __add__(self, other):
-        return SumVector([a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other):
-        return SumVector([a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __rmul__(self, scalar):
-        return SumVector([scalar * b for b in self.blocks])
+    """The probe dictionary has no localized content for the wedge."""
 
 
 class PoincareRep2:
@@ -85,35 +65,31 @@ class PoincareRep2:
     def space(self) -> ComplexVectorSpace:
         return ComplexVectorSpace(self.n_summands * self.grid.n_points)
 
-    def act(self, g: PoincareElement, v: SumVector) -> SumVector:
-        return SumVector([poincare_act(g, b) for b in v.blocks])
+    def act(self, g: PoincareElement, X) -> np.ndarray:
+        """u(g) on a vector or a stack (..., n_summands, n_points)."""
+        return np.stack([poincare_act(g, OneParticleVector(m, X[..., i, :])).values
+                         for i, m in enumerate(self.models)], axis=-2)
 
-    def zero(self) -> SumVector:
-        return SumVector([OneParticleVector(m, np.zeros(self.grid.n_points,
-                                                        dtype=complex))
-                          for m in self.models])
+    def realify(self, X) -> np.ndarray:
+        """Real columns in space() of a stack of vectors."""
+        return realify(X, self.grid.spacing)
 
-    # realification plumbing -------------------------------------------
-
-    def to_complex_vector(self, v: SumVector) -> ComplexVector:
-        h = math.sqrt(self.grid.spacing)
-        coords = np.concatenate([b.values * h for b in v.blocks])
-        return ComplexVector(self.space(), coords)
-
-    def from_complex_vector(self, x: ComplexVector) -> SumVector:
-        h = math.sqrt(self.grid.spacing)
-        n = self.grid.n_points
-        blocks = []
-        for i, m in enumerate(self.models):
-            blocks.append(OneParticleVector(m, x.coords[i * n:(i + 1) * n] / h))
-        return SumVector(blocks)
+    def unrealify(self, M) -> np.ndarray:
+        """The stack of vectors whose real columns are those of M."""
+        d = self.space().dim
+        z = (M[:d] + 1j * M[d:]).T / math.sqrt(self.grid.spacing)
+        return z.reshape(-1, self.n_summands, self.grid.n_points)
 
 
-def embed_probe(rep: PoincareRep2, f: TestFunction2, summand: int = 0) -> SumVector:
+def _stack(rep: PoincareRep2, probes) -> np.ndarray:
+    return np.reshape(probes, (-1, rep.n_summands, rep.grid.n_points))
+
+
+def embed_probe(rep: PoincareRep2, f: TestFunction2, summand: int = 0) -> np.ndarray:
     """Embed a test function into one summand, zero elsewhere."""
-    v = rep.zero()
-    v.blocks[summand] = embed(f, rep.models[summand])
-    return v
+    X = np.zeros((rep.n_summands, rep.grid.n_points), dtype=complex)
+    X[summand] = embed(f, rep.models[summand]).values
+    return X
 
 
 def wedge_frame(W: Region2) -> PoincareElement:
@@ -126,35 +102,32 @@ def wedge_frame(W: Region2) -> PoincareElement:
     raise ValueError(f"not a wedge: {W.kind}")
 
 
-def wedge_tomita_apply_rep(rep: PoincareRep2, W: Region2, v: SumVector,
-                           cap: float = None):
-    """s_W v = u(g) s_R u(g)^(-1) v, blockwise; returns (vector, max tail)."""
-    from .freefield import AMPLIFICATION_CAP
-    cap = cap or AMPLIFICATION_CAP
+def _pull(rep: PoincareRep2, W: Region2, X):
+    """(g, u(g)^(-1) X) for W = g W_R, wrapped whole for the spectral
+    maps, which see only the rapidity grid that the summands share."""
     g = wedge_frame(W)
-    ginv = g.inv()
-    pulled = rep.act(ginv, v)
-    tails = []
-    out_blocks = []
-    for b in pulled.blocks:
-        half, tail = wedge_modular_half(b, cap=cap)
-        out_blocks.append(half.conj())
-        tails.append(tail)
-    return rep.act(g, SumVector(out_blocks)), max(tails)
+    return g, OneParticleVector(rep.models[0], rep.act(g.inv(), X))
 
 
-def wedge_domain_certificate(rep: PoincareRep2, W: Region2, v: SumVector) -> float:
-    pulled = rep.act(wedge_frame(W).inv(), v)
-    return max(domain_certificate(b) for b in pulled.blocks)
+def wedge_tomita_apply_rep(rep: PoincareRep2, W: Region2, X,
+                           cap: float = AMPLIFICATION_CAP):
+    """s_W X = u(g) s_R u(g)^(-1) X; returns (vectors, tail), the tail
+    being the largest over the summands of each vector."""
+    g, pulled = _pull(rep, W, X)
+    image, tail = wedge_tomita_apply(pulled, cap=cap)
+    return rep.act(g, image.values), np.max(tail, axis=-1)
 
 
-def compressed_defect_rep(rep: PoincareRep2, W: Region2, v: SumVector) -> SumVector:
-    """P (s_W - 1) v: the band-compressed fixed-point defect in the
+def wedge_domain_certificate(rep: PoincareRep2, W: Region2, X):
+    """Largest domain certificate over the summands of each vector."""
+    return np.max(domain_certificate(_pull(rep, W, X)[1]), axis=-1)
+
+
+def compressed_defect_rep(rep: PoincareRep2, W: Region2, X) -> np.ndarray:
+    """P (s_W - 1) X: the band-compressed fixed-point defect in the
     wedge frame, transported back.  Cap-safe on raw vectors."""
-    g = wedge_frame(W)
-    pulled = rep.act(g.inv(), v)
-    out = SumVector([compressed_fixed_defect(b) for b in pulled.blocks])
-    return rep.act(g, out)
+    g, pulled = _pull(rep, W, X)
+    return rep.act(g, compressed_fixed_defect(pulled).values)
 
 
 @dataclass
@@ -162,7 +135,7 @@ class ExtractionReport:
     singular_values: np.ndarray
     kept: int
     discarded_probes: int
-    fallback_used: bool = False
+    fallback_used: bool = False         # no fallback exists; always False
     certificates: list = field(default_factory=list)
 
 
@@ -170,73 +143,43 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05,
                        cert_threshold: float = 1e-10):
     """Finite model of K_W = {h in D(s_W): s_W h = h}.
 
-    Probes failing the wedge domain certificate are discarded (all of
-    them failing raises EmptyModelError).  On the real span of the
-    survivors the band-compressed defect P (s_W - 1) is assembled; its
-    kernel directions below tol in singular value form the model.  The
-    stored basis consists of raw probe combinations, so models over
-    matched dictionaries are directly comparable across wedges.  If no
-    singular value clears the threshold, the symmetrized vectors
-    (h + s_W h)/2 of the well-conditioned probes are used instead, with
-    the report saying so.
+    Probes failing the wedge domain certificate are discarded.  On the
+    real span of the survivors the band-compressed defect P (s_W - 1) is
+    assembled; its kernel directions below tol in singular value form
+    the model.  The stored basis consists of raw probe combinations, so
+    models over matched dictionaries are directly comparable across
+    wedges.  EmptyModelError is raised when every probe fails the
+    certificate or no singular value is at most tol.
 
     Returns (RealSubspace over the summed grid space, ExtractionReport).
     """
-    g = wedge_frame(W)
-    ginv = g.inv()
-    certs, live = [], []
-    for p in probes:
-        pulled = rep.act(ginv, p)
-        cert = max(domain_certificate(b) for b in pulled.blocks)
-        certs.append(cert)
-        if cert <= cert_threshold:
-            live.append(p)
-    if not live:
+    P = _stack(rep, probes)
+    certs = wedge_domain_certificate(rep, W, P)
+    live = certs <= cert_threshold
+    if not np.any(live):
         raise EmptyModelError(
-            f"all {len(probes)} probes fail the domain certificate "
-            f"(min {min(certs):.2e})")
-
-    space = rep.space()
-    cols = [space.realify(rep.to_complex_vector(p).coords) for p in live]
-    B = orthonormalize_columns(np.column_stack(cols))
-
-    def as_sum(col):
-        return rep.from_complex_vector(
-            ComplexVector(space, space.unrealify(col)))
-
-    def defect_real(col):
-        d = compressed_defect_rep(rep, W, as_sum(col))
-        return space.realify(rep.to_complex_vector(d).coords)
-
-    D = np.column_stack([defect_real(B[:, j]) for j in range(B.shape[1])])
+            f"all {len(P)} probes fail the domain certificate "
+            f"(min {np.min(certs, initial=np.inf):.2e})")
+    B = orthonormalize_columns(rep.realify(P[live]))
+    D = rep.realify(compressed_defect_rep(rep, W, rep.unrealify(B)))
     _, sv, Vt = np.linalg.svd(D, full_matrices=False)
     keep = sv <= tol
-    fallback = False
     if not np.any(keep):
-        # poor gap: fall back to explicit symmetrization of the probes
-        fallback = True
-        sym_cols = []
-        for j in range(B.shape[1]):
-            img, _ = wedge_tomita_apply_rep(rep, W, as_sum(B[:, j]))
-            v = space.realify(rep.to_complex_vector(img).coords)
-            if np.linalg.norm(v) <= 3.0:
-                sym_cols.append(0.5 * (B[:, j] + v))
-        if not sym_cols:
-            raise EmptyModelError("no well-conditioned probe to symmetrize")
-        basis = orthonormalize_columns(np.column_stack(sym_cols))
-    else:
-        basis = orthonormalize_columns(B @ Vt[keep].T)
+        raise EmptyModelError(
+            f"no singular value of the fixed-point defect is <= {tol} "
+            f"(smallest {sv.min():.2e})")
+    basis = orthonormalize_columns(B @ Vt[keep].T)
     report = ExtractionReport(singular_values=sv, kept=int(basis.shape[1]),
-                              discarded_probes=len(probes) - len(live),
-                              fallback_used=fallback, certificates=certs)
-    return RealSubspace(space, basis, check=False), report
+                              discarded_probes=int(np.sum(~live)),
+                              certificates=certs.tolist())
+    return RealSubspace(rep.space(), basis, check=False), report
 
 
 @dataclass
 class NetEntry:
     region: Region2
     functions: list            # (TestFunction2, summand) pairs
-    probes: list               # SumVector embeddings
+    probes: np.ndarray         # stack (k, n_summands, n_points)
     subspace: RealSubspace
     report: ExtractionReport
 
@@ -258,13 +201,12 @@ class LocalizedNet:
 
     def populate_wedge(self, W: Region2, functions):
         """functions: list of (TestFunction2, summand index) supported in W."""
-        probes = []
         for f, idx in functions:
             if f._boundary is not None:
                 b0, b1 = f._boundary
                 if not np.all(W.contains(b0, b1)):
                     raise ValueError("dictionary member not supported in wedge")
-            probes.append(embed_probe(self.rep, f, idx))
+        probes = np.array([embed_probe(self.rep, f, idx) for f, idx in functions])
         K, report = localized_subspace(self.rep, W, probes, self.tol)
         self.entries[self._key(W)] = NetEntry(W, list(functions), probes, K, report)
         return K
@@ -273,21 +215,14 @@ class LocalizedNet:
         return self.entries[self._key(W)]
 
     def act_on_subspace(self, g: PoincareElement, K: RealSubspace) -> RealSubspace:
-        cols = []
-        for j in range(K.dim):
-            x = ComplexVector(K.space, K.space.unrealify(K.basis[:, j]))
-            moved = self.rep.act(g, self.rep.from_complex_vector(x))
-            cols.append(K.space.realify(self.rep.to_complex_vector(moved).coords))
-        return RealSubspace.from_real_span(K.space, np.column_stack(cols))
+        moved = self.rep.act(g, self.rep.unrealify(K.basis))
+        return RealSubspace.from_real_span(K.space, self.rep.realify(moved))
 
     def to_json_dict(self) -> dict:
         out = {"summands": [m.mass for m in self.rep.models],
                "tolerance": self.tol, "wedges": []}
         for key, e in sorted(self.entries.items(), key=lambda kv: repr(kv[0])):
-            h = hashlib.sha256()
-            for p in e.probes:
-                for b in p.blocks:
-                    h.update(np.ascontiguousarray(b.values).tobytes())
+            h = hashlib.sha256(np.ascontiguousarray(e.probes).tobytes())
             out["wedges"].append({
                 "region": list(key),
                 "dictionary_hash": h.hexdigest()[:16],
@@ -358,8 +293,8 @@ def net_checks(net: LocalizedNet, covariance_elements=(),
         for e in entries:
             gW = e.region.transform(g)
             moved = net.act_on_subspace(g, e.subspace)
-            transported = [(f.transform(g), idx) for f, idx in e.functions]
-            probes = [embed_probe(net.rep, f, idx) for f, idx in transported]
+            probes = [embed_probe(net.rep, f.transform(g), idx)
+                      for f, idx in e.functions]
             try:
                 K_gW, _ = localized_subspace(net.rep, gW, probes, net.tol)
             except EmptyModelError:
@@ -389,12 +324,10 @@ def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=(),
     except KeyError as exc:
         raise ValueError(f"generating wedge missing from the net: {exc}")
     K = subspace_intersection(eR.subspace, eL.subspace, cos_tol=cos_tol)
-    residuals = []
-    for p in cone_probes:
-        x = net.rep.to_complex_vector(p)
-        v = x.space.realify(x.coords)
-        nv = np.linalg.norm(v)
-        residuals.append(float(np.linalg.norm(v - K.project(v)) / nv))
-    report = {"dimension": K.dim, "probe_residuals": residuals,
-              "conditioning_warning": K.dim == 0 and bool(cone_probes)}
+    # (k, rdim, 1) stack: each residual rounds as if its probe were alone
+    V = net.rep.realify(_stack(net.rep, cone_probes)).T[..., None]
+    residuals = (np.linalg.norm(V - K.project(V), axis=(1, 2))
+                 / np.linalg.norm(V, axis=(1, 2)))
+    report = {"dimension": K.dim, "probe_residuals": residuals.tolist(),
+              "conditioning_warning": K.dim == 0 and len(residuals) > 0}
     return K, report

@@ -97,10 +97,11 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"freefield": {"mass": 0.0}}, "freefield.mass"),
     ({"modloc": {"second_mass": -1.0}}, "modloc.second_mass"),
     ({"subspace": {"max_dim": 1}}, "subspace.max_dim"),
+    ({"freefield": {"window_width": 0.0}}, "freefield.window_width"),
 ], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
         "n_points_not_power_of_two", "window_outside_grid",
         "theta_max_below_4", "zero_mass", "negative_second_mass",
-        "max_dim_below_2"])
+        "max_dim_below_2", "zero_window_width"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})
@@ -122,6 +123,26 @@ def test_refine_single_rung_is_plain_run(tmp_path, capsys):
         "rung2.check_locality", "total"}
     assert report["timings"]["total"] >= max(report["timings"].values()) > 0
     capsys.readouterr()
+
+
+def test_refine_rejects_rung_windows_outside_the_grid(tmp_path, capsys,
+                                                     monkeypatch):
+    # rung 1 and 2 windows (5.2, 5.5) do not fit theta_max = 5.0, although
+    # the configured window 4.5 does; no check may run before the refusal
+    from modlab import checks
+
+    def must_not_run(config, rng):
+        raise AssertionError("a check ran before the refusal")
+    for name in ("check_bisognano_wichmann", "check_covariance",
+                 "check_locality"):
+        monkeypatch.setattr(checks, name, must_not_run)
+    cfg = write_config(tmp_path, {
+        "kind": "freefield", "out_dir": str(tmp_path / "out"),
+        "freefield": {"theta_max": 5.0, "window": 4.5}})
+    assert main(["refine", "--config", cfg, "--ladder", "1,2"]) == 2
+    assert ("configuration error: freefield.theta_max:"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_list_checks(capsys):

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from modlab import freefield
-from modlab.freefield import _window
+from modlab.freefield import _band_mask, _window
 from modlab.freefield import (
-    DomainViolationError, FreeFieldModel, LeakageError, PoincareElement,
-    RapidityGrid, Region2, SupportError, TestFunction2,
-    band_project, borchers_check, bw_residual, covariance_residual,
-    domain_certificate, embed, embed_with_error, gaussian_packet,
-    local_subspace, locality_pairing, modular_blowup_profile, poincare_act,
-    wedge_modular_half, wedge_tomita_apply, export_csv,
+    AMPLIFICATION_CAP, BAND_MARGIN, DomainViolationError, FreeFieldModel,
+    LeakageError, OneParticleVector, PoincareElement, RapidityGrid, Region2,
+    SupportError, TestFunction2,
+    band_project, borchers_check, bw_residual, compressed_fixed_defect,
+    covariance_residual, domain_certificate, embed, embed_with_error,
+    gaussian_packet, local_subspace, locality_pairing, modular_blowup_profile,
+    poincare_act, realify, wedge_modular_half, wedge_tomita_apply, export_csv,
 )
 
 
@@ -241,6 +242,74 @@ def test_leakage_guard(model):
         poincare_act(PoincareElement.boost(5.5), phi)
 
 
+def test_leakage_guard_checks_every_vector_of_a_stack(model):
+    boost = PoincareElement.boost(1.0)
+    inside = gaussian_packet(model, center=0.0, width=0.75).values
+    edge = gaussian_packet(model, center=4.0, width=0.75).values
+    poincare_act(boost, OneParticleVector(model, [inside, inside]))
+    with pytest.raises(LeakageError):
+        poincare_act(boost, OneParticleVector(model, [inside, edge]))
+
+
+def probe_stack(model):
+    """Right-wedge, left-wedge and off-centre embeddings as one stack."""
+    fs = [TestFunction2.bump((0.0, 3.0), 0.5),
+          TestFunction2.bump((0.0, -3.0), 0.5),
+          TestFunction2.bump((0.4, 1.2), 0.55)]
+    return np.array([embed(f, model).values for f in fs])
+
+
+@pytest.mark.parametrize("g", [
+    PoincareElement.reflection(), PoincareElement.boost(0.2),
+    PoincareElement.translation(0.3, -0.45)],
+    ids=["reflection", "boost", "translation"])
+def test_poincare_act_on_a_stack_equals_per_vector_calls(model, g):
+    stack = probe_stack(model)
+    moved = poincare_act(g, OneParticleVector(model, stack)).values
+    assert np.array_equal(moved, [poincare_act(g, OneParticleVector(model, v)).values
+                                  for v in stack])
+
+
+def test_spectral_maps_on_a_stack_equal_per_vector_calls(model):
+    stack = probe_stack(model)
+    phi = OneParticleVector(model, stack)
+    singles = [OneParticleVector(model, v) for v in stack]
+    assert np.array_equal(compressed_fixed_defect(phi).values,
+                          [compressed_fixed_defect(p).values for p in singles])
+    assert np.array_equal(domain_certificate(phi),
+                          [domain_certificate(p) for p in singles])
+    half, tail = wedge_modular_half(phi)
+    halves = [wedge_modular_half(p) for p in singles]
+    assert np.array_equal(half.values, [h.values for h, _ in halves])
+    assert np.array_equal(tail, [t for _, t in halves])
+    assert tail[0] < 1e-10 < tail[1]
+
+
+def inline_smooth_step(x, start, width):
+    """The smooth step as _window and _band_mask each wrote it inline."""
+    s = (x - start) / width
+    s = np.clip(s, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
+        b = np.where(s < 1, np.exp(-1.0 / np.where(s < 1, 1.0 - s, 1.0)), 0.0)
+    return b / (a + b)
+
+
+@pytest.mark.parametrize("m", [FreeFieldModel(), FreeFieldModel.rung(1)],
+                         ids=["default", "rung1"])
+def test_window_and_band_mask_match_the_inline_formula(m):
+    theta, omega = m.grid.theta, m.grid.omega
+    assert np.array_equal(
+        _window(m, theta),
+        inline_smooth_step(np.abs(theta), m.window - m.window_width,
+                           m.window_width))
+    for cap, roll in ((AMPLIFICATION_CAP, 1.5), (1e4, 0.5)):
+        wb = math.log(cap) / np.pi - BAND_MARGIN
+        assert np.array_equal(
+            _band_mask(omega, BAND_MARGIN, cap, roll),
+            inline_smooth_step(np.abs(omega), wb - roll, roll))
+
+
 def test_covariance_identity_is_exact(model):
     f = TestFunction2.bump((0.0, 2.5), 0.5)
     assert covariance_residual(f, PoincareElement(), model) == 0.0
@@ -270,17 +339,15 @@ def test_covariance_ladder_decreases():
 def test_reflection_covariance_on_subspaces(model):
     # u(gamma) K(O) = K(-O) on dictionary subspaces
     from modlab.hilbert import subspace_distance, RealSubspace
-    from modlab.freefield import grid_space, as_complex_vector
-    space = grid_space(model)
     dict_pos = [TestFunction2.bump((0.1, 2.3), 0.45),
                 TestFunction2.bump((-0.2, 2.9), 0.5)]
     gamma_el = PoincareElement.reflection()
-    K_pos = local_subspace(Region2.right_wedge(), dict_pos, model, space)
+    K_pos = local_subspace(Region2.right_wedge(), dict_pos, model)
     dict_neg = [f.transform(gamma_el) for f in dict_pos]
-    K_neg = local_subspace(Region2.left_wedge(), dict_neg, model, space)
-    moved = RealSubspace.from_complex_vectors(
-        space, [as_complex_vector(
-            poincare_act(gamma_el, embed(f, model)), space) for f in dict_pos])
+    K_neg = local_subspace(Region2.left_wedge(), dict_neg, model)
+    moved = RealSubspace.from_real_span(K_pos.space, realify(
+        [poincare_act(gamma_el, embed(f, model)).values for f in dict_pos],
+        model.grid.spacing))
     assert subspace_distance(moved, K_neg) < 1e-6
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from modlab.freefield import (
-    FreeFieldModel, PoincareElement, Region2, TestFunction2, embed,
-    bw_residual_of_vector,
+    FreeFieldModel, OneParticleVector, PoincareElement, Region2,
+    TestFunction2, embed, bw_residual_of_vector, poincare_act,
 )
-from modlab.hilbert import subspace_distance
+from modlab.hilbert import RealSubspace, subspace_distance
 from modlab.modloc import (
     EmptyModelError, LocalizedNet, PoincareRep2,
     compressed_defect_rep, doublecone_space, embed_probe, localized_subspace,
@@ -34,6 +34,11 @@ def right_dict(shift=(0.0, 0.0)):
     return [f.transform(g) for f in base]
 
 
+def inner(rep, x, y):
+    """<x, y> on the direct sum: the grid-weighted product over all summands."""
+    return rep.grid.spacing * complex(np.vdot(x, y))
+
+
 def test_wedge_frame_roundtrip():
     for W in (Region2.right_wedge((0.3, -0.2)), Region2.left_wedge((0.0, 1.0))):
         g = wedge_frame(W)
@@ -47,9 +52,9 @@ def test_origin_wedge_tomita_matches_freefield(rep):
     # one: the compressed fixed-point defect matches the bw residual scale
     f = TestFunction2.bump((0.0, 3.0), 0.5)
     p = embed_probe(rep, f)
-    res = bw_residual_of_vector(p.blocks[0])
+    res = bw_residual_of_vector(OneParticleVector(rep.models[0], p[0]))
     defect = compressed_defect_rep(rep, Region2.right_wedge(), p)
-    assert defect.norm() / p.norm() < 5 * max(res, 1e-4)
+    assert np.linalg.norm(defect) / np.linalg.norm(p) < 5 * max(res, 1e-4)
     _, tail = wedge_tomita_apply_rep(rep, Region2.right_wedge(), p)
     assert tail < 1e-10
 
@@ -62,7 +67,7 @@ def test_translated_wedge_conjugation(rep):
     f = TestFunction2.bump((0.0, 3.0), 0.5).transform(g)
     p = embed_probe(rep, f)
     defect = compressed_defect_rep(rep, W, p)
-    assert defect.norm() / p.norm() < 1e-2
+    assert np.linalg.norm(defect) / np.linalg.norm(p) < 1e-2
     assert wedge_domain_certificate(rep, W, p) < 1e-10
 
 
@@ -78,7 +83,7 @@ def test_translated_wedge_operator_identity(rep):
     rhs = rep.act(g, wedge_tomita_apply_rep(rep, W0, p)[0])
     # limited by phase-roundtrip rounding amplified inside the half boost;
     # measured 3.3e-7 relative
-    assert (lhs - rhs).norm() < 1e-5 * rhs.norm()
+    assert np.linalg.norm(lhs - rhs) < 1e-5 * np.linalg.norm(rhs)
 
 
 def test_wedge_adjoint_relation(rep):
@@ -89,8 +94,8 @@ def test_wedge_adjoint_relation(rep):
     y = embed_probe(rep, TestFunction2.bump((0.2, -3.1), 0.5))
     sx, _ = wedge_tomita_apply_rep(rep, W, x)
     sy, _ = wedge_tomita_apply_rep(rep, Wp, y)
-    lhs = sx.inner(y)
-    rhs = sy.inner(x)
+    lhs = inner(rep, sx, y)
+    rhs = inner(rep, sy, x)
     assert abs(lhs - rhs) < 1e-6 * max(abs(lhs), 1.0)
 
 
@@ -100,15 +105,12 @@ def test_localized_subspace_contains_probes(rep):
     K, report = localized_subspace(rep, W, probes, tol=0.05)
     assert K.dim == len(probes)
     assert not report.fallback_used
-    for p in probes:
-        x = rep.to_complex_vector(p)
-        v = x.space.realify(x.coords)
+    V = rep.realify(np.array(probes))
+    for v in V.T:
         res = np.linalg.norm(v - K.project(v)) / np.linalg.norm(v)
         assert res < 1e-3
     # when every probe clears the threshold the model is the probe span
-    from modlab.hilbert import RealSubspace
-    span = RealSubspace.from_complex_vectors(
-        K.space, [rep.to_complex_vector(p) for p in probes])
+    span = RealSubspace.from_real_span(K.space, V)
     assert subspace_distance(K, span) < 1e-9
 
 
@@ -118,6 +120,42 @@ def test_localized_subspace_rejects_wrong_wedge(rep):
            embed_probe(rep, TestFunction2.bump((0.3, -2.6), 0.45))]
     with pytest.raises(EmptyModelError):
         localized_subspace(rep, W, bad)
+
+
+def test_localized_subspace_refuses_dictionary_without_localized_content(rep):
+    # i Ef is not in K_W when Ef is: the defect of every direction of
+    # span{i Ef, i Eg} is of order one, so there is no model to return
+    W = Region2.right_wedge()
+    Ef, Eg = (embed_probe(rep, f) for f in right_dict()[:2])
+    with pytest.raises(EmptyModelError, match="singular value"):
+        localized_subspace(rep, W, [1j * Ef, 1j * Eg], tol=0.05)
+
+
+def test_localized_subspace_keeps_localized_part_of_mixed_dictionary(rep):
+    W = Region2.right_wedge()
+    Ef, Eg = (embed_probe(rep, f) for f in right_dict()[:2])
+    K, report = localized_subspace(rep, W, [Ef, 1j * Eg], tol=0.05)
+    assert K.dim == report.kept == 1
+    assert not report.fallback_used
+    sv = report.singular_values
+    assert sv[0] > 1.0 and sv[1] < 1e-3        # measured 1.72 and 9.1e-5
+    v = rep.realify(Ef[None])[:, 0]
+    assert np.linalg.norm(v - K.project(v)) < 1e-3 * np.linalg.norm(v)
+
+
+def test_realify_round_trip_and_summandwise_action(rep2):
+    f = TestFunction2.bump((0.0, 3.0), 0.5)
+    g = TestFunction2.bump((0.4, 3.4), 0.55)
+    X = np.array([embed_probe(rep2, f, 0), embed_probe(rep2, g, 1)])
+    M = rep2.realify(X)
+    assert M.shape == (rep2.space().rdim, 2)
+    np.testing.assert_allclose(rep2.unrealify(M), X, rtol=0, atol=1e-15)
+    # each summand moves with its own mass
+    a = PoincareElement.translation(0.3, 0.7)
+    moved = rep2.act(a, X)
+    for i, m in enumerate(rep2.models):
+        assert np.array_equal(
+            moved[:, i], poincare_act(a, OneParticleVector(m, X[:, i])).values)
 
 
 def test_localized_subspace_real_linear(rep):
