@@ -42,9 +42,9 @@ t = 0.4
 F = modular_flow(md2, t)
 yp, ym = blocks[0].y_plus, blocks[0].y_minus
 w = np.log(np.tan(np.pi / 6) ** 2)
-pred = np.cos(w * t) * yp.coords + np.sin(w * t) * ym.coords
+pred = np.cos(w * t) * yp + np.sin(w * t) * ym
 print(f"flow mixes the fiber frame: |delta^it y+ - prediction| = "
-      f"{np.linalg.norm(F.apply(yp).coords - pred):.2e}\n")
+      f"{np.linalg.norm(F.apply(yp) - pred):.2e}\n")
 
 print("== a random standard subspace in C^5 ==")
 V5 = ComplexVectorSpace(5)

@@ -6,21 +6,27 @@ C(n + d - 1, d - 1) instead of d^n.  The basis state |alpha> is the
 normalized symmetrization of e_1^(x a_1) x ... x e_d^(x a_d); a tensor
 power h^(x n) then has coefficients sqrt(n!/alpha!) prod_i h_i^alpha_i.
 
+A vector of the truncated space is a plain complex array of length
+FockSpace.dim, and v[fs.level_slices[n]] is its level-n block.  FockSpace
+holds the ladder: its tables occ and up are the only place that knows
+which basis states are neighbours, and every operator below reads them.
+
 Operators that would populate level N + 1 drop the overflow; the
 overflow mass is available as a diagnostic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .hilbert import ComplexVector, RealLinearMap, RealSubspace
+from .hilbert import RealLinearMap, RealSubspace, symplectic_complement
 from .standard import modular_data, modular_flow, tomita_operator
 
 __all__ = [
-    "FockSpace", "FockVector", "FockOperator", "TruncationError",
+    "FockSpace", "FockOperator", "TruncationError",
     "vacuum", "coherent", "coherent_inner", "tensor_power_level",
     "sym_project", "sym_power_expand", "creation", "annihilation",
     "creation_overflow_mass", "field_operator", "gamma",
@@ -45,68 +51,44 @@ def _multi_indices(d, n):
 
 
 class FockSpace:
-    """Symmetric Fock space over C^d truncated at total particle number N."""
+    """Symmetric Fock space over C^d truncated at total particle number N.
+
+    The basis is ordered by level, so FockSpace(d, N + 1) starts with the
+    basis of FockSpace(d, N).  occ[k] is the occupation multi-index of
+    basis state k, an integer array of shape (dim, d); up[k, i] is the
+    index of occ[k] + e_i, or -1 when that lies above the cutoff.
+    """
 
     def __init__(self, one_particle_dim: int, cutoff: int):
         if one_particle_dim < 1 or cutoff < 0:
             raise ValueError("need dim >= 1 and cutoff >= 0")
         self.d = int(one_particle_dim)
         self.cutoff = int(cutoff)
-        self.occupations = []
+        occupations = []
         self.level_slices = []
         start = 0
         for n in range(self.cutoff + 1):
             level = list(_multi_indices(self.d, n))
-            self.occupations.extend(level)
+            occupations.extend(level)
             self.level_slices.append(slice(start, start + len(level)))
             start += len(level)
         self.dim = start
-        self.index = {a: i for i, a in enumerate(self.occupations)}
+        self.index = {a: i for i, a in enumerate(occupations)}
+        self.occ = np.array(occupations)
+        self.up = np.array(
+            [[self.index.get(a[:i] + (a[i] + 1,) + a[i + 1:], -1)
+              for i in range(self.d)] for a in occupations])
         # sqrt(alpha!) per basis state, used all over
         self._sqrt_fact = np.array(
             [math.sqrt(math.prod(math.factorial(k) for k in a))
-             for a in self.occupations])
+             for a in occupations])
 
     def level_dim(self, n: int) -> int:
         s = self.level_slices[n]
         return s.stop - s.start
 
-    def __eq__(self, other):
-        return (isinstance(other, FockSpace) and other.d == self.d
-                and other.cutoff == self.cutoff)
-
-    def __hash__(self):
-        return hash(("FockSpace", self.d, self.cutoff))
-
     def __repr__(self):
         return f"FockSpace(d={self.d}, N={self.cutoff}, dim={self.dim})"
-
-
-class FockVector:
-    def __init__(self, space: FockSpace, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (space.dim,):
-            raise ValueError(f"coeffs shape {coeffs.shape} != ({space.dim},)")
-        self.space = space
-        self.coeffs = coeffs
-
-    def level(self, n: int) -> np.ndarray:
-        return self.coeffs[self.space.level_slices[n]]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def inner(self, other: "FockVector") -> complex:
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
-    def __add__(self, other):
-        return FockVector(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return FockVector(self.space, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return FockVector(self.space, complex(scalar) * self.coeffs)
 
 
 class FockOperator:
@@ -124,12 +106,9 @@ class FockOperator:
         self.matrix = matrix
         self.antilinear = bool(antilinear)
 
-    def apply(self, v: FockVector) -> FockVector:
-        x = np.conj(v.coeffs) if self.antilinear else v.coeffs
-        return FockVector(self.space, self.matrix @ x)
-
-    def __call__(self, v: FockVector) -> FockVector:
-        return self.apply(v)
+    def apply(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        return self.matrix @ (np.conj(v) if self.antilinear else v)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if self.antilinear:
@@ -143,16 +122,13 @@ class FockOperator:
         M = self.matrix.T if self.antilinear else self.matrix.conj().T
         return FockOperator(self.space, M, antilinear=self.antilinear)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
 
 # -- vectors ------------------------------------------------------------
 
-def vacuum(space: FockSpace) -> FockVector:
+def vacuum(space: FockSpace) -> np.ndarray:
     c = np.zeros(space.dim, dtype=complex)
     c[0] = 1.0
-    return FockVector(space, c)
+    return c
 
 
 def tensor_power_level(space: FockSpace, h, n: int) -> np.ndarray:
@@ -161,25 +137,18 @@ def tensor_power_level(space: FockSpace, h, n: int) -> np.ndarray:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
     h = np.asarray(h, dtype=complex)
     sl = space.level_slices[n]
-    out = np.empty(sl.stop - sl.start, dtype=complex)
-    sqrt_n_fact = math.sqrt(math.factorial(n))
-    for i, alpha in enumerate(space.occupations[sl.start:sl.stop]):
-        prod = 1.0 + 0.0j
-        for hi, ai in zip(h, alpha):
-            if ai:
-                prod *= hi ** ai
-        out[i] = sqrt_n_fact / space._sqrt_fact[sl.start + i] * prod
-    return out
+    return (math.sqrt(math.factorial(n)) / space._sqrt_fact[sl]
+            * np.prod(h ** space.occ[sl], axis=1))
 
 
-def coherent(space: FockSpace, h) -> FockVector:
+def coherent(space: FockSpace, h) -> np.ndarray:
     """e^h = sum_n h^(x n)/sqrt(n!), truncated at the cutoff."""
     h = np.asarray(h, dtype=complex)
     c = np.zeros(space.dim, dtype=complex)
     for n in range(space.cutoff + 1):
         sl = space.level_slices[n]
         c[sl] = tensor_power_level(space, h, n) / math.sqrt(math.factorial(n))
-    return FockVector(space, c)
+    return c
 
 
 def coherent_inner(h, k, cutoff: int) -> complex:
@@ -209,26 +178,22 @@ def coherent_tail_mass(norm_h: float, cutoff: int) -> float:
 
 # -- symmetrization ------------------------------------------------------
 
-def sym_project(space: FockSpace, vectors) -> FockVector:
+def sym_project(space: FockSpace, vectors) -> np.ndarray:
     """Symmetrization of x_1 x ... x x_n by the literal permutation average.
 
     Builds the dense degree-n tensor, so intended for small n and d (the
-    guard refuses more than ~2e6 entries).  Result is the level-n block
-    embedded in a FockVector.
+    guard refuses more than ~2e6 entries).  Result is a Fock vector that
+    is zero outside level n.
     """
-    xs = [np.asarray(x.coords if isinstance(x, ComplexVector) else x, complex)
-          for x in vectors]
+    xs = [np.asarray(x, complex) for x in vectors]
     n = len(xs)
     if n > space.cutoff:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
     d = space.d
     if d ** max(n, 1) > 2_000_000:
         raise ValueError("dense symmetrization too large; lower n or d")
-    out = np.zeros(space.dim, dtype=complex)
     if n == 0:
-        out[0] = 1.0
-        return FockVector(space, out)
-    import itertools
+        return vacuum(space)
     T = np.zeros((d,) * n, dtype=complex)
     for sigma in itertools.permutations(range(n)):
         term = xs[sigma[0]]
@@ -238,26 +203,23 @@ def sym_project(space: FockSpace, vectors) -> FockVector:
     T /= math.factorial(n)
     sl = space.level_slices[n]
     sqrt_n_fact = math.sqrt(math.factorial(n))
-    for i, alpha in enumerate(space.occupations[sl.start:sl.stop]):
+    out = np.zeros(space.dim, dtype=complex)
+    for i, alpha in enumerate(space.occ[sl]):
         word = tuple(j for j, a in enumerate(alpha) for _ in range(a))
         out[sl.start + i] = sqrt_n_fact / space._sqrt_fact[sl.start + i] * T[word]
-    return FockVector(space, out)
+    return out
 
 
-def sym_power_expand(space: FockSpace, vectors) -> FockVector:
+def sym_power_expand(space: FockSpace, vectors) -> np.ndarray:
     """Symmetrization via the tensor-power expansion
     (1/n!) sum_{F subset {1..n}} (-1)^(|F|+n) (sum_{j in F} x_j)^(x n).
     Agrees with sym_project to rounding."""
-    import itertools
-    xs = [np.asarray(x.coords if isinstance(x, ComplexVector) else x, complex)
-          for x in vectors]
+    xs = [np.asarray(x, complex) for x in vectors]
     n = len(xs)
     if n > space.cutoff:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
-    out = np.zeros(space.dim, dtype=complex)
     if n == 0:
-        out[0] = 1.0
-        return FockVector(space, out)
+        return vacuum(space)
     sl = space.level_slices[n]
     block = np.zeros(sl.stop - sl.start, dtype=complex)
     for size in range(1, n + 1):
@@ -265,70 +227,43 @@ def sym_power_expand(space: FockSpace, vectors) -> FockVector:
         for F in itertools.combinations(range(n), size):
             v = np.sum([xs[j] for j in F], axis=0)
             block += sign * tensor_power_level(space, v, n)
+    out = np.zeros(space.dim, dtype=complex)
     out[sl] = block / math.factorial(n)
-    return FockVector(space, out)
+    return out
 
 
 # -- creation / annihilation / second quantization -----------------------
 
 def creation(space: FockSpace, g) -> FockOperator:
-    """a*(g) = sum_i g_i a*_i, linear in g; overflow at the top level is
-    dropped (see creation_overflow_mass)."""
+    """a*(g) = sum_i g_i a*_i, linear in g: column alpha holds
+    g_i sqrt(alpha_i + 1) in row alpha + e_i.  Overflow at the top level
+    is dropped (see creation_overflow_mass)."""
     g = np.asarray(g, dtype=complex)
     M = np.zeros((space.dim, space.dim), dtype=complex)
-    for col, alpha in enumerate(space.occupations):
-        if sum(alpha) >= space.cutoff:
-            continue
-        for i in range(space.d):
-            if g[i] == 0:
-                continue
-            beta = list(alpha)
-            beta[i] += 1
-            row = space.index[tuple(beta)]
-            M[row, col] += g[i] * math.sqrt(alpha[i] + 1)
+    col, i = np.nonzero((space.up >= 0) & (g != 0))
+    M[space.up[col, i], col] += g[i] * np.sqrt(space.occ[col, i] + 1)
     return FockOperator(space, M)
 
 
 def annihilation(space: FockSpace, g) -> FockOperator:
     """a(g) = sum_i conj(g_i) a_i; the adjoint of creation(g)."""
-    g = np.asarray(g, dtype=complex)
-    M = np.zeros((space.dim, space.dim), dtype=complex)
-    for col, alpha in enumerate(space.occupations):
-        for i in range(space.d):
-            if g[i] == 0 or alpha[i] == 0:
-                continue
-            beta = list(alpha)
-            beta[i] -= 1
-            row = space.index[tuple(beta)]
-            M[row, col] += np.conj(g[i]) * math.sqrt(alpha[i])
-    return FockOperator(space, M)
+    return creation(space, g).adjoint()
 
 
-def creation_overflow_mass(space: FockSpace, g, v: FockVector) -> float:
-    """Norm of the level-(N+1) part of a*(g) v that truncation drops."""
-    g = np.asarray(g, dtype=complex)
-    top = space.level_slices[space.cutoff]
-    over = {}
-    for col in range(top.start, top.stop):
-        c = v.coeffs[col]
-        if c == 0:
-            continue
-        alpha = space.occupations[col]
-        for i in range(space.d):
-            if g[i] == 0:
-                continue
-            beta = list(alpha)
-            beta[i] += 1
-            key = tuple(beta)
-            over[key] = over.get(key, 0.0) + c * g[i] * math.sqrt(alpha[i] + 1)
-    return math.sqrt(sum(abs(x) ** 2 for x in over.values()))
+def creation_overflow_mass(space: FockSpace, g, v) -> float:
+    """Norm of the level-(N+1) part of a*(g) v that truncation drops.
+
+    FockSpace(d, N + 1) starts with this space's basis, so that part is
+    the top block of its creation matrix applied to v."""
+    big = FockSpace(space.d, space.cutoff + 1)
+    C = creation(big, g).matrix[big.level_slices[-1], :space.dim]
+    return float(np.linalg.norm(C @ np.asarray(v, dtype=complex)))
 
 
 def field_operator(space: FockSpace, h) -> FockOperator:
     """phi(h) = (a(h) + a*(h)) / sqrt(2); selfadjoint on the truncation."""
-    A = annihilation(space, h).matrix
     C = creation(space, h).matrix
-    return FockOperator(space, (A + C) / math.sqrt(2.0))
+    return FockOperator(space, (C.conj().T + C) / math.sqrt(2.0))
 
 
 def gamma(space: FockSpace, a) -> FockOperator:
@@ -341,7 +276,9 @@ def gamma(space: FockSpace, a) -> FockOperator:
 
     Column alpha is a*(A e_1)^a_1 ... a*(A e_d)^a_d Omega / sqrt(alpha!).
     Its unnormalized vector is one creation matvec on that of its parent
-    alpha - e_i, i the last occupied mode, which comes one level earlier.
+    alpha - e_i, i the last occupied mode, which comes one level earlier:
+    each state p passes its vector on to up[p, i] for every i at or after
+    its own last occupied mode.
     """
     antilinear = False
     if isinstance(a, RealLinearMap):
@@ -354,10 +291,13 @@ def gamma(space: FockSpace, a) -> FockOperator:
     cols = [creation(space, A[:, i]).matrix for i in range(space.d)]
     V = np.zeros((space.dim, space.dim), dtype=complex)   # row k: column k
     V[0, 0] = 1.0
-    for k, alpha in enumerate(space.occupations[1:], start=1):
-        i = max(j for j, aj in enumerate(alpha) if aj)
-        parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        V[k] = cols[i] @ V[space.index[parent]]
+    last = np.zeros(space.dim, dtype=int)     # last occupied mode per state
+    for p in range(space.dim):
+        for i in range(last[p], space.d):
+            k = space.up[p, i]
+            if k >= 0:
+                V[k] = cols[i] @ V[p]
+                last[k] = i
     # C order: BLAS sums a transposed operand in another order, and the
     # products the checks form from M would move at roundoff
     M = (V / space._sqrt_fact[:, None]).T.copy()
@@ -446,7 +386,6 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
       (4) the Weyl phase exp(-i Im<h, k'>) is 1 across K and K'.
     Returns the four residuals in a dict.
     """
-    from .hilbert import symplectic_complement
     space1 = K.space
     fs = FockSpace(space1.dim, cutoff)
     s = tomita_operator(K)
@@ -465,7 +404,7 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
         k = sample(K)
         lhs = gs.apply(coherent(fs, 1j * k))
         rhs = coherent(fs, -1j * k)
-        res1 = max(res1, (lhs - rhs).norm())
+        res1 = max(res1, np.linalg.norm(lhs - rhs))
 
     gj = gamma(fs, md.j)
     res2 = 0.0
@@ -474,7 +413,7 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
         k = sample(K)
         W = weyl_matrix(fs, k)
         lhs = (gj @ W) @ gj
-        jk = md.j.apply(ComplexVector(space1, k)).coords
+        jk = md.j.apply(k)
         rhs = weyl_matrix(fs, jk).adjoint()
         res2 = max(res2, np.linalg.norm(lhs.matrix - rhs.matrix, 2))
         for t in flow_times:
@@ -482,7 +421,7 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
             gflow = gamma(fs, flow)
             gflow_inv = gamma(fs, modular_flow(md, -t))
             lhs3 = (gflow @ W) @ gflow_inv
-            kt = flow.apply(ComplexVector(space1, k)).coords
+            kt = flow.apply(k)
             rhs3 = weyl_matrix(fs, kt)
             res3 = max(res3, np.linalg.norm(lhs3.matrix - rhs3.matrix, 2))
 

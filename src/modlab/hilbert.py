@@ -11,7 +11,9 @@ realified columns as (a, b) -> (-b, a) in O(d r) work.
 ComplexVectorSpace.complex_structure() still returns the dense 2d x 2d
 matrix for callers that want it.
 
-The inner product <x, y> is conjugate-linear in the FIRST argument.
+A vector of C^d is a plain complex array of length d; RealLinearMap.apply
+takes and returns such arrays.  The inner product <x, y> is
+conjugate-linear in the FIRST argument.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ComplexVectorSpace", "ComplexVector", "RealLinearMap", "RealSubspace",
+    "ComplexVectorSpace", "RealLinearMap", "RealSubspace",
     "inner", "times_i", "orthonormalize_columns", "antilinear_adjoint",
     "symplectic_complement", "subspace_sum", "subspace_intersection",
     "inclusion_residual", "subspace_distance", "subspaces_equal",
@@ -65,17 +67,13 @@ class ComplexVectorSpace:
         v = np.asarray(v, dtype=float)
         return v[:d] + 1j * v[d:]
 
-    def vector(self, coords) -> "ComplexVector":
-        return ComplexVector(self, coords)
-
-    def basis_vector(self, j: int) -> "ComplexVector":
+    def basis_vector(self, j: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=complex)
         e[j] = 1.0
-        return ComplexVector(self, e)
+        return e
 
-    def random_vector(self, rng: np.random.Generator) -> "ComplexVector":
-        z = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return ComplexVector(self, z)
+    def random_vector(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
 
     def __eq__(self, other):
         return isinstance(other, ComplexVectorSpace) and other.dim == self.dim
@@ -87,47 +85,17 @@ class ComplexVectorSpace:
         return f"ComplexVectorSpace(dim={self.dim})"
 
 
-class ComplexVector:
-    """Element of a ComplexVectorSpace."""
-
-    def __init__(self, space: ComplexVectorSpace, coords):
-        coords = np.asarray(coords, dtype=complex)
-        if coords.shape != (space.dim,):
-            raise SpaceMismatchError(
-                f"coords of shape {coords.shape} do not fit dim {space.dim}")
-        self.space = space
-        self.coords = coords
-
-    def real(self) -> np.ndarray:
-        return self.space.realify(self.coords)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __add__(self, other: "ComplexVector") -> "ComplexVector":
-        _same_space(self, other)
-        return ComplexVector(self.space, self.coords + other.coords)
-
-    def __sub__(self, other: "ComplexVector") -> "ComplexVector":
-        _same_space(self, other)
-        return ComplexVector(self.space, self.coords - other.coords)
-
-    def __rmul__(self, scalar) -> "ComplexVector":
-        return ComplexVector(self.space, complex(scalar) * self.coords)
-
-    def __repr__(self):
-        return f"ComplexVector({self.coords})"
-
-
 def _same_space(x, y):
     if x.space != y.space:
         raise SpaceMismatchError(f"{x.space} vs {y.space}")
 
 
-def inner(x: ComplexVector, y: ComplexVector) -> complex:
+def inner(x, y) -> complex:
     """<x, y>, conjugate-linear in x, linear in y."""
-    _same_space(x, y)
-    return complex(np.vdot(x.coords, y.coords))
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    if x.shape != y.shape:
+        raise SpaceMismatchError(f"vectors of shape {x.shape} and {y.shape}")
+    return complex(np.vdot(x, y))
 
 
 def times_i(M: np.ndarray) -> np.ndarray:
@@ -230,13 +198,8 @@ class RealLinearMap:
 
     # -- algebra --------------------------------------------------------
 
-    def apply(self, x: ComplexVector) -> ComplexVector:
-        _same_space(self, x)
-        v = self.matrix @ x.real()
-        return ComplexVector(self.space, self.space.unrealify(v))
-
-    def __call__(self, x: ComplexVector) -> ComplexVector:
-        return self.apply(x)
+    def apply(self, x) -> np.ndarray:
+        return self.space.unrealify(self.matrix @ self.space.realify(x))
 
     def __matmul__(self, other: "RealLinearMap") -> "RealLinearMap":
         _same_space(self, other)
@@ -293,8 +256,7 @@ class RealSubspace:
     def from_complex_vectors(cls, space: ComplexVectorSpace, vectors,
                              drop_tol: float = ORTHO_DROP_TOL) -> "RealSubspace":
         """Real span of the given complex vectors."""
-        cols = [space.realify(v.coords if isinstance(v, ComplexVector) else v)
-                for v in vectors]
+        cols = [space.realify(v) for v in vectors]
         if not cols:
             return cls(space, np.zeros((space.rdim, 0)), check=False)
         return cls.from_real_span(space, np.column_stack(cols), drop_tol)
@@ -322,16 +284,16 @@ class RealSubspace:
         return self.basis @ (self.basis.T @ v)
 
     def contains(self, x, tol: float = EQUALITY_TOL) -> bool:
-        v = x.real() if isinstance(x, ComplexVector) else np.asarray(x, float)
+        """Whether x, a complex vector or its realification, lies in K."""
+        v = self.space.realify(x) if np.iscomplexobj(x) else np.asarray(x, float)
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
         return np.linalg.norm(v - self.project(v)) <= tol * nv
 
-    def complex_vectors(self):
-        """Basis columns as complex vectors."""
-        return [ComplexVector(self.space, self.space.unrealify(self.basis[:, j]))
-                for j in range(self.dim)]
+    def complex_vectors(self) -> np.ndarray:
+        """Basis columns as complex vectors, one per row."""
+        return self.space.unrealify(self.basis).T
 
     def __repr__(self):
         return f"RealSubspace(dim={self.dim} in C^{self.space.dim})"

@@ -258,8 +258,7 @@ def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspac
     return RealSubspace.from_real_span(space, joint.basis @ Vt[-want:].T)
 
 
-def net_checks(net: LocalizedNet, covariance_elements=(),
-               base_functions=None) -> dict:
+def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
     """Isotony, duality, and covariance residuals over the stored wedges.
 
     Covariance: for each group element g and each wedge W with both

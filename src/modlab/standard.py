@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import (
-    ComplexVector,
     ComplexVectorSpace,
     LinearityError,
     RealLinearMap,
@@ -167,12 +166,13 @@ class FiberBlock:
 
     On the frame (v, jv) the modular operator acts as
     diag(tan^2(theta/2), tan^(-2)(theta/2)) and the trace of K on the
-    block is generated by y_plus and y_minus.
+    block is generated by y_plus and y_minus.  The vectors are complex
+    arrays of length d.
     """
     theta: float
-    frame: tuple            # (v, jv) as ComplexVector
-    y_plus: ComplexVector
-    y_minus: ComplexVector
+    frame: tuple            # (v, jv)
+    y_plus: np.ndarray
+    y_minus: np.ndarray
 
 
 def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
@@ -213,10 +213,9 @@ def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
                 y_minus_r = scale * times_i(v_r - t * jv_r)
                 blocks.append(FiberBlock(
                     theta=theta,
-                    frame=(ComplexVector(space, space.unrealify(v_r)),
-                           ComplexVector(space, space.unrealify(jv_r))),
-                    y_plus=ComplexVector(space, space.unrealify(y_plus_r)),
-                    y_minus=ComplexVector(space, space.unrealify(y_minus_r)),
+                    frame=(space.unrealify(v_r), space.unrealify(jv_r)),
+                    y_plus=space.unrealify(y_plus_r),
+                    y_minus=space.unrealify(y_minus_r),
                 ))
     # fixed part: delta-eigenvalue-1 sector intersected with K
     near_one = np.abs(ev - 1.0) <= one_tol
@@ -271,8 +270,7 @@ def reassemble_modular(space: ComplexVectorSpace, blocks, fixed_part: RealSubspa
     delta = np.zeros((rdim, rdim))
     jmat = np.zeros((rdim, rdim))
     for b in blocks:
-        v = b.frame[0].real()
-        jv = b.frame[1].real()
+        v, jv = (space.realify(x) for x in b.frame)
         iv, ijv = times_i(v), times_i(jv)
         lam = np.tan(b.theta / 2.0) ** 2
         Pv = np.outer(v, v) + np.outer(iv, iv)

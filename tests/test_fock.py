@@ -15,8 +15,13 @@ from modlab.fock import (
     weyl_matrix, weyl_on_coherent, weyl_unitarity_defect,
     second_quantized_modular_check,
 )
-from modlab.hilbert import ComplexVectorSpace, RealLinearMap, RealSubspace
-from modlab.standard import fiber_standard_subspace
+from modlab.config import ExperimentConfig
+from modlab.hilbert import (
+    ComplexVectorSpace, RealLinearMap, RealSubspace, symplectic_complement,
+)
+from modlab.standard import fiber_standard_subspace, tomita_operator
+
+FOCK = ExperimentConfig().fock        # the thresholds the fock records use
 
 
 def rand_vec(rng, d):
@@ -32,14 +37,14 @@ def test_space_dimension():
 
 def test_vacuum_is_coherent_of_zero():
     fs = FockSpace(2, 5)
-    np.testing.assert_allclose(coherent(fs, [0, 0]).coeffs, vacuum(fs).coeffs)
+    np.testing.assert_allclose(coherent(fs, [0, 0]), vacuum(fs))
 
 
 def test_sym_project_of_power_is_itself():
     fs = FockSpace(3, 4)
     rng = np.random.default_rng(41)
     x = rand_vec(rng, 3)
-    got = sym_project(fs, [x, x]).level(2)
+    got = sym_project(fs, [x, x])[fs.level_slices[2]]
     np.testing.assert_allclose(got, tensor_power_level(fs, x, 2), atol=1e-12)
 
 
@@ -50,7 +55,7 @@ def test_sym_project_e1_e2():
     idx = fs.index[(1, 1)]
     expected = np.zeros(fs.dim)
     expected[idx] = 1.0 / math.sqrt(2.0)
-    np.testing.assert_allclose(v.coeffs, expected, atol=1e-14)
+    np.testing.assert_allclose(v, expected, atol=1e-14)
 
 
 def test_sym_project_contracts():
@@ -59,7 +64,7 @@ def test_sym_project_contracts():
     for _ in range(20):
         xs = [rand_vec(rng, 3) for _ in range(3)]
         tensor_norm = math.prod(np.linalg.norm(x) for x in xs)
-        assert sym_project(fs, xs).norm() <= tensor_norm + 1e-12
+        assert np.linalg.norm(sym_project(fs, xs)) <= tensor_norm + 1e-12
 
 
 def test_sym_project_degree_guard():
@@ -72,7 +77,7 @@ def test_sym_power_expand_single_vector():
     fs = FockSpace(3, 2)
     rng = np.random.default_rng(43)
     x = rand_vec(rng, 3)
-    got = sym_power_expand(fs, [x]).level(1)
+    got = sym_power_expand(fs, [x])[fs.level_slices[1]]
     np.testing.assert_allclose(got, x, atol=1e-13)
 
 
@@ -84,9 +89,10 @@ def test_sym_power_expand_two_vectors_hand_identity():
     lhs = 0.5 * (tensor_power_level(fs, x1 + x2, 2)
                  - tensor_power_level(fs, x1, 2)
                  - tensor_power_level(fs, x2, 2))
-    np.testing.assert_allclose(lhs, sym_project(fs, [x1, x2]).level(2),
+    level2 = fs.level_slices[2]
+    np.testing.assert_allclose(lhs, sym_project(fs, [x1, x2])[level2],
                                atol=1e-12)
-    np.testing.assert_allclose(lhs, sym_power_expand(fs, [x1, x2]).level(2),
+    np.testing.assert_allclose(lhs, sym_power_expand(fs, [x1, x2])[level2],
                                atol=1e-12)
 
 
@@ -97,7 +103,7 @@ def test_sym_routes_agree_random():
         xs = [rand_vec(rng, 3) for _ in range(4)]
         a = sym_project(fs, xs)
         b = sym_power_expand(fs, xs)
-        assert (a - b).norm() < 1e-12 * max(1.0, a.norm())
+        assert np.linalg.norm(a - b) < 1e-12 * max(1.0, np.linalg.norm(a))
 
 
 def test_coherent_inner_is_partial_exponential():
@@ -105,14 +111,14 @@ def test_coherent_inner_is_partial_exponential():
     fs = FockSpace(3, 10)
     h, k = rand_vec(rng, 3), rand_vec(rng, 3)
     h /= np.linalg.norm(h); k /= np.linalg.norm(k)
-    lhs = coherent(fs, h).inner(coherent(fs, k))
+    lhs = np.vdot(coherent(fs, h), coherent(fs, k))
     np.testing.assert_allclose(lhs, coherent_inner(h, k, 10), atol=1e-13)
 
 
 def test_coherent_norm_approaches_e():
     fs = FockSpace(2, 12)
     h = np.array([1.0, 0.0])
-    val = coherent(fs, h).inner(coherent(fs, h)).real
+    val = np.vdot(coherent(fs, h), coherent(fs, h)).real
     assert abs(val - math.e) < 1e-9  # tail sum_{n>12} 1/n! ~ 1.6e-10
 
 
@@ -125,10 +131,10 @@ def test_coherent_derivative_recovers_levels():
     h /= np.linalg.norm(h)
     step = 1e-4
     first = (1.0 / (2 * step)) * (coherent(fs, step * h) - coherent(fs, -step * h))
-    np.testing.assert_allclose(first.level(1), h, atol=1e-7)
+    np.testing.assert_allclose(first[fs.level_slices[1]], h, atol=1e-7)
     second = (1.0 / step ** 2) * (
         coherent(fs, step * h) - 2.0 * coherent(fs, 0 * h) + coherent(fs, -step * h))
-    np.testing.assert_allclose(second.level(2),
+    np.testing.assert_allclose(second[fs.level_slices[2]],
                                math.sqrt(2.0) * tensor_power_level(fs, h, 2) / math.sqrt(2.0) * math.sqrt(math.factorial(2)),
                                atol=1e-6)
 
@@ -153,8 +159,126 @@ def test_creation_overflow_mass():
     g = np.array([1.0 + 0j])
     v = coherent(fs, [0.9])
     # overflow = |c_top| * sqrt(N+1) for d = 1
-    expected = abs(v.coeffs[fs.index[(3,)]]) * math.sqrt(4.0)
+    expected = abs(v[fs.index[(3,)]]) * math.sqrt(4.0)
     assert creation_overflow_mass(fs, g, v) == pytest.approx(expected)
+
+
+# -- references: the per-multi-index loops the ladder table replaced -------
+
+def _occupations(space):
+    return [tuple(a) for a in space.occ.tolist()]
+
+
+def _creation_loop(space, g):
+    g = np.asarray(g, dtype=complex)
+    M = np.zeros((space.dim, space.dim), dtype=complex)
+    for col, alpha in enumerate(_occupations(space)):
+        if sum(alpha) >= space.cutoff:
+            continue
+        for i in range(space.d):
+            if g[i] == 0:
+                continue
+            beta = list(alpha)
+            beta[i] += 1
+            row = space.index[tuple(beta)]
+            M[row, col] += g[i] * math.sqrt(alpha[i] + 1)
+    return M
+
+
+def _annihilation_loop(space, g):
+    g = np.asarray(g, dtype=complex)
+    M = np.zeros((space.dim, space.dim), dtype=complex)
+    for col, alpha in enumerate(_occupations(space)):
+        for i in range(space.d):
+            if g[i] == 0 or alpha[i] == 0:
+                continue
+            beta = list(alpha)
+            beta[i] -= 1
+            row = space.index[tuple(beta)]
+            M[row, col] += np.conj(g[i]) * math.sqrt(alpha[i])
+    return M
+
+
+def _overflow_loop(space, g, v):
+    g = np.asarray(g, dtype=complex)
+    top = space.level_slices[space.cutoff]
+    occupations = _occupations(space)
+    over = {}
+    for col in range(top.start, top.stop):
+        c = v[col]
+        if c == 0:
+            continue
+        alpha = occupations[col]
+        for i in range(space.d):
+            if g[i] == 0:
+                continue
+            beta = list(alpha)
+            beta[i] += 1
+            key = tuple(beta)
+            over[key] = over.get(key, 0.0) + c * g[i] * math.sqrt(alpha[i] + 1)
+    return math.sqrt(sum(abs(x) ** 2 for x in over.values()))
+
+
+def _tensor_power_loop(space, h, n):
+    h = np.asarray(h, dtype=complex)
+    sl = space.level_slices[n]
+    out = np.empty(sl.stop - sl.start, dtype=complex)
+    sqrt_n_fact = math.sqrt(math.factorial(n))
+    for i, alpha in enumerate(_occupations(space)[sl.start:sl.stop]):
+        prod = 1.0 + 0.0j
+        for hi, ai in zip(h, alpha):
+            if ai:
+                prod *= hi ** ai
+        out[i] = sqrt_n_fact / space._sqrt_fact[sl.start + i] * prod
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ladder_table_steps_up_one_mode(d):
+    fs = FockSpace(d, 5)
+    assert fs.occ.shape == fs.up.shape == (fs.dim, d)
+    for k in range(fs.dim):
+        for i in range(d):
+            if fs.occ[k].sum() == fs.cutoff:
+                assert fs.up[k, i] == -1
+            else:
+                step = fs.occ[fs.up[k, i]] - fs.occ[k]
+                assert np.array_equal(step, np.eye(d, dtype=int)[i])
+    # the overflow diagnostic relies on this prefix property
+    assert np.array_equal(FockSpace(d, 6).occ[:fs.dim], fs.occ)
+
+
+@pytest.mark.parametrize("d, cutoffs", [(1, (0, 1, 5, 12)), (2, (0, 1, 4, 8)),
+                                        (3, (0, 2, 5, 8))])
+def test_ladder_operators_equal_the_loops(d, cutoffs):
+    rng = np.random.default_rng(60 + d)
+    for N in cutoffs:
+        fs = FockSpace(d, N)
+        g = rand_vec(rng, d)
+        with_zero = g.copy()
+        with_zero[0] = 0.0
+        for h in (g, with_zero, g.real.astype(complex)):
+            C, A = _creation_loop(fs, h), _annihilation_loop(fs, h)
+            assert np.array_equal(creation(fs, h).matrix, C)
+            assert np.array_equal(annihilation(fs, h).matrix, A)
+            assert np.array_equal(field_operator(fs, h).matrix,
+                                  (A + C) / math.sqrt(2.0))
+            for n in range(N + 1):
+                assert np.array_equal(tensor_power_level(fs, h, n),
+                                      _tensor_power_loop(fs, h, n))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_creation_overflow_mass_equals_the_loop(d):
+    # the summation order differs from the loop's, so equality is to 1e-14
+    rng = np.random.default_rng(70 + d)
+    for N in (1, 3, 6):
+        fs = FockSpace(d, N)
+        for v in (coherent(fs, rand_vec(rng, d)), rand_vec(rng, fs.dim)):
+            g = rand_vec(rng, d)
+            ref = _overflow_loop(fs, g, v)
+            assert ref > 0
+            assert abs(creation_overflow_mass(fs, g, v) - ref) <= 1e-14 * ref
 
 
 def _gamma_by_creation_words(space, A):
@@ -164,7 +288,7 @@ def _gamma_by_creation_words(space, A):
     M = np.zeros((space.dim, space.dim), dtype=complex)
     omega = np.zeros(space.dim, dtype=complex)
     omega[0] = 1.0
-    for colidx, alpha in enumerate(space.occupations):
+    for colidx, alpha in enumerate(space.occ):
         v = omega.copy()
         for i, ai in enumerate(alpha):
             for _ in range(ai):
@@ -208,7 +332,7 @@ def test_gamma_on_coherent():
     h = rand_vec(rng, 3) / 2.0
     lhs = gamma(fs, A).apply(coherent(fs, h))
     rhs = coherent(fs, A @ h)
-    assert (lhs - rhs).norm() < 1e-10
+    assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
 def test_gamma_selfadjoint_and_unitary():
@@ -235,7 +359,7 @@ def test_gamma_antilinear_conjugation():
     h = rand_vec(rng, 2) / 2.0
     lhs = gamma(fs, C).apply(coherent(fs, h))
     rhs = coherent(fs, np.conj(h))
-    assert (lhs - rhs).norm() < 1e-12
+    assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 def test_weyl_matrix_of_zero():
@@ -248,7 +372,7 @@ def test_weyl_vacuum_coefficient():
     fs = FockSpace(2, 12)
     h = np.array([1.0, 0.0], dtype=complex)
     v = weyl_on_coherent(fs, h, np.zeros(2))
-    assert abs(v.coeffs[0] - math.exp(-0.25)) < 1e-12
+    assert abs(v[0] - math.exp(-0.25)) < 1e-12
 
 
 def test_weyl_matrix_is_unitary():
@@ -285,7 +409,7 @@ def test_weyl_on_coherent_h_zero():
     k = rand_vec(rng, 2) / 2.0
     v = weyl_on_coherent(fs, np.zeros(2), k)
     w = coherent(fs, 1j / math.sqrt(2.0) * k)
-    assert (v - w).norm() < 1e-14
+    assert np.linalg.norm(v - w) < 1e-14
 
 
 def test_weyl_closed_form_vs_matrix_exponential():
@@ -296,9 +420,9 @@ def test_weyl_closed_form_vs_matrix_exponential():
     closed = weyl_on_coherent(fs, h, -h)
     W = weyl_matrix(fs, h)
     arg = coherent(fs, -1j / math.sqrt(2.0) * h)
-    assert (W.apply(arg) - closed).norm() < 1e-8
-    expected = math.exp(0.25) * vacuum(fs).coeffs
-    np.testing.assert_allclose(closed.coeffs, expected, atol=1e-12)
+    assert np.linalg.norm(W.apply(arg) - closed) < 1e-8
+    expected = math.exp(0.25) * vacuum(fs)
+    np.testing.assert_allclose(closed, expected, atol=1e-12)
 
 
 def test_ccr_phase():
@@ -310,7 +434,7 @@ def test_ccr_phase():
     lhs = (Wh @ Wk).apply(vacuum(fs))
     rhs = np.exp(-0.5j) * Whk.apply(vacuum(fs))
     low = fs.level_slices[8].stop
-    assert np.linalg.norm(lhs.coeffs[:low] - rhs.coeffs[:low]) < 1e-6
+    assert np.linalg.norm(lhs[:low] - rhs[:low]) < 1e-6
 
 
 def test_weyl_agreement_improves_with_cutoff():
@@ -322,7 +446,7 @@ def test_weyl_agreement_improves_with_cutoff():
         lhs = weyl_matrix(fs, h).apply(coherent(fs, 1j / math.sqrt(2.0) * k))
         rhs = weyl_on_coherent(fs, h, k)
         low = fs.level_slices[min(6, N)].stop
-        devs.append(np.linalg.norm(lhs.coeffs[:low] - rhs.coeffs[:low]))
+        devs.append(np.linalg.norm(lhs[:low] - rhs[:low]))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-6
 
@@ -363,3 +487,66 @@ def test_second_quantized_check_fiber():
     rep = second_quantized_modular_check(K, 10, rng)
     for name, val in rep.items():
         assert val < 1e-7, (name, val)
+
+
+# -- controls: each claim must fail on a wrong input --------------------------
+
+def _unit_sample(K, rng):
+    z = K.space.unrealify(K.basis @ rng.standard_normal(K.dim))
+    return z / np.linalg.norm(z)
+
+
+def _conjugation_residual(fs, K, sample_from, rng):
+    """max |gamma(s) e^(ik) - e^(-ik)| over k drawn from sample_from."""
+    gs = gamma(fs, tomita_operator(K))
+    worst = 0.0
+    for _ in range(6):
+        k = _unit_sample(sample_from, rng)
+        worst = max(worst, np.linalg.norm(gs.apply(coherent(fs, 1j * k))
+                                          - coherent(fs, -1j * k)))
+    return worst
+
+
+def _phase_residual(K1, K2, rng):
+    """max |exp(-i Im<h, k>) - 1| over h drawn from K1 and k from K2."""
+    return max(abs(np.exp(-1j * np.vdot(_unit_sample(K1, rng),
+                                        _unit_sample(K2, rng)).imag) - 1.0)
+               for _ in range(50))
+
+
+def test_gamma_on_coherent_fails_for_the_transpose():
+    tol = FOCK["gamma_tolerance"]
+    rng = np.random.default_rng(80)
+    for d in (2, 3):
+        fs = FockSpace(d, 10)
+        h = rand_vec(rng, d)
+        h /= np.linalg.norm(h)
+        A = rand_vec(rng, d * d).reshape(d, d) / 2.0
+        image = gamma(fs, A).apply(coherent(fs, h))
+        assert np.linalg.norm(image - coherent(fs, A @ h)) < tol
+        assert np.linalg.norm(image - coherent(fs, A.T @ h)) > 1e6 * tol
+
+
+def test_ccr_phase_fails_with_the_sign_flipped():
+    tol = FOCK["weyl_tolerance"]
+    fs = FockSpace(1, 16)
+    h = np.array([1.0], dtype=complex)
+    k = np.array([1j], dtype=complex)
+    lhs = (weyl_matrix(fs, h) @ weyl_matrix(fs, k)).apply(vacuum(fs))
+    Whk = weyl_matrix(fs, h + k).apply(vacuum(fs))
+    low = fs.level_slices[8].stop
+    assert np.linalg.norm(lhs[:low] - np.exp(-0.5j) * Whk[:low]) < tol
+    assert np.linalg.norm(lhs[:low] - np.exp(0.5j) * Whk[:low]) > 1e5 * tol
+
+
+def test_second_quantized_claims_fail_on_wrong_samples():
+    tol = FOCK["modular_tolerance"]
+    K = fiber_standard_subspace(ComplexVectorSpace(2), [FOCK["fiber_theta"]])
+    fs = FockSpace(2, FOCK["cutoff"])
+    rng = np.random.default_rng(81)
+    # gamma(s) e^(ik) = e^(-ik) holds for k in K, not for k in iK
+    assert _conjugation_residual(fs, K, K, rng) < tol
+    assert _conjugation_residual(fs, K, K.mult_i(), rng) > 1e5 * tol
+    # the Weyl phase is trivial across K and K', not within K
+    assert _phase_residual(K, symplectic_complement(K), rng) < tol
+    assert _phase_residual(K, K, rng) > 1e5 * tol
