@@ -109,24 +109,26 @@ def times_i(M: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize_columns(M: np.ndarray, drop_tol: float = ORTHO_DROP_TOL) -> np.ndarray:
-    """Modified Gram-Schmidt with a re-orthogonalization pass.
+    """Classical Gram-Schmidt applied twice (CGS2), one column at a time
+    against the block of columns kept so far.
 
     Columns whose residual norm falls below drop_tol are discarded as
-    linearly dependent.  Returns a matrix with orthonormal columns.
+    linearly dependent.  Returns a matrix with orthonormal columns, in
+    the order of the kept input columns.
     """
     M = np.asarray(M, dtype=float)
-    cols = []
+    Q = np.empty(M.shape, order="F")     # so that Q[:, :r] is contiguous
+    r = 0
     for j in range(M.shape[1]):
         v = M[:, j].copy()
+        Qr = Q[:, :r]
         for _ in range(2):
-            for q in cols:
-                v -= (q @ v) * q
+            v -= Qr @ (Qr.T @ v)
         nv = np.linalg.norm(v)
         if nv > drop_tol:
-            cols.append(v / nv)
-    if not cols:
-        return np.zeros((M.shape[0], 0))
-    return np.column_stack(cols)
+            Q[:, r] = v / nv
+            r += 1
+    return Q[:, :r]
 
 
 class RealLinearMap:
@@ -353,16 +355,12 @@ def inclusion_residual(K1: RealSubspace, K2: RealSubspace) -> float:
 def subspace_distance(K1: RealSubspace, K2: RealSubspace) -> float:
     """Operator norm of the difference of the orthogonal projections.
 
-    Computed inside the joint span, so no 2d x 2d matrix is formed.
+    By Kato's identity ||P1 - P2|| = max(||(1 - P2) P1||, ||(1 - P1) P2||),
+    the larger of the two inclusion residuals; no 2d x 2d matrix is formed
+    and nothing is orthonormalized, so small distances are not lost to
+    drop_tol.
     """
-    _same_space(K1, K2)
-    if K1.dim == 0 and K2.dim == 0:
-        return 0.0
-    Q = orthonormalize_columns(np.hstack([K1.basis, K2.basis]))
-    A = Q.T @ K1.basis
-    B = Q.T @ K2.basis
-    M = A @ A.T - B @ B.T
-    return float(np.linalg.norm(M, 2))
+    return max(inclusion_residual(K1, K2), inclusion_residual(K2, K1))
 
 
 def subspaces_equal(K1: RealSubspace, K2: RealSubspace,

@@ -223,10 +223,73 @@ def test_principal_angles_basics():
     np.testing.assert_allclose(same, 0.0, atol=1e-7)
 
 
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-11, 1e-13])
+def test_subspace_distance_at_small_angles(delta):
+    # real 3-dimensional subspaces of C^4 with one principal angle delta;
+    # the frame is exact so that the distance sin(delta) is the only error
+    V = ComplexVectorSpace(4)
+    E = np.eye(V.rdim)
+    K1 = RealSubspace(V, E[:, [0, 5, 2]])
+    tilted = np.cos(delta) * E[:, 2] + np.sin(delta) * E[:, 7]
+    K2 = RealSubspace(V, np.column_stack([E[:, 0], E[:, 5], tilted]))
+    assert subspace_distance(K1, K2) == pytest.approx(delta, rel=1e-3, abs=0)
+    assert subspace_distance(K2, K1) == pytest.approx(delta, rel=1e-3, abs=0)
+
+
+def test_subspace_distance_of_unequal_and_empty_subspaces():
+    V = ComplexVectorSpace(3)
+    rng = np.random.default_rng(24)
+    K = RealSubspace.from_real_span(V, rng.standard_normal((6, 3)))
+    smaller = RealSubspace.from_real_span(V, K.basis[:, :2])
+    empty = RealSubspace(V, np.zeros((6, 0)))
+    assert subspace_distance(K, smaller) == pytest.approx(1.0, abs=1e-12)
+    assert subspace_distance(empty, K) == pytest.approx(1.0, abs=1e-12)
+    assert subspace_distance(empty, empty) == 0.0
+
+
+def mgs_reference(M, drop_tol=1e-10):
+    """Modified Gram-Schmidt with a re-orthogonalization pass, one column
+    against each earlier one."""
+    cols = []
+    for j in range(M.shape[1]):
+        v = M[:, j].copy()
+        for _ in range(2):
+            for q in cols:
+                v -= (q @ v) * q
+        nv = np.linalg.norm(v)
+        if nv > drop_tol:
+            cols.append(v / nv)
+    return np.column_stack(cols) if cols else np.zeros((M.shape[0], 0))
+
+
+def assert_matches_mgs(M):
+    Q, ref = orthonormalize_columns(M), mgs_reference(M)
+    assert Q.shape == ref.shape
+    np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-13)
+    if Q.shape[1]:
+        V = ComplexVectorSpace(M.shape[0] // 2)
+        dist = subspace_distance(RealSubspace(V, Q), RealSubspace(V, ref))
+        assert dist < 1e-12
+    return Q
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 5), (8, 8), (8192, 12), (6, 0)])
+def test_orthonormalize_matches_mgs_reference(rows, cols):
+    M = np.random.default_rng(rows + cols).standard_normal((rows, cols))
+    assert assert_matches_mgs(M).shape == (rows, cols)
+    assert assert_matches_mgs(np.zeros((rows, cols))).shape == (rows, 0)
+
+
 def test_orthonormalize_discards_dependent():
     rng = np.random.default_rng(23)
     M = rng.standard_normal((6, 2))
     M = np.hstack([M, M @ np.array([[1.0], [2.0]])])
-    Q = orthonormalize_columns(M)
+    Q = assert_matches_mgs(M)
     assert Q.shape[1] == 2
-    np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
+    # residuals 1e-9 and 1e-11, on either side of the default drop_tol
+    E = np.eye(6)
+    for eps, kept in ((1e-9, 3), (1e-11, 2)):
+        M = np.column_stack([E[:, 0], E[:, 1], E[:, 0] + 2 * E[:, 1] + eps * E[:, 2]])
+        Q = assert_matches_mgs(M)
+        assert Q.shape[1] == kept
+        np.testing.assert_array_equal(Q[:, :2], E[:, :2])
