@@ -25,7 +25,7 @@ ok, cert = is_standard(K)
 print(f"standard: {ok}  (dim K cap iK = {cert.dim_intersection}, "
       f"dim K + iK = {cert.dim_sum})")
 md = modular_data(tomita_operator(K))
-print(f"delta = identity? deviation {np.linalg.norm(md.delta.matrix - np.eye(6)):.2e}")
+print(f"delta = identity? deviation {np.linalg.norm(md.delta.matrix - np.eye(3)):.2e}")
 print("here s is plain conjugation and the modular flow is trivial\n")
 
 print("== an angle-pi/3 fiber in C^2 ==")
@@ -52,7 +52,8 @@ K5 = random_standard_subspace(V5, rng)
 s5 = tomita_operator(K5)
 md5 = modular_data(s5)
 Kp = symplectic_complement(K5)
-jK = RealSubspace.from_real_span(V5, md5.j.matrix @ K5.basis)
+jK = RealSubspace.from_complex_vectors(
+    V5, md5.j.apply(K5.complex_vectors().T).T)
 print(f"j K = K'?  projection distance {subspace_distance(jK, Kp):.2e}")
 blocks5, fixed5 = fiberize(K5)
 thetas = sorted(b.theta for b in blocks5)

@@ -17,7 +17,7 @@ from . import freefield as ff
 from . import modloc as ml
 from .config import WEYL_PROBE_LEVEL, ConfigError, ExperimentConfig
 from .hilbert import (
-    ComplexVectorSpace, RealSubspace, antilinear_adjoint, principal_angles,
+    ComplexVectorSpace, RealSubspace, principal_angles,
     subspace_distance, subspace_intersection, subspace_sum,
     symplectic_complement,
 )
@@ -49,23 +49,24 @@ def check_standard_suite(config, rng):
         K = random_standard_subspace(V, rng)
         s = tomita_operator(K)
         md = modular_data(s)
-        eye = np.eye(V.rdim)
         worst["involution"] = max(worst["involution"], float(np.linalg.norm(
-            s.matrix @ s.matrix - eye, 2)))
+            (s @ s).matrix - np.eye(d), 2)))
         Kp = symplectic_complement(K)
         sp = tomita_operator(Kp)
         worst["adjoint"] = max(worst["adjoint"], float(np.linalg.norm(
-            sp.matrix - antilinear_adjoint(s).matrix, 2)))
-        jK = RealSubspace.from_real_span(V, md.j.matrix @ K.basis)
+            sp.matrix - s.adjoint().matrix, 2)))
+        Z = K.complex_vectors().T
+        jK = RealSubspace.from_real_span(V, V.realify(md.j.apply(Z)))
         worst["conjugation"] = max(worst["conjugation"],
                                    subspace_distance(jK, Kp))
         for t in p["flow_times"]:
             FK = RealSubspace.from_real_span(
-                V, modular_flow(md, float(t)).matrix @ K.basis)
+                V, V.realify(modular_flow(md, float(t)).apply(Z)))
             worst["flow"] = max(worst["flow"], subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(
-            _fixed_space(V, md.j.matrix), _fixed_space(V, md.delta.matrix),
+            _fixed_space(V, md.j.realified()),
+            _fixed_space(V, md.delta.realified()),
             cos_tol=1e-8)
         worst["fixed"] = max(worst["fixed"], subspace_distance(cap, fix))
     claims = {

@@ -30,14 +30,16 @@ SCHEMA = {
     },
     "subspace": {
         "max_dim": (int, 8, "largest complex dimension sampled (>= 2)"),
-        "n_samples": (int, 200, "number of seeded random standard subspaces"),
-        "flow_times": (list, [0.3, 1.7], "modular flow times checked"),
+        "n_samples": (int, 200, "number of seeded random standard subspaces (>= 1)"),
+        "flow_times": (list, [0.3, 1.7],
+                       "modular flow times checked (non-empty, finite numbers)"),
         "tolerance": (float, 1e-9, "residual bound for the suite"),
         "fiber_tolerance": (float, 1e-9, "angle / reassembly bound"),
     },
     "fock": {
-        "cutoff": (int, 10, "Fock truncation for the modular checks"),
-        "fiber_theta": (float, 1.0471975511965976, "angle of the fiber model"),
+        "cutoff": (int, 10, "Fock truncation for the modular checks (>= 1)"),
+        "fiber_theta": (float, 1.0471975511965976,
+                        "angle of the fiber model (0 < theta < pi/2)"),
         "sym_tolerance": (float, 1e-12, "symmetrization equivalence bound"),
         "coherent_tolerance": (float, 1e-12, "coherent inner-product bound"),
         "gamma_tolerance": (float, 1e-10, "second-quantization action bound"),
@@ -51,7 +53,7 @@ SCHEMA = {
         "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
         "window": (float, 5.8, "embedding window position (< theta_max)"),
         "window_width": (float, 1.2, "embedding window taper width (> 0)"),
-        "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps"),
+        "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps (> 0)"),
         "locality_tolerance": (float, 1e-6, "spacelike pairing bound"),
         "timelike_floor": (float, 1e-3, "required timelike pairing magnitude"),
         "translation_tolerance": (float, 1e-6, "translation covariance bound"),
@@ -98,7 +100,7 @@ def _check_section(section, data, out):
         if typ is float and ("tolerance" in key or key in
                              ("timelike_floor", "blowup_factor",
                               "extraction_tol", "mass", "second_mass",
-                              "window_width")) and value <= 0:
+                              "window_width", "lattice_step")) and value <= 0:
             raise ConfigError(f"{path}: must be positive")
         if key == "n_points" and (value < 8 or value & (value - 1)):
             raise ConfigError(f"{path}: must be a power of two >= 8")
@@ -107,6 +109,15 @@ def _check_section(section, data, out):
         if key == "max_dim" and value < 2:
             raise ConfigError(f"{path}: must be >= 2, the smallest "
                               f"dimension the suite samples")
+        if key in ("n_samples", "cutoff") and value < 1:
+            raise ConfigError(f"{path}: must be >= 1")
+        if key == "fiber_theta" and not 0.0 < value < math.pi / 2:
+            raise ConfigError(f"{path}: must lie in (0, pi/2)")
+        if key == "flow_times" and not (value and all(
+                isinstance(t, (int, float)) and not isinstance(t, bool)
+                and math.isfinite(t) for t in value)):
+            raise ConfigError(f"{path}: expected a non-empty list of "
+                              f"finite numbers")
         if key == "dictionary":
             if not value:
                 raise ConfigError(f"{path}: dictionary must not be empty")

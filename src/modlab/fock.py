@@ -10,6 +10,8 @@ A vector of the truncated space is a plain complex array of length
 FockSpace.dim, and v[fs.level_slices[n]] is its level-n block.  FockSpace
 holds the ladder: its tables occ and up are the only place that knows
 which basis states are neighbours, and every operator below reads them.
+Operators are hilbert.Operator matrices in the occupation basis, the same
+type that holds maps on C^d.
 
 Operators that would populate level N + 1 drop the overflow; the
 overflow mass is available as a diagnostic.
@@ -22,11 +24,11 @@ import math
 
 import numpy as np
 
-from .hilbert import RealLinearMap, RealSubspace, symplectic_complement
+from .hilbert import Operator, RealSubspace, symplectic_complement
 from .standard import modular_data, modular_flow, tomita_operator
 
 __all__ = [
-    "FockSpace", "FockOperator", "TruncationError",
+    "FockSpace", "TruncationError",
     "vacuum", "coherent", "coherent_inner", "tensor_power_level",
     "sym_project", "sym_power_expand", "creation", "annihilation",
     "creation_overflow_mass", "field_operator", "gamma",
@@ -89,38 +91,6 @@ class FockSpace:
 
     def __repr__(self):
         return f"FockSpace(d={self.d}, N={self.cutoff}, dim={self.dim})"
-
-
-class FockOperator:
-    """Matrix operator in the occupation basis, linear or antilinear.
-
-    An antilinear operator with matrix M acts as x -> M conj(x); its
-    adjoint (in the sense <F x, y> = <F* y, x>) has matrix M^T.
-    """
-
-    def __init__(self, space: FockSpace, matrix, antilinear: bool = False):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (space.dim, space.dim):
-            raise ValueError("matrix shape mismatch")
-        self.space = space
-        self.matrix = matrix
-        self.antilinear = bool(antilinear)
-
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        return self.matrix @ (np.conj(v) if self.antilinear else v)
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if self.antilinear:
-            M = self.matrix @ np.conj(other.matrix)
-        else:
-            M = self.matrix @ other.matrix
-        return FockOperator(self.space, M,
-                            antilinear=self.antilinear != other.antilinear)
-
-    def adjoint(self) -> "FockOperator":
-        M = self.matrix.T if self.antilinear else self.matrix.conj().T
-        return FockOperator(self.space, M, antilinear=self.antilinear)
 
 
 # -- vectors ------------------------------------------------------------
@@ -234,7 +204,7 @@ def sym_power_expand(space: FockSpace, vectors) -> np.ndarray:
 
 # -- creation / annihilation / second quantization -----------------------
 
-def creation(space: FockSpace, g) -> FockOperator:
+def creation(space: FockSpace, g) -> Operator:
     """a*(g) = sum_i g_i a*_i, linear in g: column alpha holds
     g_i sqrt(alpha_i + 1) in row alpha + e_i.  Overflow at the top level
     is dropped (see creation_overflow_mass)."""
@@ -242,10 +212,10 @@ def creation(space: FockSpace, g) -> FockOperator:
     M = np.zeros((space.dim, space.dim), dtype=complex)
     col, i = np.nonzero((space.up >= 0) & (g != 0))
     M[space.up[col, i], col] += g[i] * np.sqrt(space.occ[col, i] + 1)
-    return FockOperator(space, M)
+    return Operator(M)
 
 
-def annihilation(space: FockSpace, g) -> FockOperator:
+def annihilation(space: FockSpace, g) -> Operator:
     """a(g) = sum_i conj(g_i) a_i; the adjoint of creation(g)."""
     return creation(space, g).adjoint()
 
@@ -260,17 +230,17 @@ def creation_overflow_mass(space: FockSpace, g, v) -> float:
     return float(np.linalg.norm(C @ np.asarray(v, dtype=complex)))
 
 
-def field_operator(space: FockSpace, h) -> FockOperator:
+def field_operator(space: FockSpace, h) -> Operator:
     """phi(h) = (a(h) + a*(h)) / sqrt(2); selfadjoint on the truncation."""
     C = creation(space, h).matrix
-    return FockOperator(space, (C.conj().T + C) / math.sqrt(2.0))
+    return Operator((C.conj().T + C) / math.sqrt(2.0))
 
 
-def gamma(space: FockSpace, a) -> FockOperator:
+def gamma(space: FockSpace, a) -> Operator:
     """Second quantization: level-n block acts as a^(x n).
 
-    a may be a complex d x d matrix (complex-linear) or a RealLinearMap;
-    an antilinear argument yields an antilinear Fock operator.  Built
+    a may be a complex d x d matrix (complex-linear) or an Operator on
+    C^d; an antilinear argument yields an antilinear Fock operator.  Built
     through creation operators, so it is exact on the truncation and
     multiplicative: gamma(a) gamma(b) = gamma(ab).
 
@@ -280,15 +250,10 @@ def gamma(space: FockSpace, a) -> FockOperator:
     each state p passes its vector on to up[p, i] for every i at or after
     its own last occupied mode.
     """
-    antilinear = False
-    if isinstance(a, RealLinearMap):
-        antilinear = a.kind == "antilinear"
-        A = a.to_complex()
-    else:
-        A = np.asarray(a, dtype=complex)
-    if A.shape != (space.d, space.d):
+    a = a if isinstance(a, Operator) else Operator(a)
+    if a.matrix.shape != (space.d, space.d):
         raise ValueError("one-particle matrix has wrong shape")
-    cols = [creation(space, A[:, i]).matrix for i in range(space.d)]
+    cols = [creation(space, a.matrix[:, i]).matrix for i in range(space.d)]
     V = np.zeros((space.dim, space.dim), dtype=complex)   # row k: column k
     V[0, 0] = 1.0
     last = np.zeros(space.dim, dtype=int)     # last occupied mode per state
@@ -301,12 +266,12 @@ def gamma(space: FockSpace, a) -> FockOperator:
     # C order: BLAS sums a transposed operand in another order, and the
     # products the checks form from M would move at roundoff
     M = (V / space._sqrt_fact[:, None]).T.copy()
-    return FockOperator(space, M, antilinear=antilinear)
+    return Operator(M, antilinear=a.antilinear)
 
 
 # -- Weyl operators -------------------------------------------------------
 
-def weyl_matrix(space: FockSpace, h) -> FockOperator:
+def weyl_matrix(space: FockSpace, h) -> Operator:
     """W(h) = exp(i phi(h)) from the spectral decomposition of the
     truncated field, V e^(i Lambda) V*.
 
@@ -315,7 +280,7 @@ def weyl_matrix(space: FockSpace, h) -> FockOperator:
     up to a truncation defect that shrinks with the cutoff (roughly like
     sqrt(coherent_tail_mass))."""
     lam, V = np.linalg.eigh(field_operator(space, h).matrix)
-    return FockOperator(space, (V * np.exp(1j * lam)) @ V.conj().T)
+    return Operator((V * np.exp(1j * lam)) @ V.conj().T)
 
 
 def weyl_on_coherent(space: FockSpace, h, k):

@@ -1,19 +1,20 @@
-"""Finite-dimensional complex Hilbert spaces seen as real vector spaces.
+"""Finite-dimensional complex Hilbert spaces and their real subspaces.
 
-A complex vector a + ib in C^d is stored, when realified, as the real
-vector (a, b) in R^(2d).  Multiplication by i then becomes the block
-matrix Jc = [[0, -I], [I, 0]], the Euclidean inner product on R^(2d)
-equals Re<x, y>, and antilinearity of a map is the checkable condition
-that its real matrix anticommutes with Jc.
+A vector of C^d is a plain complex array of length d.  The inner product
+<x, y> is conjugate-linear in the FIRST argument.
 
-Jc is never formed on the library's own paths: times_i applies it to
-realified columns as (a, b) -> (-b, a) in O(d r) work.
-ComplexVectorSpace.complex_structure() still returns the dense 2d x 2d
-matrix for callers that want it.
+A linear or antilinear map is an Operator: a square complex matrix M with
+a flag, acting as x -> M x or x -> M conj(x).  The same class serves C^d
+and the truncated Fock space.
 
-A vector of C^d is a plain complex array of length d; RealLinearMap.apply
-takes and returns such arrays.  The inner product <x, y> is
-conjugate-linear in the FIRST argument.
+Real subspaces are held on the realification: a + ib in C^d is the real
+vector (a, b) in R^(2d), the Euclidean inner product there equals
+Re<x, y>, and multiplication by i is the block matrix
+Jc = [[0, -I], [I, 0]].  Jc is never formed on the library's own paths:
+times_i applies it to realified columns as (a, b) -> (-b, a) in O(d r)
+work.  ComplexVectorSpace.complex_structure() still returns the dense
+2d x 2d matrix, and Operator.realified() the real matrix of a map, for
+callers that want them.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ComplexVectorSpace", "RealLinearMap", "RealSubspace",
-    "inner", "times_i", "orthonormalize_columns", "antilinear_adjoint",
+    "ComplexVectorSpace", "Operator", "RealSubspace",
+    "inner", "times_i", "orthonormalize_columns",
     "symplectic_complement", "subspace_sum", "subspace_intersection",
     "inclusion_residual", "subspace_distance", "subspaces_equal",
     "principal_angles", "SpaceMismatchError", "LinearityError",
 ]
 
-LINEARITY_TOL = 1e-12
 ORTHO_DROP_TOL = 1e-10
 EQUALITY_TOL = 1e-9
 
@@ -131,101 +131,44 @@ def orthonormalize_columns(M: np.ndarray, drop_tol: float = ORTHO_DROP_TOL) -> n
     return Q[:, :r]
 
 
-class RealLinearMap:
-    """Real-linear map on the realification of a complex space.
+class Operator:
+    """Linear or antilinear map on C^n, held as a square complex matrix M.
 
-    kind is 'linear' (real matrix commutes with Jc) or 'antilinear'
-    (anticommutes).  The claim is verified at construction.
+    A linear operator acts as x -> M x, an antilinear one as x -> M conj(x).
+    The adjoint is defined by <A x, y> = <x, A* y> for linear A and by
+    <F x, y> = <F* y, x> for antilinear F; its matrix is M^H or M^T.
     """
 
-    def __init__(self, space: ComplexVectorSpace, matrix: np.ndarray, kind: str,
-                 check: bool = True):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (space.rdim, space.rdim):
-            raise SpaceMismatchError(
-                f"matrix shape {matrix.shape}, expected {(space.rdim, space.rdim)}")
-        if kind not in ("linear", "antilinear"):
-            raise ValueError(f"kind must be 'linear' or 'antilinear', got {kind!r}")
-        if check:
-            res = self._linearity_residual(space, matrix, kind)
-            if res > LINEARITY_TOL * max(1.0, np.linalg.norm(matrix, 2)):
-                raise LinearityError(
-                    f"matrix is not {kind} (residual {res:.2e})")
-        self.space = space
+    def __init__(self, matrix, antilinear: bool = False):
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise SpaceMismatchError(f"matrix shape {matrix.shape} is not square")
         self.matrix = matrix
-        self.kind = kind
-
-    @staticmethod
-    def _linearity_residual(space, matrix, kind) -> float:
-        sign = 1.0 if kind == "linear" else -1.0
-        MJ = -times_i(matrix.T).T           # matrix @ Jc = -(Jc @ matrix.T).T
-        return float(np.linalg.norm(MJ - sign * times_i(matrix), 2))
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_complex(cls, space: ComplexVectorSpace, A) -> "RealLinearMap":
-        """Complex-linear map z -> A z."""
-        A = np.asarray(A, dtype=complex)
-        X, Y = A.real, A.imag
-        M = np.block([[X, -Y], [Y, X]])
-        return cls(space, M, "linear", check=False)
-
-    @classmethod
-    def antilinear_from_complex(cls, space: ComplexVectorSpace, B) -> "RealLinearMap":
-        """Antilinear map z -> B conj(z)."""
-        B = np.asarray(B, dtype=complex)
-        X, Y = B.real, B.imag
-        M = np.block([[X, Y], [Y, -X]])
-        return cls(space, M, "antilinear", check=False)
-
-    @classmethod
-    def conjugation(cls, space: ComplexVectorSpace) -> "RealLinearMap":
-        """Componentwise complex conjugation in the standard basis."""
-        return cls.antilinear_from_complex(space, np.eye(space.dim))
-
-    @classmethod
-    def identity(cls, space: ComplexVectorSpace) -> "RealLinearMap":
-        return cls(space, np.eye(space.rdim), "linear", check=False)
-
-    # -- conversions ---------------------------------------------------
-
-    def to_complex(self) -> np.ndarray:
-        """Complex d x d matrix: A for linear maps, B (acting as B conj z)
-        for antilinear ones."""
-        d = self.space.dim
-        X = self.matrix[:d, :d]
-        Y = self.matrix[d:, :d]
-        return X + 1j * Y
-
-    # -- algebra --------------------------------------------------------
+        self.antilinear = bool(antilinear)
 
     def apply(self, x) -> np.ndarray:
-        return self.space.unrealify(self.matrix @ self.space.realify(x))
+        """Image of a vector, or of each column of a matrix."""
+        x = np.asarray(x, dtype=complex)
+        return self.matrix @ (np.conj(x) if self.antilinear else x)
 
-    def __matmul__(self, other: "RealLinearMap") -> "RealLinearMap":
-        _same_space(self, other)
-        kind = "linear" if self.kind == other.kind else "antilinear"
-        return RealLinearMap(self.space, self.matrix @ other.matrix, kind,
-                             check=False)
+    def __matmul__(self, other: "Operator") -> "Operator":
+        if other.matrix.shape != self.matrix.shape:
+            raise SpaceMismatchError(
+                f"operators of shape {self.matrix.shape} and {other.matrix.shape}")
+        M = self.matrix @ (np.conj(other.matrix) if self.antilinear
+                           else other.matrix)
+        return Operator(M, antilinear=self.antilinear != other.antilinear)
 
-    def adjoint(self) -> "RealLinearMap":
-        """Adjoint w.r.t. <.,.>; for antilinear s this is the map s* with
-        <s x, y> = <s* y, x>.  Either way it is the matrix transpose."""
-        return RealLinearMap(self.space, self.matrix.T, self.kind, check=False)
+    def adjoint(self) -> "Operator":
+        M = self.matrix.T if self.antilinear else self.matrix.conj().T
+        return Operator(M, antilinear=self.antilinear)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def __repr__(self):
-        return f"RealLinearMap(kind={self.kind!r}, dim={self.space.dim})"
-
-
-def antilinear_adjoint(s: RealLinearMap) -> RealLinearMap:
-    """s* of an antilinear map s, defined by <s x, y> = <s* y, x>."""
-    if s.kind != "antilinear":
-        raise LinearityError("antilinear_adjoint requires an antilinear map")
-    return s.adjoint()
+    def realified(self) -> np.ndarray:
+        """The real 2n x 2n matrix of the map on realified vectors (a, b)."""
+        X, Y = self.matrix.real, self.matrix.imag
+        if self.antilinear:
+            return np.block([[X, Y], [Y, -X]])
+        return np.block([[X, -Y], [Y, X]])
 
 
 class RealSubspace:

@@ -6,6 +6,12 @@ on K + iK is then a closed antilinear involution s; its polar parts
 s = j delta^(1/2) are the modular conjugation and modular operator.
 Everything here is finite-dimensional, so "closed" and "dense" are
 rank statements.
+
+s, j, delta and delta^(it) are hilbert.Operator objects, d x d complex
+matrices.  With Z the matrix whose columns are a real basis of K (a
+complex basis of C^d when K is standard), x = Z c splits as h + ik with
+h = Z Re c and k = Z Im c, so s x = Z conj(c) and s = Z conj(Z)^(-1).
+Each eigenvalue of delta appears once, with its complex multiplicity.
 """
 
 from __future__ import annotations
@@ -17,12 +23,11 @@ import numpy as np
 from .hilbert import (
     ComplexVectorSpace,
     LinearityError,
-    RealLinearMap,
+    Operator,
     RealSubspace,
     orthonormalize_columns,
     subspace_intersection,
     subspace_sum,
-    times_i,
 )
 
 __all__ = [
@@ -66,98 +71,82 @@ def is_standard(K: RealSubspace, cos_tol: float = 1e-9):
     return cert.standard, cert
 
 
-def tomita_operator(K: RealSubspace) -> RealLinearMap:
+def tomita_operator(K: RealSubspace) -> Operator:
     """The antilinear involution h + ik -> h - ik on K + iK.
 
     Requires K standard; then every x decomposes uniquely as h + ik with
-    h, k in K and the map is defined on all of C^d.
+    h, k in K and the map is defined on all of C^d.  Its matrix is
+    S = Z conj(Z)^(-1), Z the basis of K as complex columns.
     """
     ok, cert = is_standard(K)
     if not ok:
         raise NotStandardError(cert)
-    B = K.basis
-    iB = times_i(B)
-    P = np.hstack([B, iB])             # x = B u + (iB) v
-    Q = np.hstack([B, -iB])            # s x = B u - (iB) v
-    S = Q @ np.linalg.solve(P, np.eye(P.shape[0]))
-    return RealLinearMap(K.space, S, "antilinear", check=False)
+    Z = K.complex_vectors().T
+    S = np.linalg.solve(Z.conj().T, Z.T).T      # S conj(Z) = Z
+    return Operator(S, antilinear=True)
 
 
 @dataclass
 class ModularData:
     """Polar pieces of a Tomita operator s = j delta^(1/2)."""
-    s: RealLinearMap
-    j: RealLinearMap
-    delta: RealLinearMap
+    s: Operator
+    j: Operator
+    delta: Operator
     log_delta_spectrum: list = field(default_factory=list)  # (log eigenvalue, complex multiplicity)
     condition_number: float = 1.0
-    # realified eigendecomposition of delta, kept for spectral calculus
+    # eigendecomposition of delta, kept for spectral calculus
     _eigenvalues: np.ndarray = None
     _eigenvectors: np.ndarray = None
 
-    def delta_power(self, p: float) -> RealLinearMap:
+    def delta_power(self, p: float) -> Operator:
         """delta^p by spectral calculus (complex-linear, positive)."""
-        M = (self._eigenvectors * self._eigenvalues ** p) @ self._eigenvectors.T
-        return RealLinearMap(self.s.space, M, "linear", check=False)
+        V = self._eigenvectors
+        return Operator((V * self._eigenvalues ** p) @ V.conj().T)
 
 
-def modular_data(s: RealLinearMap) -> ModularData:
+def modular_data(s: Operator) -> ModularData:
     """Polar decomposition s = j delta^(1/2) of a Tomita operator.
 
-    delta = s* s is complex-linear and positive; j = s delta^(-1/2) is an
-    antiunitary involution.  Eigenvalues of delta are clamped below at
-    1e-14 and the condition number is reported.
+    delta = s* s, with matrix S^T conj(S), is complex-linear and positive;
+    j = s delta^(-1/2) is an antiunitary involution.  Eigenvalues of delta
+    are clamped below at 1e-14 and the condition number is reported.
     """
-    if s.kind != "antilinear":
+    if not s.antilinear:
         raise LinearityError("modular_data expects an antilinear map")
-    space = s.space
-    M = s.matrix
+    S = s.matrix
     # s^2 = 1 on the whole space is the finite-dimensional Tomita property
-    invol = np.linalg.norm(M @ M - np.eye(space.rdim), 2)
-    if invol > 1e-8 * max(1.0, np.linalg.norm(M, 2) ** 2):
+    invol = np.linalg.norm(S @ S.conj() - np.eye(S.shape[0]), 2)
+    if invol > 1e-8 * max(1.0, np.linalg.norm(S, 2) ** 2):
         raise ValueError(f"not an involution: ||s^2 - 1|| = {invol:.2e}")
-    D = M.T @ M
-    D = 0.5 * (D + D.T)
+    D = S.T @ S.conj()
+    D = 0.5 * (D + D.conj().T)
     ev, V = np.linalg.eigh(D)
     if ev[0] <= 0 or ev[0] < EIGENVALUE_CLAMP * ev[-1]:
         raise np.linalg.LinAlgError(
             f"singular Tomita operator: delta eigenvalue {ev[0]:.3e}")
     ev = np.clip(ev, EIGENVALUE_CLAMP, None)
-    cond = float(ev[-1] / ev[0])
-    Mj = M @ ((V * ev ** -0.5) @ V.T)
-    delta = RealLinearMap(space, D, "linear", check=False)
-    j = RealLinearMap(space, Mj, "antilinear", check=False)
-    md = ModularData(s=s, j=j, delta=delta,
-                     log_delta_spectrum=_spectrum_with_multiplicity(ev),
-                     condition_number=cond)
-    md._eigenvalues = ev
-    md._eigenvectors = V
-    return md
+    j = s @ Operator((V * ev ** -0.5) @ V.conj().T)
+    return ModularData(s=s, j=j, delta=Operator(D),
+                       log_delta_spectrum=_spectrum_with_multiplicity(ev),
+                       condition_number=float(ev[-1] / ev[0]),
+                       _eigenvalues=ev, _eigenvectors=V)
 
 
 def _spectrum_with_multiplicity(ev, rel_tol=1e-9):
-    """Group realified eigenvalues; complex multiplicity is half the real one."""
+    """Group the eigenvalues of delta into (log eigenvalue, multiplicity)."""
     out = []
-    logs = np.log(ev)
-    for lg in logs:
+    for lg in np.log(ev):
         if out and abs(out[-1][0] - lg) <= rel_tol * max(1.0, abs(lg)):
             out[-1][1] += 1
         else:
             out.append([float(lg), 1])
-    return [(lg, cnt // 2) for lg, cnt in out]
+    return [tuple(x) for x in out]
 
 
-def modular_flow(md: ModularData, t: float) -> RealLinearMap:
-    """delta^(it) as a complex-linear unitary, by spectral calculus.
-
-    cos and sin of t log(delta) are assembled on the realification and
-    combined through the complex structure.
-    """
-    ev, V = md._eigenvalues, md._eigenvectors
-    logev = np.log(ev)
-    C = (V * np.cos(t * logev)) @ V.T
-    S = (V * np.sin(t * logev)) @ V.T
-    return RealLinearMap(md.s.space, C + times_i(S), "linear", check=False)
+def modular_flow(md: ModularData, t: float) -> Operator:
+    """delta^(it) = V e^(it log lambda) V* as a complex-linear unitary."""
+    V = md._eigenvectors
+    return Operator((V * np.exp(1j * t * np.log(md._eigenvalues))) @ V.conj().T)
 
 
 @dataclass
@@ -180,111 +169,51 @@ def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
 
     Returns (blocks, fixed_part) with fixed_part = K cap K' (the part on
     which delta acts trivially; eigenvalues within one_tol of 1 are
-    assigned to it).  Each block contributes the angle theta with
-    tan^2(theta/2) the small delta eigenvalue of the fiber; the theta
-    values coincide with the principal angles between K and iK.
+    assigned to it).  Each eigenvector v of delta with eigenvalue
+    lambda < 1 gives one block, with frame (v, jv) and the angle theta
+    with tan^2(theta/2) = lambda, in ascending order; the theta values
+    coincide with the principal angles between K and iK.
     """
-    s = tomita_operator(K)
-    md = modular_data(s)
+    md = modular_data(tomita_operator(K))
     space = K.space
     ev, V = md._eigenvalues, md._eigenvectors
-    jmat = md.j.matrix
-
-    small = ev < 1.0 - one_tol
     blocks = []
-    if np.any(small):
-        # Group the realified eigenvectors of each eigenvalue < 1 into
-        # complex lines: the eigenspace is Jc-invariant, so pick an
-        # orthonormal set closed under Jc by alternating v, i v.
-        idx = np.where(small)[0]
-        groups = _group_by_value(ev[idx])
-        pos = 0
-        for val, cnt in groups:
-            W = V[:, idx[pos:pos + cnt]]
-            pos += cnt
-            lines = _complex_lines(W)
-            lam = float(val)
-            t = np.sqrt(lam)
-            theta = 2.0 * np.arctan(t)
-            scale = 1.0 / np.sqrt(1.0 + lam)
-            for v_r in lines:
-                jv_r = jmat @ v_r
-                y_plus_r = scale * (v_r + t * jv_r)
-                y_minus_r = scale * times_i(v_r - t * jv_r)
-                blocks.append(FiberBlock(
-                    theta=theta,
-                    frame=(space.unrealify(v_r), space.unrealify(jv_r)),
-                    y_plus=space.unrealify(y_plus_r),
-                    y_minus=space.unrealify(y_minus_r),
-                ))
+    for lam, v in zip(ev, V.T):
+        if lam >= 1.0 - one_tol:
+            break
+        jv = md.j.apply(v)
+        t = np.sqrt(lam)
+        scale = 1.0 / np.sqrt(1.0 + lam)
+        blocks.append(FiberBlock(theta=2.0 * np.arctan(t), frame=(v, jv),
+                                 y_plus=scale * (v + t * jv),
+                                 y_minus=scale * 1j * (v - t * jv)))
     # fixed part: delta-eigenvalue-1 sector intersected with K
-    near_one = np.abs(ev - 1.0) <= one_tol
-    if np.any(near_one):
-        E1 = RealSubspace.from_real_span(space, V[:, near_one])
-        fixed = subspace_intersection(K, E1, cos_tol=1e-8)
-    else:
-        fixed = RealSubspace(space, np.zeros((space.rdim, 0)), check=False)
-    blocks.sort(key=lambda b: b.theta)
-    return blocks, fixed
-
-
-def _group_by_value(vals, rel_tol=1e-9):
-    groups = []
-    for v in vals:
-        if groups and abs(groups[-1][0] - v) <= rel_tol * max(abs(v), 1e-30):
-            groups[-1][1] += 1
-        else:
-            groups.append([v, 1])
-    return groups
-
-
-def _complex_lines(W):
-    """Split a Jc-invariant realified eigenspace (columns of W, orthonormal,
-    even count) into representatives v of complex lines {v, Jc v}."""
-    reps = []
-    used = np.zeros((W.shape[0], 0))
-    for j in range(W.shape[1]):
-        v = W[:, j].copy()
-        # remove components along previous lines (v and Jc v directions)
-        for _ in range(2):
-            if used.shape[1]:
-                v -= used @ (used.T @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            continue
-        v /= nv
-        reps.append(v)
-        used = np.hstack([used, v[:, None], times_i(v)[:, None]])
-    return reps
+    W = V[:, np.abs(ev - 1.0) <= one_tol]
+    E1 = RealSubspace.from_real_span(space,
+                                     space.realify(np.hstack([W, 1j * W])))
+    return blocks, subspace_intersection(K, E1, cos_tol=1e-8)
 
 
 def reassemble_modular(space: ComplexVectorSpace, blocks, fixed_part: RealSubspace):
-    """Rebuild (j, delta) matrices from fiber blocks and the fixed part.
+    """Rebuild the complex matrices (J, D) of (j, delta) from fiber blocks
+    and the fixed part; j acts as x -> J conj(x).
 
-    On each block frame (v, jv): delta has eigenvalues tan^2(theta/2) on
-    the complex line of v and its inverse on jv, and j swaps the lines
-    with a conjugation.  On the fixed part delta = 1 and j is the
-    reflection fixing it, 2P - 1 on the realification.
+    On each block frame (v, jv): delta has eigenvalue tan^2(theta/2) on v
+    and its inverse on jv, and j swaps v and jv.  On the fixed part delta
+    = 1 and j is the conjugation fixing it; its real orthonormal basis F
+    is complex-orthonormal, since Im<h, k> = 0 on K cap K'.
     """
-    rdim = space.rdim
-    delta = np.zeros((rdim, rdim))
-    jmat = np.zeros((rdim, rdim))
+    D = np.zeros((space.dim, space.dim), dtype=complex)
+    J = np.zeros((space.dim, space.dim), dtype=complex)
     for b in blocks:
-        v, jv = (space.realify(x) for x in b.frame)
-        iv, ijv = times_i(v), times_i(jv)
+        v, jv = b.frame
         lam = np.tan(b.theta / 2.0) ** 2
-        Pv = np.outer(v, v) + np.outer(iv, iv)
-        Pjv = np.outer(jv, jv) + np.outer(ijv, ijv)
-        delta += lam * Pv + (1.0 / lam) * Pjv
-        # j maps v -> jv, i v -> -i jv (antilinear swap with conjugation)
-        jmat += np.outer(jv, v) - np.outer(ijv, iv)
-        jmat += np.outer(v, jv) - np.outer(iv, ijv)
-    if fixed_part.dim > 0:
-        P = fixed_part.projector()
-        iP = times_i(times_i(P).T).T   # Jc P Jc^T: projector onto i K_fix
-        delta += P + iP
-        jmat += P - iP             # 2P - 1 restricted to the fixed complex sector
-    return jmat, delta
+        D += lam * np.outer(v, v.conj()) + (1.0 / lam) * np.outer(jv, jv.conj())
+        J += np.outer(jv, v) + np.outer(v, jv)
+    F = fixed_part.complex_vectors().T
+    D += F @ F.conj().T
+    J += F @ F.T
+    return J, D
 
 
 # -- constructions of standard subspaces -------------------------------
@@ -340,6 +269,6 @@ def random_standard_subspace(space: ComplexVectorSpace, rng: np.random.Generator
     Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(Z)
     Q = Q * (np.diag(R) / np.abs(np.diag(R)))
-    U = RealLinearMap.from_complex(space, Q)
-    return RealSubspace(space, orthonormalize_columns(U.matrix @ K0.basis),
+    U = Operator(Q).realified()
+    return RealSubspace(space, orthonormalize_columns(U @ K0.basis),
                         check=False)

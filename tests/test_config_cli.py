@@ -98,10 +98,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"modloc": {"second_mass": -1.0}}, "modloc.second_mass"),
     ({"subspace": {"max_dim": 1}}, "subspace.max_dim"),
     ({"freefield": {"window_width": 0.0}}, "freefield.window_width"),
+    ({"fock": {"cutoff": 0}}, "fock.cutoff"),
+    ({"fock": {"fiber_theta": 2.0}}, "fock.fiber_theta"),
+    ({"subspace": {"flow_times": ["a"]}}, "subspace.flow_times"),
+    ({"subspace": {"flow_times": []}}, "subspace.flow_times"),
+    ({"freefield": {"lattice_step": -0.01}}, "freefield.lattice_step"),
+    ({"subspace": {"n_samples": 0}}, "subspace.n_samples"),
 ], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
         "n_points_not_power_of_two", "window_outside_grid",
         "theta_max_below_4", "zero_mass", "negative_second_mass",
-        "max_dim_below_2", "zero_window_width"])
+        "max_dim_below_2", "zero_window_width", "zero_cutoff",
+        "fiber_theta_above_half_pi", "non_numeric_flow_time",
+        "empty_flow_times", "negative_lattice_step", "zero_n_samples"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})

@@ -17,7 +17,7 @@ from modlab.fock import (
 )
 from modlab.config import ExperimentConfig
 from modlab.hilbert import (
-    ComplexVectorSpace, RealLinearMap, RealSubspace, symplectic_complement,
+    ComplexVectorSpace, Operator, RealSubspace, symplectic_complement,
 )
 from modlab.standard import fiber_standard_subspace, tomita_operator
 
@@ -305,13 +305,11 @@ def test_gamma_equals_column_by_column_reference(d):
     G = gamma(fs, A)
     assert not G.antilinear
     np.testing.assert_array_equal(G.matrix, _gamma_by_creation_words(fs, A))
-    V1 = ComplexVectorSpace(d)
-    S = RealLinearMap.antilinear_from_complex(V1, rand_vec(rng, d * d)
-                                              .reshape(d, d))
+    S = Operator(rand_vec(rng, d * d).reshape(d, d), antilinear=True)
     G = gamma(fs, S)
     assert G.antilinear
     np.testing.assert_array_equal(
-        G.matrix, _gamma_by_creation_words(fs, S.to_complex()))
+        G.matrix, _gamma_by_creation_words(fs, S.matrix))
 
 
 def test_gamma_identity_and_multiplicativity():
@@ -354,8 +352,7 @@ def test_gamma_selfadjoint_and_unitary():
 def test_gamma_antilinear_conjugation():
     fs = FockSpace(2, 6)
     rng = np.random.default_rng(52)
-    V1 = ComplexVectorSpace(2)
-    C = RealLinearMap.conjugation(V1)
+    C = Operator(np.eye(2), antilinear=True)
     h = rand_vec(rng, 2) / 2.0
     lhs = gamma(fs, C).apply(coherent(fs, h))
     rhs = coherent(fs, np.conj(h))

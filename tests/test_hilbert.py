@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from modlab.hilbert import (
-    ComplexVectorSpace, RealLinearMap, RealSubspace, SpaceMismatchError,
-    LinearityError, inner, antilinear_adjoint, symplectic_complement,
+    ComplexVectorSpace, Operator, RealSubspace, SpaceMismatchError,
+    inner, symplectic_complement,
     subspace_sum, subspace_intersection, inclusion_residual,
     subspace_distance, subspaces_equal, principal_angles,
     orthonormalize_columns, times_i,
 )
 
 
+def random_matrix(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
 def random_antilinear(space, rng):
-    B = rng.standard_normal((space.dim, space.dim)) \
-        + 1j * rng.standard_normal((space.dim, space.dim))
-    return RealLinearMap.antilinear_from_complex(space, B)
+    return Operator(random_matrix(rng, space.dim), antilinear=True)
 
 
 def test_inner_convention():
@@ -72,28 +74,19 @@ def test_times_i_equals_complex_structure_product(d, r):
         assert np.array_equal(times_i(B[:, 0]), JB[:, 0])
 
 
-def test_linearity_classification():
-    V = ComplexVectorSpace(3)
-    rng = np.random.default_rng(14)
-    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    lin = RealLinearMap.from_complex(V, A)
-    assert RealLinearMap(V, lin.matrix, "linear").kind == "linear"
-    anti = RealLinearMap.antilinear_from_complex(V, A)
-    with pytest.raises(LinearityError):
-        RealLinearMap(V, anti.matrix, "linear")
-
-
 def test_apply_matches_complex_action():
     V = ComplexVectorSpace(4)
     rng = np.random.default_rng(15)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     x = V.random_vector(rng)
-    lin = RealLinearMap.from_complex(V, A)
+    lin = Operator(A)
     np.testing.assert_allclose(lin.apply(x), A @ x, atol=1e-13)
-    anti = RealLinearMap.antilinear_from_complex(V, A)
+    anti = Operator(A, antilinear=True)
     np.testing.assert_allclose(anti.apply(x), A @ np.conj(x),
                                atol=1e-13)
-    np.testing.assert_allclose(anti.to_complex(), A, atol=1e-13)
+    # a matrix of columns is mapped column by column
+    X = np.column_stack([x, V.random_vector(rng)])
+    np.testing.assert_allclose(anti.apply(X)[:, 0], anti.apply(x), atol=1e-13)
 
 
 def test_antilinearity_certificate():
@@ -105,25 +98,26 @@ def test_antilinearity_certificate():
         x = V.random_vector(rng)
         lhs = s.apply(lam * x)
         rhs = np.conj(lam) * s.apply(x)
-        bound = 1e-12 * max(1.0, abs(lam) * np.linalg.norm(x)) * s.norm()
+        bound = 1e-12 * max(1.0, abs(lam) * np.linalg.norm(x)) \
+            * np.linalg.norm(s.matrix, 2)
         assert np.linalg.norm(lhs - rhs) < bound
 
 
 def test_adjoint_of_conjugation_is_itself():
-    V = ComplexVectorSpace(3)
-    C = RealLinearMap.conjugation(V)
-    np.testing.assert_allclose(antilinear_adjoint(C).matrix, C.matrix, atol=1e-14)
+    C = Operator(np.eye(3), antilinear=True)
+    assert C.adjoint().antilinear
+    np.testing.assert_allclose(C.adjoint().matrix, C.matrix, atol=1e-14)
 
 
 def test_adjoint_involutive_and_defining_identity():
     rng = np.random.default_rng(17)
     V = ComplexVectorSpace(4)
     s = random_antilinear(V, rng)
-    np.testing.assert_allclose(antilinear_adjoint(antilinear_adjoint(s)).matrix,
+    np.testing.assert_allclose(s.adjoint().adjoint().matrix,
                                s.matrix, atol=1e-12)
     W = ComplexVectorSpace(6)
     s = random_antilinear(W, rng)
-    st = antilinear_adjoint(s)
+    st = s.adjoint()
     worst = 0.0
     for a in range(6):
         for b in range(6):
@@ -133,13 +127,70 @@ def test_adjoint_involutive_and_defining_identity():
                     y = pb * W.basis_vector(b)
                     worst = max(worst, abs(inner(s.apply(x), y)
                                            - inner(st.apply(y), x)))
-    assert worst < 1e-12 * max(1.0, s.norm())
+    assert worst < 1e-12 * max(1.0, np.linalg.norm(s.matrix, 2))
 
 
-def test_adjoint_requires_antilinear():
-    V = ComplexVectorSpace(2)
-    with pytest.raises(LinearityError):
-        antilinear_adjoint(RealLinearMap.identity(V))
+def test_adjoint_identities_on_random_vectors():
+    # <F x, y> = <F* y, x> for antilinear F, <A x, y> = <x, A* y> for linear A
+    rng = np.random.default_rng(25)
+    V = ComplexVectorSpace(5)
+    M = random_matrix(rng, 5)
+    F, A = Operator(M, antilinear=True), Operator(M)
+    assert F.adjoint().antilinear and not A.adjoint().antilinear
+    for _ in range(20):
+        x, y = V.random_vector(rng), V.random_vector(rng)
+        scale = np.linalg.norm(M, 2) * np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(inner(F.apply(x), y) - inner(F.adjoint().apply(y), x)) \
+            < 1e-13 * scale
+        assert abs(inner(A.apply(x), y) - inner(x, A.adjoint().apply(y))) \
+            < 1e-13 * scale
+
+
+@pytest.mark.parametrize("first, second", [(False, False), (False, True),
+                                           (True, False), (True, True)])
+def test_composition_kind_and_matrix(first, second):
+    rng = np.random.default_rng(26)
+    V = ComplexVectorSpace(4)
+    P = Operator(random_matrix(rng, 4), antilinear=first)
+    Q = Operator(random_matrix(rng, 4), antilinear=second)
+    PQ = P @ Q
+    assert PQ.antilinear == (first != second)
+    expected = P.matrix @ (np.conj(Q.matrix) if first else Q.matrix)
+    np.testing.assert_array_equal(PQ.matrix, expected)
+    x = V.random_vector(rng)
+    np.testing.assert_allclose(PQ.apply(x), P.apply(Q.apply(x)), atol=1e-12)
+    np.testing.assert_allclose(PQ.realified(), P.realified() @ Q.realified(),
+                               atol=1e-12)
+
+
+def test_operator_shape_checks():
+    with pytest.raises(SpaceMismatchError):
+        Operator(np.zeros((2, 3)))
+    with pytest.raises(SpaceMismatchError):
+        Operator(np.eye(2)) @ Operator(np.eye(3))
+
+
+@pytest.mark.parametrize("antilinear", [False, True])
+def test_realified_block_form_and_complex_structure(antilinear):
+    # linear maps commute with multiplication by i, antilinear ones
+    # anticommute; the block forms are those of z -> A z and z -> A conj z
+    rng = np.random.default_rng(27)
+    V = ComplexVectorSpace(4)
+    A = random_matrix(rng, 4)
+    R = Operator(A, antilinear=antilinear).realified()
+    X, Y = A.real, A.imag
+    block = (np.block([[X, Y], [Y, -X]]) if antilinear
+             else np.block([[X, -Y], [Y, X]]))
+    np.testing.assert_array_equal(R, block)
+    Jc = V.complex_structure()
+    sign = -1.0 if antilinear else 1.0
+    np.testing.assert_allclose(R @ Jc, sign * (Jc @ R), atol=1e-14)
+    x = V.random_vector(rng)
+    np.testing.assert_allclose(V.unrealify(R @ V.realify(x)),
+                               Operator(A, antilinear).apply(x), atol=1e-13)
+    # the 2-norm of a realified matrix is the complex 2-norm
+    assert np.linalg.norm(R, 2) == pytest.approx(np.linalg.norm(A, 2),
+                                                 rel=1e-12)
 
 
 def test_symplectic_complement_of_real_standard():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from modlab.hilbert import (
-    ComplexVectorSpace, RealLinearMap, RealSubspace, antilinear_adjoint,
-    principal_angles, subspace_distance, subspace_intersection,
-    subspaces_equal, symplectic_complement,
+    ComplexVectorSpace, Operator, RealSubspace, principal_angles,
+    subspace_distance, subspace_intersection, subspaces_equal,
+    symplectic_complement, times_i,
 )
 from modlab.standard import (
     NotStandardError, fiber_standard_subspace, fiberize, is_standard,
@@ -38,8 +38,8 @@ def test_fiber_subspace_is_standard():
 def test_tomita_on_real_standard_is_conjugation():
     V = ComplexVectorSpace(3)
     s = tomita_operator(RealSubspace.real_standard(V))
-    np.testing.assert_allclose(s.matrix, RealLinearMap.conjugation(V).matrix,
-                               atol=1e-12)
+    assert s.antilinear
+    np.testing.assert_allclose(s.matrix, np.eye(3), atol=1e-12)
 
 
 def test_tomita_requires_standard():
@@ -68,7 +68,7 @@ def test_tomita_squares_to_identity():
     for _ in range(10):
         K = random_standard_subspace(V, rng)
         s = tomita_operator(K)
-        assert np.linalg.norm(s.matrix @ s.matrix - np.eye(12), 2) < 1e-10
+        assert np.linalg.norm((s @ s).matrix - np.eye(6), 2) < 1e-10
 
 
 def test_fixed_points_of_tomita_are_K():
@@ -86,9 +86,9 @@ def test_fixed_points_of_tomita_are_K():
 def test_modular_data_of_conjugation():
     V = ComplexVectorSpace(3)
     md = modular_data(tomita_operator(RealSubspace.real_standard(V)))
-    np.testing.assert_allclose(md.delta.matrix, np.eye(6), atol=1e-12)
-    np.testing.assert_allclose(md.j.matrix,
-                               RealLinearMap.conjugation(V).matrix, atol=1e-12)
+    np.testing.assert_allclose(md.delta.matrix, np.eye(3), atol=1e-12)
+    assert md.j.antilinear
+    np.testing.assert_allclose(md.j.matrix, np.eye(3), atol=1e-12)
 
 
 def test_modular_data_invariants():
@@ -99,9 +99,9 @@ def test_modular_data_invariants():
         md = modular_data(tomita_operator(K))
         half = md.delta_power(0.5)
         np.testing.assert_allclose((md.j @ half).matrix, md.s.matrix, atol=1e-10)
-        np.testing.assert_allclose((md.j @ md.j).matrix, np.eye(10), atol=1e-10)
+        np.testing.assert_allclose((md.j @ md.j).matrix, np.eye(5), atol=1e-10)
         # j delta j = delta^(-1)
-        lhs = md.j.matrix @ md.delta.matrix @ md.j.matrix
+        lhs = (md.j @ md.delta @ md.j).matrix
         np.testing.assert_allclose(lhs, md.delta_power(-1.0).matrix, atol=1e-9)
         # j anticommutes with delta^(1/2): j d^(1/2) = d^(-1/2) j
         np.testing.assert_allclose((md.j @ half).matrix,
@@ -116,8 +116,7 @@ def test_adjoint_is_tomita_of_complement():
         K = random_standard_subspace(V, rng)
         s = tomita_operator(K)
         sp = tomita_operator(symplectic_complement(K))
-        np.testing.assert_allclose(sp.matrix, antilinear_adjoint(s).matrix,
-                                   atol=1e-9)
+        np.testing.assert_allclose(sp.matrix, s.adjoint().matrix, atol=1e-9)
 
 
 def test_j_maps_K_to_complement():
@@ -126,7 +125,8 @@ def test_j_maps_K_to_complement():
     for _ in range(5):
         K = random_standard_subspace(V, rng)
         md = modular_data(tomita_operator(K))
-        jK = RealSubspace.from_real_span(V, md.j.matrix @ K.basis)
+        jK = RealSubspace.from_complex_vectors(
+            V, md.j.apply(K.complex_vectors().T).T)
         assert subspace_distance(jK, symplectic_complement(K)) < 1e-9
 
 
@@ -137,9 +137,9 @@ def test_K_cap_Kprime_is_joint_fixed_space():
     md = modular_data(tomita_operator(K))
     cap = subspace_intersection(K, symplectic_complement(K), cos_tol=1e-8)
     fix_j = RealSubspace.from_real_span(
-        V, _fixed_space(md.j.matrix))
+        V, _fixed_space(md.j.realified()))
     fix_d = RealSubspace.from_real_span(
-        V, _fixed_space(md.delta.matrix))
+        V, _fixed_space(md.delta.realified()))
     joint = subspace_intersection(fix_j, fix_d, cos_tol=1e-8)
     assert subspace_distance(cap, joint) < 1e-8
 
@@ -154,10 +154,10 @@ def test_modular_flow_identity_and_group_law():
     V = ComplexVectorSpace(4)
     K = random_standard_subspace(V, rng)
     md = modular_data(tomita_operator(K))
-    np.testing.assert_allclose(modular_flow(md, 0.0).matrix, np.eye(8),
+    np.testing.assert_allclose(modular_flow(md, 0.0).matrix, np.eye(4),
                                atol=1e-12)
     s_, t_ = 0.37, -1.21
-    lhs = modular_flow(md, s_).matrix @ modular_flow(md, t_).matrix
+    lhs = (modular_flow(md, s_) @ modular_flow(md, t_)).matrix
     np.testing.assert_allclose(lhs, modular_flow(md, s_ + t_).matrix,
                                atol=1e-11)
 
@@ -168,7 +168,8 @@ def test_modular_flow_preserves_K():
     K = random_standard_subspace(V, rng)
     md = modular_data(tomita_operator(K))
     for t in (0.3, 1.7):
-        FK = RealSubspace.from_real_span(V, modular_flow(md, t).matrix @ K.basis)
+        FK = RealSubspace.from_complex_vectors(
+            V, modular_flow(md, t).apply(K.complex_vectors().T).T)
         assert subspace_distance(FK, K) < 1e-9
 
 
@@ -247,3 +248,78 @@ def test_block_y_vectors_span_K_trace():
     vecs = [b.y_plus for b in blocks] + [b.y_minus for b in blocks]
     recon = RealSubspace.from_complex_vectors(V, vecs)
     assert subspace_distance(recon, K) < 1e-10
+
+
+def realified_tomita(K):
+    """Reference: s on the realification, from the 2d x 2d solve
+    x = B u + (iB) v  ->  s x = B u - (iB) v."""
+    B, iB = K.basis, times_i(K.basis)
+    P, Q = np.hstack([B, iB]), np.hstack([B, -iB])
+    return Q @ np.linalg.solve(P, np.eye(P.shape[0]))
+
+
+def realified_modular_data(M):
+    """Reference: delta = M^T M, j = M delta^(-1/2) and delta^(it) from a
+    real eigh of the realified delta; each eigenvalue appears twice."""
+    D = M.T @ M
+    ev, V = np.linalg.eigh(0.5 * (D + D.T))
+    J = M @ ((V * ev ** -0.5) @ V.T)
+
+    def flow(t):
+        C = (V * np.cos(t * np.log(ev))) @ V.T
+        S = (V * np.sin(t * np.log(ev))) @ V.T
+        return C + times_i(S)
+    return ev, D, J, flow
+
+
+def test_complex_route_matches_realified_reference():
+    rng = np.random.default_rng(40)
+    for d in range(2, 9):
+        V = ComplexVectorSpace(d)
+        for _ in range(3):
+            K = random_standard_subspace(V, rng)
+            s = tomita_operator(K)
+            md = modular_data(s)
+            M = realified_tomita(K)
+            ev, D, J, flow = realified_modular_data(M)
+            assert np.linalg.norm(s.realified() - M, 2) < 1e-10
+            assert np.linalg.norm(md.delta.realified() - D, 2) < 1e-10
+            assert np.linalg.norm(md.j.realified() - J, 2) < 1e-10
+            for t in (0.3, 1.7):
+                assert np.linalg.norm(
+                    modular_flow(md, t).realified() - flow(t), 2) < 1e-10
+            # log-spectra agree, each realified eigenvalue counted twice
+            np.testing.assert_allclose(np.repeat(np.log(md._eigenvalues), 2),
+                                       np.log(ev), atol=1e-10)
+            counts = [m for _, m in md.log_delta_spectrum]
+            assert sum(counts) == d
+            for lg, m in md.log_delta_spectrum:
+                assert np.sum(np.abs(np.log(ev) - lg) < 1e-8) == 2 * m
+
+
+def test_fiberize_degenerate_angles():
+    # a repeated angle: its delta eigenspace is a complex plane
+    rng = np.random.default_rng(41)
+    V = ComplexVectorSpace(7)
+    K0 = fiber_standard_subspace(V, [0.7, 0.7, 1.2], n_fixed=1)
+    Q, R = np.linalg.qr(rng.standard_normal((7, 7))
+                        + 1j * rng.standard_normal((7, 7)))
+    U = Operator(Q * (np.diag(R) / np.abs(np.diag(R)))).realified()
+    K = RealSubspace.from_real_span(V, U @ K0.basis)
+    md = modular_data(tomita_operator(K))
+    assert [m for _, m in md.log_delta_spectrum] == [2, 1, 1, 1, 2]
+    blocks, fixed = fiberize(K)
+    np.testing.assert_allclose([b.theta for b in blocks], [0.7, 0.7, 1.2],
+                               atol=1e-10)
+    assert fixed.dim == 1
+    jmat, dmat = reassemble_modular(V, blocks, fixed)
+    assert np.linalg.norm(jmat - md.j.matrix, 2) < 1e-9
+    assert np.linalg.norm(dmat - md.delta.matrix, 2) < 1e-9 * md.condition_number ** 0.5
+    s = tomita_operator(K)
+    ys = [y for b in blocks for y in (b.y_plus, b.y_minus)]
+    for y in ys:
+        assert np.linalg.norm(s.apply(y) - y) < 1e-10
+    span = RealSubspace.from_complex_vectors(
+        V, ys + list(fixed.complex_vectors()))
+    assert span.dim == K.dim
+    assert subspace_distance(span, K) < 1e-10
