@@ -444,6 +444,9 @@ REFINEMENT_SENSITIVE = {
 
 
 def run_checks(config: ExperimentConfig):
+    """Run the checks of the configured kind.  A check that raises a
+    numerical error gives one failed record "<kind>.<check>" instead,
+    whose error field names the exception."""
     kinds = (["subspace", "fock", "freefield", "modloc"]
              if config.kind == "all" else [config.kind])
     records, timings = [], {}
@@ -451,7 +454,14 @@ def run_checks(config: ExperimentConfig):
         for fn in CHECKS[kind]:
             rng = np.random.default_rng(config.seed)
             t0 = time.perf_counter()
-            records.extend(fn(config, rng))
+            try:
+                records.extend(fn(config, rng))
+            except (ff.DomainViolationError, ff.LeakageError,
+                    ml.EmptyModelError) as exc:
+                records.append(dict(record(
+                    f"{kind}.{fn.__name__.removeprefix('check_')}",
+                    "the check runs without a numerical error", 0.0, 0.5,
+                    direction="above"), error=f"{type(exc).__name__}: {exc}"))
             timings[fn.__name__] = time.perf_counter() - t0
     return records, timings
 

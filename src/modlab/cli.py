@@ -1,13 +1,15 @@
 """Command-line experiment runner.
 
 Subcommands: run, refine, list-checks, print-schema.
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 at least one check failed (a check that
+raised a numerical error counts as failed), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -48,8 +50,8 @@ def _write_csv(rows, fieldnames, out_dir, name):
 
 def _load_config(args):
     config = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+    if args.seed is not None:       # validated like the configured seed
+        config = dataclasses.replace(config, seed=args.seed)
     if args.out is not None:
         config.out_dir = args.out
     return config
@@ -74,8 +76,9 @@ def cmd_run(args):
     for r in records:
         flag = "pass" if r["passed"] else "FAIL"
         cmp_ = "<" if r["direction"] == "below" else ">"
+        error = f" ({r['error']})" if "error" in r else ""
         print(f"[{flag}] {r['name']}: {r['value']:.3e} {cmp_} "
-              f"{r['threshold']:.1e}")
+              f"{r['threshold']:.1e}{error}")
     print(f"report written to {path}")
     return 0 if status == "pass" else 1
 

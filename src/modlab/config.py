@@ -25,7 +25,7 @@ WEYL_PROBE_LEVEL = 8        # checks.check_weyl reads Fock levels up to 8
 SCHEMA = {
     "": {
         "kind": (str, "all", "suite to run: subspace | fock | freefield | modloc | all"),
-        "seed": (int, 7, "random seed recorded in every report"),
+        "seed": (int, 7, "random seed recorded in every report (>= 0)"),
         "out_dir": (str, "results", "output directory for reports and CSV data"),
     },
     "subspace": {
@@ -51,7 +51,7 @@ SCHEMA = {
         "mass": (float, 1.0, "field mass (> 0)"),
         "theta_max": (float, 6.0, "rapidity half-width of the grid (>= 4)"),
         "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
-        "window": (float, 5.8, "embedding window position (< theta_max)"),
+        "window": (float, 5.8, "embedding window position (> 0, < theta_max)"),
         "window_width": (float, 1.2, "embedding window taper width (> 0)"),
         "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps (> 0)"),
         "locality_tolerance": (float, 1e-6, "spacelike pairing bound"),
@@ -71,7 +71,8 @@ SCHEMA = {
         "dictionary": (list,
                        [[0.0, 3.0, 0.5], [0.4, 3.6, 0.55],
                         [-0.3, 2.8, 0.45], [0.1, 4.0, 0.6]],
-                       "base right-wedge probe bumps as [x0, x1, radius]"),
+                       "base right-wedge probe bumps as [x0, x1, radius], "
+                       "each disk inside the wedge: x1 - |x0| > sqrt(2) radius"),
     },
 }
 
@@ -99,7 +100,7 @@ def _check_section(section, data, out):
         value = _check_type(path, value, typ)
         if typ is float and ("tolerance" in key or key in
                              ("timelike_floor", "blowup_factor",
-                              "extraction_tol", "mass", "second_mass",
+                              "extraction_tol", "mass", "second_mass", "window",
                               "window_width", "lattice_step")) and value <= 0:
             raise ConfigError(f"{path}: must be positive")
         if key == "n_points" and (value < 8 or value & (value - 1)):
@@ -127,8 +128,13 @@ def _check_section(section, data, out):
                                    for x in entry)):
                     raise ConfigError(
                         f"{path}[{i}]: expected [x0, x1, radius]")
-                if entry[2] <= 0:
+                x0, x1, r = entry
+                if r <= 0:
                     raise ConfigError(f"{path}[{i}]: radius must be positive")
+                # the edges x1 = |x0| of W_R lie (x1 - |x0|) / sqrt(2) away
+                if not x1 - abs(x0) > math.sqrt(2.0) * r:
+                    raise ConfigError(f"{path}[{i}]: the disk must lie inside "
+                                      f"the right wedge, x1 - |x0| > sqrt(2) r")
         if key == "weyl_cutoffs":
             if not value or not all(isinstance(n, int) and not isinstance(n, bool)
                                     and n >= 0 for n in value):
@@ -154,6 +160,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         for section in ("subspace", "fock", "freefield", "modloc"):
             merged = {k: v for k, (_, v, _) in SCHEMA[section].items()}
             given = getattr(self, section)

@@ -10,8 +10,9 @@ spacetime lattice; their embedding into the one-particle space is a
 Fourier quadrature windowed where the lattice stops resolving the
 oscillation of exp(i p.x).
 
-The wedge modular operator delta^(1/2) is the Fourier multiplier
-exp(pi omega) in the rapidity frequency omega.  Amplification is
+The origin right wedge's delta^(1/2) is, by the Bisognano-Wichmann
+theorem, the Fourier multiplier exp(pi omega) in the rapidity frequency
+omega; modloc transports it to other wedges.  Amplification is
 capped at 1e12; the input mass at capped frequencies is the domain
 diagnostic, and identity checks are run on band-limited
 representatives, for which the capped operator is faithful.  Maps act
@@ -125,9 +126,9 @@ class FreeFieldModel:
             raise ValueError("window must sit inside the grid")
 
     @classmethod
-    def rung(cls, k: int, mass: float = 1.0, theta_max: float = 6.0):
+    def rung(cls, k: int):
         p = REFINEMENT_RUNGS[k]
-        return cls(mass, RapidityGrid(theta_max, p["n_points"]),
+        return cls(1.0, RapidityGrid(6.0, p["n_points"]),
                    p["window"], p["window_width"])
 
     def momenta(self):
@@ -196,25 +197,22 @@ class Region2:
 
     # geometry ------------------------------------------------------------
 
-    def contains(self, x0, x1, margin: float = 0.0):
+    def contains(self, x0, x1):
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(x1, dtype=float)
         if self.kind == "right_wedge":
             a0, a1 = self.apex
-            return (x1 - a1) - np.abs(x0 - a0) > margin
+            return (x1 - a1) - np.abs(x0 - a0) > 0.0
         if self.kind == "left_wedge":
             a0, a1 = self.apex
-            return -(x1 - a1) - np.abs(x0 - a0) > margin
+            return -(x1 - a1) - np.abs(x0 - a0) > 0.0
         if self.kind == "double_cone":
             r = Region2.right_wedge(self.right_apex)
             l = Region2.left_wedge(self.left_apex)
-            return r.contains(x0, x1, margin) & l.contains(x0, x1, margin)
+            return r.contains(x0, x1) & l.contains(x0, x1)
         if self.kind == "complement":
-            parts = self.inner.causal_complement_parts()
-            out = parts[0].contains(x0, x1, margin)
-            for p in parts[1:]:
-                out = out | p.contains(x0, x1, margin)
-            return out
+            r, l = self.inner.causal_complement_parts()
+            return r.contains(x0, x1) | l.contains(x0, x1)
         raise ValueError(self.kind)
 
     def causal_complement(self) -> "Region2":
@@ -322,11 +320,14 @@ class TestFunction2:
         self.x0 = step * np.arange(i0, i1 + 1)
         self.x1 = step * np.arange(j0, j1 + 1)
         self.values = profile(self.x0[:, None], self.x1[None, :])
-        if support_boundary is not None:
-            b0, b1 = support_boundary
-            if not np.all(region.contains(b0, b1, margin=0.0)):
-                raise SupportError("support is not inside the declared region")
         self._boundary = support_boundary
+        if not self.supported_in(region):
+            raise SupportError("support is not inside the declared region")
+
+    def supported_in(self, region: Region2) -> bool:
+        """Whether the recorded support boundary, if any, lies in region."""
+        b = self._boundary
+        return b is None or bool(np.all(region.contains(*b)))
 
     @staticmethod
     def bump(center, radius, step: float = 1.0 / 128,
@@ -349,10 +350,10 @@ class TestFunction2:
         f.radius = r
         return f
 
-    def refine(self, factor: int = 2) -> "TestFunction2":
+    def refine(self) -> "TestFunction2":
         g = TestFunction2(self.region, self.profile,
                           ((self.x0[0], self.x0[-1]), (self.x1[0], self.x1[-1])),
-                          self.step / factor, support_boundary=self._boundary)
+                          self.step / 2, support_boundary=self._boundary)
         for attr in ("center", "radius"):
             if hasattr(self, attr):
                 setattr(g, attr, getattr(self, attr))
@@ -504,7 +505,7 @@ def embed_with_error(f: TestFunction2, model: FreeFieldModel):
     """Embedding at the function's resolution plus a Richardson-style
     error estimate from comparing with the half-step quadrature."""
     coarse = embed(f, model)
-    fine = embed(f.refine(2), model)
+    fine = embed(f.refine(), model)
     err = (coarse - fine).norm() / max(fine.norm(), 1e-300)
     return fine, err
 
@@ -539,11 +540,10 @@ def _leaked_mass(values, grid: RapidityGrid) -> float:
     return float(np.max(_mass_fraction(values, zone), initial=0.0))
 
 
-def poincare_act(g: PoincareElement, phi: OneParticleVector,
-                 leakage_budget: float = LEAKAGE_BUDGET) -> OneParticleVector:
+def poincare_act(g: PoincareElement, phi: OneParticleVector) -> OneParticleVector:
     """u(g) phi: reflection acts as conjugation, a boost of rapidity l as
     the shift theta -> theta - l, a translation as the phase exp(i a.p).
-    A boost raises LeakageError if any vector of the stack leaks."""
+    A boost raises LeakageError if a vector leaks above LEAKAGE_BUDGET."""
     model = phi.model
     v = phi.values
     if g.reflect:
@@ -551,7 +551,7 @@ def poincare_act(g: PoincareElement, phi: OneParticleVector,
     if g.rapidity != 0.0:
         v = _shift(v, g.rapidity, model.grid.omega)
         leak = _leaked_mass(v, model.grid)
-        if leak > leakage_budget:
+        if leak > LEAKAGE_BUDGET:
             raise LeakageError(leak)
     if g.a0 != 0.0 or g.a1 != 0.0:
         p0, p1 = model.momenta()
@@ -579,10 +579,8 @@ def local_subspace(region: Region2, dictionary,
                    model: FreeFieldModel) -> RealSubspace:
     """Real span of the embeddings of a dictionary supported in region."""
     for f in dictionary:
-        if f._boundary is not None:
-            b0, b1 = f._boundary
-            if not np.all(region.contains(b0, b1)):
-                raise SupportError("dictionary member not supported in region")
+        if not f.supported_in(region):
+            raise SupportError("dictionary member not supported in region")
     n = model.grid.n_points
     values = np.reshape([embed(f, model).values for f in dictionary], (-1, n))
     return RealSubspace.from_real_span(ComplexVectorSpace(n),
@@ -591,36 +589,33 @@ def local_subspace(region: Region2, dictionary,
 
 # -- wedge modular structure ----------------------------------------------
 
-def _capped(values, grid: RapidityGrid, direction: int, cap: float):
-    """Spectrum of values, the log multiplier -direction pi omega of
-    delta^(1/2), the mask of frequencies it would amplify beyond cap, and
-    the relative input mass there (the tail), one per vector."""
+def _capped(values, grid: RapidityGrid, cap: float):
+    """Spectrum of values, the log multiplier pi omega of delta^(1/2),
+    the mask of frequencies it would amplify beyond cap, and the relative
+    input mass there (the tail), one per vector."""
     ph = np.fft.fft(values)
-    logmult = -direction * np.pi * grid.omega
+    logmult = -RIGHT_WEDGE_DIRECTION * np.pi * grid.omega
     kill = logmult > math.log(cap)
     return ph, logmult, kill, _mass_fraction(ph, kill)
 
 
-def wedge_modular_half(phi: OneParticleVector, direction: int = RIGHT_WEDGE_DIRECTION,
-                       cap: float = AMPLIFICATION_CAP):
-    """Apply delta^(1/2) = the multiplier exp(-direction pi omega).
+def wedge_modular_half(phi: OneParticleVector, cap: float = AMPLIFICATION_CAP):
+    """Apply delta^(1/2) = the multiplier exp(pi omega).
 
     Frequencies with amplification above cap are zeroed; their input
     mass (relative) is returned as the tail diagnostic.  A large tail
     signals that phi is not in the domain of this half-boost.
     """
-    ph, logmult, kill, tail = _capped(phi.values, phi.model.grid, direction, cap)
+    ph, logmult, kill, tail = _capped(phi.values, phi.model.grid, cap)
     mult = np.where(kill, 0.0, np.exp(np.where(kill, -np.inf, logmult)))
     return OneParticleVector(phi.model, np.fft.ifft(ph * mult)), tail
 
 
-def domain_certificate(phi: OneParticleVector,
-                       direction: int = RIGHT_WEDGE_DIRECTION,
-                       cap: float = AMPLIFICATION_CAP) -> float:
-    """Relative input mass at frequencies the capped half-boost cannot
-    amplify; the spectral-decay certificate for membership in the
-    numerical domain of delta^(1/2)."""
-    return _capped(phi.values, phi.model.grid, direction, cap)[3]
+def domain_certificate(phi: OneParticleVector) -> float:
+    """Relative input mass at frequencies the half-boost capped at
+    AMPLIFICATION_CAP cannot amplify; the spectral-decay certificate for
+    membership in the numerical domain of delta^(1/2)."""
+    return _capped(phi.values, phi.model.grid, AMPLIFICATION_CAP)[3]
 
 
 def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
@@ -632,16 +627,16 @@ def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
     return _smooth_step((np.abs(omega) - (wb - roll)) / roll)
 
 
-def band_project(phi: OneParticleVector, margin: float = BAND_MARGIN,
-                 cap: float = AMPLIFICATION_CAP):
+def band_project(phi: OneParticleVector):
     """Smoothly band-limit to the frequency region on which the capped
-    delta^(1/2) is faithful; returns (vector, retained mass fraction).
+    delta^(1/2) is faithful, BAND_MARGIN inside the AMPLIFICATION_CAP
+    band; returns (vector, retained mass fraction).
 
     The mask is an even function of the rapidity frequency, hence of the
     wedge modular generator: it maps K_W into itself.
     """
     grid = phi.model.grid
-    mask = _band_mask(grid.omega, margin, cap)
+    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
     ph = np.fft.fft(phi.values)
     total = float(np.sum(np.abs(ph) ** 2))
     kept = float(np.sum(np.abs(mask * ph) ** 2)) / max(total, 1e-300)
@@ -649,11 +644,9 @@ def band_project(phi: OneParticleVector, margin: float = BAND_MARGIN,
     return OneParticleVector(phi.model, out), kept
 
 
-def wedge_tomita_apply(phi: OneParticleVector,
-                       direction: int = RIGHT_WEDGE_DIRECTION,
-                       cap: float = AMPLIFICATION_CAP):
+def wedge_tomita_apply(phi: OneParticleVector):
     """s_W phi = conj(delta^(1/2) phi) for the origin right wedge."""
-    half, tail = wedge_modular_half(phi, direction, cap)
+    half, tail = wedge_modular_half(phi)
     return half.conj(), tail
 
 
@@ -668,9 +661,7 @@ def _band_defect(c, grid: RapidityGrid, mask):
     return s_hat - c
 
 
-def compressed_fixed_defect(phi: OneParticleVector,
-                            margin: float = BAND_MARGIN,
-                            cap: float = AMPLIFICATION_CAP) -> OneParticleVector:
+def compressed_fixed_defect(phi: OneParticleVector) -> OneParticleVector:
     """P (s_W phi - phi) with P the smooth band mask, in one spectral pass.
 
     This is the cap-safe fixed-point defect for the origin right wedge:
@@ -678,17 +669,15 @@ def compressed_fixed_defect(phi: OneParticleVector,
     and raw (un-limited) vectors may be fed in directly.
     """
     grid = phi.model.grid
-    mask = _band_mask(grid.omega, margin, cap)
+    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
     defect = _band_defect(np.fft.fft(phi.values), grid, mask)
     return OneParticleVector(phi.model, np.fft.ifft(mask * defect))
 
 
-def bw_residual_of_vector(phi: OneParticleVector,
-                          cert_threshold: float = DOMAIN_CERT_THRESHOLD,
-                          margin: float = BAND_MARGIN) -> float:
+def bw_residual_of_vector(phi: OneParticleVector) -> float:
     """|| s_W phi_B - phi_B || / || phi_B || on the band-limited
     representative phi_B; raises DomainViolationError when the
-    certificate fails (wrong-wedge localization).
+    certificate exceeds DOMAIN_CERT_THRESHOLD (wrong-wedge localization).
 
     Projection, half-boost and conjugation are fused into a single
     spectral pass, so no re-transform roundoff enters the amplified
@@ -696,30 +685,27 @@ def bw_residual_of_vector(phi: OneParticleVector,
     exp(-pi w) conj(c(-w)) against c(w) over the kept band.
     """
     cert = domain_certificate(phi)
-    if cert > cert_threshold:
+    if cert > DOMAIN_CERT_THRESHOLD:
         raise DomainViolationError(cert)
     grid = phi.model.grid
-    mask = _band_mask(grid.omega, margin, AMPLIFICATION_CAP)
+    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
     c = mask * np.fft.fft(phi.values)
     return float(np.linalg.norm(_band_defect(c, grid, mask)) / np.linalg.norm(c))
 
 
-def bw_residual(f: TestFunction2, model: FreeFieldModel,
-                cert_threshold: float = DOMAIN_CERT_THRESHOLD) -> float:
+def bw_residual(f: TestFunction2, model: FreeFieldModel) -> float:
     """One-particle Bisognano-Wichmann check for the origin right wedge:
     the embedding of a right-wedge test function is a fixed point of
     s_W = (conjugation) after (half boost)."""
-    return bw_residual_of_vector(embed(f, model), cert_threshold)
+    return bw_residual_of_vector(embed(f, model))
 
 
-def modular_blowup_profile(phi: OneParticleVector,
-                           caps=(1e4, 1e8, 1e12),
-                           direction: int = RIGHT_WEDGE_DIRECTION):
+def modular_blowup_profile(phi: OneParticleVector, caps=(1e4, 1e8, 1e12)):
     """Norms of the capped delta^(1/2) images along a ladder of
     amplification caps.  For vectors in the domain the sequence is
     stable; outside it grows without bound as the cap is raised, the
     numerical signature of the domain violation."""
-    return [wedge_modular_half(phi, direction, cap)[0].norm() for cap in caps]
+    return [wedge_modular_half(phi, cap)[0].norm() for cap in caps]
 
 
 def gaussian_packet(model: FreeFieldModel, center: float = 0.0,

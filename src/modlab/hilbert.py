@@ -108,11 +108,11 @@ def times_i(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def orthonormalize_columns(M: np.ndarray, drop_tol: float = ORTHO_DROP_TOL) -> np.ndarray:
+def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt applied twice (CGS2), one column at a time
     against the block of columns kept so far.
 
-    Columns whose residual norm falls below drop_tol are discarded as
+    Columns whose residual norm is at most ORTHO_DROP_TOL are discarded as
     linearly dependent.  Returns a matrix with orthonormal columns, in
     the order of the kept input columns.
     """
@@ -125,7 +125,7 @@ def orthonormalize_columns(M: np.ndarray, drop_tol: float = ORTHO_DROP_TOL) -> n
         for _ in range(2):
             v -= Qr @ (Qr.T @ v)
         nv = np.linalg.norm(v)
-        if nv > drop_tol:
+        if nv > ORTHO_DROP_TOL:
             Q[:, r] = v / nv
             r += 1
     return Q[:, :r]
@@ -192,19 +192,17 @@ class RealSubspace:
         self.basis = basis
 
     @classmethod
-    def from_real_span(cls, space: ComplexVectorSpace, M,
-                       drop_tol: float = ORTHO_DROP_TOL) -> "RealSubspace":
-        return cls(space, orthonormalize_columns(np.asarray(M, dtype=float),
-                                                 drop_tol), check=False)
+    def from_real_span(cls, space: ComplexVectorSpace, M) -> "RealSubspace":
+        return cls(space, orthonormalize_columns(M), check=False)
 
     @classmethod
-    def from_complex_vectors(cls, space: ComplexVectorSpace, vectors,
-                             drop_tol: float = ORTHO_DROP_TOL) -> "RealSubspace":
+    def from_complex_vectors(cls, space: ComplexVectorSpace,
+                             vectors) -> "RealSubspace":
         """Real span of the given complex vectors."""
         cols = [space.realify(v) for v in vectors]
         if not cols:
             return cls(space, np.zeros((space.rdim, 0)), check=False)
-        return cls.from_real_span(space, np.column_stack(cols), drop_tol)
+        return cls.from_real_span(space, np.column_stack(cols))
 
     @classmethod
     def real_standard(cls, space: ComplexVectorSpace) -> "RealSubspace":
@@ -262,11 +260,9 @@ def symplectic_complement(K: RealSubspace) -> RealSubspace:
     return RealSubspace(space, basis, check=False)
 
 
-def subspace_sum(K1: RealSubspace, K2: RealSubspace,
-                 drop_tol: float = ORTHO_DROP_TOL) -> RealSubspace:
+def subspace_sum(K1: RealSubspace, K2: RealSubspace) -> RealSubspace:
     _same_space(K1, K2)
-    return RealSubspace.from_real_span(
-        K1.space, np.hstack([K1.basis, K2.basis]), drop_tol)
+    return RealSubspace.from_real_span(K1.space, np.hstack([K1.basis, K2.basis]))
 
 
 def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
@@ -301,14 +297,13 @@ def subspace_distance(K1: RealSubspace, K2: RealSubspace) -> float:
     By Kato's identity ||P1 - P2|| = max(||(1 - P2) P1||, ||(1 - P1) P2||),
     the larger of the two inclusion residuals; no 2d x 2d matrix is formed
     and nothing is orthonormalized, so small distances are not lost to
-    drop_tol.
+    ORTHO_DROP_TOL.
     """
     return max(inclusion_residual(K1, K2), inclusion_residual(K2, K1))
 
 
-def subspaces_equal(K1: RealSubspace, K2: RealSubspace,
-                    tol: float = EQUALITY_TOL) -> bool:
-    return subspace_distance(K1, K2) <= tol
+def subspaces_equal(K1: RealSubspace, K2: RealSubspace) -> bool:
+    return subspace_distance(K1, K2) <= EQUALITY_TOL
 
 
 def principal_angles(K1: RealSubspace, K2: RealSubspace) -> np.ndarray:

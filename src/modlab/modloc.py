@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .freefield import (
-    AMPLIFICATION_CAP, OneParticleVector, PoincareElement, Region2,
-    TestFunction2, compressed_fixed_defect, domain_certificate, embed,
-    poincare_act, realify, wedge_tomita_apply,
+    DOMAIN_CERT_THRESHOLD, OneParticleVector, PoincareElement, Region2,
+    SupportError, TestFunction2, compressed_fixed_defect, domain_certificate,
+    embed, poincare_act, realify, wedge_tomita_apply,
 )
 from .hilbert import (
     ComplexVectorSpace, RealSubspace, inclusion_residual,
@@ -109,12 +109,11 @@ def _pull(rep: PoincareRep2, W: Region2, X):
     return g, OneParticleVector(rep.models[0], rep.act(g.inv(), X))
 
 
-def wedge_tomita_apply_rep(rep: PoincareRep2, W: Region2, X,
-                           cap: float = AMPLIFICATION_CAP):
+def wedge_tomita_apply_rep(rep: PoincareRep2, W: Region2, X):
     """s_W X = u(g) s_R u(g)^(-1) X; returns (vectors, tail), the tail
     being the largest over the summands of each vector."""
     g, pulled = _pull(rep, W, X)
-    image, tail = wedge_tomita_apply(pulled, cap=cap)
+    image, tail = wedge_tomita_apply(pulled)
     return rep.act(g, image.values), np.max(tail, axis=-1)
 
 
@@ -139,23 +138,22 @@ class ExtractionReport:
     certificates: list = field(default_factory=list)
 
 
-def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05,
-                       cert_threshold: float = 1e-10):
+def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05):
     """Finite model of K_W = {h in D(s_W): s_W h = h}.
 
-    Probes failing the wedge domain certificate are discarded.  On the
-    real span of the survivors the band-compressed defect P (s_W - 1) is
-    assembled; its kernel directions below tol in singular value form
-    the model.  The stored basis consists of raw probe combinations, so
-    models over matched dictionaries are directly comparable across
-    wedges.  EmptyModelError is raised when every probe fails the
-    certificate or no singular value is at most tol.
+    Probes whose wedge domain certificate exceeds DOMAIN_CERT_THRESHOLD
+    are discarded.  On the real span of the survivors the band-compressed
+    defect P (s_W - 1) is assembled; its kernel directions below tol in
+    singular value form the model.  The stored basis consists of raw probe
+    combinations, so models over matched dictionaries are directly
+    comparable across wedges.  EmptyModelError is raised when every probe
+    fails the certificate or no singular value is at most tol.
 
     Returns (RealSubspace over the summed grid space, ExtractionReport).
     """
     P = _stack(rep, probes)
     certs = wedge_domain_certificate(rep, W, P)
-    live = certs <= cert_threshold
+    live = certs <= DOMAIN_CERT_THRESHOLD
     if not np.any(live):
         raise EmptyModelError(
             f"all {len(P)} probes fail the domain certificate "
@@ -202,10 +200,8 @@ class LocalizedNet:
     def populate_wedge(self, W: Region2, functions):
         """functions: list of (TestFunction2, summand index) supported in W."""
         for f, idx in functions:
-            if f._boundary is not None:
-                b0, b1 = f._boundary
-                if not np.all(W.contains(b0, b1)):
-                    raise ValueError("dictionary member not supported in wedge")
+            if not f.supported_in(W):
+                raise SupportError("dictionary member not supported in wedge")
         probes = np.array([embed_probe(self.rep, f, idx) for f, idx in functions])
         K, report = localized_subspace(self.rep, W, probes, self.tol)
         self.entries[self._key(W)] = NetEntry(W, list(functions), probes, K, report)
@@ -305,9 +301,9 @@ def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
     return report
 
 
-def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=(),
-                     cos_tol: float = 1e-4):
-    """K(O) as the intersection of the two generating wedge models.
+def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=()):
+    """K(O) as the intersection of the two generating wedge models, at
+    cos_tol 1e-4.
 
     Requires K(right wedge at O.right_apex) and K(left wedge at
     O.left_apex) in the net.  Returns (subspace, report) with the real
@@ -322,7 +318,7 @@ def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=(),
         eR, eL = net.get(WR), net.get(WL)
     except KeyError as exc:
         raise ValueError(f"generating wedge missing from the net: {exc}")
-    K = subspace_intersection(eR.subspace, eL.subspace, cos_tol=cos_tol)
+    K = subspace_intersection(eR.subspace, eL.subspace, cos_tol=1e-4)
     # (k, rdim, 1) stack: each residual rounds as if its probe were alone
     V = net.rep.realify(_stack(net.rep, cone_probes)).T[..., None]
     residuals = (np.linalg.norm(V - K.project(V), axis=(1, 2))

@@ -62,10 +62,10 @@ class NotStandardError(ValueError):
             f"{certificate.dim_sum} of {certificate.rdim}")
 
 
-def is_standard(K: RealSubspace, cos_tol: float = 1e-9):
+def is_standard(K: RealSubspace):
     """Check K cap iK = 0 and K + iK = everything; returns (bool, certificate)."""
     iK = K.mult_i()
-    inter = subspace_intersection(K, iK, cos_tol=cos_tol)
+    inter = subspace_intersection(K, iK, cos_tol=1e-9)
     total = subspace_sum(K, iK)
     cert = StandardnessCertificate(inter.dim, total.dim, K.space.rdim)
     return cert.standard, cert
@@ -132,11 +132,11 @@ def modular_data(s: Operator) -> ModularData:
                        _eigenvalues=ev, _eigenvectors=V)
 
 
-def _spectrum_with_multiplicity(ev, rel_tol=1e-9):
+def _spectrum_with_multiplicity(ev):
     """Group the eigenvalues of delta into (log eigenvalue, multiplicity)."""
     out = []
     for lg in np.log(ev):
-        if out and abs(out[-1][0] - lg) <= rel_tol * max(1.0, abs(lg)):
+        if out and abs(out[-1][0] - lg) <= 1e-9 * max(1.0, abs(lg)):
             out[-1][1] += 1
         else:
             out.append([float(lg), 1])
@@ -164,12 +164,12 @@ class FiberBlock:
     y_minus: np.ndarray
 
 
-def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
+def fiberize(K: RealSubspace):
     """Decompose a standard K into angle fibers plus its fixed part.
 
     Returns (blocks, fixed_part) with fixed_part = K cap K' (the part on
-    which delta acts trivially; eigenvalues within one_tol of 1 are
-    assigned to it).  Each eigenvector v of delta with eigenvalue
+    which delta acts trivially; eigenvalues within EIGENVALUE_ONE_TOL of 1
+    are assigned to it).  Each eigenvector v of delta with eigenvalue
     lambda < 1 gives one block, with frame (v, jv) and the angle theta
     with tan^2(theta/2) = lambda, in ascending order; the theta values
     coincide with the principal angles between K and iK.
@@ -179,7 +179,7 @@ def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
     ev, V = md._eigenvalues, md._eigenvectors
     blocks = []
     for lam, v in zip(ev, V.T):
-        if lam >= 1.0 - one_tol:
+        if lam >= 1.0 - EIGENVALUE_ONE_TOL:
             break
         jv = md.j.apply(v)
         t = np.sqrt(lam)
@@ -188,7 +188,7 @@ def fiberize(K: RealSubspace, one_tol: float = EIGENVALUE_ONE_TOL):
                                  y_plus=scale * (v + t * jv),
                                  y_minus=scale * 1j * (v - t * jv)))
     # fixed part: delta-eigenvalue-1 sector intersected with K
-    W = V[:, np.abs(ev - 1.0) <= one_tol]
+    W = V[:, np.abs(ev - 1.0) <= EIGENVALUE_ONE_TOL]
     E1 = RealSubspace.from_real_span(space,
                                      space.realify(np.hstack([W, 1j * W])))
     return blocks, subspace_intersection(K, E1, cos_tol=1e-8)
@@ -249,21 +249,21 @@ def fiber_standard_subspace(space: ComplexVectorSpace, thetas,
     return RealSubspace.from_complex_vectors(space, vecs)
 
 
-def random_standard_subspace(space: ComplexVectorSpace, rng: np.random.Generator,
-                             theta_range=(0.15, np.pi / 2 - 0.05),
-                             allow_fixed: bool = True) -> RealSubspace:
-    """Random standard subspace with principal angles bounded away from
-    the degenerate ends, so the Tomita machinery stays well conditioned.
+def random_standard_subspace(space: ComplexVectorSpace,
+                             rng: np.random.Generator) -> RealSubspace:
+    """Random standard subspace with principal angles in
+    [0.15, pi/2 - 0.05], away from the degenerate ends, so the Tomita
+    machinery stays well conditioned.
 
     Built as a random unitary rotation of a fiber construction; every
     angle spectrum in the range is reachable.
     """
     d = space.dim
-    n_fixed = int(rng.integers(0, 2)) if (allow_fixed and d >= 3) else d % 2
+    n_fixed = int(rng.integers(0, 2)) if d >= 3 else d % 2
     if (d - n_fixed) % 2 == 1:
         n_fixed += 1
     n_blocks = (d - n_fixed) // 2
-    thetas = rng.uniform(theta_range[0], theta_range[1], size=n_blocks)
+    thetas = rng.uniform(0.15, np.pi / 2 - 0.05, size=n_blocks)
     K0 = fiber_standard_subspace(space, thetas, n_fixed)
     # Haar-ish unitary from a complex Gaussian QR
     Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

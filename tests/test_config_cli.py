@@ -50,6 +50,17 @@ def test_empty_dictionary_names_field():
         ExperimentConfig.from_dict({"modloc": {"dictionary": [[1.0, 2.0]]}})
 
 
+def test_dictionary_bump_must_lie_inside_the_right_wedge():
+    # the disk of radius r at (x0, x1) lies in W_R iff x1 - |x0| > sqrt(2) r;
+    # radius 100 is refused before any bump is sampled
+    for bad in ([0.0, 3.0, 2.5], [0.0, 3.0, 100.0], [2.8, 3.0, 0.5],
+                [0.0, 3.0, 2.2]):
+        with pytest.raises(ConfigError, match=r"modloc.dictionary\[1\]"):
+            ExperimentConfig.from_dict(
+                {"modloc": {"dictionary": [[0.0, 3.0, 0.5], bad]}})
+    ExperimentConfig.from_dict({"modloc": {"dictionary": [[0.0, 3.0, 2.1]]}})
+
+
 def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -104,12 +115,16 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"subspace": {"flow_times": []}}, "subspace.flow_times"),
     ({"freefield": {"lattice_step": -0.01}}, "freefield.lattice_step"),
     ({"subspace": {"n_samples": 0}}, "subspace.n_samples"),
+    ({"seed": -1}, "seed"),
+    ({"modloc": {"dictionary": [[0.0, 3.0, 2.5]]}}, "modloc.dictionary[0]"),
+    ({"freefield": {"window": 0.0}}, "freefield.window"),
 ], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
         "n_points_not_power_of_two", "window_outside_grid",
         "theta_max_below_4", "zero_mass", "negative_second_mass",
         "max_dim_below_2", "zero_window_width", "zero_cutoff",
         "fiber_theta_above_half_pi", "non_numeric_flow_time",
-        "empty_flow_times", "negative_lattice_step", "zero_n_samples"])
+        "empty_flow_times", "negative_lattice_step", "zero_n_samples",
+        "negative_seed", "dictionary_bump_outside_wedge", "zero_window"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})
@@ -178,6 +193,45 @@ def test_report_determinism(tmp_path):
         rep.pop("environment")
         rep["config"].pop("out_dir")
     assert ra == rb
+
+
+def test_cli_rejects_negative_seed_override(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "kind": "subspace", "out_dir": str(tmp_path / "out"),
+        "subspace": {"n_samples": 1}})
+    assert main(["run", "--config", cfg, "--seed", "-1"]) == 2
+    assert "configuration error: seed:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@pytest.mark.parametrize("kind, window, raised, error", [
+    ("freefield", 2.0, {"freefield.bisognano_wichmann"},
+     "DomainViolationError"),
+    ("modloc", 4.5, {"modloc.net", "modloc.doublecone", "modloc.direct_sum"},
+     "EmptyModelError"),
+])
+def test_check_that_raises_becomes_a_failed_record(tmp_path, capsys, kind,
+                                                   window, raised, error):
+    from modlab.checks import CHECKS
+    cfg = write_config(tmp_path, {"kind": kind, "out_dir": str(tmp_path / "out"),
+                                  "freefield": {"window": window}})
+    assert main(["run", "--config", cfg]) == 1
+    assert error in capsys.readouterr().out
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text, parse_constant=_refuse_constant)
+    assert report["status"] == "fail"
+    assert set(report["timings"]) == {fn.__name__ for fn in CHECKS[kind]} | {"total"}
+    errors = {r["name"]: r for r in report["checks"] if "error" in r}
+    assert set(errors) == raised
+    for rec in errors.values():
+        assert not rec["passed"]
+        assert rec["error"].startswith(error + ": ")
+    # every check gave at least one record, its own or the error record
+    assert len(report["checks"]) >= len(CHECKS[kind])
 
 
 def test_cli_seed_override(tmp_path):

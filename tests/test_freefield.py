@@ -80,9 +80,12 @@ def test_poincare_group_law():
 
 def test_bump_support_validation():
     W = Region2.right_wedge()
-    TestFunction2.bump((0.0, 3.0), 0.5, region=W)   # fine
+    f = TestFunction2.bump((0.0, 3.0), 0.5, region=W)   # fine
     with pytest.raises(SupportError):
         TestFunction2.bump((0.0, 0.5), 1.0, region=W)
+    assert f.supported_in(W) and f.supported_in(Region2.right_wedge((0.0, 2.0)))
+    assert not f.supported_in(Region2.left_wedge())
+    assert not f.supported_in(Region2.right_wedge((0.0, 2.8)))
 
 
 def test_embed_zero_function(model):

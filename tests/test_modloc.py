@@ -3,7 +3,7 @@ import pytest
 
 from modlab.freefield import (
     FreeFieldModel, OneParticleVector, PoincareElement, Region2,
-    TestFunction2, embed, bw_residual_of_vector, poincare_act,
+    SupportError, TestFunction2, embed, bw_residual_of_vector, poincare_act,
 )
 from modlab.hilbert import RealSubspace, subspace_distance
 from modlab.modloc import (
@@ -184,6 +184,15 @@ def test_modular_flow_covariance_of_model(rep):
     probes = [embed_probe(rep, f) for f in transported]
     K_t, _ = localized_subspace(rep, W, probes, tol=0.05)
     assert subspace_distance(moved, K_t) < 1e-3
+
+
+def test_populate_wedge_refuses_a_bump_outside_the_wedge(rep):
+    net = LocalizedNet(rep, tol=0.05)
+    left = TestFunction2.bump((0.0, -3.0), 0.5, region=Region2.left_wedge())
+    with pytest.raises(SupportError):
+        net.populate_wedge(Region2.right_wedge(),
+                           [(right_dict()[0], 0), (left, 0)])
+    assert not net.entries
 
 
 def test_reflection_maps_model_to_complement_model(rep):

@@ -1,0 +1,89 @@
+"""Every defaulted parameter of modlab is set by some call.
+
+An option that no call sets is a configuration that nothing exercises,
+so it is replaced by the value it defaults to.  This test keeps such
+options from coming back.  It parses every def in src/modlab, at module
+level and in classes, and every call in src/, demos/ and tests/, and
+fails when a defaulted parameter is passed, by position or keyword, by
+no call of that name.  A call of a class counts as a call of its
+__init__.
+
+The matching is by name alone, so a call of any function of that name
+counts.  It does not see forwarding either: a parameter that a caller
+only hands on, as in f(x, tol=tol) inside a function whose own tol no
+call sets, counts as set.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parse(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _defaulted(fn, key, offset):
+    """(key, call position or None, name) of each defaulted parameter;
+    offset is 1 where a call does not pass the first parameter (self)."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(key, i - offset, p.arg) for i, p in enumerate(positional)
+           if i >= first]
+    out += [(key, None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def defaulted_parameters():
+    """Defaulted parameters of the module- and class-level defs in
+    src/modlab; an __init__ is keyed by its class name."""
+    params = []
+    for path, tree in _parse("src/modlab"):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params += _defaulted(node, node.name, 0)
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    key = node.name if fn.name == "__init__" else fn.name
+                    params += _defaulted(fn, key, 0 if static else 1)
+    return params
+
+
+def calls():
+    """name -> list of (positional count, keyword names) of every call;
+    a starred argument passes every position, a ** argument every name."""
+    out = {}
+    for path, tree in _parse("src", "demos", "tests"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name is None:
+                continue
+            n = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            kws = {k.arg for k in node.keywords}
+            out.setdefault(name, []).append((n, kws))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    params = defaulted_parameters()
+    assert len(params) > 10, "the scan found too few parameters to be working"
+    seen = calls()
+    unused = [f"{key}({name})" for key, pos, name in params
+              if not any(name in kws or None in kws
+                         or (pos is not None and n > pos)
+                         for n, kws in seen.get(key, []))]
+    assert not unused, (f"{len(unused)} of {len(params)} defaulted parameters "
+                        f"are passed by no call: {', '.join(unused)}")
