@@ -51,7 +51,10 @@ SCHEMA = {
         "mass": (float, 1.0, "field mass (> 0)"),
         "theta_max": (float, 6.0, "rapidity half-width of the grid (>= 4)"),
         "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
-        "window": (float, 5.8, "embedding window position (> 0, < theta_max)"),
+        "window": (float, 5.8, "embedding window position (> 0, < theta_max); "
+                   "accepted below 5.8, but with the other defaults every "
+                   "window tried there fails a check (5.7: modloc.doublecone; "
+                   "5.5: freefield.bw_right_wedge 5.2e-3, modloc.duality 0.98)"),
         "window_width": (float, 1.2, "embedding window taper width (> 0)"),
         "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps (> 0)"),
         "locality_tolerance": (float, 1e-6, "spacelike pairing bound"),

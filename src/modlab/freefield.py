@@ -99,7 +99,10 @@ class RapidityGrid:
 
     @property
     def theta(self) -> np.ndarray:
-        return -self.theta_max + self.spacing * np.arange(self.n_points)
+        """Samples k h for k = -N/2 ... N/2 - 1: exactly antisymmetric,
+        theta[N - j] == -theta[j], which embed's mirror relies on."""
+        n = self.n_points
+        return self.spacing * (np.arange(n) - n // 2)
 
     @property
     def omega(self) -> np.ndarray:
@@ -446,7 +449,8 @@ _EMBEDDINGS = _LRUCache(16 * 2 ** 20)           # read-only embed results
 def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
                 count: int) -> np.ndarray:
     """Rows exp(i (k h) p0) (axis 0) or exp(-i (k h) p1) (axis 1) for the
-    lattice integers k0 <= k < k0 + count.
+    lattice integers k0 <= k < k0 + count, over the rapidity columns
+    0 ... N/2 only; embed mirrors the other columns.
 
     The rows depend on the model only through its momenta, so chunks of
     PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk).  A
@@ -456,6 +460,7 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     zero of the complex products: 1j * t has imaginary part t + 0.0 and
     -1j * t has -t.
     """
+    half = model.grid.n_points // 2 + 1
     first, last = k0 // PHASE_CHUNK, (k0 + count - 1) // PHASE_CHUNK
     parts = []
     for c in range(first, last + 1):
@@ -463,7 +468,7 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
         rows = _PHASE_ROWS.get(key)
         if rows is None:
             x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
-            arg = np.outer(x, model.momenta()[axis])
+            arg = np.outer(x, model.momenta()[axis][:half])
             arg = arg + 0.0 if axis == 0 else -arg
             rows = np.empty(arg.shape, dtype=complex)
             rows.real = np.cos(arg)
@@ -483,6 +488,13 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     the separable structure of exp(i p.x), then windowed where the
     lattice no longer resolves the phase.
 
+    Only the rapidity columns 0 ... N/2 are computed.  The grid is
+    antisymmetric, p0 = m cosh(theta) is bitwise even and p1 = m sinh(theta)
+    bitwise odd, cos is even and sin odd, and f is real; so with
+    E0 = exp(i x0 p0), B = f @ exp(-i x1 p1) on those columns,
+    v(theta[N - j]) = sum_x E0[x, j] conj(B[x, j]), bit for bit the
+    full-width quadrature.
+
     Results are memoized on (model, step, lattice origin, shape and
     digest of the sampled values); the returned values are read-only.
     """
@@ -491,9 +503,14 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
            hashlib.blake2b(values.tobytes(), digest_size=16).digest())
     v = _EMBEDDINGS.get(key)
     if v is None:
+        n = model.grid.n_points
         E0 = _phase_rows(model, f.step, 0, f.origin[0], len(f.x0))
-        E1 = _phase_rows(model, f.step, 1, f.origin[1], len(f.x1))
-        v = np.einsum("xt,xt->t", E0, values @ E1)
+        B = values @ _phase_rows(model, f.step, 1, f.origin[1], len(f.x1))
+        mirror = slice(n // 2 - 1, 0, -1)          # columns N/2 - 1 ... 1
+        v = np.empty(n, dtype=complex)
+        v[:n // 2 + 1] = np.einsum("xt,xt->t", E0, B)
+        v[n // 2 + 1:] = np.einsum("xt,xt->t", E0[:, mirror],
+                                   np.conj(B[:, mirror]))
         v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
         v *= _window(model, model.grid.theta)
         v.flags.writeable = False

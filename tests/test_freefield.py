@@ -37,6 +37,23 @@ def test_grid_validation():
         FreeFieldModel(mass=0.0)
 
 
+@pytest.mark.parametrize("theta_max, n", [(5.3, 4096), (7.1, 2048), (6.0, 4096)])
+def test_grid_is_antisymmetric_bit_for_bit(theta_max, n):
+    model = FreeFieldModel(1.0, RapidityGrid(theta_max, n), 4.0, 1.2)
+    theta, (p0, p1) = model.grid.theta, model.momenta()
+    j = np.arange(1, n)
+    assert np.array_equal(theta[n - j], -theta[j])
+    assert np.array_equal(p0[n - j], p0[j])
+    assert np.array_equal(p1[n - j], -p1[j])
+
+
+@pytest.mark.parametrize("theta_max", [5.0, 6.0])
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_grid_keeps_its_samples_where_the_spacing_is_exact(theta_max, n):
+    grid = RapidityGrid(theta_max, n)
+    assert np.array_equal(grid.theta, -theta_max + grid.spacing * np.arange(n))
+
+
 def test_region_geometry():
     W = Region2.right_wedge((0.0, 0.0))
     assert W.contains(0.0, 3.0)
@@ -133,20 +150,42 @@ def uncached_embedding(f, model):
     return v * _window(model, model.grid.theta)
 
 
+def assert_embed_is_exact(model, center, g):
+    freefield._EMBEDDINGS.clear()
+    freefield._PHASE_ROWS.clear()
+    f = TestFunction2.bump(center, 0.5).transform(g)
+    expected = uncached_embedding(f, model)
+    assert np.array_equal(embed(f, model).values, expected)   # cold
+    assert np.array_equal(embed(f, model).values, expected)   # memo
+    # only the rapidity columns 0 ... N/2 are tabulated
+    half = (freefield.PHASE_CHUNK, model.grid.n_points // 2 + 1)
+    chunks = list(freefield._PHASE_ROWS._data.values())
+    assert chunks and all(rows.shape == half for rows in chunks)
+
+
 # both lattice origins positive for the first center, negative for the second
-@pytest.mark.parametrize("center", [(1.0, 3.0), (-1.2, -2.6)])
-@pytest.mark.parametrize("g", [
+exact_centers = pytest.mark.parametrize("center", [(1.0, 3.0), (-1.2, -2.6)])
+exact_transforms = pytest.mark.parametrize("g", [
     PoincareElement.translation(0.3, -0.45),
     PoincareElement.boost(0.2),
     PoincareElement.reflection(),
 ], ids=["translated", "boosted", "reflected"])
+
+
+@exact_centers
+@exact_transforms
 def test_embed_equals_uncached_formula_exactly(light_model, center, g):
-    freefield._EMBEDDINGS.clear()
-    freefield._PHASE_ROWS.clear()
-    f = TestFunction2.bump(center, 0.5).transform(g)
-    expected = uncached_embedding(f, light_model)
-    assert np.array_equal(embed(f, light_model).values, expected)   # cold
-    assert np.array_equal(embed(f, light_model).values, expected)   # memo
+    assert_embed_is_exact(light_model, center, g)
+
+
+@exact_centers
+@exact_transforms
+@pytest.mark.parametrize("big_model", [
+    FreeFieldModel(),
+    FreeFieldModel(1.0, RapidityGrid(5.3, 4096), 5.0, 1.2),
+], ids=["default", "theta_max_5.3"])
+def test_embed_equals_uncached_formula_exactly_at_4096_points(big_model, center, g):
+    assert_embed_is_exact(big_model, center, g)
 
 
 def test_embed_memo_tells_lattice_origins_apart(light_model):
