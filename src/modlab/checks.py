@@ -30,6 +30,12 @@ __all__ = ["CHECKS", "run_checks", "run_refinement", "list_checks",
            "REFINEMENT_SENSITIVE"]
 
 
+# bounds a test shares; every other bound is a literal at its record
+GAMMA_TOLERANCE = 1e-10
+WEYL_TOLERANCE = 1e-6
+MODULAR_TOLERANCE = 1e-7
+
+
 def record(name, claim, value, threshold, direction="below"):
     ok = value < threshold if direction == "below" else value > threshold
     return {"name": name, "claim": claim, "value": float(value),
@@ -107,20 +113,20 @@ def check_fiberization(config, rng):
             float(np.linalg.norm(jmat - md.j.matrix, 2)),
             float(np.linalg.norm(dmat - md.delta.matrix, 2)
                   / max(1.0, math.sqrt(md.condition_number))))
+    tol = 1e-9
     return [
         record("subspace.fiber_angles",
                "fiber angles equal the principal angles between K and iK",
-               worst_angle, p["fiber_tolerance"]),
+               worst_angle, tol),
         record("subspace.fiber_reassembly",
                "(j, delta) reassemble from the angle blocks and fixed part",
-               worst_reassembly, p["fiber_tolerance"]),
+               worst_reassembly, tol),
     ]
 
 
 # -- fock suite ------------------------------------------------------------
 
 def check_symmetrization(config, rng):
-    p = config.fock
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 5))
@@ -133,11 +139,10 @@ def check_symmetrization(config, rng):
         worst = max(worst, np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)))
     return [record("fock.symmetrization",
                    "permutation-average symmetrization equals the "
-                   "tensor-power expansion", worst, p["sym_tolerance"])]
+                   "tensor-power expansion", worst, 1e-12)]
 
 
 def check_coherent_calculus(config, rng):
-    p = config.fock
     worst_inner, worst_gamma = 0.0, 0.0
     for d in (1, 2, 3):
         fs = fk.FockSpace(d, 10)
@@ -157,10 +162,10 @@ def check_coherent_calculus(config, rng):
     return [
         record("fock.coherent_inner",
                "<e^h, e^k> equals the truncated exponential series",
-               worst_inner, p["coherent_tolerance"]),
+               worst_inner, 1e-12),
         record("fock.gamma_on_coherent",
                "second quantization acts on coherent vectors by gamma(a) "
-               "e^h = e^(ah)", worst_gamma, p["gamma_tolerance"]),
+               "e^h = e^(ah)", worst_gamma, GAMMA_TOLERANCE),
     ]
 
 
@@ -191,10 +196,9 @@ def check_weyl(config, rng):
     return [
         record("fock.weyl_agreement",
                "closed-form Weyl action matches the matrix exponential on "
-               "coherent vectors", devs[-1], p["weyl_tolerance"]),
+               "coherent vectors", devs[-1], WEYL_TOLERANCE),
         record("fock.ccr_phase",
-               "W(h) W(k) = exp(-i Im<h,k>/2) W(h+k)", ccr,
-               p["weyl_tolerance"]),
+               "W(h) W(k) = exp(-i Im<h,k>/2) W(h+k)", ccr, WEYL_TOLERANCE),
         record("fock.weyl_truncation_monotone",
                "Weyl truncation defects decrease with the cutoff",
                1.0 if monotone else 0.0, 0.5, direction="above"),
@@ -214,7 +218,7 @@ def check_second_quantized(config, rng):
         "ccr_phase_across_complement":
             "the Weyl commutation phase is trivial across K and K'",
     }
-    return [record(f"fock.{k}", claims[k], v, p["modular_tolerance"])
+    return [record(f"fock.{k}", claims[k], v, MODULAR_TOLERANCE)
             for k, v in rep.items()]
 
 
@@ -228,9 +232,8 @@ def _model(config) -> ff.FreeFieldModel:
 
 
 def check_locality(config, rng):
-    p = config.freefield
     model = _model(config)
-    step = p["lattice_step"]
+    step = config.freefield["lattice_step"]
     pairs = [((0.0, -2.0), 0.5, (0.0, 2.0), 0.5),
              ((0.3, -1.7), 0.4, (-0.2, 2.1), 0.45)]
     worst = 0.0
@@ -244,17 +247,17 @@ def check_locality(config, rng):
     return [
         record("freefield.locality_spacelike",
                "Im<Ef, Eg> vanishes for spacelike-separated supports",
-               worst, p["locality_tolerance"]),
+               worst, 1e-6),
         record("freefield.locality_timelike",
                "Im<Ef, Eg> stays away from zero for a timelike pair",
-               timelike, p["timelike_floor"], direction="above"),
+               timelike, 1e-3, direction="above"),
     ]
 
 
 def check_covariance(config, rng):
-    p = config.freefield
     model = _model(config)
-    f = ff.TestFunction2.bump((0.0, 2.5), 0.5, p["lattice_step"])
+    f = ff.TestFunction2.bump((0.0, 2.5), 0.5,
+                              config.freefield["lattice_step"])
     t_res = max(
         ff.covariance_residual(f, ff.PoincareElement.translation(0.3, 0.0),
                                model),
@@ -263,18 +266,15 @@ def check_covariance(config, rng):
     b_res = ff.covariance_residual(f, ff.PoincareElement.boost(0.2), model)
     return [
         record("freefield.covariance_translation",
-               "E(f o g^-1) = u(g) E f for translations", t_res,
-               p["translation_tolerance"]),
+               "E(f o g^-1) = u(g) E f for translations", t_res, 1e-6),
         record("freefield.covariance_boost",
-               "E(f o g^-1) = u(g) E f for boosts", b_res,
-               p["boost_tolerance"]),
+               "E(f o g^-1) = u(g) E f for boosts", b_res, 1e-4),
     ]
 
 
 def check_bisognano_wichmann(config, rng):
-    p = config.freefield
     model = _model(config)
-    step = p["lattice_step"]
+    step = config.freefield["lattice_step"]
     f = ff.TestFunction2.bump((0.0, 3.0), 0.5, step,
                               region=ff.Region2.right_wedge())
     res = ff.bw_residual(f, model)
@@ -286,37 +286,37 @@ def check_bisognano_wichmann(config, rng):
     growth = blow[-1] / blow[0]
     Ef = ff.embed(f, model)
     control = ff.modular_blowup_profile(Ef)
+    blowup = 1e3
     return [
         record("freefield.bw_right_wedge",
                "right-wedge embeddings are fixed by conjugation after the "
-               "half boost", res, p["bw_tolerance"]),
+               "half boost", res, 1e-3),
         record("freefield.bw_left_wedge_certificate",
                "left-wedge embeddings fail the wedge domain certificate",
                cert, 1e-3, direction="above"),
         record("freefield.bw_left_wedge_blowup",
                "the capped half-boost image of a wrong-wedge vector blows "
-               "up along the cap ladder", growth, p["blowup_factor"],
+               "up along the cap ladder", growth, blowup,
                direction="above"),
         record("freefield.bw_right_wedge_stable",
                "the capped half-boost image of a right-wedge vector stays "
                "bounded along the cap ladder", control[-1] / control[0],
-               p["blowup_factor"]),
+               blowup),
     ]
 
 
 def check_borchers(config, rng):
-    p = config.freefield
     model = _model(config)
     probes = [ff.gaussian_packet(model, width=0.65, momentum=0.3),
               ff.gaussian_packet(model, center=0.3, width=0.7, momentum=-0.2)]
     rep = ff.borchers_check(0.5, (0.1, 0.25), probes, model)
+    tol = 1e-6
     return [
         record("freefield.borchers_flow",
                "Delta^it U(a) Delta^-it = U(exp(-2 pi t) a) on the positive "
-               "lightray", rep["flow_commutation"], p["borchers_tolerance"]),
+               "lightray", rep["flow_commutation"], tol),
         record("freefield.borchers_reflection",
-               "J U(a) J = U(-a)", rep["reflection_commutation"],
-               p["borchers_tolerance"]),
+               "J U(a) J = U(-a)", rep["reflection_commutation"], tol),
     ]
 
 
@@ -335,7 +335,7 @@ def _right_dict(config, shift=(0.0, 0.0)):
 def _build_net(config):
     model = _model(config)
     rep = ml.PoincareRep2([model])
-    net = ml.LocalizedNet(rep, tol=config.modloc["extraction_tol"])
+    net = ml.LocalizedNet(rep)
     gamma_el = ff.PoincareElement.reflection()
     shifts = [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0)]
     dicts = {s: _right_dict(config, s) for s in shifts}
@@ -361,7 +361,6 @@ def _build_net(config):
 
 
 def check_net(config, rng):
-    p = config.modloc
     net = _build_net(config)
     rep_checks = ml.net_checks(
         net, covariance_elements=[ff.PoincareElement.translation(0.0, 0.5),
@@ -374,12 +373,11 @@ def check_net(config, rng):
                    "within the joint span",
         "covariance": "u(g) K(W) = K(gW) over matched dictionaries",
     }
-    return [record(f"modloc.{cat}", claims[cat], v, p["net_tolerance"])
+    return [record(f"modloc.{cat}", claims[cat], v, 1e-3)
             for cat, v in worst.items()]
 
 
 def check_doublecone(config, rng):
-    p = config.modloc
     model = _model(config)
     rep = ml.PoincareRep2([model])
     step = config.freefield["lattice_step"]
@@ -387,7 +385,7 @@ def check_doublecone(config, rng):
     cone_fns = [ff.TestFunction2.bump((0.0, 0.0), 0.5, step),
                 ff.TestFunction2.bump((0.15, 0.2), 0.4, step),
                 ff.TestFunction2.bump((-0.1, -0.15), 0.4, step)]
-    net = ml.LocalizedNet(rep, tol=p["extraction_tol"])
+    net = ml.LocalizedNet(rep)
     WR = ff.Region2.right_wedge(O.right_apex)
     WL = ff.Region2.left_wedge(O.left_apex)
     net.populate_wedge(WR, [(f, 0) for f in cone_fns
@@ -399,14 +397,13 @@ def check_doublecone(config, rng):
     worst = max(report["probe_residuals"]) if report["probe_residuals"] else 1.0
     return [record("modloc.doublecone",
                    "cone-supported embeddings lie in the intersection of "
-                   "the generating wedge models", worst, p["cone_tolerance"])]
+                   "the generating wedge models", worst, 1e-2)]
 
 
 def check_direct_sum(config, rng):
-    p = config.modloc
     model = _model(config)
-    model2 = ff.FreeFieldModel(p["second_mass"], model.grid, model.window,
-                               model.window_width)
+    model2 = ff.FreeFieldModel(config.modloc["second_mass"], model.grid,
+                               model.window, model.window_width)
     rep2 = ml.PoincareRep2([model, model2])
     step = config.freefield["lattice_step"]
     W = ff.Region2.right_wedge()
@@ -414,14 +411,13 @@ def check_direct_sum(config, rng):
     g = ff.TestFunction2.bump((0.4, 3.4), 0.55, step)
     p1 = ml.embed_probe(rep2, f, summand=0)
     p2 = ml.embed_probe(rep2, g, summand=1)
-    K_joint, _ = ml.localized_subspace(rep2, W, [p1, p2],
-                                       tol=p["extraction_tol"])
-    K1, _ = ml.localized_subspace(rep2, W, [p1], tol=p["extraction_tol"])
-    K2, _ = ml.localized_subspace(rep2, W, [p2], tol=p["extraction_tol"])
+    K_joint, _ = ml.localized_subspace(rep2, W, [p1, p2])
+    K1, _ = ml.localized_subspace(rep2, W, [p1])
+    K2, _ = ml.localized_subspace(rep2, W, [p2])
     dist = subspace_distance(K_joint, subspace_sum(K1, K2))
     return [record("modloc.direct_sum",
                    "the wedge model of a direct sum is the direct sum of "
-                   "the block models", dist, p["block_tolerance"])]
+                   "the block models", dist, 1e-10)]
 
 
 CHECKS = {

@@ -1,8 +1,9 @@
 """Experiment configuration: a JSON file with nested sections.
 
-Unknown keys are errors, every tolerance must be positive, and a config
-round-trips losslessly, so a report's config echo fully reproduces the
-run.
+Unknown keys are errors, and a config round-trips losslessly, so a
+report's config echo fully reproduces the run.  The acceptance bounds
+are constants in checks.py; subspace.tolerance is the one bound a config
+sets, so that a run can force a failing record.
 """
 
 from __future__ import annotations
@@ -33,19 +34,15 @@ SCHEMA = {
         "n_samples": (int, 200, "number of seeded random standard subspaces (>= 1)"),
         "flow_times": (list, [0.3, 1.7],
                        "modular flow times checked (non-empty, finite numbers)"),
-        "tolerance": (float, 1e-9, "residual bound for the suite"),
-        "fiber_tolerance": (float, 1e-9, "angle / reassembly bound"),
+        "tolerance": (float, 1e-9, "residual bound of the standard-subspace "
+                      "records (> 0); the one settable bound, so a run can "
+                      "force a failing record"),
     },
     "fock": {
         "cutoff": (int, 10, "Fock truncation for the modular checks (>= 1)"),
         "fiber_theta": (float, 1.0471975511965976,
                         "angle of the fiber model (0 < theta < pi/2)"),
-        "sym_tolerance": (float, 1e-12, "symmetrization equivalence bound"),
-        "coherent_tolerance": (float, 1e-12, "coherent inner-product bound"),
-        "gamma_tolerance": (float, 1e-10, "second-quantization action bound"),
-        "weyl_tolerance": (float, 1e-6, "Weyl closed form vs matrix bound"),
         "weyl_cutoffs": (list, [8, 12, 16], "cutoff ladder for Weyl checks"),
-        "modular_tolerance": (float, 1e-7, "second-quantized modular bound"),
     },
     "freefield": {
         "mass": (float, 1.0, "field mass (> 0)"),
@@ -57,19 +54,8 @@ SCHEMA = {
                    "5.5: freefield.bw_right_wedge 5.2e-3, modloc.duality 0.98)"),
         "window_width": (float, 1.2, "embedding window taper width (> 0)"),
         "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps (> 0)"),
-        "locality_tolerance": (float, 1e-6, "spacelike pairing bound"),
-        "timelike_floor": (float, 1e-3, "required timelike pairing magnitude"),
-        "translation_tolerance": (float, 1e-6, "translation covariance bound"),
-        "boost_tolerance": (float, 1e-4, "boost covariance bound"),
-        "bw_tolerance": (float, 1e-3, "wedge fixed-point residual bound"),
-        "blowup_factor": (float, 1e3, "required wrong-wedge cap blow-up"),
-        "borchers_tolerance": (float, 1e-6, "translation commutation bound"),
     },
     "modloc": {
-        "extraction_tol": (float, 0.05, "singular-value threshold for K_W"),
-        "net_tolerance": (float, 1e-3, "isotony/duality/covariance bound"),
-        "cone_tolerance": (float, 1e-2, "double-cone containment bound"),
-        "block_tolerance": (float, 1e-10, "direct-sum block property bound"),
         "second_mass": (float, 1.4, "mass of the second summand (> 0)"),
         "dictionary": (list,
                        [[0.0, 3.0, 0.5], [0.4, 3.6, 0.55],
@@ -101,10 +87,8 @@ def _check_section(section, data, out):
             raise ConfigError(f"unknown key: {path}")
         typ = schema[key][0]
         value = _check_type(path, value, typ)
-        if typ is float and ("tolerance" in key or key in
-                             ("timelike_floor", "blowup_factor",
-                              "extraction_tol", "mass", "second_mass", "window",
-                              "window_width", "lattice_step")) and value <= 0:
+        if key in ("tolerance", "mass", "second_mass", "window",
+                   "window_width", "lattice_step") and value <= 0:
             raise ConfigError(f"{path}: must be positive")
         if key == "n_points" and (value < 8 or value & (value - 1)):
             raise ConfigError(f"{path}: must be a power of two >= 8")
@@ -126,12 +110,11 @@ def _check_section(section, data, out):
             if not value:
                 raise ConfigError(f"{path}: dictionary must not be empty")
             for i, entry in enumerate(value):
-                if (not isinstance(entry, (list, tuple)) or len(entry) != 3
-                        or not all(isinstance(x, (int, float))
-                                   for x in entry)):
+                if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                     raise ConfigError(
                         f"{path}[{i}]: expected [x0, x1, radius]")
-                x0, x1, r = entry
+                x0, x1, r = (_check_type(f"{path}[{i}]", x, float)
+                             for x in entry)
                 if r <= 0:
                     raise ConfigError(f"{path}[{i}]: radius must be positive")
                 # the edges x1 = |x0| of W_R lie (x1 - |x0|) / sqrt(2) away

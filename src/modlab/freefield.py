@@ -606,12 +606,18 @@ def local_subspace(region: Region2, dictionary,
 
 # -- wedge modular structure ----------------------------------------------
 
+def _log_multiplier(grid: RapidityGrid):
+    """Log of the multiplier of delta^(1/2), pi omega for the origin
+    right wedge; its sign is RIGHT_WEDGE_DIRECTION's."""
+    return -RIGHT_WEDGE_DIRECTION * np.pi * grid.omega
+
+
 def _capped(values, grid: RapidityGrid, cap: float):
-    """Spectrum of values, the log multiplier pi omega of delta^(1/2),
-    the mask of frequencies it would amplify beyond cap, and the relative
-    input mass there (the tail), one per vector."""
+    """Spectrum of values, the log multiplier of delta^(1/2), the mask of
+    frequencies it would amplify beyond cap, and the relative input mass
+    there (the tail), one per vector."""
     ph = np.fft.fft(values)
-    logmult = -RIGHT_WEDGE_DIRECTION * np.pi * grid.omega
+    logmult = _log_multiplier(grid)
     kill = logmult > math.log(cap)
     return ph, logmult, kill, _mass_fraction(ph, kill)
 
@@ -669,11 +675,12 @@ def wedge_tomita_apply(phi: OneParticleVector):
 
 def _band_defect(c, grid: RapidityGrid, mask):
     """Spectrum of s_W v - v for the origin right wedge, c that of v:
-    exp(-pi w) conj(c(-w)) - c(w) where mask > 0, and -c elsewhere."""
+    m(-w) conj(c(-w)) - c(w) where mask > 0, and -c elsewhere, with m the
+    multiplier of delta^(1/2)."""
     flip = -np.arange(grid.n_points) % grid.n_points      # index of -w
     live = mask > 0.0
     s_hat = np.zeros_like(c)
-    s_hat[..., live] = (np.exp(-np.pi * grid.omega[live])
+    s_hat[..., live] = (np.exp(_log_multiplier(grid)[flip[live]])
                         * np.conj(c[..., flip[live]]))
     return s_hat - c
 
@@ -699,7 +706,8 @@ def bw_residual_of_vector(phi: OneParticleVector) -> float:
     Projection, half-boost and conjugation are fused into a single
     spectral pass, so no re-transform roundoff enters the amplified
     band: with c the spectrum of phi_B, the comparison is
-    exp(-pi w) conj(c(-w)) against c(w) over the kept band.
+    m(-w) conj(c(-w)) against c(w) over the kept band, m the multiplier
+    of delta^(1/2).
     """
     cert = domain_certificate(phi)
     if cert > DOMAIN_CERT_THRESHOLD:

@@ -219,10 +219,6 @@ class RealSubspace:
         """The subspace iK."""
         return RealSubspace(self.space, times_i(self.basis), check=False)
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projection onto the realified subspace."""
-        return self.basis @ self.basis.T
-
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ v)
 

@@ -10,7 +10,7 @@ from modlab.checks import (
     check_borchers, check_coherent_calculus, check_covariance,
     check_direct_sum, check_doublecone, check_fiberization, check_locality,
     check_net, check_second_quantized, check_standard_suite,
-    check_symmetrization, check_weyl,
+    check_symmetrization, check_weyl, run_checks,
 )
 from modlab.config import ExperimentConfig
 from modlab.freefield import (
@@ -231,3 +231,47 @@ def test_criterion_12_determinism(tmp_path):
     ok = reports[0] == reports[1]
     report_line(12, "identical (config, seed) gives identical reports "
                     "modulo timings", ok)
+
+
+# (threshold, direction) of every record of kind "all"; the bounds are
+# constants, so none may drift without this table changing
+FROZEN_BOUNDS = {
+    "subspace.involution": (1e-9, "below"),
+    "subspace.adjoint": (1e-9, "below"),
+    "subspace.conjugation": (1e-9, "below"),
+    "subspace.flow": (1e-9, "below"),
+    "subspace.fixed": (1e-9, "below"),
+    "subspace.fiber_angles": (1e-9, "below"),
+    "subspace.fiber_reassembly": (1e-9, "below"),
+    "fock.symmetrization": (1e-12, "below"),
+    "fock.coherent_inner": (1e-12, "below"),
+    "fock.gamma_on_coherent": (1e-10, "below"),
+    "fock.weyl_agreement": (1e-6, "below"),
+    "fock.ccr_phase": (1e-6, "below"),
+    "fock.weyl_truncation_monotone": (0.5, "above"),
+    "fock.conjugation_on_coherent": (1e-7, "below"),
+    "fock.weyl_conjugation": (1e-7, "below"),
+    "fock.weyl_flow_covariance": (1e-7, "below"),
+    "fock.ccr_phase_across_complement": (1e-7, "below"),
+    "freefield.locality_spacelike": (1e-6, "below"),
+    "freefield.locality_timelike": (1e-3, "above"),
+    "freefield.covariance_translation": (1e-6, "below"),
+    "freefield.covariance_boost": (1e-4, "below"),
+    "freefield.bw_right_wedge": (1e-3, "below"),
+    "freefield.bw_left_wedge_certificate": (1e-3, "above"),
+    "freefield.bw_left_wedge_blowup": (1e3, "above"),
+    "freefield.bw_right_wedge_stable": (1e3, "below"),
+    "freefield.borchers_flow": (1e-6, "below"),
+    "freefield.borchers_reflection": (1e-6, "below"),
+    "modloc.isotony": (1e-3, "below"),
+    "modloc.duality": (1e-3, "below"),
+    "modloc.covariance": (1e-3, "below"),
+    "modloc.doublecone": (1e-2, "below"),
+    "modloc.direct_sum": (1e-10, "below"),
+}
+
+
+def test_every_record_keeps_its_frozen_bound():
+    records, _ = run_checks(default_config())
+    assert {r["name"]: (r["threshold"], r["direction"])
+            for r in records} == FROZEN_BOUNDS

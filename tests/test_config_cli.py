@@ -3,7 +3,7 @@ import json
 import pytest
 
 from modlab.cli import main
-from modlab.config import ConfigError, ExperimentConfig, schema_text
+from modlab.config import SCHEMA, ConfigError, ExperimentConfig, schema_text
 
 
 def test_defaults_round_trip():
@@ -17,9 +17,38 @@ def test_unknown_top_level_key():
         ExperimentConfig.from_dict({"bogus": 1})
 
 
-def test_unknown_section_key_names_path():
-    with pytest.raises(ConfigError, match="subspace.bogus"):
-        ExperimentConfig.from_dict({"subspace": {"bogus": 1}})
+# acceptance bounds are constants in checks.py, not config fields
+REMOVED_BOUNDS = [
+    ("subspace", "fiber_tolerance"),
+    *(("fock", f"{name}_tolerance")
+      for name in ("sym", "coherent", "gamma", "weyl", "modular")),
+    *(("freefield", key) for key in (
+        "locality_tolerance", "timelike_floor", "translation_tolerance",
+        "boost_tolerance", "bw_tolerance", "blowup_factor",
+        "borchers_tolerance")),
+    *(("modloc", key) for key in (
+        "extraction_tol", "net_tolerance", "cone_tolerance",
+        "block_tolerance")),
+]
+
+
+@pytest.mark.parametrize("section, key", [("subspace", "bogus"),
+                                          *REMOVED_BOUNDS],
+                         ids=lambda v: v)
+def test_unknown_section_key_names_path(tmp_path, capsys, section, key):
+    message = f"unknown key: {section}.{key}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ExperimentConfig.from_dict({section: {key: 1e9}})
+    cfg = write_config(tmp_path, {"kind": "fock",
+                                  "out_dir": str(tmp_path / "out"),
+                                  section: {key: 1e9}})
+    assert main(["run", "--config", cfg]) == 2
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schema_holds_only_settable_fields():
+    assert sum(len(keys) for keys in SCHEMA.values()) == 18
 
 
 def test_type_error_names_field():
@@ -118,13 +147,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"seed": -1}, "seed"),
     ({"modloc": {"dictionary": [[0.0, 3.0, 2.5]]}}, "modloc.dictionary[0]"),
     ({"freefield": {"window": 0.0}}, "freefield.window"),
+    ({"modloc": {"dictionary": [[0.0, float("inf"), 0.5]]}},
+     "modloc.dictionary[0]"),
+    ({"modloc": {"dictionary": [[0.0, 3.0, 0.5], [True, 3.0, 0.5]]}},
+     "modloc.dictionary[1]"),
 ], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
         "n_points_not_power_of_two", "window_outside_grid",
         "theta_max_below_4", "zero_mass", "negative_second_mass",
         "max_dim_below_2", "zero_window_width", "zero_cutoff",
         "fiber_theta_above_half_pi", "non_numeric_flow_time",
         "empty_flow_times", "negative_lattice_step", "zero_n_samples",
-        "negative_seed", "dictionary_bump_outside_wedge", "zero_window"])
+        "negative_seed", "dictionary_bump_outside_wedge", "zero_window",
+        "infinite_dictionary_entry", "bool_dictionary_entry"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})

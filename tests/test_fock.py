@@ -15,13 +15,14 @@ from modlab.fock import (
     weyl_matrix, weyl_on_coherent, weyl_unitarity_defect,
     second_quantized_modular_check,
 )
+from modlab.checks import GAMMA_TOLERANCE, MODULAR_TOLERANCE, WEYL_TOLERANCE
 from modlab.config import ExperimentConfig
 from modlab.hilbert import (
     ComplexVectorSpace, Operator, RealSubspace, symplectic_complement,
 )
 from modlab.standard import fiber_standard_subspace, tomita_operator
 
-FOCK = ExperimentConfig().fock        # the thresholds the fock records use
+FOCK = ExperimentConfig().fock        # the inputs the fock records use
 
 
 def rand_vec(rng, d):
@@ -512,7 +513,7 @@ def _phase_residual(K1, K2, rng):
 
 
 def test_gamma_on_coherent_fails_for_the_transpose():
-    tol = FOCK["gamma_tolerance"]
+    tol = GAMMA_TOLERANCE
     rng = np.random.default_rng(80)
     for d in (2, 3):
         fs = FockSpace(d, 10)
@@ -525,7 +526,7 @@ def test_gamma_on_coherent_fails_for_the_transpose():
 
 
 def test_ccr_phase_fails_with_the_sign_flipped():
-    tol = FOCK["weyl_tolerance"]
+    tol = WEYL_TOLERANCE
     fs = FockSpace(1, 16)
     h = np.array([1.0], dtype=complex)
     k = np.array([1j], dtype=complex)
@@ -537,7 +538,7 @@ def test_ccr_phase_fails_with_the_sign_flipped():
 
 
 def test_second_quantized_claims_fail_on_wrong_samples():
-    tol = FOCK["modular_tolerance"]
+    tol = MODULAR_TOLERANCE
     K = fiber_standard_subspace(ComplexVectorSpace(2), [FOCK["fiber_theta"]])
     fs = FockSpace(2, FOCK["cutoff"])
     rng = np.random.default_rng(81)

@@ -487,6 +487,17 @@ def test_left_wedge_bump_violates_domain(model):
     assert exc.value.tail_mass > 1e-3
 
 
+def test_flipped_wedge_direction_swaps_the_wedges(model, monkeypatch):
+    # with the multiplier exp(-pi omega) the left wedge is the fixed one:
+    # the certificate and the defect must both follow the one constant
+    monkeypatch.setattr(freefield, "RIGHT_WEDGE_DIRECTION", 1)
+    f = TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
+    with pytest.raises(DomainViolationError):
+        bw_residual(f, model)
+    g = TestFunction2.bump((0.0, -3.0), 0.5, region=Region2.left_wedge())
+    assert bw_residual(g, model) < 1e-3
+
+
 def test_left_wedge_blowup(model):
     Eg = embed(TestFunction2.bump((0.0, -3.0), 0.5), model)
     profile = modular_blowup_profile(Eg)
