@@ -5,7 +5,8 @@ conjugation is conjugation of the rapidity profile: right-wedge
 embeddings are fixed points of (conjugation) after (half boost).  The
 half boost is the multiplier exp(pi omega), applied with a capped
 amplification; vectors localized in the wrong wedge fail its domain
-certificate and blow up as the cap is raised.
+certificate and blow up as the cap is raised.  Vectors are complex
+arrays on the rapidity grid, which the spectral maps take explicitly.
 """
 
 from modlab.freefield import (FreeFieldModel, Region2, TestFunction2,
@@ -28,13 +29,14 @@ print()
 
 print("== the wrong wedge fails the domain certificate ==")
 g = TestFunction2.bump((0.0, -3.0), 0.5, region=Region2.left_wedge())
-Eg = embed(g, model)
+grid = model.grid
+Eg = embed(g, model).values
 f = TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
-Ef = embed(f, model)
-gauss = gaussian_packet(model, width=1.2)
-print(f"   certificate right-wedge bump: {domain_certificate(Ef):.2e}")
-print(f"   certificate gaussian packet:  {domain_certificate(gauss):.2e}")
-print(f"   certificate left-wedge bump:  {domain_certificate(Eg):.2e}")
+Ef = embed(f, model).values
+gauss = gaussian_packet(grid, width=1.2)
+print(f"   certificate right-wedge bump: {domain_certificate(Ef, grid):.2e}")
+print(f"   certificate gaussian packet:  {domain_certificate(gauss, grid):.2e}")
+print(f"   certificate left-wedge bump:  {domain_certificate(Eg, grid):.2e}")
 try:
     bw_residual(g, model)
 except DomainViolationError as exc:
@@ -45,14 +47,14 @@ print("== blow-up along the amplification-cap ladder ==")
 caps = (1e4, 1e8, 1e12)
 for label, phi in [("right-wedge bump", Ef), ("gaussian", gauss),
                    ("left-wedge bump", Eg)]:
-    prof = modular_blowup_profile(phi, caps)
+    prof = modular_blowup_profile(phi, grid, caps)
     print(f"   {label:18s}: norms {prof[0]:.3e} -> {prof[1]:.3e} -> "
           f"{prof[2]:.3e}  (x{prof[2]/prof[0]:.1e})")
 print("bounded for domain vectors, unbounded growth outside the domain\n")
 
 print("== translation commutation relations ==")
-probes = [gaussian_packet(model, width=0.65, momentum=0.3),
-          gaussian_packet(model, center=0.3, width=0.7, momentum=-0.2)]
+probes = [gaussian_packet(grid, width=0.65, momentum=0.3),
+          gaussian_packet(grid, center=0.3, width=0.7, momentum=-0.2)]
 rep = borchers_check(0.5, (0.1, 0.25), probes, model)
 print(f"   Delta^it U(a) Delta^-it = U(e^(-2 pi t) a): "
       f"deviation {rep['flow_commutation']:.2e}")

@@ -37,44 +37,50 @@ MODULAR_TOLERANCE = 1e-7
 
 
 def record(name, claim, value, threshold, direction="below"):
+    """A NaN value fails in either direction."""
     ok = value < threshold if direction == "below" else value > threshold
     return {"name": name, "claim": claim, "value": float(value),
             "threshold": float(threshold), "direction": direction,
             "passed": bool(ok)}
 
 
+def worst(values) -> float:
+    """The largest of values, 0.0 for none, and NaN if any is NaN (the
+    builtin max drops a NaN that does not come first)."""
+    return float(np.max(values, initial=0.0))
+
+
 # -- subspace suite --------------------------------------------------------
 
 def check_standard_suite(config, rng):
     p = config.subspace
-    worst = dict(involution=0.0, adjoint=0.0, conjugation=0.0, flow=0.0,
-                 fixed=0.0)
+    found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow",
+                             "fixed")}
     for _ in range(p["n_samples"]):
         d = int(rng.integers(2, p["max_dim"] + 1))
         V = ComplexVectorSpace(d)
         K = random_standard_subspace(V, rng)
         s = tomita_operator(K)
         md = modular_data(s)
-        worst["involution"] = max(worst["involution"], float(np.linalg.norm(
+        found["involution"].append(float(np.linalg.norm(
             (s @ s).matrix - np.eye(d), 2)))
         Kp = symplectic_complement(K)
         sp = tomita_operator(Kp)
-        worst["adjoint"] = max(worst["adjoint"], float(np.linalg.norm(
+        found["adjoint"].append(float(np.linalg.norm(
             sp.matrix - s.adjoint().matrix, 2)))
         Z = K.complex_vectors().T
         jK = RealSubspace.from_real_span(V, V.realify(md.j.apply(Z)))
-        worst["conjugation"] = max(worst["conjugation"],
-                                   subspace_distance(jK, Kp))
+        found["conjugation"].append(subspace_distance(jK, Kp))
         for t in p["flow_times"]:
             FK = RealSubspace.from_real_span(
                 V, V.realify(modular_flow(md, float(t)).apply(Z)))
-            worst["flow"] = max(worst["flow"], subspace_distance(FK, K))
+            found["flow"].append(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(
             _fixed_space(V, md.j.realified()),
             _fixed_space(V, md.delta.realified()),
             cos_tol=1e-8)
-        worst["fixed"] = max(worst["fixed"], subspace_distance(cap, fix))
+        found["fixed"].append(subspace_distance(cap, fix))
     claims = {
         "involution": "the Tomita operator squares to the identity",
         "adjoint": "the complement's Tomita operator is the adjoint",
@@ -82,8 +88,8 @@ def check_standard_suite(config, rng):
         "flow": "the modular flow preserves K",
         "fixed": "K cap K' is the joint fixed space of j and delta",
     }
-    return [record(f"subspace.{k}", claims[k], v, p["tolerance"])
-            for k, v in worst.items()]
+    return [record(f"subspace.{k}", claims[k], worst(v), p["tolerance"])
+            for k, v in found.items()]
 
 
 def _fixed_space(V, M):
@@ -93,7 +99,7 @@ def _fixed_space(V, M):
 
 def check_fiberization(config, rng):
     p = config.subspace
-    worst_angle, worst_reassembly = 0.0, 0.0
+    angles, reassembly = [], []
     for d in range(2, p["max_dim"] + 1):
         V = ComplexVectorSpace(d)
         K = random_standard_subspace(V, rng)
@@ -103,31 +109,29 @@ def check_fiberization(config, rng):
                         + [np.pi / 2] * fixed.dim)
         oracle = np.sort(principal_angles(K, K.mult_i()))
         if len(thetas) != len(oracle):
-            worst_angle = float("inf")
+            angles.append(float("inf"))
         else:
-            worst_angle = max(worst_angle,
-                              float(np.max(np.abs(np.sort(thetas) - oracle))))
+            angles.append(float(np.max(np.abs(np.sort(thetas) - oracle))))
         jmat, dmat = reassemble_modular(V, blocks, fixed)
-        worst_reassembly = max(
-            worst_reassembly,
+        reassembly += [
             float(np.linalg.norm(jmat - md.j.matrix, 2)),
             float(np.linalg.norm(dmat - md.delta.matrix, 2)
-                  / max(1.0, math.sqrt(md.condition_number))))
+                  / max(1.0, math.sqrt(md.condition_number)))]
     tol = 1e-9
     return [
         record("subspace.fiber_angles",
                "fiber angles equal the principal angles between K and iK",
-               worst_angle, tol),
+               worst(angles), tol),
         record("subspace.fiber_reassembly",
                "(j, delta) reassemble from the angle blocks and fixed part",
-               worst_reassembly, tol),
+               worst(reassembly), tol),
     ]
 
 
 # -- fock suite ------------------------------------------------------------
 
 def check_symmetrization(config, rng):
-    worst = 0.0
+    found = []
     for _ in range(100):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 6))
@@ -136,14 +140,14 @@ def check_symmetrization(config, rng):
               for _ in range(n)]
         a = fk.sym_project(fs, xs)
         b = fk.sym_power_expand(fs, xs)
-        worst = max(worst, np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)))
+        found.append(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)))
     return [record("fock.symmetrization",
                    "permutation-average symmetrization equals the "
-                   "tensor-power expansion", worst, 1e-12)]
+                   "tensor-power expansion", worst(found), 1e-12)]
 
 
 def check_coherent_calculus(config, rng):
-    worst_inner, worst_gamma = 0.0, 0.0
+    inner_devs, gamma_devs = [], []
     for d in (1, 2, 3):
         fs = fk.FockSpace(d, 10)
         for _ in range(5):
@@ -152,20 +156,19 @@ def check_coherent_calculus(config, rng):
             h /= np.linalg.norm(h)
             k /= np.linalg.norm(k)
             lhs = np.vdot(fk.coherent(fs, h), fk.coherent(fs, k))
-            worst_inner = max(worst_inner,
-                              abs(lhs - fk.coherent_inner(h, k, 10)))
+            inner_devs.append(abs(lhs - fk.coherent_inner(h, k, 10)))
             A = (rng.standard_normal((d, d))
                  + 1j * rng.standard_normal((d, d))) / 2.0
             diff = np.linalg.norm(fk.gamma(fs, A).apply(fk.coherent(fs, h))
                                   - fk.coherent(fs, A @ h))
-            worst_gamma = max(worst_gamma, diff)
+            gamma_devs.append(diff)
     return [
         record("fock.coherent_inner",
                "<e^h, e^k> equals the truncated exponential series",
-               worst_inner, 1e-12),
+               worst(inner_devs), 1e-12),
         record("fock.gamma_on_coherent",
                "second quantization acts on coherent vectors by gamma(a) "
-               "e^h = e^(ah)", worst_gamma, GAMMA_TOLERANCE),
+               "e^h = e^(ah)", worst(gamma_devs), GAMMA_TOLERANCE),
     ]
 
 
@@ -236,18 +239,18 @@ def check_locality(config, rng):
     step = config.freefield["lattice_step"]
     pairs = [((0.0, -2.0), 0.5, (0.0, 2.0), 0.5),
              ((0.3, -1.7), 0.4, (-0.2, 2.1), 0.45)]
-    worst = 0.0
+    spacelike = []
     for c1, r1, c2, r2 in pairs:
         f = ff.TestFunction2.bump(c1, r1, step)
         g = ff.TestFunction2.bump(c2, r2, step)
-        worst = max(worst, abs(ff.locality_pairing(f, g, model)))
+        spacelike.append(abs(ff.locality_pairing(f, g, model)))
     f = ff.TestFunction2.bump((0.0, 0.0), 0.5, step)
     g = ff.TestFunction2.bump((1.5, 0.0), 0.5, step)
     timelike = abs(ff.locality_pairing(f, g, model))
     return [
         record("freefield.locality_spacelike",
                "Im<Ef, Eg> vanishes for spacelike-separated supports",
-               worst, 1e-6),
+               worst(spacelike), 1e-6),
         record("freefield.locality_timelike",
                "Im<Ef, Eg> stays away from zero for a timelike pair",
                timelike, 1e-3, direction="above"),
@@ -258,11 +261,11 @@ def check_covariance(config, rng):
     model = _model(config)
     f = ff.TestFunction2.bump((0.0, 2.5), 0.5,
                               config.freefield["lattice_step"])
-    t_res = max(
+    t_res = worst([
         ff.covariance_residual(f, ff.PoincareElement.translation(0.3, 0.0),
                                model),
         ff.covariance_residual(f, ff.PoincareElement.translation(0.1, 0.2),
-                               model))
+                               model)])
     b_res = ff.covariance_residual(f, ff.PoincareElement.boost(0.2), model)
     return [
         record("freefield.covariance_translation",
@@ -280,12 +283,12 @@ def check_bisognano_wichmann(config, rng):
     res = ff.bw_residual(f, model)
     g = ff.TestFunction2.bump((0.0, -3.0), 0.5, step,
                               region=ff.Region2.left_wedge())
-    Eg = ff.embed(g, model)
-    cert = ff.domain_certificate(Eg)
-    blow = ff.modular_blowup_profile(Eg)
+    Eg = ff.embed(g, model).values
+    cert = ff.domain_certificate(Eg, model.grid)
+    blow = ff.modular_blowup_profile(Eg, model.grid)
     growth = blow[-1] / blow[0]
-    Ef = ff.embed(f, model)
-    control = ff.modular_blowup_profile(Ef)
+    Ef = ff.embed(f, model).values
+    control = ff.modular_blowup_profile(Ef, model.grid)
     blowup = 1e3
     return [
         record("freefield.bw_right_wedge",
@@ -307,8 +310,9 @@ def check_bisognano_wichmann(config, rng):
 
 def check_borchers(config, rng):
     model = _model(config)
-    probes = [ff.gaussian_packet(model, width=0.65, momentum=0.3),
-              ff.gaussian_packet(model, center=0.3, width=0.7, momentum=-0.2)]
+    probes = [ff.gaussian_packet(model.grid, width=0.65, momentum=0.3),
+              ff.gaussian_packet(model.grid, center=0.3, width=0.7,
+                                 momentum=-0.2)]
     rep = ff.borchers_check(0.5, (0.1, 0.25), probes, model)
     tol = 1e-6
     return [
@@ -365,7 +369,7 @@ def check_net(config, rng):
     rep_checks = ml.net_checks(
         net, covariance_elements=[ff.PoincareElement.translation(0.0, 0.5),
                                   ff.PoincareElement.boost(0.1)])
-    worst = {cat: max((row["residual"] for row in rows), default=0.0)
+    found = {cat: worst([row["residual"] for row in rows])
              for cat, rows in rep_checks.items()}
     claims = {
         "isotony": "nested wedges give nested localized models",
@@ -374,7 +378,7 @@ def check_net(config, rng):
         "covariance": "u(g) K(W) = K(gW) over matched dictionaries",
     }
     return [record(f"modloc.{cat}", claims[cat], v, 1e-3)
-            for cat, v in worst.items()]
+            for cat, v in found.items()]
 
 
 def check_doublecone(config, rng):
@@ -394,10 +398,11 @@ def check_doublecone(config, rng):
                             + [ff.TestFunction2.bump((0.0, -1.4), 0.5, step)]])
     probes = [ml.embed_probe(rep, f) for f in cone_fns]
     _, report = ml.doublecone_space(net, O, cone_probes=probes)
-    worst = max(report["probe_residuals"]) if report["probe_residuals"] else 1.0
+    residuals = report["probe_residuals"]
     return [record("modloc.doublecone",
                    "cone-supported embeddings lie in the intersection of "
-                   "the generating wedge models", worst, 1e-2)]
+                   "the generating wedge models",
+                   worst(residuals) if residuals else 1.0, 1e-2)]
 
 
 def check_direct_sum(config, rng):

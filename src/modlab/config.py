@@ -21,6 +21,10 @@ class ConfigError(ValueError):
 
 KINDS = ("subspace", "fock", "freefield", "modloc", "all")
 WEYL_PROBE_LEVEL = 8        # checks.check_weyl reads Fock levels up to 8
+# a bump of radius r takes about 2 r / lattice_step samples per side of its
+# lattice; the defaults take about 157
+MAX_BUMP_SIDE = 1024
+CHECK_BUMP_RADIUS = 0.55    # the largest bump checks.py places itself
 
 # section -> key -> (type, default, description)
 SCHEMA = {
@@ -46,14 +50,18 @@ SCHEMA = {
     },
     "freefield": {
         "mass": (float, 1.0, "field mass (> 0)"),
-        "theta_max": (float, 6.0, "rapidity half-width of the grid (>= 4)"),
+        "theta_max": (float, 6.0, "rapidity half-width of the grid (>= 4, "
+                      "with mass * cosh(theta_max) finite)"),
         "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
         "window": (float, 5.8, "embedding window position (> 0, < theta_max); "
                    "accepted below 5.8, but with the other defaults every "
                    "window tried there fails a check (5.7: modloc.doublecone; "
                    "5.5: freefield.bw_right_wedge 5.2e-3, modloc.duality 0.98)"),
         "window_width": (float, 1.2, "embedding window taper width (> 0)"),
-        "lattice_step": (float, 1.0 / 128, "spacetime lattice step for bumps (> 0)"),
+        "lattice_step": (float, 1.0 / 128,
+                         f"spacetime lattice step for bumps (> 0, and at "
+                         f"most {MAX_BUMP_SIDE} samples across a bump of "
+                         f"radius {CHECK_BUMP_RADIUS})"),
     },
     "modloc": {
         "second_mass": (float, 1.4, "mass of the second summand (> 0)"),
@@ -61,7 +69,8 @@ SCHEMA = {
                        [[0.0, 3.0, 0.5], [0.4, 3.6, 0.55],
                         [-0.3, 2.8, 0.45], [0.1, 4.0, 0.6]],
                        "base right-wedge probe bumps as [x0, x1, radius], "
-                       "each disk inside the wedge: x1 - |x0| > sqrt(2) radius"),
+                       "each disk inside the wedge: x1 - |x0| > sqrt(2) radius, "
+                       f"and 2 radius / lattice_step <= {MAX_BUMP_SIDE}"),
     },
 }
 
@@ -90,6 +99,10 @@ def _check_section(section, data, out):
         if key in ("tolerance", "mass", "second_mass", "window",
                    "window_width", "lattice_step") and value <= 0:
             raise ConfigError(f"{path}: must be positive")
+        if key == "lattice_step" and 2 * CHECK_BUMP_RADIUS / value > MAX_BUMP_SIDE:
+            raise ConfigError(f"{path}: a bump of radius {CHECK_BUMP_RADIUS} "
+                              f"would take more than {MAX_BUMP_SIDE} lattice "
+                              f"samples per side")
         if key == "n_points" and (value < 8 or value & (value - 1)):
             raise ConfigError(f"{path}: must be a power of two >= 8")
         if key == "theta_max" and value < 4.0:
@@ -155,9 +168,23 @@ class ExperimentConfig:
             _check_section(section, given, checked)
             merged.update(checked)
             setattr(self, section, merged)
-        if self.freefield["window"] >= self.freefield["theta_max"]:
+        ff = self.freefield
+        if ff["window"] >= ff["theta_max"]:
             raise ConfigError("freefield.window: must be below "
                               "freefield.theta_max, inside the grid")
+        try:
+            p_max = ff["mass"] * math.cosh(ff["theta_max"])
+        except OverflowError:
+            p_max = math.inf
+        if not math.isfinite(p_max):
+            raise ConfigError("freefield.theta_max: the largest momentum "
+                              "mass * cosh(theta_max) must be finite")
+        for i, (_, _, r) in enumerate(self.modloc["dictionary"]):
+            if 2 * r / ff["lattice_step"] > MAX_BUMP_SIDE:
+                raise ConfigError(
+                    f"modloc.dictionary[{i}]: a bump of radius {r} would "
+                    f"take more than {MAX_BUMP_SIDE} samples per side of "
+                    f"the lattice of step freefield.lattice_step")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -15,8 +15,12 @@ theorem, the Fourier multiplier exp(pi omega) in the rapidity frequency
 omega; modloc transports it to other wedges.  Amplification is
 capped at 1e12; the input mass at capped frequencies is the domain
 diagnostic, and identity checks are run on band-limited
-representatives, for which the capped operator is faithful.  Maps act
-along the last axis, so a stack of vectors takes the path of one vector.
+representatives, for which the capped operator is faithful.
+
+A one-particle vector is a complex array of samples on the rapidity
+grid, and a stack of them an array (..., n_points).  Every map acts
+along the last axis, so a stack takes the path of one vector, and is
+handed the model when it needs the momenta or else just the grid.
 """
 
 from __future__ import annotations
@@ -26,22 +30,21 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-
-from .hilbert import ComplexVectorSpace, RealSubspace
 
 __all__ = [
     "RapidityGrid", "FreeFieldModel", "Region2", "TestFunction2",
     "OneParticleVector", "PoincareElement", "LeakageError",
     "DomainViolationError", "SupportError",
     "embed", "embed_with_error", "poincare_act", "covariance_residual",
-    "local_subspace", "locality_pairing", "realify", "band_project",
+    "locality_pairing", "realify", "band_project",
     "domain_certificate", "wedge_modular_half",
     "wedge_tomita_apply", "compressed_fixed_defect",
     "bw_residual", "bw_residual_of_vector",
     "modular_blowup_profile", "borchers_check", "gaussian_packet",
-    "export_csv", "REFINEMENT_RUNGS",
+    "REFINEMENT_RUNGS",
 ]
 
 AMPLIFICATION_CAP = 1e12
@@ -139,35 +142,19 @@ class FreeFieldModel:
         return self.mass * np.cosh(th), self.mass * np.sinh(th)
 
 
-class OneParticleVector:
-    """Complex samples on the rapidity grid with the h-weighted product:
-    one vector (n_points,) or a stack (..., n_points), on which the maps
-    below act vector by vector along the last axis."""
+class OneParticleVector(NamedTuple):
+    """What embed returns: the model and the read-only samples."""
+    model: FreeFieldModel
+    values: np.ndarray
 
-    def __init__(self, model: FreeFieldModel, values):
-        values = np.asarray(values, dtype=complex)
-        if values.shape[-1:] != (model.grid.n_points,):
-            raise ValueError("values do not match the grid")
-        self.model = model
-        self.values = values
 
-    def inner(self, other: "OneParticleVector") -> complex:
-        return self.model.grid.spacing * complex(np.vdot(self.values, other.values))
+def _inner(x, y, grid: RapidityGrid) -> complex:
+    """<x, y> = h sum conj(x) y, h the rapidity spacing."""
+    return grid.spacing * complex(np.vdot(x, y))
 
-    def norm(self) -> float:
-        return math.sqrt(max(self.inner(self).real, 0.0))
 
-    def __add__(self, other):
-        return OneParticleVector(self.model, self.values + other.values)
-
-    def __sub__(self, other):
-        return OneParticleVector(self.model, self.values - other.values)
-
-    def __rmul__(self, scalar):
-        return OneParticleVector(self.model, complex(scalar) * self.values)
-
-    def conj(self):
-        return OneParticleVector(self.model, np.conj(self.values))
+def _norm(v, grid: RapidityGrid) -> float:
+    return math.sqrt(max(_inner(v, v, grid).real, 0.0))
 
 
 # -- spacetime regions ----------------------------------------------------
@@ -519,11 +506,11 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
 
 
 def embed_with_error(f: TestFunction2, model: FreeFieldModel):
-    """Embedding at the function's resolution plus a Richardson-style
-    error estimate from comparing with the half-step quadrature."""
-    coarse = embed(f, model)
-    fine = embed(f.refine(), model)
-    err = (coarse - fine).norm() / max(fine.norm(), 1e-300)
+    """The half-step embedding's values plus a Richardson-style error
+    estimate from comparing them with the function's own resolution."""
+    coarse = embed(f, model).values
+    fine = embed(f.refine(), model).values
+    err = _norm(coarse - fine, model.grid) / max(_norm(fine, model.grid), 1e-300)
     return fine, err
 
 
@@ -557,12 +544,10 @@ def _leaked_mass(values, grid: RapidityGrid) -> float:
     return float(np.max(_mass_fraction(values, zone), initial=0.0))
 
 
-def poincare_act(g: PoincareElement, phi: OneParticleVector) -> OneParticleVector:
-    """u(g) phi: reflection acts as conjugation, a boost of rapidity l as
+def poincare_act(g: PoincareElement, v, model: FreeFieldModel) -> np.ndarray:
+    """u(g) v: reflection acts as conjugation, a boost of rapidity l as
     the shift theta -> theta - l, a translation as the phase exp(i a.p).
     A boost raises LeakageError if a vector leaks above LEAKAGE_BUDGET."""
-    model = phi.model
-    v = phi.values
     if g.reflect:
         v = np.conj(v)
     if g.rapidity != 0.0:
@@ -573,35 +558,24 @@ def poincare_act(g: PoincareElement, phi: OneParticleVector) -> OneParticleVecto
     if g.a0 != 0.0 or g.a1 != 0.0:
         p0, p1 = model.momenta()
         v = np.exp(1j * (g.a0 * p0 - g.a1 * p1)) * v
-    return OneParticleVector(model, v)
+    return v
 
 
 def covariance_residual(f: TestFunction2, g: PoincareElement,
                         model: FreeFieldModel) -> float:
     """|| E(f o g^(-1)) - u(g) E f || / || E f ||."""
-    Ef = embed(f, model)
-    lhs = embed(f.transform(g), model)
-    rhs = poincare_act(g, Ef)
-    return (lhs - rhs).norm() / Ef.norm()
+    Ef = embed(f, model).values
+    lhs = embed(f.transform(g), model).values
+    rhs = poincare_act(g, Ef, model)
+    return _norm(lhs - rhs, model.grid) / _norm(Ef, model.grid)
 
 
 def locality_pairing(f: TestFunction2, g: TestFunction2,
                      model: FreeFieldModel) -> float:
     """Im <Ef, Eg>: the smeared commutator pairing; zero (to quadrature)
     for spacelike-separated supports."""
-    return embed(f, model).inner(embed(g, model)).imag
-
-
-def local_subspace(region: Region2, dictionary,
-                   model: FreeFieldModel) -> RealSubspace:
-    """Real span of the embeddings of a dictionary supported in region."""
-    for f in dictionary:
-        if not f.supported_in(region):
-            raise SupportError("dictionary member not supported in region")
-    n = model.grid.n_points
-    values = np.reshape([embed(f, model).values for f in dictionary], (-1, n))
-    return RealSubspace.from_real_span(ComplexVectorSpace(n),
-                                       realify(values, model.grid.spacing))
+    return _inner(embed(f, model).values, embed(g, model).values,
+                  model.grid).imag
 
 
 # -- wedge modular structure ----------------------------------------------
@@ -622,23 +596,23 @@ def _capped(values, grid: RapidityGrid, cap: float):
     return ph, logmult, kill, _mass_fraction(ph, kill)
 
 
-def wedge_modular_half(phi: OneParticleVector, cap: float = AMPLIFICATION_CAP):
+def wedge_modular_half(v, grid: RapidityGrid, cap: float = AMPLIFICATION_CAP):
     """Apply delta^(1/2) = the multiplier exp(pi omega).
 
     Frequencies with amplification above cap are zeroed; their input
     mass (relative) is returned as the tail diagnostic.  A large tail
-    signals that phi is not in the domain of this half-boost.
+    signals that v is not in the domain of this half-boost.
     """
-    ph, logmult, kill, tail = _capped(phi.values, phi.model.grid, cap)
+    ph, logmult, kill, tail = _capped(v, grid, cap)
     mult = np.where(kill, 0.0, np.exp(np.where(kill, -np.inf, logmult)))
-    return OneParticleVector(phi.model, np.fft.ifft(ph * mult)), tail
+    return np.fft.ifft(ph * mult), tail
 
 
-def domain_certificate(phi: OneParticleVector) -> float:
+def domain_certificate(v, grid: RapidityGrid):
     """Relative input mass at frequencies the half-boost capped at
     AMPLIFICATION_CAP cannot amplify; the spectral-decay certificate for
     membership in the numerical domain of delta^(1/2)."""
-    return _capped(phi.values, phi.model.grid, AMPLIFICATION_CAP)[3]
+    return _capped(v, grid, AMPLIFICATION_CAP)[3]
 
 
 def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
@@ -650,27 +624,25 @@ def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
     return _smooth_step((np.abs(omega) - (wb - roll)) / roll)
 
 
-def band_project(phi: OneParticleVector):
-    """Smoothly band-limit to the frequency region on which the capped
-    delta^(1/2) is faithful, BAND_MARGIN inside the AMPLIFICATION_CAP
-    band; returns (vector, retained mass fraction).
+def band_project(v, grid: RapidityGrid):
+    """Smoothly band-limit one vector to the frequency region on which
+    the capped delta^(1/2) is faithful, BAND_MARGIN inside the
+    AMPLIFICATION_CAP band; returns (vector, retained mass fraction).
 
     The mask is an even function of the rapidity frequency, hence of the
     wedge modular generator: it maps K_W into itself.
     """
-    grid = phi.model.grid
     mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
-    ph = np.fft.fft(phi.values)
+    ph = np.fft.fft(v)
     total = float(np.sum(np.abs(ph) ** 2))
     kept = float(np.sum(np.abs(mask * ph) ** 2)) / max(total, 1e-300)
-    out = np.fft.ifft(mask * ph)
-    return OneParticleVector(phi.model, out), kept
+    return np.fft.ifft(mask * ph), kept
 
 
-def wedge_tomita_apply(phi: OneParticleVector):
-    """s_W phi = conj(delta^(1/2) phi) for the origin right wedge."""
-    half, tail = wedge_modular_half(phi)
-    return half.conj(), tail
+def wedge_tomita_apply(v, grid: RapidityGrid):
+    """s_W v = conj(delta^(1/2) v) for the origin right wedge."""
+    half, tail = wedge_modular_half(v, grid)
+    return np.conj(half), tail
 
 
 def _band_defect(c, grid: RapidityGrid, mask):
@@ -685,36 +657,34 @@ def _band_defect(c, grid: RapidityGrid, mask):
     return s_hat - c
 
 
-def compressed_fixed_defect(phi: OneParticleVector) -> OneParticleVector:
-    """P (s_W phi - phi) with P the smooth band mask, in one spectral pass.
+def compressed_fixed_defect(v, grid: RapidityGrid) -> np.ndarray:
+    """P (s_W v - v) with P the smooth band mask, in one spectral pass.
 
     This is the cap-safe fixed-point defect for the origin right wedge:
     applying s_W on the masked band never exceeds the amplification cap,
     and raw (un-limited) vectors may be fed in directly.
     """
-    grid = phi.model.grid
     mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
-    defect = _band_defect(np.fft.fft(phi.values), grid, mask)
-    return OneParticleVector(phi.model, np.fft.ifft(mask * defect))
+    defect = _band_defect(np.fft.fft(v), grid, mask)
+    return np.fft.ifft(mask * defect)
 
 
-def bw_residual_of_vector(phi: OneParticleVector) -> float:
-    """|| s_W phi_B - phi_B || / || phi_B || on the band-limited
-    representative phi_B; raises DomainViolationError when the
+def bw_residual_of_vector(v, grid: RapidityGrid) -> float:
+    """|| s_W v_B - v_B || / || v_B || for one vector v, on its
+    band-limited representative v_B; raises DomainViolationError when the
     certificate exceeds DOMAIN_CERT_THRESHOLD (wrong-wedge localization).
 
     Projection, half-boost and conjugation are fused into a single
     spectral pass, so no re-transform roundoff enters the amplified
-    band: with c the spectrum of phi_B, the comparison is
+    band: with c the spectrum of v_B, the comparison is
     m(-w) conj(c(-w)) against c(w) over the kept band, m the multiplier
     of delta^(1/2).
     """
-    cert = domain_certificate(phi)
+    cert = domain_certificate(v, grid)
     if cert > DOMAIN_CERT_THRESHOLD:
         raise DomainViolationError(cert)
-    grid = phi.model.grid
     mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
-    c = mask * np.fft.fft(phi.values)
+    c = mask * np.fft.fft(v)
     return float(np.linalg.norm(_band_defect(c, grid, mask)) / np.linalg.norm(c))
 
 
@@ -722,23 +692,22 @@ def bw_residual(f: TestFunction2, model: FreeFieldModel) -> float:
     """One-particle Bisognano-Wichmann check for the origin right wedge:
     the embedding of a right-wedge test function is a fixed point of
     s_W = (conjugation) after (half boost)."""
-    return bw_residual_of_vector(embed(f, model))
+    return bw_residual_of_vector(embed(f, model).values, model.grid)
 
 
-def modular_blowup_profile(phi: OneParticleVector, caps=(1e4, 1e8, 1e12)):
+def modular_blowup_profile(v, grid: RapidityGrid, caps=(1e4, 1e8, 1e12)):
     """Norms of the capped delta^(1/2) images along a ladder of
     amplification caps.  For vectors in the domain the sequence is
     stable; outside it grows without bound as the cap is raised, the
     numerical signature of the domain violation."""
-    return [wedge_modular_half(phi, cap)[0].norm() for cap in caps]
+    return [_norm(wedge_modular_half(v, grid, cap)[0], grid) for cap in caps]
 
 
-def gaussian_packet(model: FreeFieldModel, center: float = 0.0,
-                    width: float = 0.75, momentum: float = 0.0) -> OneParticleVector:
-    th = model.grid.theta
-    v = np.exp(-(th - center) ** 2 / (2.0 * width ** 2)) \
+def gaussian_packet(grid: RapidityGrid, center: float = 0.0,
+                    width: float = 0.75, momentum: float = 0.0) -> np.ndarray:
+    th = grid.theta
+    return np.exp(-(th - center) ** 2 / (2.0 * width ** 2)) \
         * np.exp(1j * momentum * th)
-    return OneParticleVector(model, v.astype(complex))
 
 
 def borchers_check(a_magnitude: float, times, probes,
@@ -752,7 +721,8 @@ def borchers_check(a_magnitude: float, times, probes,
 
     a.p = a m exp(-theta), so the generator is positive; the boost
     shift turns a into exp(-2 pi t) a exactly.  Returns the maximum
-    relative deviations over probes and times.
+    relative deviations over the probe vectors and times; a NaN deviation
+    makes its maximum NaN.
     """
     grid = model.grid
     ray_phase = model.mass * np.exp(-grid.theta)
@@ -760,24 +730,17 @@ def borchers_check(a_magnitude: float, times, probes,
     def U(s, values):
         return np.exp(1j * s * ray_phase) * values
 
-    dev_flow, dev_j = 0.0, 0.0
-    for phi in probes:
-        v = phi.values
+    dev_flow, dev_j = [], []
+    for v in probes:
         nv = np.linalg.norm(v)
         for t in times:
-            # delta^(it) phi (theta) = phi(theta + 2 pi t)
+            # delta^(it) v (theta) = v(theta + 2 pi t)
             shifted = _shift(v, 2.0 * np.pi * t, grid.omega)    # delta^(-it)
             lhs = _shift(U(a_magnitude, shifted), -2.0 * np.pi * t, grid.omega)
             rhs = U(math.exp(-2.0 * np.pi * t) * a_magnitude, v)
-            dev_flow = max(dev_flow, np.linalg.norm(lhs - rhs) / nv)
+            dev_flow.append(np.linalg.norm(lhs - rhs) / nv)
         lhs_j = np.conj(U(a_magnitude, np.conj(v)))
         rhs_j = U(-a_magnitude, v)
-        dev_j = max(dev_j, np.linalg.norm(lhs_j - rhs_j) / nv)
-    return {"flow_commutation": dev_flow, "reflection_commutation": dev_j}
-
-
-def export_csv(phi: OneParticleVector, path):
-    """Write (theta, Re, Im) rows."""
-    th = phi.model.grid.theta
-    data = np.column_stack([th, phi.values.real, phi.values.imag])
-    np.savetxt(path, data, delimiter=",", header="theta,re,im", comments="")
+        dev_j.append(np.linalg.norm(lhs_j - rhs_j) / nv)
+    return {"flow_commutation": np.max(dev_flow, initial=0.0),
+            "reflection_commutation": np.max(dev_j, initial=0.0)}

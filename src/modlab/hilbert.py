@@ -25,8 +25,8 @@ __all__ = [
     "ComplexVectorSpace", "Operator", "RealSubspace",
     "inner", "times_i", "orthonormalize_columns",
     "symplectic_complement", "subspace_sum", "subspace_intersection",
-    "inclusion_residual", "subspace_distance", "subspaces_equal",
-    "principal_angles", "SpaceMismatchError", "LinearityError",
+    "inclusion_residual", "subspace_distance",
+    "principal_angles", "SpaceMismatchError",
 ]
 
 ORTHO_DROP_TOL = 1e-10
@@ -35,10 +35,6 @@ EQUALITY_TOL = 1e-9
 
 class SpaceMismatchError(ValueError):
     """Operands live in different complex vector spaces."""
-
-
-class LinearityError(ValueError):
-    """A map does not have the claimed (anti)linearity."""
 
 
 class ComplexVectorSpace:
@@ -296,10 +292,6 @@ def subspace_distance(K1: RealSubspace, K2: RealSubspace) -> float:
     ORTHO_DROP_TOL.
     """
     return max(inclusion_residual(K1, K2), inclusion_residual(K2, K1))
-
-
-def subspaces_equal(K1: RealSubspace, K2: RealSubspace) -> bool:
-    return subspace_distance(K1, K2) <= EQUALITY_TOL
 
 
 def principal_angles(K1: RealSubspace, K2: RealSubspace) -> np.ndarray:

@@ -10,21 +10,22 @@ thresholding of (s_W - 1) on their real span.
 
 A direct-sum vector is a complex array (n_summands, n_points), one row
 per summand; a probe dictionary is a stack (k, n_summands, n_points).
+The spectral kernels of the origin right wedge are freefield's, applied
+on the shared rapidity grid to every row at once; this module only
+transports them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .freefield import (
-    DOMAIN_CERT_THRESHOLD, OneParticleVector, PoincareElement, Region2,
-    SupportError, TestFunction2, compressed_fixed_defect, domain_certificate,
-    embed, poincare_act, realify, wedge_tomita_apply,
+    DOMAIN_CERT_THRESHOLD, PoincareElement, Region2, SupportError,
+    TestFunction2, compressed_fixed_defect, domain_certificate, embed,
+    poincare_act, realify,
 )
 from .hilbert import (
     ComplexVectorSpace, RealSubspace, inclusion_residual,
@@ -34,7 +35,7 @@ from .hilbert import (
 
 __all__ = [
     "PoincareRep2", "EmptyModelError", "ExtractionReport",
-    "wedge_frame", "wedge_tomita_apply_rep", "wedge_domain_certificate",
+    "wedge_frame", "wedge_domain_certificate",
     "compressed_defect_rep", "localized_subspace",
     "LocalizedNet", "net_checks", "doublecone_space", "embed_probe",
 ]
@@ -67,7 +68,7 @@ class PoincareRep2:
 
     def act(self, g: PoincareElement, X) -> np.ndarray:
         """u(g) on a vector or a stack (..., n_summands, n_points)."""
-        return np.stack([poincare_act(g, OneParticleVector(m, X[..., i, :])).values
+        return np.stack([poincare_act(g, X[..., i, :], m)
                          for i, m in enumerate(self.models)], axis=-2)
 
     def realify(self, X) -> np.ndarray:
@@ -103,30 +104,21 @@ def wedge_frame(W: Region2) -> PoincareElement:
 
 
 def _pull(rep: PoincareRep2, W: Region2, X):
-    """(g, u(g)^(-1) X) for W = g W_R, wrapped whole for the spectral
-    maps, which see only the rapidity grid that the summands share."""
+    """(g, u(g)^(-1) X) for W = g W_R."""
     g = wedge_frame(W)
-    return g, OneParticleVector(rep.models[0], rep.act(g.inv(), X))
-
-
-def wedge_tomita_apply_rep(rep: PoincareRep2, W: Region2, X):
-    """s_W X = u(g) s_R u(g)^(-1) X; returns (vectors, tail), the tail
-    being the largest over the summands of each vector."""
-    g, pulled = _pull(rep, W, X)
-    image, tail = wedge_tomita_apply(pulled)
-    return rep.act(g, image.values), np.max(tail, axis=-1)
+    return g, rep.act(g.inv(), X)
 
 
 def wedge_domain_certificate(rep: PoincareRep2, W: Region2, X):
     """Largest domain certificate over the summands of each vector."""
-    return np.max(domain_certificate(_pull(rep, W, X)[1]), axis=-1)
+    return np.max(domain_certificate(_pull(rep, W, X)[1], rep.grid), axis=-1)
 
 
 def compressed_defect_rep(rep: PoincareRep2, W: Region2, X) -> np.ndarray:
     """P (s_W - 1) X: the band-compressed fixed-point defect in the
     wedge frame, transported back.  Cap-safe on raw vectors."""
     g, pulled = _pull(rep, W, X)
-    return rep.act(g, compressed_fixed_defect(pulled).values)
+    return rep.act(g, compressed_fixed_defect(pulled, rep.grid))
 
 
 @dataclass
@@ -177,7 +169,6 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05)
 class NetEntry:
     region: Region2
     functions: list            # (TestFunction2, summand) pairs
-    probes: np.ndarray         # stack (k, n_summands, n_points)
     subspace: RealSubspace
     report: ExtractionReport
 
@@ -204,7 +195,7 @@ class LocalizedNet:
                 raise SupportError("dictionary member not supported in wedge")
         probes = np.array([embed_probe(self.rep, f, idx) for f, idx in functions])
         K, report = localized_subspace(self.rep, W, probes, self.tol)
-        self.entries[self._key(W)] = NetEntry(W, list(functions), probes, K, report)
+        self.entries[self._key(W)] = NetEntry(W, list(functions), K, report)
         return K
 
     def get(self, W: Region2) -> NetEntry:
@@ -213,23 +204,6 @@ class LocalizedNet:
     def act_on_subspace(self, g: PoincareElement, K: RealSubspace) -> RealSubspace:
         moved = self.rep.act(g, self.rep.unrealify(K.basis))
         return RealSubspace.from_real_span(K.space, self.rep.realify(moved))
-
-    def to_json_dict(self) -> dict:
-        out = {"summands": [m.mass for m in self.rep.models],
-               "tolerance": self.tol, "wedges": []}
-        for key, e in sorted(self.entries.items(), key=lambda kv: repr(kv[0])):
-            h = hashlib.sha256(np.ascontiguousarray(e.probes).tobytes())
-            out["wedges"].append({
-                "region": list(key),
-                "dictionary_hash": h.hexdigest()[:16],
-                "dimension": e.subspace.dim,
-                "singular_values": [float(s) for s in e.report.singular_values],
-            })
-        return out
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
 
 
 def _wedge_contains(W1: Region2, W2: Region2) -> bool:

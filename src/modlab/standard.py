@@ -22,7 +22,6 @@ import numpy as np
 
 from .hilbert import (
     ComplexVectorSpace,
-    LinearityError,
     Operator,
     RealSubspace,
     orthonormalize_columns,
@@ -98,11 +97,6 @@ class ModularData:
     _eigenvalues: np.ndarray = None
     _eigenvectors: np.ndarray = None
 
-    def delta_power(self, p: float) -> Operator:
-        """delta^p by spectral calculus (complex-linear, positive)."""
-        V = self._eigenvectors
-        return Operator((V * self._eigenvalues ** p) @ V.conj().T)
-
 
 def modular_data(s: Operator) -> ModularData:
     """Polar decomposition s = j delta^(1/2) of a Tomita operator.
@@ -112,7 +106,7 @@ def modular_data(s: Operator) -> ModularData:
     are clamped below at 1e-14 and the condition number is reported.
     """
     if not s.antilinear:
-        raise LinearityError("modular_data expects an antilinear map")
+        raise ValueError("modular_data expects an antilinear map")
     S = s.matrix
     # s^2 = 1 on the whole space is the finite-dimensional Tomita property
     invol = np.linalg.norm(S @ S.conj() - np.eye(S.shape[0]), 2)

@@ -2,15 +2,17 @@
 pass/fail line per criterion (run with -s to see them live)."""
 
 import json
+import math
 import time
 
 import numpy as np
 
+from modlab import freefield
 from modlab.checks import (
     check_borchers, check_coherent_calculus, check_covariance,
     check_direct_sum, check_doublecone, check_fiberization, check_locality,
     check_net, check_second_quantized, check_standard_suite,
-    check_symmetrization, check_weyl, run_checks,
+    check_symmetrization, check_weyl, record, run_checks,
 )
 from modlab.config import ExperimentConfig
 from modlab.freefield import (
@@ -175,8 +177,8 @@ def test_criterion_09_bisognano_wichmann():
         bw_residual(g, model)
     except DomainViolationError as exc:
         violated = exc.tail_mass > 1e-3
-    Eg = embed(g, model)
-    blow = modular_blowup_profile(Eg)
+    Eg = embed(g, model).values
+    blow = modular_blowup_profile(Eg, model.grid)
     growth = blow[-1] / blow[0] > 1e3
     elapsed = time.perf_counter() - t0
     ok = monotone and final and violated and growth and elapsed < 120.0
@@ -275,3 +277,15 @@ def test_every_record_keeps_its_frozen_bound():
     records, _ = run_checks(default_config())
     assert {r["name"]: (r["threshold"], r["direction"])
             for r in records} == FROZEN_BOUNDS
+
+
+def test_a_nan_measurement_fails_its_record(monkeypatch):
+    # the second spacelike pairing is NaN, which max(worst, x) dropped:
+    # the record passed at the first pairing's value
+    pairings = iter([1e-9, float("nan"), 1.0])
+    monkeypatch.setattr(freefield, "locality_pairing",
+                        lambda f, g, model: next(pairings))
+    rec = check_locality(default_config(), None)[0]
+    assert rec["name"] == "freefield.locality_spacelike"
+    assert math.isnan(rec["value"]) and not rec["passed"]
+    assert not record("x", "a claim", float("nan"), 1.0, "above")["passed"]

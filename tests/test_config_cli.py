@@ -151,6 +151,11 @@ def test_cli_usage_errors(tmp_path, capsys):
      "modloc.dictionary[0]"),
     ({"modloc": {"dictionary": [[0.0, 3.0, 0.5], [True, 3.0, 0.5]]}},
      "modloc.dictionary[1]"),
+    ({"freefield": {"theta_max": 1000.0}}, "freefield.theta_max"),
+    ({"freefield": {"mass": 1e307}}, "freefield.theta_max"),
+    ({"modloc": {"dictionary": [[0.0, 3.0, 0.5], [0.0, 300.0, 100.0]]}},
+     "modloc.dictionary[1]"),
+    ({"freefield": {"lattice_step": 1e-5}}, "freefield.lattice_step"),
 ], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
         "n_points_not_power_of_two", "window_outside_grid",
         "theta_max_below_4", "zero_mass", "negative_second_mass",
@@ -158,7 +163,10 @@ def test_cli_usage_errors(tmp_path, capsys):
         "fiber_theta_above_half_pi", "non_numeric_flow_time",
         "empty_flow_times", "negative_lattice_step", "zero_n_samples",
         "negative_seed", "dictionary_bump_outside_wedge", "zero_window",
-        "infinite_dictionary_entry", "bool_dictionary_entry"])
+        "infinite_dictionary_entry", "bool_dictionary_entry",
+        "momentum_overflow", "momentum_overflow_from_mass",
+        "dictionary_bump_over_sample_budget",
+        "lattice_step_over_sample_budget"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})

@@ -33,7 +33,8 @@ def test_space_dimension():
     fs = FockSpace(3, 4)
     expected = sum(math.comb(n + 2, 2) for n in range(5))
     assert fs.dim == expected
-    assert fs.level_dim(0) == 1 and fs.level_dim(2) == 6
+    sizes = [s.stop - s.start for s in fs.level_slices]
+    assert sizes[0] == 1 and sizes[2] == 6
 
 
 def test_vacuum_is_coherent_of_zero():
