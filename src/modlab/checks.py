@@ -17,13 +17,14 @@ from . import freefield as ff
 from . import modloc as ml
 from .config import WEYL_PROBE_LEVEL, ConfigError, ExperimentConfig
 from .hilbert import (
-    ComplexVectorSpace, RealSubspace, principal_angles,
+    ComplexVectorSpace, RealSubspace, operator_norm, principal_angles,
     subspace_distance, subspace_intersection, subspace_sum,
     symplectic_complement,
 )
 from .standard import (
-    fiber_standard_subspace, fiberize, modular_data, modular_flow,
-    random_standard_subspace, reassemble_modular, tomita_operator,
+    draw_standard_subspace, fiber_standard_subspace, fiberize, modular_data,
+    modular_flow, random_standard_subspace, reassemble_modular,
+    rotated_standard_subspace, tomita_operator,
 )
 
 __all__ = ["CHECKS", "run_checks", "run_refinement", "list_checks",
@@ -53,34 +54,35 @@ def worst(values) -> float:
 # -- subspace suite --------------------------------------------------------
 
 def check_standard_suite(config, rng):
+    """Samples are drawn in turn, then checked as one stack per d."""
     p = config.subspace
-    found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow",
-                             "fixed")}
+    draws = {}
     for _ in range(p["n_samples"]):
         d = int(rng.integers(2, p["max_dim"] + 1))
+        draws.setdefault(d, []).append(draw_standard_subspace(d, rng))
+    found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow", "fixed")}
+    for d, stack in draws.items():
         V = ComplexVectorSpace(d)
-        K = random_standard_subspace(V, rng)
+        K = rotated_standard_subspace(V, *map(np.stack, zip(*stack)))
         s = tomita_operator(K)
         md = modular_data(s)
-        found["involution"].append(float(np.linalg.norm(
-            (s @ s).matrix - np.eye(d), 2)))
+        found["involution"].extend(operator_norm((s @ s).matrix - np.eye(d)))
         Kp = symplectic_complement(K)
         sp = tomita_operator(Kp)
-        found["adjoint"].append(float(np.linalg.norm(
-            sp.matrix - s.adjoint().matrix, 2)))
-        Z = K.complex_vectors().T
+        found["adjoint"].extend(operator_norm(sp.matrix - s.adjoint().matrix))
+        Z = V.unrealify(K.basis)
         jK = RealSubspace.from_real_span(V, V.realify(md.j.apply(Z)))
-        found["conjugation"].append(subspace_distance(jK, Kp))
+        found["conjugation"].extend(subspace_distance(jK, Kp))
         for t in p["flow_times"]:
             FK = RealSubspace.from_real_span(
                 V, V.realify(modular_flow(md, float(t)).apply(Z)))
-            found["flow"].append(subspace_distance(FK, K))
+            found["flow"].extend(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(
             _fixed_space(V, md.j.realified()),
             _fixed_space(V, md.delta.realified()),
             cos_tol=1e-8)
-        found["fixed"].append(subspace_distance(cap, fix))
+        found["fixed"].extend(subspace_distance(cap, fix))
     claims = {
         "involution": "the Tomita operator squares to the identity",
         "adjoint": "the complement's Tomita operator is the adjoint",
@@ -93,8 +95,8 @@ def check_standard_suite(config, rng):
 
 
 def _fixed_space(V, M):
-    ev, W = np.linalg.eigh(0.5 * (M + M.T))
-    return RealSubspace.from_real_span(V, W[:, np.abs(ev - 1.0) < 1e-8])
+    ev, W = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
+    return RealSubspace.from_real_span(V, W * (abs(ev - 1.0) < 1e-8)[..., None, :])
 
 
 def check_fiberization(config, rng):

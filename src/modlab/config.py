@@ -25,6 +25,9 @@ WEYL_PROBE_LEVEL = 8        # checks.check_weyl reads Fock levels up to 8
 # lattice; the defaults take about 157
 MAX_BUMP_SIDE = 1024
 CHECK_BUMP_RADIUS = 0.55    # the largest bump checks.py places itself
+# lattice |x| beyond a dictionary disk's |x0| + |x1| + r that the checks
+# reach (freefield bumps within 4, modloc moves under 2), before chunking
+CHECK_REACH = 4.0
 
 # section -> key -> (type, default, description)
 SCHEMA = {
@@ -51,7 +54,8 @@ SCHEMA = {
     "freefield": {
         "mass": (float, 1.0, "field mass (> 0)"),
         "theta_max": (float, 6.0, "rapidity half-width of the grid (>= 4, "
-                      "with mass * cosh(theta_max) finite)"),
+                      "with every phase x * mass * cosh(theta_max) of the "
+                      "lattice the checks place finite)"),
         "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
         "window": (float, 5.8, "embedding window position (> 0, < theta_max); "
                    "accepted below 5.8, but with the other defaults every "
@@ -172,13 +176,16 @@ class ExperimentConfig:
         if ff["window"] >= ff["theta_max"]:
             raise ConfigError("freefield.window: must be below "
                               "freefield.theta_max, inside the grid")
+        reach = CHECK_REACH + 32 * ff["lattice_step"] + max(
+            abs(x0) + abs(x1) + r for x0, x1, r in self.modloc["dictionary"])
         try:
-            p_max = ff["mass"] * math.cosh(ff["theta_max"])
+            phase = (max(ff["mass"], self.modloc["second_mass"])
+                     * math.cosh(ff["theta_max"]) * reach)
         except OverflowError:
-            p_max = math.inf
-        if not math.isfinite(p_max):
-            raise ConfigError("freefield.theta_max: the largest momentum "
-                              "mass * cosh(theta_max) must be finite")
+            phase = math.inf
+        if not math.isfinite(phase):
+            raise ConfigError(f"freefield.theta_max: the phase x * mass * cosh("
+                              f"theta_max) at lattice |x| {reach:.3g} overflows")
         for i, (_, _, r) in enumerate(self.modloc["dictionary"]):
             if 2 * r / ff["lattice_step"] > MAX_BUMP_SIDE:
                 raise ConfigError(

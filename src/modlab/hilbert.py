@@ -15,6 +15,11 @@ times_i applies it to realified columns as (a, b) -> (-b, a) in O(d r)
 work.  ComplexVectorSpace.complex_structure() still returns the dense
 2d x 2d matrix, and Operator.realified() the real matrix of a map, for
 callers that want them.
+
+Stacks of bases (..., 2d, r) or matrices (..., n, n) give, slice by
+slice, what each slice gives alone.  A direction dropped in one slice is
+a zero column there, which changes no projection or residual; columns
+zero in every slice are removed, so 2-D results keep only kept columns.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ __all__ = [
     "ComplexVectorSpace", "Operator", "RealSubspace",
     "inner", "times_i", "orthonormalize_columns",
     "symplectic_complement", "subspace_sum", "subspace_intersection",
-    "inclusion_residual", "subspace_distance",
+    "inclusion_residual", "subspace_distance", "operator_norm",
     "principal_angles", "SpaceMismatchError",
 ]
 
@@ -56,12 +61,11 @@ class ComplexVectorSpace:
 
     def realify(self, coords: np.ndarray) -> np.ndarray:
         z = np.asarray(coords, dtype=complex)
-        return np.concatenate([z.real, z.imag])
+        return np.concatenate([z.real, z.imag], axis=-min(z.ndim, 2))
 
     def unrealify(self, v: np.ndarray) -> np.ndarray:
-        d = self.dim
-        v = np.asarray(v, dtype=float)
-        return v[:d] + 1j * v[d:]
+        re, im = _halves(np.asarray(v, dtype=float))
+        return re + 1j * im
 
     def basis_vector(self, j: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=complex)
@@ -81,6 +85,12 @@ class ComplexVectorSpace:
         return f"ComplexVectorSpace(dim={self.dim})"
 
 
+def _halves(a: np.ndarray):
+    """Views of the halves of a along axis -min(ndim, 2): 0 or -2."""
+    d = a.shape[-min(a.ndim, 2)] // 2
+    return (a[:d], a[d:]) if a.ndim == 1 else (a[..., :d, :], a[..., d:, :])
+
+
 def _same_space(x, y):
     if x.space != y.space:
         raise SpaceMismatchError(f"{x.space} vs {y.space}")
@@ -98,33 +108,37 @@ def times_i(M: np.ndarray) -> np.ndarray:
     """Multiplication by i on realified vectors or columns: Jc @ M,
     computed as (a, b) -> (-b, a) without forming Jc."""
     M = np.asarray(M, dtype=float)
-    d = M.shape[0] // 2
-    out = np.concatenate([-M[d:], M[:d]])
+    a, b = _halves(M)
+    out = np.concatenate([-b, a], axis=-min(M.ndim, 2))
     out += 0.0          # -0.0 -> +0.0, as in the matrix product Jc @ M
     return out
 
 
 def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt applied twice (CGS2), one column at a time
-    against the block of columns kept so far.
+    against the block of columns before it.
 
-    Columns whose residual norm is at most ORTHO_DROP_TOL are discarded as
-    linearly dependent.  Returns a matrix with orthonormal columns, in
-    the order of the kept input columns.
+    Columns whose residual norm is at most ORTHO_DROP_TOL are linearly
+    dependent and become zero columns.  Returns orthonormal columns in
+    the order of the input columns, trimmed as in the module docstring.
     """
     M = np.asarray(M, dtype=float)
-    Q = np.empty(M.shape, order="F")     # so that Q[:, :r] is contiguous
-    r = 0
-    for j in range(M.shape[1]):
-        v = M[:, j].copy()
-        Qr = Q[:, :r]
+    QT = np.zeros(M.swapaxes(-1, -2).shape)   # Q^T: rows QT[..., :j, :] contiguous
+    for j in range(M.shape[-1]):
+        v = M[..., :, j, None].copy()
+        Qj = QT[..., :j, :]
         for _ in range(2):
-            v -= Qr @ (Qr.T @ v)
-        nv = np.linalg.norm(v)
-        if nv > ORTHO_DROP_TOL:
-            Q[:, r] = v / nv
-            r += 1
-    return Q[:, :r]
+            v -= Qj.swapaxes(-1, -2) @ (Qj @ v)
+        nv = np.sqrt(v.swapaxes(-1, -2) @ v)
+        np.divide(v, nv, out=QT[..., j, :, None], where=nv > ORTHO_DROP_TOL)
+    Q = QT.swapaxes(-1, -2)
+    live = np.any(Q, axis=tuple(range(Q.ndim - 1)))   # not zero in every slice
+    return Q if live.all() else Q[..., live]
+
+
+def operator_norm(M: np.ndarray):
+    """Spectral norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(M, 2, axis=(-2, -1))
 
 
 class Operator:
@@ -137,7 +151,7 @@ class Operator:
 
     def __init__(self, matrix, antilinear: bool = False):
         matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
             raise SpaceMismatchError(f"matrix shape {matrix.shape} is not square")
         self.matrix = matrix
         self.antilinear = bool(antilinear)
@@ -156,8 +170,8 @@ class Operator:
         return Operator(M, antilinear=self.antilinear != other.antilinear)
 
     def adjoint(self) -> "Operator":
-        M = self.matrix.T if self.antilinear else self.matrix.conj().T
-        return Operator(M, antilinear=self.antilinear)
+        M = self.matrix.swapaxes(-1, -2)
+        return Operator(M if self.antilinear else M.conj(), self.antilinear)
 
     def realified(self) -> np.ndarray:
         """The real 2n x 2n matrix of the map on realified vectors (a, b)."""
@@ -177,12 +191,12 @@ class RealSubspace:
     def __init__(self, space: ComplexVectorSpace, basis: np.ndarray,
                  check: bool = True):
         basis = np.asarray(basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[0] != space.rdim:
+        if basis.ndim < 2 or basis.shape[-2] != space.rdim:
             raise SpaceMismatchError(
-                f"basis shape {basis.shape}, expected ({space.rdim}, r)")
-        if check and basis.shape[1] > 0:
-            gram = basis.T @ basis
-            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-12:
+                f"basis shape {basis.shape}, expected (..., {space.rdim}, r)")
+        if check and basis.shape[-1] > 0:
+            gram = basis.swapaxes(-1, -2) @ basis
+            if np.max(np.abs(gram - np.eye(basis.shape[-1]))) > 1e-12:
                 raise ValueError("basis is not orthonormal under Re<.,.>")
         self.space = space
         self.basis = basis
@@ -195,10 +209,8 @@ class RealSubspace:
     def from_complex_vectors(cls, space: ComplexVectorSpace,
                              vectors) -> "RealSubspace":
         """Real span of the given complex vectors."""
-        cols = [space.realify(v) for v in vectors]
-        if not cols:
-            return cls(space, np.zeros((space.rdim, 0)), check=False)
-        return cls.from_real_span(space, np.column_stack(cols))
+        rows = np.reshape(np.asarray(vectors, dtype=complex), (-1, space.dim))
+        return cls.from_real_span(space, space.realify(rows.T))
 
     @classmethod
     def real_standard(cls, space: ComplexVectorSpace) -> "RealSubspace":
@@ -208,8 +220,8 @@ class RealSubspace:
 
     @property
     def dim(self) -> int:
-        """Real dimension."""
-        return self.basis.shape[1]
+        """Real dimension; of a stack, the column count."""
+        return self.basis.shape[-1]
 
     def mult_i(self) -> "RealSubspace":
         """The subspace iK."""
@@ -242,19 +254,19 @@ def symplectic_complement(K: RealSubspace) -> RealSubspace:
     dim K + dim K' = 2d always.
     """
     space = K.space
-    JB = times_i(K.basis)
-    r = JB.shape[1]
-    if r == 0:
+    if K.dim == 0:
         return RealSubspace(space, np.eye(space.rdim), check=False)
-    # null space of (Jc B)^T via full SVD
-    _, _, Vt = np.linalg.svd(JB.T, full_matrices=True)
-    basis = Vt[r:].T
-    return RealSubspace(space, basis, check=False)
+    # null space of (Jc B)^T via full SVD, past the unit singular values
+    _, sv, Vt = np.linalg.svd(times_i(K.basis).swapaxes(-1, -2))
+    rank = np.sum(sv > 0.5, axis=-1)[..., None, None]
+    null = (Vt * (np.arange(space.rdim)[:, None] >= rank))[..., np.min(rank):, :]
+    return RealSubspace(space, null.swapaxes(-1, -2), check=False)
 
 
 def subspace_sum(K1: RealSubspace, K2: RealSubspace) -> RealSubspace:
     _same_space(K1, K2)
-    return RealSubspace.from_real_span(K1.space, np.hstack([K1.basis, K2.basis]))
+    return RealSubspace.from_real_span(
+        K1.space, np.concatenate([K1.basis, K2.basis], axis=-1))
 
 
 def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
@@ -263,14 +275,15 @@ def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
     cos above 1 - cos_tol are common to both subspaces."""
     _same_space(K1, K2)
     if K1.dim == 0 or K2.dim == 0:
-        return RealSubspace(K1.space, np.zeros((K1.space.rdim, 0)), check=False)
-    U, sv, Vt = np.linalg.svd(K1.basis.T @ K2.basis, full_matrices=False)
-    take = sv >= 1.0 - cos_tol
-    if not np.any(take):
-        return RealSubspace(K1.space, np.zeros((K1.space.rdim, 0)), check=False)
-    # average the two principal frames, then clean up
-    W1 = K1.basis @ U[:, take]
-    W2 = K2.basis @ Vt[take].T
+        return RealSubspace(K1.space, K1.basis[..., :0], check=False)
+    U, sv, Vt = np.linalg.svd(K1.basis.swapaxes(-1, -2) @ K2.basis,
+                              full_matrices=False)
+    take = sv >= 1.0 - cos_tol            # a prefix: sv descends
+    k = np.max(np.sum(take, axis=-1))     # no slice takes more
+    take = take[..., None, :k]
+    # average the two principal frames (zero where not taken), clean up
+    W1 = K1.basis @ (U[..., :k] * take)
+    W2 = K2.basis @ (Vt[..., :k, :].swapaxes(-1, -2) * take)
     return RealSubspace.from_real_span(K1.space, 0.5 * (W1 + W2))
 
 
@@ -278,9 +291,9 @@ def inclusion_residual(K1: RealSubspace, K2: RealSubspace) -> float:
     """sup over unit x in K1 of the distance from x to K2 (0 iff K1 <= K2)."""
     _same_space(K1, K2)
     if K1.dim == 0:
-        return 0.0
-    R = K1.basis - K2.basis @ (K2.basis.T @ K1.basis)
-    return float(np.linalg.norm(R, 2))
+        return np.zeros(K1.basis.shape[:-2])[()]
+    R = K1.basis - K2.basis @ (K2.basis.swapaxes(-1, -2) @ K1.basis)
+    return operator_norm(R)
 
 
 def subspace_distance(K1: RealSubspace, K2: RealSubspace) -> float:
@@ -291,7 +304,7 @@ def subspace_distance(K1: RealSubspace, K2: RealSubspace) -> float:
     and nothing is orthonormalized, so small distances are not lost to
     ORTHO_DROP_TOL.
     """
-    return max(inclusion_residual(K1, K2), inclusion_residual(K2, K1))
+    return np.maximum(inclusion_residual(K1, K2), inclusion_residual(K2, K1))
 
 
 def principal_angles(K1: RealSubspace, K2: RealSubspace) -> np.ndarray:

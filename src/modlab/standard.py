@@ -12,11 +12,13 @@ matrices.  With Z the matrix whose columns are a real basis of K (a
 complex basis of C^d when K is standard), x = Z c splits as h + ik with
 h = Z Re c and k = Z Im c, so s x = Z conj(c) and s = Z conj(Z)^(-1).
 Each eigenvalue of delta appears once, with its complex multiplicity.
+Stacks (see hilbert) work in is_standard, tomita_operator, modular_data,
+modular_flow and rotated_standard_subspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .hilbert import (
     ComplexVectorSpace,
     Operator,
     RealSubspace,
+    operator_norm,
     orthonormalize_columns,
     subspace_intersection,
     subspace_sum,
@@ -33,7 +36,8 @@ __all__ = [
     "StandardnessCertificate", "NotStandardError", "is_standard",
     "tomita_operator", "ModularData", "modular_data", "modular_flow",
     "FiberBlock", "fiberize", "reassemble_modular",
-    "fiber_standard_subspace", "random_standard_subspace",
+    "fiber_standard_subspace", "draw_standard_subspace",
+    "rotated_standard_subspace", "random_standard_subspace",
 ]
 
 EIGENVALUE_ONE_TOL = 1e-10
@@ -62,11 +66,15 @@ class NotStandardError(ValueError):
 
 
 def is_standard(K: RealSubspace):
-    """Check K cap iK = 0 and K + iK = everything; returns (bool, certificate)."""
+    """Check K cap iK = 0 and K + iK = everything; returns (bool,
+    certificate), of a stack for its first non-standard slice if any."""
     iK = K.mult_i()
-    inter = subspace_intersection(K, iK, cos_tol=1e-9)
-    total = subspace_sum(K, iK)
-    cert = StandardnessCertificate(inter.dim, total.dim, K.space.rdim)
+    # dimensions: the nonzero columns of each slice
+    inter, total = (np.ravel(np.count_nonzero(np.any(L.basis, axis=-2), axis=-1))
+                    for L in (subspace_intersection(K, iK, cos_tol=1e-9),
+                              subspace_sum(K, iK)))
+    i = int(np.argmax((inter != 0) | (total != K.space.rdim)))
+    cert = StandardnessCertificate(int(inter[i]), int(total[i]), K.space.rdim)
     return cert.standard, cert
 
 
@@ -80,8 +88,8 @@ def tomita_operator(K: RealSubspace) -> Operator:
     ok, cert = is_standard(K)
     if not ok:
         raise NotStandardError(cert)
-    Z = K.complex_vectors().T
-    S = np.linalg.solve(Z.conj().T, Z.T).T      # S conj(Z) = Z
+    Zt = K.space.unrealify(K.basis).swapaxes(-1, -2)
+    S = np.linalg.solve(Zt.conj(), Zt).swapaxes(-1, -2)   # S conj(Z) = Z
     return Operator(S, antilinear=True)
 
 
@@ -91,11 +99,24 @@ class ModularData:
     s: Operator
     j: Operator
     delta: Operator
-    log_delta_spectrum: list = field(default_factory=list)  # (log eigenvalue, complex multiplicity)
-    condition_number: float = 1.0
     # eigendecomposition of delta, kept for spectral calculus
-    _eigenvalues: np.ndarray = None
-    _eigenvectors: np.ndarray = None
+    _eigenvalues: np.ndarray
+    _eigenvectors: np.ndarray
+
+    @property
+    def log_delta_spectrum(self) -> list:
+        """(log eigenvalue, complex multiplicity) pairs of one delta."""
+        out = []
+        for lg in np.log(self._eigenvalues):
+            if out and abs(out[-1][0] - lg) <= 1e-9 * max(1.0, abs(lg)):
+                out[-1][1] += 1
+            else:
+                out.append([float(lg), 1])
+        return [tuple(x) for x in out]
+
+    @property
+    def condition_number(self):
+        return self._eigenvalues[..., -1] / self._eigenvalues[..., 0]
 
 
 def modular_data(s: Operator) -> ModularData:
@@ -109,38 +130,28 @@ def modular_data(s: Operator) -> ModularData:
         raise ValueError("modular_data expects an antilinear map")
     S = s.matrix
     # s^2 = 1 on the whole space is the finite-dimensional Tomita property
-    invol = np.linalg.norm(S @ S.conj() - np.eye(S.shape[0]), 2)
-    if invol > 1e-8 * max(1.0, np.linalg.norm(S, 2) ** 2):
-        raise ValueError(f"not an involution: ||s^2 - 1|| = {invol:.2e}")
-    D = S.T @ S.conj()
-    D = 0.5 * (D + D.conj().T)
+    invol = operator_norm(S @ S.conj() - np.eye(S.shape[-1]))
+    if np.any(invol > 1e-8 * np.maximum(1.0, operator_norm(S) ** 2)):
+        raise ValueError(f"not an involution: ||s^2 - 1|| = {np.max(invol):.2e}")
+    D = S.swapaxes(-1, -2) @ S.conj()
+    D = 0.5 * (D + D.conj().swapaxes(-1, -2))
     ev, V = np.linalg.eigh(D)
-    if ev[0] <= 0 or ev[0] < EIGENVALUE_CLAMP * ev[-1]:
+    low = ev[..., 0]
+    if np.any((low <= 0) | (low < EIGENVALUE_CLAMP * ev[..., -1])):
         raise np.linalg.LinAlgError(
-            f"singular Tomita operator: delta eigenvalue {ev[0]:.3e}")
+            f"singular Tomita operator: delta eigenvalue {np.min(low):.3e}")
     ev = np.clip(ev, EIGENVALUE_CLAMP, None)
-    j = s @ Operator((V * ev ** -0.5) @ V.conj().T)
-    return ModularData(s=s, j=j, delta=Operator(D),
-                       log_delta_spectrum=_spectrum_with_multiplicity(ev),
-                       condition_number=float(ev[-1] / ev[0]),
-                       _eigenvalues=ev, _eigenvectors=V)
+    j = s @ _spectral(V, ev ** -0.5)
+    return ModularData(s, j, Operator(D), ev, V)
 
 
-def _spectrum_with_multiplicity(ev):
-    """Group the eigenvalues of delta into (log eigenvalue, multiplicity)."""
-    out = []
-    for lg in np.log(ev):
-        if out and abs(out[-1][0] - lg) <= 1e-9 * max(1.0, abs(lg)):
-            out[-1][1] += 1
-        else:
-            out.append([float(lg), 1])
-    return [tuple(x) for x in out]
+def _spectral(V, f) -> Operator:
+    return Operator((V * f[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def modular_flow(md: ModularData, t: float) -> Operator:
     """delta^(it) = V e^(it log lambda) V* as a complex-linear unitary."""
-    V = md._eigenvectors
-    return Operator((V * np.exp(1j * t * np.log(md._eigenvalues))) @ V.conj().T)
+    return _spectral(md._eigenvectors, np.exp(1j * t * np.log(md._eigenvalues)))
 
 
 @dataclass
@@ -222,47 +233,44 @@ def fiber_standard_subspace(space: ComplexVectorSpace, thetas,
     trailing coordinates contribute real-form directions e_k (angle pi/2,
     delta = 1 there).
     """
-    thetas = list(thetas)
-    need = 2 * len(thetas) + n_fixed
-    if need != space.dim:
-        raise ValueError(f"2*{len(thetas)} + {n_fixed} != dim {space.dim}")
-    vecs = []
-    for i, th in enumerate(thetas):
-        if not 0.0 < th < np.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {th}")
-        c, s_ = np.cos(th / 2.0), np.sin(th / 2.0)
-        yp = np.zeros(space.dim, dtype=complex)
-        ym = np.zeros(space.dim, dtype=complex)
-        yp[2 * i], yp[2 * i + 1] = c, s_
-        ym[2 * i], ym[2 * i + 1] = 1j * c, -1j * s_
-        vecs += [yp, ym]
-    for k in range(n_fixed):
-        e = np.zeros(space.dim, dtype=complex)
-        e[2 * len(thetas) + k] = 1.0
-        vecs.append(e)
-    return RealSubspace.from_complex_vectors(space, vecs)
+    thetas, d = np.asarray(thetas, dtype=float), space.dim
+    if 2 * len(thetas) + n_fixed != d:
+        raise ValueError(f"2*{len(thetas)} + {n_fixed} != dim {d}")
+    if not np.all((0.0 < thetas) & (thetas < np.pi / 2)):
+        raise ValueError(f"theta must lie in (0, pi/2), got {thetas}")
+    B = np.zeros((2 * d, d))
+    i = 2 * np.arange(len(thetas))
+    c, s_ = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    B[i, i], B[i + 1, i] = c, s_                      # y_plus, real part
+    B[d + i, i + 1], B[d + i + 1, i + 1] = c, -s_     # y_minus, imaginary part
+    k = np.arange(2 * len(thetas), d)
+    B[k, k] = 1.0                                     # e_k
+    return RealSubspace(space, B, check=False)
+
+
+def draw_standard_subspace(d: int, rng: np.random.Generator):
+    """The draws of random_standard_subspace in rng order: a fiber basis
+    with angles in [0.15, pi/2 - 0.05], away from the degenerate ends so
+    that the Tomita machinery stays well conditioned, and a complex
+    Gaussian d x d matrix."""
+    n_fixed = int(rng.integers(0, 2)) if d >= 3 else d % 2
+    if (d - n_fixed) % 2 == 1:
+        n_fixed += 1
+    thetas = rng.uniform(0.15, np.pi / 2 - 0.05, size=(d - n_fixed) // 2)
+    Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return fiber_standard_subspace(ComplexVectorSpace(d), thetas, n_fixed).basis, Z
+
+
+def rotated_standard_subspace(space: ComplexVectorSpace, fibers, Z) -> RealSubspace:
+    """The fiber basis rotated by the Haar-ish unitary of the complex QR
+    of Z; every angle spectrum is reachable.  Takes stacks of both."""
+    Q, R = np.linalg.qr(Z)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    U = Operator(Q * (diag / np.abs(diag))[..., None, :]).realified()
+    return RealSubspace(space, orthonormalize_columns(U @ fibers), check=False)
 
 
 def random_standard_subspace(space: ComplexVectorSpace,
                              rng: np.random.Generator) -> RealSubspace:
-    """Random standard subspace with principal angles in
-    [0.15, pi/2 - 0.05], away from the degenerate ends, so the Tomita
-    machinery stays well conditioned.
-
-    Built as a random unitary rotation of a fiber construction; every
-    angle spectrum in the range is reachable.
-    """
-    d = space.dim
-    n_fixed = int(rng.integers(0, 2)) if d >= 3 else d % 2
-    if (d - n_fixed) % 2 == 1:
-        n_fixed += 1
-    n_blocks = (d - n_fixed) // 2
-    thetas = rng.uniform(0.15, np.pi / 2 - 0.05, size=n_blocks)
-    K0 = fiber_standard_subspace(space, thetas, n_fixed)
-    # Haar-ish unitary from a complex Gaussian QR
-    Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(Z)
-    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
-    U = Operator(Q).realified()
-    return RealSubspace(space, orthonormalize_columns(U @ K0.basis),
-                        check=False)
+    """A random rotation of a random fiber construction."""
+    return rotated_standard_subspace(space, *draw_standard_subspace(space.dim, rng))

@@ -4,6 +4,7 @@ import pytest
 
 from modlab.cli import main
 from modlab.config import SCHEMA, ConfigError, ExperimentConfig, schema_text
+from modlab.freefield import REFINEMENT_RUNGS
 
 
 def test_defaults_round_trip():
@@ -156,6 +157,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"modloc": {"dictionary": [[0.0, 3.0, 0.5], [0.0, 300.0, 100.0]]}},
      "modloc.dictionary[1]"),
     ({"freefield": {"lattice_step": 1e-5}}, "freefield.lattice_step"),
+    ({"freefield": {"theta_max": 709.7}}, "freefield.theta_max"),
 ], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
         "n_points_not_power_of_two", "window_outside_grid",
         "theta_max_below_4", "zero_mass", "negative_second_mass",
@@ -166,13 +168,26 @@ def test_cli_usage_errors(tmp_path, capsys):
         "infinite_dictionary_entry", "bool_dictionary_entry",
         "momentum_overflow", "momentum_overflow_from_mass",
         "dictionary_bump_over_sample_budget",
-        "lattice_step_over_sample_budget"])
+        "lattice_step_over_sample_budget", "lattice_phase_overflow"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})
     assert main(["run", "--config", cfg]) == 2
     assert f"configuration error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("freefield", [
+    {"theta_max": 6.0},
+    *({"n_points": p["n_points"], "window": p["window"],
+       "window_width": p["window_width"], "lattice_step": p["step"]}
+      for p in REFINEMENT_RUNGS.values()),
+], ids=["default", "rung1", "rung2", "rung3"])
+def test_working_grids_load(freefield):
+    # the phase bound refuses 709.7, where cosh(theta_max) is still finite
+    cfg = ExperimentConfig.from_dict({"kind": "freefield",
+                                      "freefield": freefield})
+    assert cfg.freefield["theta_max"] == 6.0
 
 
 def test_refine_single_rung_is_plain_run(tmp_path, capsys):

@@ -344,3 +344,50 @@ def test_orthonormalize_discards_dependent():
         Q = assert_matches_mgs(M)
         assert Q.shape[1] == kept
         np.testing.assert_array_equal(Q[:, :2], E[:, :2])
+
+
+def test_stacked_orthonormalize_keeps_each_slice_count():
+    # slice 1 has a dependent column, slice 2 a zero one, and column 5 is
+    # zero in every slice, so the stack loses it as a 2-D matrix would
+    rng = np.random.default_rng(24)
+    M = rng.standard_normal((3, 8, 6))
+    M[1, :, 3] = M[1, :, :2] @ np.array([1.0, 2.0])
+    M[2, :, 4] = 0.0
+    M[:, :, 5] = 0.0
+    Q = orthonormalize_columns(M)
+    assert Q.shape == (3, 8, 5)
+    V = ComplexVectorSpace(4)
+    for Ms, Qs, count in zip(M, Q, (5, 4, 4)):
+        kept = Qs[:, np.any(Qs, axis=0)]
+        ref = orthonormalize_columns(Ms)
+        assert kept.shape == ref.shape == (8, count)
+        np.testing.assert_allclose(kept.T @ kept, np.eye(count), rtol=0,
+                                   atol=1e-13)
+        assert subspace_distance(RealSubspace(V, kept),
+                                 RealSubspace(V, ref)) < 1e-12
+
+
+def test_stacked_subspace_ops_match_each_slice():
+    # a zero column (a direction dropped in that slice) must change
+    # neither the complement nor the intersection nor the residuals
+    rng = np.random.default_rng(25)
+    V = ComplexVectorSpace(4)
+    B = orthonormalize_columns(rng.standard_normal((3, 8, 3)))
+    B[1, :, 2] = 0.0
+    C = orthonormalize_columns(np.concatenate(
+        [B[..., :2], rng.standard_normal((3, 8, 2))], axis=-1))
+    K1, K2 = RealSubspace(V, B, check=False), RealSubspace(V, C)
+    comp = symplectic_complement(K1)
+    assert comp.dim == 6          # dimension 6 in slice 1, 5 in the others
+    cap = subspace_intersection(K1, K2)
+    res = inclusion_residual(K1, K2)
+    dist = subspace_distance(K2, K1)
+    for i in range(3):
+        one = RealSubspace(V, B[i][:, np.any(B[i], axis=0)])
+        two = RealSubspace(V, C[i])
+        assert subspace_distance(RealSubspace(V, comp.basis[i], check=False),
+                                 symplectic_complement(one)) < 1e-12
+        assert subspace_distance(RealSubspace(V, cap.basis[i], check=False),
+                                 subspace_intersection(one, two)) < 1e-12
+        assert abs(res[i] - inclusion_residual(one, two)) < 1e-12
+        assert abs(dist[i] - subspace_distance(two, one)) < 1e-12

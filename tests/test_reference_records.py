@@ -1,11 +1,14 @@
 """The free-field and refinement records equal the stored benchmark
-reference exactly, not just within the benchmark's drift bound.
+reference exactly, not just within the benchmark's drift bound; the
+subspace suite's records pass the benchmark's gate on stored seeds.
 
-The records run through the CLI in a child process with one BLAS thread,
-the setting perfbench/reference.json was made with.  modloc records are
-left out: their reference moved at roundoff, so only the bound applies.
+The exact records run through the CLI in a child process with one BLAS
+thread, the setting perfbench/reference.json was made with.  modloc
+records are left out: their reference moved at roundoff, so only the
+bound applies.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,9 +16,14 @@ import sys
 
 import pytest
 
+from modlab.checks import run_checks
+from modlab.config import ExperimentConfig
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
-    REPORTS = json.load(fh)["reports"]
+    REFERENCE = json.load(fh)
+REPORTS = REFERENCE["reports"]
+SEEDS = sorted(map(int, REFERENCE["seeded"]))
 
 ONE_THREAD = {name: "1" for name in (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -48,3 +56,23 @@ def test_records_equal_the_reference_exactly(tmp_path, kind, args,
                 if name.startswith(prefix)}
     assert expected
     assert _cli_records(tmp_path, kind, *args) == expected
+
+
+def _benchmark_gate():
+    """perfbench/run.py's gate, loaded from its file without running it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.gate
+
+
+GATE = _benchmark_gate()
+
+
+@pytest.mark.parametrize("seed", [SEEDS[i * len(SEEDS) // 16]
+                                  for i in range(16)])
+def test_subspace_records_pass_the_gate_on_stored_seeds(seed):
+    records, _ = run_checks(ExperimentConfig.from_dict(
+        {"kind": "subspace", "seed": seed}))
+    assert GATE({"checks": records}, "subspace", seed, REFERENCE) == []

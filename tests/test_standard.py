@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from modlab.checks import check_standard_suite, worst
+from modlab.config import ExperimentConfig
 from modlab.hilbert import (
     ComplexVectorSpace, Operator, RealSubspace, principal_angles,
     subspace_distance, subspace_intersection,
@@ -329,3 +331,75 @@ def test_fiberize_degenerate_angles():
         V, ys + list(fixed.complex_vectors()))
     assert span.dim == K.dim
     assert subspace_distance(span, K) < 1e-10
+
+
+def test_stack_with_one_nonstandard_slice_raises_its_certificate():
+    V = ComplexVectorSpace(2)
+    e1 = V.basis_vector(0)
+    good = RealSubspace.real_standard(V).basis
+    line = RealSubspace.from_complex_vectors(V, [e1, 1j * e1]).basis
+    K = RealSubspace(V, np.stack([good, line, good]), check=False)
+    assert not is_standard(K)[0]
+    with pytest.raises(NotStandardError) as exc:
+        tomita_operator(K)
+    cert = is_standard(RealSubspace(V, line))[1]
+    assert exc.value.certificate == cert
+    assert (cert.dim_intersection, cert.dim_sum) == (2, 2)
+
+
+def loop_reference(config, rng):
+    """check_standard_suite one sample at a time, as it ran before it
+    checked stacks: the record values by name."""
+    p = config.subspace
+    found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow",
+                             "fixed")}
+    for _ in range(p["n_samples"]):
+        d = int(rng.integers(2, p["max_dim"] + 1))
+        V = ComplexVectorSpace(d)
+        K = random_standard_subspace(V, rng)
+        s = tomita_operator(K)
+        md = modular_data(s)
+        found["involution"].append(np.linalg.norm(
+            (s @ s).matrix - np.eye(d), 2))
+        Kp = symplectic_complement(K)
+        sp = tomita_operator(Kp)
+        found["adjoint"].append(np.linalg.norm(
+            sp.matrix - s.adjoint().matrix, 2))
+        Z = K.complex_vectors().T
+        jK = RealSubspace.from_real_span(V, V.realify(md.j.apply(Z)))
+        found["conjugation"].append(subspace_distance(jK, Kp))
+        for t in p["flow_times"]:
+            FK = RealSubspace.from_real_span(
+                V, V.realify(modular_flow(md, float(t)).apply(Z)))
+            found["flow"].append(subspace_distance(FK, K))
+        cap = subspace_intersection(K, Kp, cos_tol=1e-8)
+        fix = subspace_intersection(
+            RealSubspace.from_real_span(V, _fixed_space(md.j.realified())),
+            RealSubspace.from_real_span(V, _fixed_space(md.delta.realified())),
+            cos_tol=1e-8)
+        found["fixed"].append(subspace_distance(cap, fix))
+    return {f"subspace.{k}": worst(v) for k, v in found.items()}
+
+
+@pytest.mark.parametrize("seed, subspace", [
+    *((seed, {}) for seed in range(8)),
+    (7, {"n_samples": 1}), (7, {"max_dim": 2}), (7, {"max_dim": 3}),
+], ids=[*(f"seed{seed}" for seed in range(8)), "one_sample", "one_group",
+        "two_groups"])
+def test_stacked_suite_matches_the_loop_reference(seed, subspace):
+    cfg = ExperimentConfig.from_dict({"kind": "subspace", "seed": seed,
+                                      "subspace": subspace})
+    got = {r["name"]: r["value"]
+           for r in check_standard_suite(cfg, np.random.default_rng(seed))}
+    want = loop_reference(cfg, np.random.default_rng(seed))
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-10, name
+
+
+def test_tiny_tolerance_fails_every_suite_record():
+    cfg = ExperimentConfig.from_dict({"kind": "subspace",
+                                      "subspace": {"tolerance": 1e-300}})
+    records = check_standard_suite(cfg, np.random.default_rng(7))
+    assert len(records) == 5
+    assert not any(r["passed"] for r in records)
