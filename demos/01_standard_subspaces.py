@@ -20,7 +20,7 @@ rng = np.random.default_rng(2)
 
 print("== R^3 inside C^3: the prototype standard subspace ==")
 V = ComplexVectorSpace(3)
-K = RealSubspace.real_standard(V)
+K = RealSubspace(V, np.eye(3))      # real basis columns e_1, e_2, e_3
 ok, cert = is_standard(K)
 print(f"standard: {ok}  (dim K cap iK = {cert.dim_intersection}, "
       f"dim K + iK = {cert.dim_sum})")
@@ -52,8 +52,7 @@ K5 = random_standard_subspace(V5, rng)
 s5 = tomita_operator(K5)
 md5 = modular_data(s5)
 Kp = symplectic_complement(K5)
-jK = RealSubspace.from_complex_vectors(
-    V5, md5.j.apply(K5.complex_vectors().T).T)
+jK = RealSubspace.span(V5, md5.j.apply(K5.basis))
 print(f"j K = K'?  projection distance {subspace_distance(jK, Kp):.2e}")
 blocks5, fixed5 = fiberize(K5)
 thetas = sorted(b.theta for b in blocks5)
@@ -62,6 +61,6 @@ print(f"fiber angles: {np.round(thetas, 4)}")
 print(f"principal angles between K and iK (each angle twice): "
       f"{np.round(oracle, 4)}")
 print("the first-quantized commutant: Im<h, k> vanishes across K and K'")
-h = Kp.complex_vectors()[0]
-k = K5.complex_vectors()[0]
+h = Kp.basis[:, 0]
+k = K5.basis[:, 0]
 print(f"max |Im<h, k>| sample: {abs(inner(h, k).imag):.2e}")

@@ -17,8 +17,8 @@ from . import freefield as ff
 from . import modloc as ml
 from .config import WEYL_PROBE_LEVEL, ConfigError, ExperimentConfig
 from .hilbert import (
-    ComplexVectorSpace, RealSubspace, operator_norm, principal_angles,
-    subspace_distance, subspace_intersection, subspace_sum,
+    ComplexVectorSpace, RealSubspace, fixed_space, operator_norm,
+    principal_angles, subspace_distance, subspace_intersection, subspace_sum,
     symplectic_complement,
 )
 from .standard import (
@@ -70,18 +70,14 @@ def check_standard_suite(config, rng):
         Kp = symplectic_complement(K)
         sp = tomita_operator(Kp)
         found["adjoint"].extend(operator_norm(sp.matrix - s.adjoint().matrix))
-        Z = V.unrealify(K.basis)
-        jK = RealSubspace.from_real_span(V, V.realify(md.j.apply(Z)))
+        jK = RealSubspace.span(V, md.j.apply(K.basis))
         found["conjugation"].extend(subspace_distance(jK, Kp))
         for t in p["flow_times"]:
-            FK = RealSubspace.from_real_span(
-                V, V.realify(modular_flow(md, float(t)).apply(Z)))
+            FK = RealSubspace.span(V, modular_flow(md, float(t)).apply(K.basis))
             found["flow"].extend(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
-        fix = subspace_intersection(
-            _fixed_space(V, md.j.realified()),
-            _fixed_space(V, md.delta.realified()),
-            cos_tol=1e-8)
+        fix = subspace_intersection(fixed_space(md.j), fixed_space(md.delta),
+                                    cos_tol=1e-8)
         found["fixed"].extend(subspace_distance(cap, fix))
     claims = {
         "involution": "the Tomita operator squares to the identity",
@@ -94,11 +90,6 @@ def check_standard_suite(config, rng):
             for k, v in found.items()]
 
 
-def _fixed_space(V, M):
-    ev, W = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
-    return RealSubspace.from_real_span(V, W * (abs(ev - 1.0) < 1e-8)[..., None, :])
-
-
 def check_fiberization(config, rng):
     p = config.subspace
     angles, reassembly = [], []
@@ -109,11 +100,9 @@ def check_fiberization(config, rng):
         blocks, fixed = fiberize(K)
         thetas = sorted([b.theta for b in blocks for _ in range(2)]
                         + [np.pi / 2] * fixed.dim)
-        oracle = np.sort(principal_angles(K, K.mult_i()))
-        if len(thetas) != len(oracle):
-            angles.append(float("inf"))
-        else:
-            angles.append(float(np.max(np.abs(np.sort(thetas) - oracle))))
+        oracle = principal_angles(K, K.mult_i())      # ascending
+        angles.append(float(np.max(np.abs(thetas - oracle)))
+                      if len(thetas) == len(oracle) else np.inf)
         jmat, dmat = reassemble_modular(V, blocks, fixed)
         reassembly += [
             float(np.linalg.norm(jmat - md.j.matrix, 2)),

@@ -48,12 +48,24 @@ def _write_csv(rows, fieldnames, out_dir, name):
     return path
 
 
+def _verify_out_dir(out_dir):
+    """Refuse, before any check runs, an out_dir that cannot be made a
+    writable directory; the report writers create it."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"out_dir: cannot create {out_dir!r}: "
+                          f"{path!r} is not a writable directory")
+
+
 def _load_config(args):
     config = ExperimentConfig.load(args.config)
     if args.seed is not None:       # validated like the configured seed
         config = dataclasses.replace(config, seed=args.seed)
     if args.out is not None:
         config.out_dir = args.out
+    _verify_out_dir(config.out_dir)
     return config
 
 

@@ -346,16 +346,13 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
     Returns the four largest residuals in a dict, over 6 random unit k
     for (1), 3 for (2) and (3), with t = 0.3 and 0.7, and 50 pairs for (4).
     """
-    space1 = K.space
-    fs = FockSpace(space1.dim, cutoff)
+    fs = FockSpace(K.space.dim, cutoff)
     s = tomita_operator(K)
     md = modular_data(s)
     Kp = symplectic_complement(K)
 
     def sample(space_sub):
-        c = rng.standard_normal(space_sub.dim)
-        v = space_sub.basis @ c
-        z = space1.unrealify(v)
+        z = space_sub.basis @ rng.standard_normal(space_sub.dim)
         return z / max(np.linalg.norm(z), 1e-12)
 
     gs = gamma(fs, s)

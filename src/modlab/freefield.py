@@ -39,7 +39,7 @@ __all__ = [
     "OneParticleVector", "PoincareElement", "LeakageError",
     "DomainViolationError", "SupportError",
     "embed", "embed_with_error", "poincare_act", "covariance_residual",
-    "locality_pairing", "realify", "band_project",
+    "locality_pairing", "band_project",
     "domain_certificate", "wedge_modular_half",
     "wedge_tomita_apply", "compressed_fixed_defect",
     "bw_residual", "bw_residual_of_vector",
@@ -334,20 +334,14 @@ class TestFunction2:
         def profile(x0, x1):
             return _bump(((x0 - c0) ** 2 + (x1 - c1) ** 2) / r ** 2)
 
-        f = TestFunction2(region, profile, ((c0 - r, c0 + r), (c1 - r, c1 + r)),
-                          step, support_boundary=boundary)
-        f.center = (c0, c1)
-        f.radius = r
-        return f
+        return TestFunction2(region, profile,
+                             ((c0 - r, c0 + r), (c1 - r, c1 + r)),
+                             step, support_boundary=boundary)
 
     def refine(self) -> "TestFunction2":
-        g = TestFunction2(self.region, self.profile,
-                          ((self.x0[0], self.x0[-1]), (self.x1[0], self.x1[-1])),
-                          self.step / 2, support_boundary=self._boundary)
-        for attr in ("center", "radius"):
-            if hasattr(self, attr):
-                setattr(g, attr, getattr(self, attr))
-        return g
+        return TestFunction2(self.region, self.profile,
+                             ((self.x0[0], self.x0[-1]), (self.x1[0], self.x1[-1])),
+                             self.step / 2, support_boundary=self._boundary)
 
     def transform(self, g: PoincareElement) -> "TestFunction2":
         """The transformed function x -> f(g^(-1) x), sampled on the
@@ -512,16 +506,6 @@ def embed_with_error(f: TestFunction2, model: FreeFieldModel):
     fine = embed(f.refine(), model).values
     err = _norm(coarse - fine, model.grid) / max(_norm(fine, model.grid), 1e-300)
     return fine, err
-
-
-def realify(values, spacing: float) -> np.ndarray:
-    """Isometric real columns of a stack of vectors: column j holds the
-    real and then the imaginary parts of values[j], flattened and scaled
-    by sqrt(spacing), so the Euclidean product of columns is Re <., .>."""
-    values = np.asarray(values)
-    z = values.reshape(len(values), math.prod(values.shape[1:]))
-    z = z * math.sqrt(spacing)
-    return np.concatenate([z.real.T, z.imag.T])
 
 
 # -- Poincare action -------------------------------------------------------

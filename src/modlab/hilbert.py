@@ -7,16 +7,17 @@ A linear or antilinear map is an Operator: a square complex matrix M with
 a flag, acting as x -> M x or x -> M conj(x).  The same class serves C^d
 and the truncated Fock space.
 
-Real subspaces are held on the realification: a + ib in C^d is the real
-vector (a, b) in R^(2d), the Euclidean inner product there equals
-Re<x, y>, and multiplication by i is the block matrix
-Jc = [[0, -I], [I, 0]].  Jc is never formed on the library's own paths:
-times_i applies it to realified columns as (a, b) -> (-b, a) in O(d r)
-work.  ComplexVectorSpace.complex_structure() still returns the dense
-2d x 2d matrix, and Operator.realified() the real matrix of a map, for
-callers that want them.
+A real subspace K is held by complex basis columns, orthonormal for the
+real inner product Re<x, y>; K is their real span and i times them spans
+iK.  Projections, residuals and principal angles use the real Gram matrix
+Re(A^H B).  This module alone realifies (a + ib as the column (a, b) of
+R^(2d), where the Euclidean product is Re<x, y>), and only where a real
+matrix is needed: Gram-Schmidt, the null space of the symplectic
+complement, the operator norm of a residual, the fixed space of a map and
+the SVD of a real-linear map.  complex_structure() and realified() give
+the real matrices of i and of a map to callers that want them.
 
-Stacks of bases (..., 2d, r) or matrices (..., n, n) give, slice by
+Stacks of bases (..., d, r) or matrices (..., n, n) give, slice by
 slice, what each slice gives alone.  A direction dropped in one slice is
 a zero column there, which changes no projection or residual; columns
 zero in every slice are removed, so 2-D results keep only kept columns.
@@ -28,7 +29,7 @@ import numpy as np
 
 __all__ = [
     "ComplexVectorSpace", "Operator", "RealSubspace",
-    "inner", "times_i", "orthonormalize_columns",
+    "inner", "orthonormalize_columns", "real_svd", "fixed_space",
     "symplectic_complement", "subspace_sum", "subspace_intersection",
     "inclusion_residual", "subspace_distance", "operator_norm",
     "principal_angles", "SpaceMismatchError",
@@ -59,14 +60,6 @@ class ComplexVectorSpace:
         J[d:, :d] = np.eye(d)
         return J
 
-    def realify(self, coords: np.ndarray) -> np.ndarray:
-        z = np.asarray(coords, dtype=complex)
-        return np.concatenate([z.real, z.imag], axis=-min(z.ndim, 2))
-
-    def unrealify(self, v: np.ndarray) -> np.ndarray:
-        re, im = _halves(np.asarray(v, dtype=float))
-        return re + 1j * im
-
     def basis_vector(self, j: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=complex)
         e[j] = 1.0
@@ -85,10 +78,19 @@ class ComplexVectorSpace:
         return f"ComplexVectorSpace(dim={self.dim})"
 
 
-def _halves(a: np.ndarray):
-    """Views of the halves of a along axis -min(ndim, 2): 0 or -2."""
-    d = a.shape[-min(a.ndim, 2)] // 2
-    return (a[:d], a[d:]) if a.ndim == 1 else (a[..., :d, :], a[..., d:, :])
+def _realify(Z: np.ndarray) -> np.ndarray:
+    """Real columns (..., 2d, r) of complex columns (..., d, r)."""
+    return np.concatenate([Z.real, Z.imag], axis=-2)
+
+
+def _unrealify(M: np.ndarray) -> np.ndarray:
+    d = M.shape[-2] // 2
+    return M[..., :d, :] + 1j * M[..., d:, :]
+
+
+def _re_gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re(A^H B): the real inner products of the columns of A and B."""
+    return (A.conj().swapaxes(-1, -2) @ B).real
 
 
 def _same_space(x, y):
@@ -104,25 +106,16 @@ def inner(x, y) -> complex:
     return complex(np.vdot(x, y))
 
 
-def times_i(M: np.ndarray) -> np.ndarray:
-    """Multiplication by i on realified vectors or columns: Jc @ M,
-    computed as (a, b) -> (-b, a) without forming Jc."""
-    M = np.asarray(M, dtype=float)
-    a, b = _halves(M)
-    out = np.concatenate([-b, a], axis=-min(M.ndim, 2))
-    out += 0.0          # -0.0 -> +0.0, as in the matrix product Jc @ M
-    return out
-
-
 def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
-    """Classical Gram-Schmidt applied twice (CGS2), one column at a time
-    against the block of columns before it.
+    """Columns orthonormal for Re<.,.> with the real span of those of M.
 
-    Columns whose residual norm is at most ORTHO_DROP_TOL are linearly
-    dependent and become zero columns.  Returns orthonormal columns in
-    the order of the input columns, trimmed as in the module docstring.
+    Classical Gram-Schmidt applied twice (CGS2) on the realified columns,
+    one column at a time against the block of columns before it.  Columns
+    whose residual norm is at most ORTHO_DROP_TOL are linearly dependent
+    and become zero columns.  Returns complex columns in the order of the
+    input columns, trimmed as in the module docstring.
     """
-    M = np.asarray(M, dtype=float)
+    M = _realify(np.asarray(M, dtype=complex))
     QT = np.zeros(M.swapaxes(-1, -2).shape)   # Q^T: rows QT[..., :j, :] contiguous
     for j in range(M.shape[-1]):
         v = M[..., :, j, None].copy()
@@ -131,7 +124,7 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
             v -= Qj.swapaxes(-1, -2) @ (Qj @ v)
         nv = np.sqrt(v.swapaxes(-1, -2) @ v)
         np.divide(v, nv, out=QT[..., j, :, None], where=nv > ORTHO_DROP_TOL)
-    Q = QT.swapaxes(-1, -2)
+    Q = _unrealify(QT.swapaxes(-1, -2))
     live = np.any(Q, axis=tuple(range(Q.ndim - 1)))   # not zero in every slice
     return Q if live.all() else Q[..., live]
 
@@ -139,6 +132,13 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
 def operator_norm(M: np.ndarray):
     """Spectral norm of a matrix, or of each matrix of a stack."""
     return np.linalg.norm(M, 2, axis=(-2, -1))
+
+
+def real_svd(Z: np.ndarray):
+    """Singular values and right singular vectors (sv, Vt) of the
+    real-linear map c -> Z c from R^r to C^d, Z complex columns (d, r)."""
+    _, sv, Vt = np.linalg.svd(_realify(Z), full_matrices=False)
+    return sv, Vt
 
 
 class Operator:
@@ -182,41 +182,29 @@ class Operator:
 
 
 class RealSubspace:
-    """Closed real-linear subspace, held as an orthonormal real basis.
+    """Closed real-linear subspace K of C^d, held by complex basis columns.
 
-    basis is a (2d x r) matrix with orthonormal columns w.r.t. the
-    Euclidean product on the realification, i.e. w.r.t. Re<.,.>.
+    basis is a (d x r) complex matrix whose columns are orthonormal for
+    Re<.,.>; K is their real span.
     """
 
     def __init__(self, space: ComplexVectorSpace, basis: np.ndarray,
                  check: bool = True):
-        basis = np.asarray(basis, dtype=float)
-        if basis.ndim < 2 or basis.shape[-2] != space.rdim:
+        basis = np.asarray(basis, dtype=complex)
+        if basis.ndim < 2 or basis.shape[-2] != space.dim:
             raise SpaceMismatchError(
-                f"basis shape {basis.shape}, expected (..., {space.rdim}, r)")
+                f"basis shape {basis.shape}, expected (..., {space.dim}, r)")
         if check and basis.shape[-1] > 0:
-            gram = basis.swapaxes(-1, -2) @ basis
+            gram = _re_gram(basis, basis)
             if np.max(np.abs(gram - np.eye(basis.shape[-1]))) > 1e-12:
                 raise ValueError("basis is not orthonormal under Re<.,.>")
         self.space = space
         self.basis = basis
 
     @classmethod
-    def from_real_span(cls, space: ComplexVectorSpace, M) -> "RealSubspace":
-        return cls(space, orthonormalize_columns(M), check=False)
-
-    @classmethod
-    def from_complex_vectors(cls, space: ComplexVectorSpace,
-                             vectors) -> "RealSubspace":
-        """Real span of the given complex vectors."""
-        rows = np.reshape(np.asarray(vectors, dtype=complex), (-1, space.dim))
-        return cls.from_real_span(space, space.realify(rows.T))
-
-    @classmethod
-    def real_standard(cls, space: ComplexVectorSpace) -> "RealSubspace":
-        """R^d inside C^d."""
-        B = np.vstack([np.eye(space.dim), np.zeros((space.dim, space.dim))])
-        return cls(space, B, check=False)
+    def span(cls, space: ComplexVectorSpace, Z) -> "RealSubspace":
+        """The real span of the columns of Z."""
+        return cls(space, orthonormalize_columns(Z), check=False)
 
     @property
     def dim(self) -> int:
@@ -225,48 +213,51 @@ class RealSubspace:
 
     def mult_i(self) -> "RealSubspace":
         """The subspace iK."""
-        return RealSubspace(self.space, times_i(self.basis), check=False)
+        return RealSubspace(self.space, 1j * self.basis, check=False)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ v)
+        """Orthogonal projection, for Re<.,.>, of columns (or a vector) onto K."""
+        return self.basis @ _re_gram(self.basis, np.asarray(v, dtype=complex))
 
     def contains(self, x, tol: float = EQUALITY_TOL) -> bool:
-        """Whether x, a complex vector or its realification, lies in K."""
-        v = self.space.realify(x) if np.iscomplexobj(x) else np.asarray(x, float)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return True
-        return np.linalg.norm(v - self.project(v)) <= tol * nv
-
-    def complex_vectors(self) -> np.ndarray:
-        """Basis columns as complex vectors, one per row."""
-        return self.space.unrealify(self.basis).T
+        """Whether the complex vector x lies in K."""
+        return np.linalg.norm(x - self.project(x)) <= tol * np.linalg.norm(x)
 
     def __repr__(self):
         return f"RealSubspace(dim={self.dim} in C^{self.space.dim})"
 
 
+def fixed_space(op: Operator) -> RealSubspace:
+    """The real subspace {x : op x = x} of a map self-adjoint for Re<.,.>,
+    such as an antiunitary involution or a positive operator: eigenvectors
+    of its real matrix with eigenvalue within 1e-8 of 1."""
+    M = op.realified()
+    ev, W = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
+    return RealSubspace.span(ComplexVectorSpace(op.matrix.shape[-1]),
+                             _unrealify(W * (abs(ev - 1.0) < 1e-8)[..., None, :]))
+
+
 def symplectic_complement(K: RealSubspace) -> RealSubspace:
     """K' = all h with Im<h, k> = 0 for every k in K.
 
-    Since Im<h, k> = -Re<h, i k>, the realification of K' is the
-    Euclidean orthogonal complement of Jc K; in particular
-    dim K + dim K' = 2d always.
+    Since Im<h, k> = -Re<h, i k>, K' is the Re-orthogonal complement of
+    iK; in particular dim K + dim K' = 2d always.
     """
     space = K.space
     if K.dim == 0:
-        return RealSubspace(space, np.eye(space.rdim), check=False)
-    # null space of (Jc B)^T via full SVD, past the unit singular values
-    _, sv, Vt = np.linalg.svd(times_i(K.basis).swapaxes(-1, -2))
+        eye = np.eye(space.dim)
+        return RealSubspace(space, np.hstack([eye, 1j * eye]), check=False)
+    # realified null space of (iB)^T by full SVD, past the unit singular values
+    _, sv, Vt = np.linalg.svd(_realify(1j * K.basis).swapaxes(-1, -2))
     rank = np.sum(sv > 0.5, axis=-1)[..., None, None]
     null = (Vt * (np.arange(space.rdim)[:, None] >= rank))[..., np.min(rank):, :]
-    return RealSubspace(space, null.swapaxes(-1, -2), check=False)
+    return RealSubspace(space, _unrealify(null.swapaxes(-1, -2)), check=False)
 
 
 def subspace_sum(K1: RealSubspace, K2: RealSubspace) -> RealSubspace:
     _same_space(K1, K2)
-    return RealSubspace.from_real_span(
-        K1.space, np.concatenate([K1.basis, K2.basis], axis=-1))
+    return RealSubspace.span(K1.space,
+                             np.concatenate([K1.basis, K2.basis], axis=-1))
 
 
 def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
@@ -276,7 +267,7 @@ def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
     _same_space(K1, K2)
     if K1.dim == 0 or K2.dim == 0:
         return RealSubspace(K1.space, K1.basis[..., :0], check=False)
-    U, sv, Vt = np.linalg.svd(K1.basis.swapaxes(-1, -2) @ K2.basis,
+    U, sv, Vt = np.linalg.svd(_re_gram(K1.basis, K2.basis),
                               full_matrices=False)
     take = sv >= 1.0 - cos_tol            # a prefix: sv descends
     k = np.max(np.sum(take, axis=-1))     # no slice takes more
@@ -284,7 +275,7 @@ def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
     # average the two principal frames (zero where not taken), clean up
     W1 = K1.basis @ (U[..., :k] * take)
     W2 = K2.basis @ (Vt[..., :k, :].swapaxes(-1, -2) * take)
-    return RealSubspace.from_real_span(K1.space, 0.5 * (W1 + W2))
+    return RealSubspace.span(K1.space, 0.5 * (W1 + W2))
 
 
 def inclusion_residual(K1: RealSubspace, K2: RealSubspace) -> float:
@@ -292,8 +283,8 @@ def inclusion_residual(K1: RealSubspace, K2: RealSubspace) -> float:
     _same_space(K1, K2)
     if K1.dim == 0:
         return np.zeros(K1.basis.shape[:-2])[()]
-    R = K1.basis - K2.basis @ (K2.basis.swapaxes(-1, -2) @ K1.basis)
-    return operator_norm(R)
+    # the norm of a real-linear map: of the realified matrix
+    return operator_norm(_realify(K1.basis - K2.project(K1.basis)))
 
 
 def subspace_distance(K1: RealSubspace, K2: RealSubspace) -> float:
@@ -308,10 +299,10 @@ def subspace_distance(K1: RealSubspace, K2: RealSubspace) -> float:
 
 
 def principal_angles(K1: RealSubspace, K2: RealSubspace) -> np.ndarray:
-    """Principal angles between the realified subspaces, ascending, in
+    """Principal angles between the real subspaces, ascending, in
     [0, pi/2].  Independent of basis choice; computed by SVD."""
     _same_space(K1, K2)
     if K1.dim == 0 or K2.dim == 0:
-        return np.zeros(0)
-    sv = np.linalg.svd(K1.basis.T @ K2.basis, compute_uv=False)
-    return np.arccos(np.clip(np.sort(sv)[::-1], -1.0, 1.0))
+        return np.zeros(K1.basis.shape[:-2] + (0,))
+    sv = np.linalg.svd(_re_gram(K1.basis, K2.basis), compute_uv=False)
+    return np.arccos(np.clip(sv, -1.0, 1.0))     # sv descends

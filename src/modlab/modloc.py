@@ -10,14 +10,14 @@ thresholding of (s_W - 1) on their real span.
 
 A direct-sum vector is a complex array (n_summands, n_points), one row
 per summand; a probe dictionary is a stack (k, n_summands, n_points).
-The spectral kernels of the origin right wedge are freefield's, applied
-on the shared rapidity grid to every row at once; this module only
-transports them.
+As a basis of a hilbert.RealSubspace in space() the stack is reshaped to
+complex columns (n_summands n_points, k), and back.  The spectral kernels
+of the origin right wedge are freefield's, applied on the shared rapidity
+grid to every row at once; this module only transports them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +25,12 @@ import numpy as np
 from .freefield import (
     DOMAIN_CERT_THRESHOLD, PoincareElement, Region2, SupportError,
     TestFunction2, compressed_fixed_defect, domain_certificate, embed,
-    poincare_act, realify,
+    poincare_act,
 )
 from .hilbert import (
     ComplexVectorSpace, RealSubspace, inclusion_residual,
-    orthonormalize_columns, subspace_distance, subspace_intersection,
-    subspace_sum, times_i,
+    orthonormalize_columns, real_svd, subspace_distance,
+    subspace_intersection, subspace_sum,
 )
 
 __all__ = [
@@ -71,19 +71,14 @@ class PoincareRep2:
         return np.stack([poincare_act(g, X[..., i, :], m)
                          for i, m in enumerate(self.models)], axis=-2)
 
-    def realify(self, X) -> np.ndarray:
-        """Real columns in space() of a stack of vectors."""
-        return realify(X, self.grid.spacing)
-
-    def unrealify(self, M) -> np.ndarray:
-        """The stack of vectors whose real columns are those of M."""
-        d = self.space().dim
-        z = (M[:d] + 1j * M[d:]).T / math.sqrt(self.grid.spacing)
-        return z.reshape(-1, self.n_summands, self.grid.n_points)
-
 
 def _stack(rep: PoincareRep2, probes) -> np.ndarray:
     return np.reshape(probes, (-1, rep.n_summands, rep.grid.n_points))
+
+
+def _columns(X) -> np.ndarray:
+    """Columns (n_summands n_points, k) of a stack; _stack(rep, _.T) inverts."""
+    return np.reshape(X, (len(X), -1)).T
 
 
 def embed_probe(rep: PoincareRep2, f: TestFunction2, summand: int = 0) -> np.ndarray:
@@ -150,9 +145,8 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05)
         raise EmptyModelError(
             f"all {len(P)} probes fail the domain certificate "
             f"(min {np.min(certs, initial=np.inf):.2e})")
-    B = orthonormalize_columns(rep.realify(P[live]))
-    D = rep.realify(compressed_defect_rep(rep, W, rep.unrealify(B)))
-    _, sv, Vt = np.linalg.svd(D, full_matrices=False)
+    B = orthonormalize_columns(_columns(P[live]))
+    sv, Vt = real_svd(_columns(compressed_defect_rep(rep, W, _stack(rep, B.T))))
     keep = sv <= tol
     if not np.any(keep):
         raise EmptyModelError(
@@ -202,8 +196,8 @@ class LocalizedNet:
         return self.entries[self._key(W)]
 
     def act_on_subspace(self, g: PoincareElement, K: RealSubspace) -> RealSubspace:
-        moved = self.rep.act(g, self.rep.unrealify(K.basis))
-        return RealSubspace.from_real_span(K.space, self.rep.realify(moved))
+        moved = self.rep.act(g, _stack(self.rep, K.basis.T))
+        return RealSubspace.span(K.space, _columns(moved))
 
 
 def _wedge_contains(W1: Region2, W2: Region2) -> bool:
@@ -219,13 +213,13 @@ def _wedge_contains(W1: Region2, W2: Region2) -> bool:
 def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspace:
     """Vectors of the joint span symplectically orthogonal to K, taking
     the generic dimension dim(joint) - dim(K)."""
-    space = joint.space
     want = joint.dim - K.dim
     if want <= 0:
-        return RealSubspace(space, np.zeros((space.rdim, 0)), check=False)
-    C = times_i(K.basis).T @ joint.basis       # constraints  x  joint coords
+        return RealSubspace(joint.space, joint.basis[:, :0], check=False)
+    # the locality pairing Im<k, x>: constraints  x  joint coords
+    C = (K.basis.conj().T @ joint.basis).imag
     _, _, Vt = np.linalg.svd(C, full_matrices=True)
-    return RealSubspace.from_real_span(space, joint.basis @ Vt[-want:].T)
+    return RealSubspace.span(joint.space, joint.basis @ Vt[-want:].T)
 
 
 def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
@@ -293,8 +287,8 @@ def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=()):
     except KeyError as exc:
         raise ValueError(f"generating wedge missing from the net: {exc}")
     K = subspace_intersection(eR.subspace, eL.subspace, cos_tol=1e-4)
-    # (k, rdim, 1) stack: each residual rounds as if its probe were alone
-    V = net.rep.realify(_stack(net.rep, cone_probes)).T[..., None]
+    # (k, dim, 1) stack: each residual rounds as if its probe were alone
+    V = _columns(_stack(net.rep, cone_probes)).T[..., None]
     residuals = (np.linalg.norm(V - K.project(V), axis=(1, 2))
                  / np.linalg.norm(V, axis=(1, 2)))
     report = {"dimension": K.dim, "probe_residuals": residuals.tolist(),

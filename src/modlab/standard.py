@@ -8,7 +8,7 @@ Everything here is finite-dimensional, so "closed" and "dense" are
 rank statements.
 
 s, j, delta and delta^(it) are hilbert.Operator objects, d x d complex
-matrices.  With Z the matrix whose columns are a real basis of K (a
+matrices.  With Z = K.basis, the columns of a real basis of K (a
 complex basis of C^d when K is standard), x = Z c splits as h + ik with
 h = Z Re c and k = Z Im c, so s x = Z conj(c) and s = Z conj(Z)^(-1).
 Each eigenvalue of delta appears once, with its complex multiplicity.
@@ -27,7 +27,6 @@ from .hilbert import (
     Operator,
     RealSubspace,
     operator_norm,
-    orthonormalize_columns,
     subspace_intersection,
     subspace_sum,
 )
@@ -88,7 +87,7 @@ def tomita_operator(K: RealSubspace) -> Operator:
     ok, cert = is_standard(K)
     if not ok:
         raise NotStandardError(cert)
-    Zt = K.space.unrealify(K.basis).swapaxes(-1, -2)
+    Zt = K.basis.swapaxes(-1, -2)
     S = np.linalg.solve(Zt.conj(), Zt).swapaxes(-1, -2)   # S conj(Z) = Z
     return Operator(S, antilinear=True)
 
@@ -180,7 +179,6 @@ def fiberize(K: RealSubspace):
     coincide with the principal angles between K and iK.
     """
     md = modular_data(tomita_operator(K))
-    space = K.space
     ev, V = md._eigenvalues, md._eigenvectors
     blocks = []
     for lam, v in zip(ev, V.T):
@@ -194,8 +192,7 @@ def fiberize(K: RealSubspace):
                                  y_minus=scale * 1j * (v - t * jv)))
     # fixed part: delta-eigenvalue-1 sector intersected with K
     W = V[:, np.abs(ev - 1.0) <= EIGENVALUE_ONE_TOL]
-    E1 = RealSubspace.from_real_span(space,
-                                     space.realify(np.hstack([W, 1j * W])))
+    E1 = RealSubspace.span(K.space, np.hstack([W, 1j * W]))
     return blocks, subspace_intersection(K, E1, cos_tol=1e-8)
 
 
@@ -215,7 +212,7 @@ def reassemble_modular(space: ComplexVectorSpace, blocks, fixed_part: RealSubspa
         lam = np.tan(b.theta / 2.0) ** 2
         D += lam * np.outer(v, v.conj()) + (1.0 / lam) * np.outer(jv, jv.conj())
         J += np.outer(jv, v) + np.outer(v, jv)
-    F = fixed_part.complex_vectors().T
+    F = fixed_part.basis
     D += F @ F.conj().T
     J += F @ F.T
     return J, D
@@ -238,13 +235,13 @@ def fiber_standard_subspace(space: ComplexVectorSpace, thetas,
         raise ValueError(f"2*{len(thetas)} + {n_fixed} != dim {d}")
     if not np.all((0.0 < thetas) & (thetas < np.pi / 2)):
         raise ValueError(f"theta must lie in (0, pi/2), got {thetas}")
-    B = np.zeros((2 * d, d))
+    B = np.zeros((d, d), dtype=complex)
     i = 2 * np.arange(len(thetas))
     c, s_ = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-    B[i, i], B[i + 1, i] = c, s_                      # y_plus, real part
-    B[d + i, i + 1], B[d + i + 1, i + 1] = c, -s_     # y_minus, imaginary part
+    B[i, i], B[i + 1, i] = c, s_                          # y_plus
+    B[i, i + 1], B[i + 1, i + 1] = 1j * c, -1j * s_       # y_minus
     k = np.arange(2 * len(thetas), d)
-    B[k, k] = 1.0                                     # e_k
+    B[k, k] = 1.0                                         # e_k
     return RealSubspace(space, B, check=False)
 
 
@@ -266,8 +263,8 @@ def rotated_standard_subspace(space: ComplexVectorSpace, fibers, Z) -> RealSubsp
     of Z; every angle spectrum is reachable.  Takes stacks of both."""
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
-    U = Operator(Q * (diag / np.abs(diag))[..., None, :]).realified()
-    return RealSubspace(space, orthonormalize_columns(U @ fibers), check=False)
+    U = Q * (diag / np.abs(diag))[..., None, :]
+    return RealSubspace.span(space, U @ fibers)
 
 
 def random_standard_subspace(space: ComplexVectorSpace,

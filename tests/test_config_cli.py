@@ -225,6 +225,37 @@ def test_refine_rejects_rung_windows_outside_the_grid(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["run"], ["refine", "--ladder", "1,2"]],
+                         ids=["run", "refine"])
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_out_dir_that_cannot_be_created_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv, where):
+    # an existing file, as the directory or as its parent: exit 2 naming
+    # out_dir, before any check runs
+    from modlab import checks
+
+    def must_not_run(config, rng):
+        raise AssertionError("a check ran before the refusal")
+    for name in ("check_bisognano_wichmann", "check_covariance",
+                 "check_locality"):
+        monkeypatch.setattr(checks, name, must_not_run)
+    monkeypatch.setitem(checks.CHECKS, "fock", [must_not_run])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "out"):
+        data = {"kind": "fock"}
+        if where == "config":
+            data["out_dir"] = str(out)
+        cfg = write_config(tmp_path, data)
+        extra = ["--out", str(out)] if where == "option" else []
+        assert main([argv[0], "--config", cfg, *argv[1:], *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: out_dir: cannot create "
+                              f"{str(out)!r}: {str(blocker)!r} is not a "
+                              f"writable directory")
+    assert blocker.read_text() == ""
+
+
 def test_cli_list_checks(capsys):
     assert main(["list-checks"]) == 0
     out = capsys.readouterr().out

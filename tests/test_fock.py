@@ -472,7 +472,7 @@ def test_weyl_unitarity_defect_monotone():
 def test_second_quantized_check_real_line():
     # K = R in C: gamma(s) e^(i) = e^(-i) exactly (conjugation)
     V = ComplexVectorSpace(1)
-    K = RealSubspace.real_standard(V)
+    K = RealSubspace(V, np.eye(1))
     rng = np.random.default_rng(54)
     rep = second_quantized_modular_check(K, 8, rng)
     assert rep["conjugation_on_coherent"] < 1e-12
@@ -491,7 +491,7 @@ def test_second_quantized_check_fiber():
 # -- controls: each claim must fail on a wrong input --------------------------
 
 def _unit_sample(K, rng):
-    z = K.space.unrealify(K.basis @ rng.standard_normal(K.dim))
+    z = K.basis @ rng.standard_normal(K.dim)
     return z / np.linalg.norm(z)
 
 

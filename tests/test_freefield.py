@@ -14,7 +14,7 @@ from modlab.freefield import (
     band_project, borchers_check, bw_residual, bw_residual_of_vector,
     compressed_fixed_defect, covariance_residual, domain_certificate, embed,
     embed_with_error, gaussian_packet, locality_pairing,
-    modular_blowup_profile, poincare_act, realify, wedge_modular_half,
+    modular_blowup_profile, poincare_act, wedge_modular_half,
     wedge_tomita_apply,
 )
 from modlab.hilbert import (
@@ -381,10 +381,8 @@ def test_covariance_ladder_decreases():
 
 def span_of(model, vectors):
     """The real span of one-particle vectors."""
-    return RealSubspace.from_real_span(
-        ComplexVectorSpace(model.grid.n_points),
-        realify(np.reshape(vectors, (-1, model.grid.n_points)),
-                model.grid.spacing))
+    return RealSubspace.span(ComplexVectorSpace(model.grid.n_points),
+                             np.reshape(vectors, (-1, model.grid.n_points)).T)
 
 
 def test_reflection_covariance_on_subspaces(model):

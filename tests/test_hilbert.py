@@ -6,8 +6,20 @@ from modlab.hilbert import (
     inner, symplectic_complement,
     subspace_sum, subspace_intersection, inclusion_residual,
     subspace_distance, principal_angles,
-    orthonormalize_columns, times_i,
+    orthonormalize_columns, fixed_space, real_svd,
 )
+
+
+def realify(Z):
+    """Reference realification a + ib -> (a, b) of vectors or columns."""
+    Z = np.asarray(Z, dtype=complex)
+    return np.concatenate([Z.real, Z.imag], axis=-min(Z.ndim, 2))
+
+
+def unrealify(M):
+    """Complex columns of realified ones, for real test data."""
+    d = M.shape[-2] // 2
+    return M[..., :d, :] + 1j * M[..., d:, :]
 
 
 def random_matrix(rng, d):
@@ -49,29 +61,95 @@ def test_polarization():
         assert inner(h, k).imag == pytest.approx(inner(1j * h, k).real, abs=1e-12)
 
 
-def test_realification_roundtrip_and_structure():
+def test_complex_structure_multiplies_by_i():
     V = ComplexVectorSpace(3)
     rng = np.random.default_rng(13)
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    np.testing.assert_allclose(V.unrealify(V.realify(z)), z)
     J = V.complex_structure()
     np.testing.assert_allclose(J @ J, -np.eye(6), atol=1e-15)
-    np.testing.assert_allclose(V.unrealify(J @ V.realify(z)), 1j * z)
+    np.testing.assert_allclose(J @ realify(z), realify(1j * z))
 
 
 @pytest.mark.parametrize("d, r", [(1, 1), (1, 3), (8, 5), (8, 16), (8, 0)])
-def test_times_i_equals_complex_structure_product(d, r):
+def test_mult_i_equals_complex_structure_product(d, r):
     V = ComplexVectorSpace(d)
-    B = np.random.default_rng(d + r).standard_normal((2 * d, r))
+    B = unrealify(np.random.default_rng(d + r).standard_normal((2 * d, r)))
     B[::3] = 0.0
-    B[1::3] = -0.0      # the product with Jc turns every zero into +0.0
-    JB = V.complex_structure() @ B
-    out = times_i(B)
-    assert out.shape == JB.shape == (2 * d, r)
-    assert np.array_equal(out, JB)
-    assert np.array_equal(np.signbit(out), np.signbit(JB))
-    if r:
-        assert np.array_equal(times_i(B[:, 0]), JB[:, 0])
+    iK = RealSubspace(V, B, check=False).mult_i()
+    assert iK.basis.shape == (d, r)
+    assert np.array_equal(realify(iK.basis), V.complex_structure() @ realify(B))
+
+
+def test_span_is_the_real_span_of_the_columns():
+    # 3 columns and a real combination of them span a real 3-space; the
+    # column times i is outside it, so the span is not complex-linear
+    rng = np.random.default_rng(14)
+    V = ComplexVectorSpace(4)
+    Z = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    K = RealSubspace.span(V, np.column_stack([Z, Z @ [1.0, -2.0, 0.5]]))
+    assert K.dim == 3
+    np.testing.assert_allclose(realify(K.basis).T @ realify(K.basis),
+                               np.eye(3), rtol=0, atol=1e-13)
+    assert all(K.contains(z) for z in Z.T)
+    assert not K.contains(1j * Z[:, 0])
+    assert K.mult_i().contains(1j * Z[:, 0])
+
+
+def test_project_is_the_real_orthogonal_projection():
+    rng = np.random.default_rng(28)
+    V = ComplexVectorSpace(4)
+    K = RealSubspace.span(V, random_matrix(rng, 4)[:, :3])
+    x = V.random_vector(rng)
+    Px = K.project(x)
+    assert K.contains(Px)
+    np.testing.assert_allclose(K.project(Px), Px, atol=1e-13)
+    # the residual is Re-orthogonal to K, though not complex-orthogonal
+    assert np.max(np.abs((K.basis.conj().T @ (x - Px)).real)) < 1e-13
+    P = realify(K.basis) @ realify(K.basis).T
+    np.testing.assert_allclose(realify(Px), P @ realify(x), atol=1e-13)
+    X = np.column_stack([x, V.random_vector(rng)])
+    np.testing.assert_allclose(K.project(X)[:, 0], Px, atol=1e-13)
+
+
+def test_stacked_project_and_principal_angles_match_each_slice():
+    rng = np.random.default_rng(29)
+    V = ComplexVectorSpace(3)
+    B1 = orthonormalize_columns(unrealify(rng.standard_normal((4, 6, 3))))
+    B2 = orthonormalize_columns(unrealify(rng.standard_normal((4, 6, 2))))
+    X = unrealify(rng.standard_normal((4, 6, 2)))
+    K1, K2 = RealSubspace(V, B1), RealSubspace(V, B2)
+    proj, ang = K1.project(X), principal_angles(K1, K2)
+    assert proj.shape == (4, 3, 2) and ang.shape == (4, 2)
+    for i in range(4):
+        one, two = RealSubspace(V, B1[i]), RealSubspace(V, B2[i])
+        np.testing.assert_allclose(proj[i], one.project(X[i]), rtol=0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(ang[i], principal_angles(one, two),
+                                   rtol=0, atol=1e-12)
+        assert np.all(np.diff(ang[i]) >= 0)
+
+
+def test_fixed_space_of_conjugation_and_of_a_positive_map():
+    V = ComplexVectorSpace(3)
+    real = RealSubspace(V, np.eye(3))
+    conj = fixed_space(Operator(np.eye(3), antilinear=True))
+    assert subspace_distance(conj, real) < 1e-12
+    # diag(1, 2, 1) fixes the complex span of e_1 and e_3: real dimension 4
+    pos = fixed_space(Operator(np.diag([1.0, 2.0, 1.0])))
+    assert pos.dim == 4
+    e1, e3 = V.basis_vector(0), V.basis_vector(2)
+    assert all(pos.contains(z) for z in (e1, 1j * e1, e3, 1j * e3))
+
+
+def test_real_svd_is_the_svd_of_the_real_linear_map():
+    rng = np.random.default_rng(30)
+    Z = random_matrix(rng, 5)[:, :3]
+    sv, Vt = real_svd(Z)
+    np.testing.assert_allclose(sv, np.linalg.svd(realify(Z), compute_uv=False),
+                               rtol=1e-13)
+    # ||Z v|| = sv for each real right singular vector v
+    np.testing.assert_allclose(np.linalg.norm(Z @ Vt.T, axis=0), sv,
+                               rtol=1e-13)
 
 
 def test_apply_matches_complex_action():
@@ -186,8 +264,9 @@ def test_realified_block_form_and_complex_structure(antilinear):
     sign = -1.0 if antilinear else 1.0
     np.testing.assert_allclose(R @ Jc, sign * (Jc @ R), atol=1e-14)
     x = V.random_vector(rng)
-    np.testing.assert_allclose(V.unrealify(R @ V.realify(x)),
-                               Operator(A, antilinear).apply(x), atol=1e-13)
+    np.testing.assert_allclose(R @ realify(x),
+                               realify(Operator(A, antilinear).apply(x)),
+                               atol=1e-13)
     # the 2-norm of a realified matrix is the complex 2-norm
     assert np.linalg.norm(R, 2) == pytest.approx(np.linalg.norm(A, 2),
                                                  rel=1e-12)
@@ -195,7 +274,7 @@ def test_realified_block_form_and_complex_structure(antilinear):
 
 def test_symplectic_complement_of_real_standard():
     V = ComplexVectorSpace(4)
-    K = RealSubspace.real_standard(V)
+    K = RealSubspace(V, np.eye(4))
     Kp = symplectic_complement(K)
     assert subspace_distance(K, Kp) <= 1e-9
     assert K.dim + Kp.dim == V.rdim
@@ -203,7 +282,7 @@ def test_symplectic_complement_of_real_standard():
 
 def test_symplectic_complement_of_zero():
     V = ComplexVectorSpace(3)
-    K = RealSubspace(V, np.zeros((6, 0)))
+    K = RealSubspace(V, np.zeros((3, 0)))
     assert symplectic_complement(K).dim == 6
 
 
@@ -213,7 +292,7 @@ def test_double_complement():
     for _ in range(50):
         r = int(rng.integers(1, 10))
         M = rng.standard_normal((V.rdim, r))
-        K = RealSubspace.from_real_span(V, M)
+        K = RealSubspace.span(V, unrealify(M))
         Kpp = symplectic_complement(symplectic_complement(K))
         assert subspace_distance(K, Kpp) < 1e-10
 
@@ -221,10 +300,10 @@ def test_double_complement():
 def test_complement_pairing_vanishes():
     rng = np.random.default_rng(19)
     V = ComplexVectorSpace(4)
-    K = RealSubspace.from_real_span(V, rng.standard_normal((8, 3)))
+    K = RealSubspace.span(V, unrealify(rng.standard_normal((8, 3))))
     Kp = symplectic_complement(K)
-    for h in Kp.complex_vectors():
-        for k in K.complex_vectors():
+    for h in Kp.basis.T:
+        for k in K.basis.T:
             assert abs(inner(h, k).imag) < 1e-12
 
 
@@ -232,8 +311,8 @@ def test_complement_reverses_inclusion():
     rng = np.random.default_rng(20)
     V = ComplexVectorSpace(4)
     M = rng.standard_normal((8, 5))
-    K2 = RealSubspace.from_real_span(V, M)
-    K1 = RealSubspace.from_real_span(V, M[:, :2])
+    K2 = RealSubspace.span(V, unrealify(M))
+    K1 = RealSubspace.span(V, unrealify(M[:, :2]))
     assert inclusion_residual(K1, K2) < 1e-12
     K2p, K1p = symplectic_complement(K2), symplectic_complement(K1)
     assert inclusion_residual(K2p, K1p) < 1e-10
@@ -242,14 +321,14 @@ def test_complement_reverses_inclusion():
 def test_subspace_ops():
     V = ComplexVectorSpace(3)
     rng = np.random.default_rng(21)
-    K = RealSubspace.from_real_span(V, rng.standard_normal((6, 3)))
+    K = RealSubspace.span(V, unrealify(rng.standard_normal((6, 3))))
     assert subspace_distance(subspace_intersection(K, K), K) <= 1e-9
     assert subspace_distance(subspace_sum(K, K), K) <= 1e-9
-    e1 = RealSubspace.from_complex_vectors(V, [V.basis_vector(0)])
-    e2 = RealSubspace.from_complex_vectors(V, [V.basis_vector(1)])
+    e1 = RealSubspace.span(V, V.basis_vector(0)[:, None])
+    e2 = RealSubspace.span(V, V.basis_vector(1)[:, None])
     assert subspace_intersection(e1, e2).dim == 0
     with pytest.raises(SpaceMismatchError):
-        subspace_sum(K, RealSubspace.real_standard(ComplexVectorSpace(4)))
+        subspace_sum(K, RealSubspace(ComplexVectorSpace(4), np.eye(4)))
 
 
 def test_sum_dimension_for_standard_K():
@@ -258,7 +337,7 @@ def test_sum_dimension_for_standard_K():
     V = ComplexVectorSpace(4)
     for _ in range(10):
         Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        K = RealSubspace.from_complex_vectors(V, list(Z.T))
+        K = RealSubspace.span(V, Z)
         Kp = symplectic_complement(K)
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         total = subspace_sum(K, Kp)
@@ -267,7 +346,7 @@ def test_sum_dimension_for_standard_K():
 
 def test_principal_angles_basics():
     V = ComplexVectorSpace(3)
-    K = RealSubspace.real_standard(V)
+    K = RealSubspace(V, np.eye(3))
     ang = principal_angles(K, K.mult_i())
     np.testing.assert_allclose(ang, np.pi / 2, atol=1e-12)
     same = principal_angles(K, K)
@@ -280,9 +359,9 @@ def test_subspace_distance_at_small_angles(delta):
     # the frame is exact so that the distance sin(delta) is the only error
     V = ComplexVectorSpace(4)
     E = np.eye(V.rdim)
-    K1 = RealSubspace(V, E[:, [0, 5, 2]])
+    K1 = RealSubspace(V, unrealify(E[:, [0, 5, 2]]))
     tilted = np.cos(delta) * E[:, 2] + np.sin(delta) * E[:, 7]
-    K2 = RealSubspace(V, np.column_stack([E[:, 0], E[:, 5], tilted]))
+    K2 = RealSubspace(V, unrealify(np.column_stack([E[:, 0], E[:, 5], tilted])))
     assert subspace_distance(K1, K2) == pytest.approx(delta, rel=1e-3, abs=0)
     assert subspace_distance(K2, K1) == pytest.approx(delta, rel=1e-3, abs=0)
 
@@ -290,9 +369,9 @@ def test_subspace_distance_at_small_angles(delta):
 def test_subspace_distance_of_unequal_and_empty_subspaces():
     V = ComplexVectorSpace(3)
     rng = np.random.default_rng(24)
-    K = RealSubspace.from_real_span(V, rng.standard_normal((6, 3)))
-    smaller = RealSubspace.from_real_span(V, K.basis[:, :2])
-    empty = RealSubspace(V, np.zeros((6, 0)))
+    K = RealSubspace.span(V, unrealify(rng.standard_normal((6, 3))))
+    smaller = RealSubspace.span(V, K.basis[:, :2])
+    empty = RealSubspace(V, np.zeros((3, 0)))
     assert subspace_distance(K, smaller) == pytest.approx(1.0, abs=1e-12)
     assert subspace_distance(empty, K) == pytest.approx(1.0, abs=1e-12)
     assert subspace_distance(empty, empty) == 0.0
@@ -314,12 +393,15 @@ def mgs_reference(M, drop_tol=1e-10):
 
 
 def assert_matches_mgs(M):
-    Q, ref = orthonormalize_columns(M), mgs_reference(M)
+    """The realified orthonormalized columns of unrealify(M), checked
+    against the reference on M."""
+    Q, ref = realify(orthonormalize_columns(unrealify(M))), mgs_reference(M)
     assert Q.shape == ref.shape
     np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-13)
     if Q.shape[1]:
         V = ComplexVectorSpace(M.shape[0] // 2)
-        dist = subspace_distance(RealSubspace(V, Q), RealSubspace(V, ref))
+        dist = subspace_distance(RealSubspace(V, unrealify(Q)),
+                                 RealSubspace(V, unrealify(ref)))
         assert dist < 1e-12
     return Q
 
@@ -354,15 +436,16 @@ def test_stacked_orthonormalize_keeps_each_slice_count():
     M[1, :, 3] = M[1, :, :2] @ np.array([1.0, 2.0])
     M[2, :, 4] = 0.0
     M[:, :, 5] = 0.0
+    M = unrealify(M)
     Q = orthonormalize_columns(M)
-    assert Q.shape == (3, 8, 5)
+    assert Q.shape == (3, 4, 5)
     V = ComplexVectorSpace(4)
     for Ms, Qs, count in zip(M, Q, (5, 4, 4)):
         kept = Qs[:, np.any(Qs, axis=0)]
         ref = orthonormalize_columns(Ms)
-        assert kept.shape == ref.shape == (8, count)
-        np.testing.assert_allclose(kept.T @ kept, np.eye(count), rtol=0,
-                                   atol=1e-13)
+        assert kept.shape == ref.shape == (4, count)
+        np.testing.assert_allclose(realify(kept).T @ realify(kept),
+                                   np.eye(count), rtol=0, atol=1e-13)
         assert subspace_distance(RealSubspace(V, kept),
                                  RealSubspace(V, ref)) < 1e-12
 
@@ -372,10 +455,10 @@ def test_stacked_subspace_ops_match_each_slice():
     # neither the complement nor the intersection nor the residuals
     rng = np.random.default_rng(25)
     V = ComplexVectorSpace(4)
-    B = orthonormalize_columns(rng.standard_normal((3, 8, 3)))
+    B = orthonormalize_columns(unrealify(rng.standard_normal((3, 8, 3))))
     B[1, :, 2] = 0.0
     C = orthonormalize_columns(np.concatenate(
-        [B[..., :2], rng.standard_normal((3, 8, 2))], axis=-1))
+        [B[..., :2], unrealify(rng.standard_normal((3, 8, 2)))], axis=-1))
     K1, K2 = RealSubspace(V, B, check=False), RealSubspace(V, C)
     comp = symplectic_complement(K1)
     assert comp.dim == 6          # dimension 6 in slice 1, 5 in the others

@@ -112,12 +112,12 @@ def test_localized_subspace_contains_probes(rep):
     K, report = localized_subspace(rep, W, probes, tol=0.05)
     assert K.dim == len(probes)
     assert not report.fallback_used
-    V = rep.realify(np.array(probes))
+    V = np.reshape(probes, (len(probes), -1)).T     # one column per probe
     for v in V.T:
         res = np.linalg.norm(v - K.project(v)) / np.linalg.norm(v)
         assert res < 1e-3
     # when every probe clears the threshold the model is the probe span
-    span = RealSubspace.from_real_span(K.space, V)
+    span = RealSubspace.span(K.space, V)
     assert subspace_distance(K, span) < 1e-9
 
 
@@ -146,23 +146,27 @@ def test_localized_subspace_keeps_localized_part_of_mixed_dictionary(rep):
     assert not report.fallback_used
     sv = report.singular_values
     assert sv[0] > 1.0 and sv[1] < 1e-3        # measured 1.72 and 9.1e-5
-    v = rep.realify(Ef[None])[:, 0]
+    v = Ef.ravel()
     assert np.linalg.norm(v - K.project(v)) < 1e-3 * np.linalg.norm(v)
+    assert np.linalg.norm(1j * v - K.project(1j * v)) > 0.5 * np.linalg.norm(v)
 
 
-def test_realify_round_trip_and_summandwise_action(rep2):
+def test_subspace_columns_move_summandwise(rep2):
     f = TestFunction2.bump((0.0, 3.0), 0.5)
     g = TestFunction2.bump((0.4, 3.4), 0.55)
     X = np.array([embed_probe(rep2, f, 0), embed_probe(rep2, g, 1)])
-    M = rep2.realify(X)
-    assert M.shape == (rep2.space().rdim, 2)
-    np.testing.assert_allclose(rep2.unrealify(M), X, rtol=0, atol=1e-15)
     # each summand moves with its own mass
     a = PoincareElement.translation(0.3, 0.7)
     moved = rep2.act(a, X)
     for i, m in enumerate(rep2.models):
         assert np.array_equal(
             moved[:, i], poincare_act(a, X[:, i], m))
+    # a basis column is a direct-sum vector with its rows laid end to end
+    K = RealSubspace.span(rep2.space(), X.reshape(2, -1).T)
+    assert K.basis.shape == (rep2.space().dim, 2)
+    expected = RealSubspace.span(rep2.space(), moved.reshape(2, -1).T)
+    assert subspace_distance(LocalizedNet(rep2).act_on_subspace(a, K),
+                             expected) < 1e-12
 
 
 def test_localized_subspace_real_linear(rep):

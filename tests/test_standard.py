@@ -5,8 +5,8 @@ from modlab.checks import check_standard_suite, worst
 from modlab.config import ExperimentConfig
 from modlab.hilbert import (
     ComplexVectorSpace, Operator, RealSubspace, principal_angles,
-    subspace_distance, subspace_intersection,
-    symplectic_complement, times_i,
+    fixed_space, subspace_distance, subspace_intersection,
+    symplectic_complement,
 )
 from modlab.standard import (
     NotStandardError, fiber_standard_subspace, fiberize, is_standard,
@@ -17,14 +17,14 @@ from modlab.standard import (
 
 def test_real_standard_is_standard():
     V = ComplexVectorSpace(4)
-    ok, cert = is_standard(RealSubspace.real_standard(V))
+    ok, cert = is_standard(RealSubspace(V, np.eye(4)))
     assert ok and cert.dim_intersection == 0 and cert.dim_sum == 8
 
 
 def test_complex_line_is_not_standard():
     V = ComplexVectorSpace(2)
     e1 = V.basis_vector(0)
-    K = RealSubspace.from_complex_vectors(V, [e1, 1j * e1])
+    K = RealSubspace.span(V, np.column_stack([e1, 1j * e1]))
     ok, cert = is_standard(K)
     assert not ok
     assert cert.dim_sum == 2  # K + iK is only the complex line
@@ -39,7 +39,7 @@ def test_fiber_subspace_is_standard():
 
 def test_tomita_on_real_standard_is_conjugation():
     V = ComplexVectorSpace(3)
-    s = tomita_operator(RealSubspace.real_standard(V))
+    s = tomita_operator(RealSubspace(V, np.eye(3)))
     assert s.antilinear
     np.testing.assert_allclose(s.matrix, np.eye(3), atol=1e-12)
 
@@ -47,7 +47,7 @@ def test_tomita_on_real_standard_is_conjugation():
 def test_tomita_requires_standard():
     V = ComplexVectorSpace(2)
     e1 = V.basis_vector(0)
-    K = RealSubspace.from_complex_vectors(V, [e1, 1j * e1])
+    K = RealSubspace.span(V, np.column_stack([e1, 1j * e1]))
     with pytest.raises(NotStandardError) as exc:
         tomita_operator(K)
     assert exc.value.certificate.dim_sum == 2
@@ -78,7 +78,7 @@ def test_fixed_points_of_tomita_are_K():
     V = ComplexVectorSpace(5)
     K = random_standard_subspace(V, rng)
     s = tomita_operator(K)
-    for k in K.complex_vectors():
+    for k in K.basis.T:
         assert np.linalg.norm(s.apply(k) - k) < 1e-10
     x = V.random_vector(rng)
     fixed = 0.5 * (x + s.apply(x))
@@ -87,7 +87,7 @@ def test_fixed_points_of_tomita_are_K():
 
 def test_modular_data_of_conjugation():
     V = ComplexVectorSpace(3)
-    md = modular_data(tomita_operator(RealSubspace.real_standard(V)))
+    md = modular_data(tomita_operator(RealSubspace(V, np.eye(3))))
     np.testing.assert_allclose(md.delta.matrix, np.eye(3), atol=1e-12)
     assert md.j.antilinear
     np.testing.assert_allclose(md.j.matrix, np.eye(3), atol=1e-12)
@@ -133,8 +133,7 @@ def test_j_maps_K_to_complement():
     for _ in range(5):
         K = random_standard_subspace(V, rng)
         md = modular_data(tomita_operator(K))
-        jK = RealSubspace.from_complex_vectors(
-            V, md.j.apply(K.complex_vectors().T).T)
+        jK = RealSubspace.span(V, md.j.apply(K.basis))
         assert subspace_distance(jK, symplectic_complement(K)) < 1e-9
 
 
@@ -144,12 +143,29 @@ def test_K_cap_Kprime_is_joint_fixed_space():
     K = fiber_standard_subspace(V, [np.pi / 4], n_fixed=2)
     md = modular_data(tomita_operator(K))
     cap = subspace_intersection(K, symplectic_complement(K), cos_tol=1e-8)
-    fix_j = RealSubspace.from_real_span(
-        V, _fixed_space(md.j.realified()))
-    fix_d = RealSubspace.from_real_span(
-        V, _fixed_space(md.delta.realified()))
-    joint = subspace_intersection(fix_j, fix_d, cos_tol=1e-8)
+    joint = subspace_intersection(fixed_space(md.j), fixed_space(md.delta),
+                                  cos_tol=1e-8)
     assert subspace_distance(cap, joint) < 1e-8
+    # the fixed spaces themselves, against eigh of the realified maps
+    for op in (md.j, md.delta):
+        ref = RealSubspace.span(V, unrealify(_fixed_space(op.realified())))
+        assert subspace_distance(fixed_space(op), ref) < 1e-10
+
+
+def realify(Z):
+    """Reference realification a + ib -> (a, b) of columns."""
+    return np.concatenate([Z.real, Z.imag], axis=-2)
+
+
+def unrealify(M):
+    d = M.shape[-2] // 2
+    return M[..., :d, :] + 1j * M[..., d:, :]
+
+
+def times_i(M):
+    """Multiplication by i on realified columns: (a, b) -> (-b, a)."""
+    d = M.shape[-2] // 2
+    return np.concatenate([-M[..., d:, :], M[..., :d, :]], axis=-2)
 
 
 def _fixed_space(M):
@@ -176,8 +192,7 @@ def test_modular_flow_preserves_K():
     K = random_standard_subspace(V, rng)
     md = modular_data(tomita_operator(K))
     for t in (0.3, 1.7):
-        FK = RealSubspace.from_complex_vectors(
-            V, modular_flow(md, t).apply(K.complex_vectors().T).T)
+        FK = RealSubspace.span(V, modular_flow(md, t).apply(K.basis))
         assert subspace_distance(FK, K) < 1e-9
 
 
@@ -203,7 +218,7 @@ def test_flow_mixes_fiber_frame():
 
 def test_fiberize_real_standard():
     V = ComplexVectorSpace(3)
-    K = RealSubspace.real_standard(V)
+    K = RealSubspace(V, np.eye(3))
     blocks, fixed = fiberize(K)
     assert blocks == []
     assert subspace_distance(fixed, K) <= 1e-9
@@ -254,14 +269,15 @@ def test_block_y_vectors_span_K_trace():
     K = fiber_standard_subspace(V, [0.5, 1.1])
     blocks, fixed = fiberize(K)
     vecs = [b.y_plus for b in blocks] + [b.y_minus for b in blocks]
-    recon = RealSubspace.from_complex_vectors(V, vecs)
+    recon = RealSubspace.span(V, np.column_stack(vecs))
     assert subspace_distance(recon, K) < 1e-10
 
 
 def realified_tomita(K):
     """Reference: s on the realification, from the 2d x 2d solve
     x = B u + (iB) v  ->  s x = B u - (iB) v."""
-    B, iB = K.basis, times_i(K.basis)
+    B = realify(K.basis)
+    iB = times_i(B)
     P, Q = np.hstack([B, iB]), np.hstack([B, -iB])
     return Q @ np.linalg.solve(P, np.eye(P.shape[0]))
 
@@ -312,8 +328,8 @@ def test_fiberize_degenerate_angles():
     K0 = fiber_standard_subspace(V, [0.7, 0.7, 1.2], n_fixed=1)
     Q, R = np.linalg.qr(rng.standard_normal((7, 7))
                         + 1j * rng.standard_normal((7, 7)))
-    U = Operator(Q * (np.diag(R) / np.abs(np.diag(R)))).realified()
-    K = RealSubspace.from_real_span(V, U @ K0.basis)
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    K = RealSubspace.span(V, U @ K0.basis)
     md = modular_data(tomita_operator(K))
     assert [m for _, m in md.log_delta_spectrum] == [2, 1, 1, 1, 2]
     blocks, fixed = fiberize(K)
@@ -327,8 +343,7 @@ def test_fiberize_degenerate_angles():
     ys = [y for b in blocks for y in (b.y_plus, b.y_minus)]
     for y in ys:
         assert np.linalg.norm(s.apply(y) - y) < 1e-10
-    span = RealSubspace.from_complex_vectors(
-        V, ys + list(fixed.complex_vectors()))
+    span = RealSubspace.span(V, np.column_stack([*ys, fixed.basis]))
     assert span.dim == K.dim
     assert subspace_distance(span, K) < 1e-10
 
@@ -336,8 +351,8 @@ def test_fiberize_degenerate_angles():
 def test_stack_with_one_nonstandard_slice_raises_its_certificate():
     V = ComplexVectorSpace(2)
     e1 = V.basis_vector(0)
-    good = RealSubspace.real_standard(V).basis
-    line = RealSubspace.from_complex_vectors(V, [e1, 1j * e1]).basis
+    good = np.eye(2, dtype=complex)
+    line = RealSubspace.span(V, np.column_stack([e1, 1j * e1])).basis
     K = RealSubspace(V, np.stack([good, line, good]), check=False)
     assert not is_standard(K)[0]
     with pytest.raises(NotStandardError) as exc:
@@ -365,17 +380,15 @@ def loop_reference(config, rng):
         sp = tomita_operator(Kp)
         found["adjoint"].append(np.linalg.norm(
             sp.matrix - s.adjoint().matrix, 2))
-        Z = K.complex_vectors().T
-        jK = RealSubspace.from_real_span(V, V.realify(md.j.apply(Z)))
+        jK = RealSubspace.span(V, md.j.apply(K.basis))
         found["conjugation"].append(subspace_distance(jK, Kp))
         for t in p["flow_times"]:
-            FK = RealSubspace.from_real_span(
-                V, V.realify(modular_flow(md, float(t)).apply(Z)))
+            FK = RealSubspace.span(V, modular_flow(md, float(t)).apply(K.basis))
             found["flow"].append(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(
-            RealSubspace.from_real_span(V, _fixed_space(md.j.realified())),
-            RealSubspace.from_real_span(V, _fixed_space(md.delta.realified())),
+            RealSubspace.span(V, unrealify(_fixed_space(md.j.realified()))),
+            RealSubspace.span(V, unrealify(_fixed_space(md.delta.realified()))),
             cos_tol=1e-8)
         found["fixed"].append(subspace_distance(cap, fix))
     return {f"subspace.{k}": worst(v) for k, v in found.items()}
