@@ -261,7 +261,8 @@ class PoincareElement:
         return PoincareElement(0.0, 0.0, 0.0, True)
 
     def apply_point(self, x):
-        x0, x1 = float(x[0]), float(x[1])
+        """The image of a point, or of arrays of its coordinates."""
+        x0, x1 = x
         c, s = math.cosh(self.rapidity), math.sinh(self.rapidity)
         y0, y1 = c * x0 + s * x1, s * x0 + c * x1
         if self.reflect:
@@ -346,17 +347,12 @@ class TestFunction2:
     def transform(self, g: PoincareElement) -> "TestFunction2":
         """The transformed function x -> f(g^(-1) x), sampled on the
         lattice over the transformed support box."""
-        corners0, corners1 = [], []
         if self._boundary is not None:
             b0, b1 = self._boundary
         else:
             b0 = np.array([self.x0[0], self.x0[0], self.x0[-1], self.x0[-1]])
             b1 = np.array([self.x1[0], self.x1[-1], self.x1[0], self.x1[-1]])
-        for p0, p1 in zip(b0, b1):
-            q = g.apply_point((p0, p1))
-            corners0.append(q[0])
-            corners1.append(q[1])
-        corners0, corners1 = np.array(corners0), np.array(corners1)
+        corners0, corners1 = g.apply_point((b0, b1))
 
         def profile(x0, x1):
             c, s = math.cosh(g.rapidity), math.sinh(g.rapidity)
@@ -434,17 +430,20 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     0 ... N/2 only; embed mirrors the other columns.
 
     The rows depend on the model only through its momenta, so chunks of
-    PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk).  A
-    chunk is filled as cos(arg) + i sin(arg), about a third cheaper than
-    the complex exponential exp(+-1j * outer(x, p)) and bit-identical to
-    it where the host's exp and cos/sin agree.  arg carries the signs of
-    zero of the complex products: 1j * t has imaginary part t + 0.0 and
-    -1j * t has -t.
+    PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk), for
+    k >= 0 only: h (-k) = -(h k), cos is even and sin odd, so row -k is
+    the complex conjugate of row k, bit for bit.  A chunk is filled as
+    cos(arg) + i sin(arg), about a third cheaper than the complex
+    exponential exp(+-1j * outer(x, p)) and bit-identical to it where
+    the host's exp and cos/sin agree.  arg carries the signs of zero of
+    the complex products: 1j * t has imaginary part t + 0.0 and -1j * t
+    has -t.
     """
     half = model.grid.n_points // 2 + 1
-    first, last = k0 // PHASE_CHUNK, (k0 + count - 1) // PHASE_CHUNK
-    parts = []
-    for c in range(first, last + 1):
+    out = np.empty((count, half), dtype=complex)
+    k, stop = k0, k0 + count
+    while k < stop:
+        c, r = divmod(abs(k), PHASE_CHUNK)
         key = (model.mass, model.grid, step, axis, c)
         rows = _PHASE_ROWS.get(key)
         if rows is None:
@@ -455,10 +454,14 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
             rows.real = np.cos(arg)
             rows.imag = np.sin(arg)
             _PHASE_ROWS.put(key, rows)
-        lo = max(k0 - c * PHASE_CHUNK, 0)
-        hi = min(k0 + count - c * PHASE_CHUNK, PHASE_CHUNK)
-        parts.append(rows[lo:hi])
-    return np.concatenate(parts)
+        if k >= 0:
+            n = min(stop - k, PHASE_CHUNK - r)
+            out[k - k0:k - k0 + n] = rows[r:r + n]
+        else:                           # rows |k|, |k| - 1, ... of the chunk
+            n = min(stop - k, r + 1, -k)
+            np.conjugate(rows[r - n + 1:r + 1][::-1], out=out[k - k0:k - k0 + n])
+        k += n
+    return out
 
 
 def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:

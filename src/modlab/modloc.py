@@ -252,12 +252,15 @@ def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
         report["duality"].append({
             "wedge": net._key(e.region), "residual": float(res)})
 
+    # wedges share dictionary functions: transport and embed each once
+    functions = dict.fromkeys(pair for e in entries for pair in e.functions)
     for g in covariance_elements:
+        transported = {(f, idx): embed_probe(net.rep, f.transform(g), idx)
+                       for f, idx in functions}
         for e in entries:
             gW = e.region.transform(g)
             moved = net.act_on_subspace(g, e.subspace)
-            probes = [embed_probe(net.rep, f.transform(g), idx)
-                      for f, idx in e.functions]
+            probes = [transported[pair] for pair in e.functions]
             try:
                 K_gW, _ = localized_subspace(net.rep, gW, probes, net.tol)
             except EmptyModelError:

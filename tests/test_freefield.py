@@ -182,14 +182,64 @@ def test_embed_equals_uncached_formula_exactly(light_model, center, g):
     assert_embed_is_exact(light_model, center, g)
 
 
-@exact_centers
-@exact_transforms
-@pytest.mark.parametrize("big_model", [
+big_models = pytest.mark.parametrize("big_model", [
     FreeFieldModel(),
     FreeFieldModel(1.0, RapidityGrid(5.3, 4096), 5.0, 1.2),
 ], ids=["default", "theta_max_5.3"])
+
+
+@exact_centers
+@exact_transforms
+@big_models
 def test_embed_equals_uncached_formula_exactly_at_4096_points(big_model, center, g):
     assert_embed_is_exact(big_model, center, g)
+
+
+def assert_same_bits(got, expected):
+    """Equal values, and equal signs of zero in both parts."""
+    assert np.array_equal(got, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+
+
+@big_models
+@pytest.mark.parametrize("k0", [-65, -64, -33, -32, -1, 0, 31])
+def test_phase_rows_equal_the_complex_exponential(big_model, k0):
+    # counts that end inside a chunk, on a chunk edge, and past zero
+    freefield._PHASE_ROWS.clear()
+    step = 1.0 / 128
+    half = big_model.grid.n_points // 2 + 1
+    for count in (1, 2, 31, 32, 33, 64, 65, 97, 131):
+        x = step * np.arange(k0, k0 + count)
+        for axis, sign in ((0, 1j), (1, -1j)):
+            p = big_model.momenta()[axis][:half]
+            assert_same_bits(freefield._phase_rows(big_model, step, axis, k0, count),
+                             np.exp(sign * np.outer(x, p)))
+    # rows with k < 0 are served as conjugates of the cached rows |k|
+    assert all(key[-1] >= 0 for key in freefield._PHASE_ROWS._data)
+
+
+def test_reflected_bump_reuses_the_cached_phase_rows(model):
+    freefield._EMBEDDINGS.clear()
+    freefield._PHASE_ROWS.clear()
+    f = TestFunction2.bump((0.4, 3.0), 0.5)
+    embed(f, model)
+    cached = set(freefield._PHASE_ROWS._data)
+    reflected = f.transform(PoincareElement.reflection())
+    assert max(reflected.x1) < 0 < min(f.x1)
+    assert np.array_equal(embed(reflected, model).values,
+                          uncached_embedding(reflected, model))
+    assert {key for key in freefield._PHASE_ROWS._data if key[3] == 1} \
+        <= {key for key in cached if key[3] == 1}
+
+
+def test_transformed_support_corners_equal_the_pointwise_images():
+    f = TestFunction2.bump((0.3, 2.5), 0.5)
+    g = PoincareElement(0.2, 0.3, -0.45, True)
+    corners = f.transform(g)._boundary
+    expected = np.array([g.apply_point((float(p0), float(p1)))
+                         for p0, p1 in zip(*f._boundary)]).T
+    assert np.array_equal(corners, expected)
 
 
 def test_embed_memo_tells_lattice_origins_apart(light_model):

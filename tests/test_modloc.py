@@ -263,6 +263,28 @@ def test_net_checks(rep):
         assert row["residual"] < 1e-3, row
 
 
+def test_net_checks_transport_each_dictionary_function_once(rep, monkeypatch):
+    net = build_net(rep)
+    elements = [PoincareElement.translation(0.0, 0.5), PoincareElement.boost(0.1)]
+    expected = []
+    for g in elements:
+        for e in net.entries.values():
+            probes = [embed_probe(rep, f.transform(g), idx) for f, idx in e.functions]
+            K, _ = localized_subspace(rep, e.region.transform(g), probes, net.tol)
+            res = subspace_distance(net.act_on_subspace(g, e.subspace), K)
+            expected.append({"wedge": net._key(e.region), "element": repr(g),
+                             "residual": float(res)})
+    calls = []
+    transform = TestFunction2.transform
+    monkeypatch.setattr(TestFunction2, "transform",
+                        lambda f, g: calls.append(f) or transform(f, g))
+    rows = net_checks(net, covariance_elements=elements)["covariance"]
+    distinct = {id(f) for e in net.entries.values() for f, _ in e.functions}
+    assert len(distinct) == 24
+    assert len(calls) == len(elements) * len(distinct)
+    assert rows == expected
+
+
 def test_doublecone_space(rep):
     # cone bumps sit in both generating wedges, so both dictionaries
     # contain them and the intersection keeps them; probes keep a healthy

@@ -1,6 +1,7 @@
 """The free-field and refinement records equal the stored benchmark
 reference exactly, not just within the benchmark's drift bound; the
-subspace suite's records pass the benchmark's gate on stored seeds.
+subspace suite's records pass the benchmark's gate on stored seeds, and
+the modloc records pass it at seed 7.
 
 The exact records run through the CLI in a child process with one BLAS
 thread, the setting perfbench/reference.json was made with.  modloc
@@ -76,3 +77,15 @@ def test_subspace_records_pass_the_gate_on_stored_seeds(seed):
     records, _ = run_checks(ExperimentConfig.from_dict(
         {"kind": "subspace", "seed": seed}))
     assert GATE({"checks": records}, "subspace", seed, REFERENCE) == []
+
+
+def test_modloc_records_pass_the_gate():
+    # the reference holds the modloc records under kind all
+    fixed = {name: values for name, values in REPORTS["all"]["fixed"].items()
+             if name.startswith("modloc.")}
+    reference = {"reports": {"modloc": {"fixed": fixed, "seeded": {}}},
+                 "seeded": {}}
+    records, _ = run_checks(ExperimentConfig.from_dict(
+        {"kind": "modloc", "seed": 7}))
+    assert len(fixed) == 5
+    assert GATE({"checks": records}, "modloc", 7, reference) == []
