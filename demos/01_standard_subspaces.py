@@ -9,9 +9,8 @@ decomposes them into angle fibers, and watches the modular flow act.
 
 import numpy as np
 
-from modlab.hilbert import (ComplexVectorSpace, RealSubspace, inner,
-                            principal_angles, subspace_distance,
-                            symplectic_complement)
+from modlab.hilbert import (RealSubspace, inner, principal_angles,
+                            subspace_distance, symplectic_complement)
 from modlab.standard import (fiber_standard_subspace, fiberize, is_standard,
                              modular_data, modular_flow,
                              random_standard_subspace, tomita_operator)
@@ -19,8 +18,7 @@ from modlab.standard import (fiber_standard_subspace, fiberize, is_standard,
 rng = np.random.default_rng(2)
 
 print("== R^3 inside C^3: the prototype standard subspace ==")
-V = ComplexVectorSpace(3)
-K = RealSubspace(V, np.eye(3))      # real basis columns e_1, e_2, e_3
+K = RealSubspace(np.eye(3))         # real basis columns e_1, e_2, e_3
 ok, cert = is_standard(K)
 print(f"standard: {ok}  (dim K cap iK = {cert.dim_intersection}, "
       f"dim K + iK = {cert.dim_sum})")
@@ -29,8 +27,7 @@ print(f"delta = identity? deviation {np.linalg.norm(md.delta.matrix - np.eye(3))
 print("here s is plain conjugation and the modular flow is trivial\n")
 
 print("== an angle-pi/3 fiber in C^2 ==")
-V2 = ComplexVectorSpace(2)
-K2 = fiber_standard_subspace(V2, [np.pi / 3])
+K2 = fiber_standard_subspace(2, [np.pi / 3])
 md2 = modular_data(tomita_operator(K2))
 print("log delta spectrum:", [(round(lg, 6), m) for lg, m in md2.log_delta_spectrum])
 print(f"(tan^2(pi/6) = 1/3, so log delta = +-log 3 = +-{np.log(3):.6f})")
@@ -47,12 +44,11 @@ print(f"flow mixes the fiber frame: |delta^it y+ - prediction| = "
       f"{np.linalg.norm(F.apply(yp) - pred):.2e}\n")
 
 print("== a random standard subspace in C^5 ==")
-V5 = ComplexVectorSpace(5)
-K5 = random_standard_subspace(V5, rng)
+K5 = random_standard_subspace(5, rng)
 s5 = tomita_operator(K5)
 md5 = modular_data(s5)
 Kp = symplectic_complement(K5)
-jK = RealSubspace.span(V5, md5.j.apply(K5.basis))
+jK = RealSubspace.span(md5.j.apply(K5.basis))
 print(f"j K = K'?  projection distance {subspace_distance(jK, Kp):.2e}")
 blocks5, fixed5 = fiberize(K5)
 thetas = sorted(b.theta for b in blocks5)

@@ -10,7 +10,6 @@ from modlab.fock import (FockSpace, coherent, coherent_inner, gamma,
                          second_quantized_modular_check, sym_power_expand,
                          sym_project, vacuum, weyl_matrix, weyl_on_coherent,
                          weyl_unitarity_defect)
-from modlab.hilbert import ComplexVectorSpace
 from modlab.standard import fiber_standard_subspace
 
 rng = np.random.default_rng(5)
@@ -50,8 +49,7 @@ for N in (8, 12, 16, 20):
 print()
 
 print("== second quantization of the pi/3 fiber modular data ==")
-V = ComplexVectorSpace(2)
-K = fiber_standard_subspace(V, [np.pi / 3])
+K = fiber_standard_subspace(2, [np.pi / 3])
 report = second_quantized_modular_check(K, 10, rng)
 for name, value in report.items():
     print(f"   {name}: {value:.2e}")

@@ -17,7 +17,7 @@ from . import freefield as ff
 from . import modloc as ml
 from .config import WEYL_PROBE_LEVEL, ConfigError, ExperimentConfig
 from .hilbert import (
-    ComplexVectorSpace, RealSubspace, fixed_space, operator_norm,
+    RealSubspace, fixed_space, operator_norm,
     principal_angles, subspace_distance, subspace_intersection, subspace_sum,
     symplectic_complement,
 )
@@ -62,18 +62,17 @@ def check_standard_suite(config, rng):
         draws.setdefault(d, []).append(draw_standard_subspace(d, rng))
     found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow", "fixed")}
     for d, stack in draws.items():
-        V = ComplexVectorSpace(d)
-        K = rotated_standard_subspace(V, *map(np.stack, zip(*stack)))
+        K = rotated_standard_subspace(*map(np.stack, zip(*stack)))
         s = tomita_operator(K)
         md = modular_data(s)
         found["involution"].extend(operator_norm((s @ s).matrix - np.eye(d)))
         Kp = symplectic_complement(K)
         sp = tomita_operator(Kp)
         found["adjoint"].extend(operator_norm(sp.matrix - s.adjoint().matrix))
-        jK = RealSubspace.span(V, md.j.apply(K.basis))
+        jK = RealSubspace.span(md.j.apply(K.basis))
         found["conjugation"].extend(subspace_distance(jK, Kp))
         for t in p["flow_times"]:
-            FK = RealSubspace.span(V, modular_flow(md, float(t)).apply(K.basis))
+            FK = RealSubspace.span(modular_flow(md, float(t)).apply(K.basis))
             found["flow"].extend(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(fixed_space(md.j), fixed_space(md.delta),
@@ -94,8 +93,7 @@ def check_fiberization(config, rng):
     p = config.subspace
     angles, reassembly = [], []
     for d in range(2, p["max_dim"] + 1):
-        V = ComplexVectorSpace(d)
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(d, rng)
         md = modular_data(tomita_operator(K))
         blocks, fixed = fiberize(K)
         thetas = sorted([b.theta for b in blocks for _ in range(2)]
@@ -103,7 +101,7 @@ def check_fiberization(config, rng):
         oracle = principal_angles(K, K.mult_i())      # ascending
         angles.append(float(np.max(np.abs(thetas - oracle)))
                       if len(thetas) == len(oracle) else np.inf)
-        jmat, dmat = reassemble_modular(V, blocks, fixed)
+        jmat, dmat = reassemble_modular(blocks, fixed)
         reassembly += [
             float(np.linalg.norm(jmat - md.j.matrix, 2)),
             float(np.linalg.norm(dmat - md.delta.matrix, 2)
@@ -201,8 +199,7 @@ def check_weyl(config, rng):
 
 def check_second_quantized(config, rng):
     p = config.fock
-    V = ComplexVectorSpace(2)
-    K = fiber_standard_subspace(V, [p["fiber_theta"]])
+    K = fiber_standard_subspace(2, [p["fiber_theta"]])
     rep = fk.second_quantized_modular_check(K, p["cutoff"], rng)
     claims = {
         "conjugation_on_coherent": "gamma(s) e^(ik) = e^(-ik) for k in K",

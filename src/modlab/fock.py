@@ -346,7 +346,7 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
     Returns the four largest residuals in a dict, over 6 random unit k
     for (1), 3 for (2) and (3), with t = 0.3 and 0.7, and 50 pairs for (4).
     """
-    fs = FockSpace(K.space.dim, cutoff)
+    fs = FockSpace(K.basis.shape[-2], cutoff)
     s = tomita_operator(K)
     md = modular_data(s)
     Kp = symplectic_complement(K)

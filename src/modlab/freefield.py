@@ -591,8 +591,7 @@ def wedge_modular_half(v, grid: RapidityGrid, cap: float = AMPLIFICATION_CAP):
     signals that v is not in the domain of this half-boost.
     """
     ph, logmult, kill, tail = _capped(v, grid, cap)
-    mult = np.where(kill, 0.0, np.exp(np.where(kill, -np.inf, logmult)))
-    return np.fft.ifft(ph * mult), tail
+    return np.fft.ifft(ph * np.exp(np.where(kill, -np.inf, logmult))), tail
 
 
 def domain_certificate(v, grid: RapidityGrid):
@@ -667,11 +666,11 @@ def bw_residual_of_vector(v, grid: RapidityGrid) -> float:
     m(-w) conj(c(-w)) against c(w) over the kept band, m the multiplier
     of delta^(1/2).
     """
-    cert = domain_certificate(v, grid)
+    ph, _, _, cert = _capped(v, grid, AMPLIFICATION_CAP)
     if cert > DOMAIN_CERT_THRESHOLD:
         raise DomainViolationError(cert)
     mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
-    c = mask * np.fft.fft(v)
+    c = mask * ph
     return float(np.linalg.norm(_band_defect(c, grid, mask)) / np.linalg.norm(c))
 
 

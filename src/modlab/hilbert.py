@@ -7,15 +7,16 @@ A linear or antilinear map is an Operator: a square complex matrix M with
 a flag, acting as x -> M x or x -> M conj(x).  The same class serves C^d
 and the truncated Fock space.
 
-A real subspace K is held by complex basis columns, orthonormal for the
-real inner product Re<x, y>; K is their real span and i times them spans
-iK.  Projections, residuals and principal angles use the real Gram matrix
+A real subspace K is held by complex basis columns alone, orthonormal for
+the real inner product Re<x, y>; K is their real span, i times them spans
+iK, and d is the row count.  Subspaces of different d do not combine.
+Projections, residuals and principal angles use the real Gram matrix
 Re(A^H B).  This module alone realifies (a + ib as the column (a, b) of
 R^(2d), where the Euclidean product is Re<x, y>), and only where a real
 matrix is needed: Gram-Schmidt, the null space of the symplectic
 complement, the operator norm of a residual, the fixed space of a map and
-the SVD of a real-linear map.  complex_structure() and realified() give
-the real matrices of i and of a map to callers that want them.
+the SVD of a real-linear map.  realified() gives the real matrix of a map;
+ComplexVectorSpace(d).complex_structure(), that of i, has no caller here.
 
 Stacks of bases (..., d, r) or matrices (..., n, n) give, slice by
 slice, what each slice gives alone.  A direction dropped in one slice is
@@ -44,13 +45,12 @@ class SpaceMismatchError(ValueError):
 
 
 class ComplexVectorSpace:
-    """C^d with the standard basis and a fixed inner-product convention."""
+    """C^d, kept for the real matrix of multiplication by i."""
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
-        self.rdim = 2 * self.dim
 
     def complex_structure(self) -> np.ndarray:
         """Real 2d x 2d matrix of multiplication by i."""
@@ -59,23 +59,6 @@ class ComplexVectorSpace:
         J[:d, d:] = -np.eye(d)
         J[d:, :d] = np.eye(d)
         return J
-
-    def basis_vector(self, j: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=complex)
-        e[j] = 1.0
-        return e
-
-    def random_vector(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexVectorSpace) and other.dim == self.dim
-
-    def __hash__(self):
-        return hash(("ComplexVectorSpace", self.dim))
-
-    def __repr__(self):
-        return f"ComplexVectorSpace(dim={self.dim})"
 
 
 def _realify(Z: np.ndarray) -> np.ndarray:
@@ -94,8 +77,9 @@ def _re_gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _same_space(x, y):
-    if x.space != y.space:
-        raise SpaceMismatchError(f"{x.space} vs {y.space}")
+    if x.basis.shape[-2] != y.basis.shape[-2]:
+        raise SpaceMismatchError(
+            f"subspaces of C^{x.basis.shape[-2]} and C^{y.basis.shape[-2]}")
 
 
 def inner(x, y) -> complex:
@@ -185,26 +169,20 @@ class RealSubspace:
     """Closed real-linear subspace K of C^d, held by complex basis columns.
 
     basis is a (d x r) complex matrix whose columns are orthonormal for
-    Re<.,.>; K is their real span.
+    Re<.,.>; K is their real span and d is read from its shape.
     """
 
-    def __init__(self, space: ComplexVectorSpace, basis: np.ndarray,
-                 check: bool = True):
+    def __init__(self, basis: np.ndarray):
         basis = np.asarray(basis, dtype=complex)
-        if basis.ndim < 2 or basis.shape[-2] != space.dim:
+        if basis.ndim < 2:
             raise SpaceMismatchError(
-                f"basis shape {basis.shape}, expected (..., {space.dim}, r)")
-        if check and basis.shape[-1] > 0:
-            gram = _re_gram(basis, basis)
-            if np.max(np.abs(gram - np.eye(basis.shape[-1]))) > 1e-12:
-                raise ValueError("basis is not orthonormal under Re<.,.>")
-        self.space = space
+                f"basis shape {basis.shape}, expected (..., d, r)")
         self.basis = basis
 
     @classmethod
-    def span(cls, space: ComplexVectorSpace, Z) -> "RealSubspace":
+    def span(cls, Z) -> "RealSubspace":
         """The real span of the columns of Z."""
-        return cls(space, orthonormalize_columns(Z), check=False)
+        return cls(orthonormalize_columns(Z))
 
     @property
     def dim(self) -> int:
@@ -213,7 +191,7 @@ class RealSubspace:
 
     def mult_i(self) -> "RealSubspace":
         """The subspace iK."""
-        return RealSubspace(self.space, 1j * self.basis, check=False)
+        return RealSubspace(1j * self.basis)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection, for Re<.,.>, of columns (or a vector) onto K."""
@@ -224,7 +202,7 @@ class RealSubspace:
         return np.linalg.norm(x - self.project(x)) <= tol * np.linalg.norm(x)
 
     def __repr__(self):
-        return f"RealSubspace(dim={self.dim} in C^{self.space.dim})"
+        return f"RealSubspace(dim={self.dim} in C^{self.basis.shape[-2]})"
 
 
 def fixed_space(op: Operator) -> RealSubspace:
@@ -233,8 +211,7 @@ def fixed_space(op: Operator) -> RealSubspace:
     of its real matrix with eigenvalue within 1e-8 of 1."""
     M = op.realified()
     ev, W = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
-    return RealSubspace.span(ComplexVectorSpace(op.matrix.shape[-1]),
-                             _unrealify(W * (abs(ev - 1.0) < 1e-8)[..., None, :]))
+    return RealSubspace.span(_unrealify(W * (abs(ev - 1.0) < 1e-8)[..., None, :]))
 
 
 def symplectic_complement(K: RealSubspace) -> RealSubspace:
@@ -243,21 +220,20 @@ def symplectic_complement(K: RealSubspace) -> RealSubspace:
     Since Im<h, k> = -Re<h, i k>, K' is the Re-orthogonal complement of
     iK; in particular dim K + dim K' = 2d always.
     """
-    space = K.space
+    d = K.basis.shape[-2]
     if K.dim == 0:
-        eye = np.eye(space.dim)
-        return RealSubspace(space, np.hstack([eye, 1j * eye]), check=False)
+        eye = np.eye(d)
+        return RealSubspace(np.hstack([eye, 1j * eye]))
     # realified null space of (iB)^T by full SVD, past the unit singular values
     _, sv, Vt = np.linalg.svd(_realify(1j * K.basis).swapaxes(-1, -2))
     rank = np.sum(sv > 0.5, axis=-1)[..., None, None]
-    null = (Vt * (np.arange(space.rdim)[:, None] >= rank))[..., np.min(rank):, :]
-    return RealSubspace(space, _unrealify(null.swapaxes(-1, -2)), check=False)
+    null = (Vt * (np.arange(2 * d)[:, None] >= rank))[..., np.min(rank):, :]
+    return RealSubspace(_unrealify(null.swapaxes(-1, -2)))
 
 
 def subspace_sum(K1: RealSubspace, K2: RealSubspace) -> RealSubspace:
     _same_space(K1, K2)
-    return RealSubspace.span(K1.space,
-                             np.concatenate([K1.basis, K2.basis], axis=-1))
+    return RealSubspace.span(np.concatenate([K1.basis, K2.basis], axis=-1))
 
 
 def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
@@ -266,7 +242,7 @@ def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
     cos above 1 - cos_tol are common to both subspaces."""
     _same_space(K1, K2)
     if K1.dim == 0 or K2.dim == 0:
-        return RealSubspace(K1.space, K1.basis[..., :0], check=False)
+        return RealSubspace(K1.basis[..., :0])
     U, sv, Vt = np.linalg.svd(_re_gram(K1.basis, K2.basis),
                               full_matrices=False)
     take = sv >= 1.0 - cos_tol            # a prefix: sv descends
@@ -275,7 +251,7 @@ def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
     # average the two principal frames (zero where not taken), clean up
     W1 = K1.basis @ (U[..., :k] * take)
     W2 = K2.basis @ (Vt[..., :k, :].swapaxes(-1, -2) * take)
-    return RealSubspace.span(K1.space, 0.5 * (W1 + W2))
+    return RealSubspace.span(0.5 * (W1 + W2))
 
 
 def inclusion_residual(K1: RealSubspace, K2: RealSubspace) -> float:

@@ -10,8 +10,8 @@ thresholding of (s_W - 1) on their real span.
 
 A direct-sum vector is a complex array (n_summands, n_points), one row
 per summand; a probe dictionary is a stack (k, n_summands, n_points).
-As a basis of a hilbert.RealSubspace in space() the stack is reshaped to
-complex columns (n_summands n_points, k), and back.  The spectral kernels
+As the basis of a hilbert.RealSubspace the stack is reshaped to complex
+columns (n_summands n_points, k), and back.  The spectral kernels
 of the origin right wedge are freefield's, applied on the shared rapidity
 grid to every row at once; this module only transports them.
 """
@@ -28,7 +28,7 @@ from .freefield import (
     poincare_act,
 )
 from .hilbert import (
-    ComplexVectorSpace, RealSubspace, inclusion_residual,
+    RealSubspace, inclusion_residual,
     orthonormalize_columns, real_svd, subspace_distance,
     subspace_intersection, subspace_sum,
 )
@@ -63,9 +63,6 @@ class PoincareRep2:
     def n_summands(self):
         return len(self.models)
 
-    def space(self) -> ComplexVectorSpace:
-        return ComplexVectorSpace(self.n_summands * self.grid.n_points)
-
     def act(self, g: PoincareElement, X) -> np.ndarray:
         """u(g) on a vector or a stack (..., n_summands, n_points)."""
         return np.stack([poincare_act(g, X[..., i, :], m)
@@ -78,7 +75,7 @@ def _stack(rep: PoincareRep2, probes) -> np.ndarray:
 
 def _columns(X) -> np.ndarray:
     """Columns (n_summands n_points, k) of a stack; _stack(rep, _.T) inverts."""
-    return np.reshape(X, (len(X), -1)).T
+    return np.reshape(X, (len(X), np.prod(X.shape[1:], dtype=int))).T
 
 
 def embed_probe(rep: PoincareRep2, f: TestFunction2, summand: int = 0) -> np.ndarray:
@@ -156,7 +153,7 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05)
     report = ExtractionReport(singular_values=sv, kept=int(basis.shape[1]),
                               discarded_probes=int(np.sum(~live)),
                               certificates=certs.tolist())
-    return RealSubspace(rep.space(), basis, check=False), report
+    return RealSubspace(basis), report
 
 
 @dataclass
@@ -197,7 +194,7 @@ class LocalizedNet:
 
     def act_on_subspace(self, g: PoincareElement, K: RealSubspace) -> RealSubspace:
         moved = self.rep.act(g, _stack(self.rep, K.basis.T))
-        return RealSubspace.span(K.space, _columns(moved))
+        return RealSubspace.span(_columns(moved))
 
 
 def _wedge_contains(W1: Region2, W2: Region2) -> bool:
@@ -215,11 +212,11 @@ def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspac
     the generic dimension dim(joint) - dim(K)."""
     want = joint.dim - K.dim
     if want <= 0:
-        return RealSubspace(joint.space, joint.basis[:, :0], check=False)
+        return RealSubspace(joint.basis[:, :0])
     # the locality pairing Im<k, x>: constraints  x  joint coords
     C = (K.basis.conj().T @ joint.basis).imag
     _, _, Vt = np.linalg.svd(C, full_matrices=True)
-    return RealSubspace.span(joint.space, joint.basis @ Vt[-want:].T)
+    return RealSubspace.span(joint.basis @ Vt[-want:].T)
 
 
 def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:

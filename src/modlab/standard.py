@@ -12,8 +12,9 @@ matrices.  With Z = K.basis, the columns of a real basis of K (a
 complex basis of C^d when K is standard), x = Z c splits as h + ik with
 h = Z Re c and k = Z Im c, so s x = Z conj(c) and s = Z conj(Z)^(-1).
 Each eigenvalue of delta appears once, with its complex multiplicity.
-Stacks (see hilbert) work in is_standard, tomita_operator, modular_data,
-modular_flow and rotated_standard_subspace.
+d is the row count of a basis; the constructions of standard subspaces
+take it as an integer.  Stacks (see hilbert) work in is_standard,
+tomita_operator, modular_data, modular_flow and rotated_standard_subspace.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    ComplexVectorSpace,
     Operator,
     RealSubspace,
     operator_norm,
@@ -72,8 +72,9 @@ def is_standard(K: RealSubspace):
     inter, total = (np.ravel(np.count_nonzero(np.any(L.basis, axis=-2), axis=-1))
                     for L in (subspace_intersection(K, iK, cos_tol=1e-9),
                               subspace_sum(K, iK)))
-    i = int(np.argmax((inter != 0) | (total != K.space.rdim)))
-    cert = StandardnessCertificate(int(inter[i]), int(total[i]), K.space.rdim)
+    rdim = 2 * K.basis.shape[-2]
+    i = int(np.argmax((inter != 0) | (total != rdim)))
+    cert = StandardnessCertificate(int(inter[i]), int(total[i]), rdim)
     return cert.standard, cert
 
 
@@ -192,11 +193,11 @@ def fiberize(K: RealSubspace):
                                  y_minus=scale * 1j * (v - t * jv)))
     # fixed part: delta-eigenvalue-1 sector intersected with K
     W = V[:, np.abs(ev - 1.0) <= EIGENVALUE_ONE_TOL]
-    E1 = RealSubspace.span(K.space, np.hstack([W, 1j * W]))
+    E1 = RealSubspace.span(np.hstack([W, 1j * W]))
     return blocks, subspace_intersection(K, E1, cos_tol=1e-8)
 
 
-def reassemble_modular(space: ComplexVectorSpace, blocks, fixed_part: RealSubspace):
+def reassemble_modular(blocks, fixed_part: RealSubspace):
     """Rebuild the complex matrices (J, D) of (j, delta) from fiber blocks
     and the fixed part; j acts as x -> J conj(x).
 
@@ -205,8 +206,9 @@ def reassemble_modular(space: ComplexVectorSpace, blocks, fixed_part: RealSubspa
     = 1 and j is the conjugation fixing it; its real orthonormal basis F
     is complex-orthonormal, since Im<h, k> = 0 on K cap K'.
     """
-    D = np.zeros((space.dim, space.dim), dtype=complex)
-    J = np.zeros((space.dim, space.dim), dtype=complex)
+    d = fixed_part.basis.shape[-2]
+    D = np.zeros((d, d), dtype=complex)
+    J = np.zeros((d, d), dtype=complex)
     for b in blocks:
         v, jv = b.frame
         lam = np.tan(b.theta / 2.0) ** 2
@@ -220,8 +222,7 @@ def reassemble_modular(space: ComplexVectorSpace, blocks, fixed_part: RealSubspa
 
 # -- constructions of standard subspaces -------------------------------
 
-def fiber_standard_subspace(space: ComplexVectorSpace, thetas,
-                            n_fixed: int = 0) -> RealSubspace:
+def fiber_standard_subspace(d: int, thetas, n_fixed: int = 0) -> RealSubspace:
     """Standard K assembled from angle fibers on coordinate pairs.
 
     Each theta in (0, pi/2) consumes two complex dimensions, spanned by
@@ -230,7 +231,7 @@ def fiber_standard_subspace(space: ComplexVectorSpace, thetas,
     trailing coordinates contribute real-form directions e_k (angle pi/2,
     delta = 1 there).
     """
-    thetas, d = np.asarray(thetas, dtype=float), space.dim
+    thetas = np.asarray(thetas, dtype=float)
     if 2 * len(thetas) + n_fixed != d:
         raise ValueError(f"2*{len(thetas)} + {n_fixed} != dim {d}")
     if not np.all((0.0 < thetas) & (thetas < np.pi / 2)):
@@ -242,7 +243,7 @@ def fiber_standard_subspace(space: ComplexVectorSpace, thetas,
     B[i, i + 1], B[i + 1, i + 1] = 1j * c, -1j * s_       # y_minus
     k = np.arange(2 * len(thetas), d)
     B[k, k] = 1.0                                         # e_k
-    return RealSubspace(space, B, check=False)
+    return RealSubspace(B)
 
 
 def draw_standard_subspace(d: int, rng: np.random.Generator):
@@ -255,19 +256,18 @@ def draw_standard_subspace(d: int, rng: np.random.Generator):
         n_fixed += 1
     thetas = rng.uniform(0.15, np.pi / 2 - 0.05, size=(d - n_fixed) // 2)
     Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return fiber_standard_subspace(ComplexVectorSpace(d), thetas, n_fixed).basis, Z
+    return fiber_standard_subspace(d, thetas, n_fixed).basis, Z
 
 
-def rotated_standard_subspace(space: ComplexVectorSpace, fibers, Z) -> RealSubspace:
+def rotated_standard_subspace(fibers, Z) -> RealSubspace:
     """The fiber basis rotated by the Haar-ish unitary of the complex QR
     of Z; every angle spectrum is reachable.  Takes stacks of both."""
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     U = Q * (diag / np.abs(diag))[..., None, :]
-    return RealSubspace.span(space, U @ fibers)
+    return RealSubspace.span(U @ fibers)
 
 
-def random_standard_subspace(space: ComplexVectorSpace,
-                             rng: np.random.Generator) -> RealSubspace:
-    """A random rotation of a random fiber construction."""
-    return rotated_standard_subspace(space, *draw_standard_subspace(space.dim, rng))
+def random_standard_subspace(d: int, rng: np.random.Generator) -> RealSubspace:
+    """A random rotation of a random fiber construction in C^d."""
+    return rotated_standard_subspace(*draw_standard_subspace(d, rng))

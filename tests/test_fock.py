@@ -18,7 +18,7 @@ from modlab.fock import (
 from modlab.checks import GAMMA_TOLERANCE, MODULAR_TOLERANCE, WEYL_TOLERANCE
 from modlab.config import ExperimentConfig
 from modlab.hilbert import (
-    ComplexVectorSpace, Operator, RealSubspace, symplectic_complement,
+    Operator, RealSubspace, symplectic_complement,
 )
 from modlab.standard import fiber_standard_subspace, tomita_operator
 
@@ -471,8 +471,7 @@ def test_weyl_unitarity_defect_monotone():
 
 def test_second_quantized_check_real_line():
     # K = R in C: gamma(s) e^(i) = e^(-i) exactly (conjugation)
-    V = ComplexVectorSpace(1)
-    K = RealSubspace(V, np.eye(1))
+    K = RealSubspace(np.eye(1))
     rng = np.random.default_rng(54)
     rep = second_quantized_modular_check(K, 8, rng)
     assert rep["conjugation_on_coherent"] < 1e-12
@@ -480,8 +479,7 @@ def test_second_quantized_check_real_line():
 
 
 def test_second_quantized_check_fiber():
-    V = ComplexVectorSpace(2)
-    K = fiber_standard_subspace(V, [np.pi / 3])
+    K = fiber_standard_subspace(2, [np.pi / 3])
     rng = np.random.default_rng(55)
     rep = second_quantized_modular_check(K, 10, rng)
     for name, val in rep.items():
@@ -540,7 +538,7 @@ def test_ccr_phase_fails_with_the_sign_flipped():
 
 def test_second_quantized_claims_fail_on_wrong_samples():
     tol = MODULAR_TOLERANCE
-    K = fiber_standard_subspace(ComplexVectorSpace(2), [FOCK["fiber_theta"]])
+    K = fiber_standard_subspace(2, [FOCK["fiber_theta"]])
     fs = FockSpace(2, FOCK["cutoff"])
     rng = np.random.default_rng(81)
     # gamma(s) e^(ik) = e^(-ik) holds for k in K, not for k in iK

@@ -18,7 +18,7 @@ from modlab.freefield import (
     wedge_tomita_apply,
 )
 from modlab.hilbert import (
-    ComplexVectorSpace, RealSubspace, inclusion_residual, subspace_distance,
+    RealSubspace, inclusion_residual, subspace_distance,
 )
 
 
@@ -431,8 +431,7 @@ def test_covariance_ladder_decreases():
 
 def span_of(model, vectors):
     """The real span of one-particle vectors."""
-    return RealSubspace.span(ComplexVectorSpace(model.grid.n_points),
-                             np.reshape(vectors, (-1, model.grid.n_points)).T)
+    return RealSubspace.span(np.reshape(vectors, (-1, model.grid.n_points)).T)
 
 
 def test_reflection_covariance_on_subspaces(model):

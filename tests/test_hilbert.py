@@ -22,17 +22,27 @@ def unrealify(M):
     return M[..., :d, :] + 1j * M[..., d:, :]
 
 
+def orthonormal(B):
+    """B, once its columns are checked orthonormal for Re<.,.>."""
+    gram = (B.conj().swapaxes(-1, -2) @ B).real
+    assert np.max(np.abs(gram - np.eye(B.shape[-1]))) <= 1e-12
+    return B
+
+
+def random_vector(rng, d):
+    return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
 def random_matrix(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-def random_antilinear(space, rng):
-    return Operator(random_matrix(rng, space.dim), antilinear=True)
+def random_antilinear(d, rng):
+    return Operator(random_matrix(rng, d), antilinear=True)
 
 
 def test_inner_convention():
-    V = ComplexVectorSpace(3)
-    e1 = V.basis_vector(0)
+    e1 = np.eye(3)[0]
     assert inner(e1, e1) == pytest.approx(1)
     # linear in the second slot: <e1, i e1> = i
     assert inner(e1, 1j * e1) == pytest.approx(1j)
@@ -40,53 +50,48 @@ def test_inner_convention():
 
 
 def test_inner_conjugate_symmetry():
-    V = ComplexVectorSpace(5)
     rng = np.random.default_rng(11)
     for _ in range(100):
-        x, y = V.random_vector(rng), V.random_vector(rng)
+        x, y = random_vector(rng, 5), random_vector(rng, 5)
         assert abs(np.conj(inner(x, y)) - inner(y, x)) < 1e-14
 
 
 def test_inner_dimension_mismatch():
-    V, W = ComplexVectorSpace(2), ComplexVectorSpace(3)
     with pytest.raises(SpaceMismatchError):
-        inner(V.basis_vector(0), W.basis_vector(0))
+        inner(np.eye(2)[0], np.eye(3)[0])
 
 
 def test_polarization():
-    V = ComplexVectorSpace(4)
     rng = np.random.default_rng(12)
     for _ in range(50):
-        h, k = V.random_vector(rng), V.random_vector(rng)
+        h, k = random_vector(rng, 4), random_vector(rng, 4)
         assert inner(h, k).imag == pytest.approx(inner(1j * h, k).real, abs=1e-12)
 
 
 def test_complex_structure_multiplies_by_i():
-    V = ComplexVectorSpace(3)
     rng = np.random.default_rng(13)
-    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    J = V.complex_structure()
+    z = random_vector(rng, 3)
+    J = ComplexVectorSpace(3).complex_structure()
     np.testing.assert_allclose(J @ J, -np.eye(6), atol=1e-15)
     np.testing.assert_allclose(J @ realify(z), realify(1j * z))
 
 
 @pytest.mark.parametrize("d, r", [(1, 1), (1, 3), (8, 5), (8, 16), (8, 0)])
 def test_mult_i_equals_complex_structure_product(d, r):
-    V = ComplexVectorSpace(d)
     B = unrealify(np.random.default_rng(d + r).standard_normal((2 * d, r)))
     B[::3] = 0.0
-    iK = RealSubspace(V, B, check=False).mult_i()
+    iK = RealSubspace(B).mult_i()
     assert iK.basis.shape == (d, r)
-    assert np.array_equal(realify(iK.basis), V.complex_structure() @ realify(B))
+    J = ComplexVectorSpace(d).complex_structure()
+    assert np.array_equal(realify(iK.basis), J @ realify(B))
 
 
 def test_span_is_the_real_span_of_the_columns():
     # 3 columns and a real combination of them span a real 3-space; the
     # column times i is outside it, so the span is not complex-linear
     rng = np.random.default_rng(14)
-    V = ComplexVectorSpace(4)
     Z = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    K = RealSubspace.span(V, np.column_stack([Z, Z @ [1.0, -2.0, 0.5]]))
+    K = RealSubspace.span(np.column_stack([Z, Z @ [1.0, -2.0, 0.5]]))
     assert K.dim == 3
     np.testing.assert_allclose(realify(K.basis).T @ realify(K.basis),
                                np.eye(3), rtol=0, atol=1e-13)
@@ -97,9 +102,8 @@ def test_span_is_the_real_span_of_the_columns():
 
 def test_project_is_the_real_orthogonal_projection():
     rng = np.random.default_rng(28)
-    V = ComplexVectorSpace(4)
-    K = RealSubspace.span(V, random_matrix(rng, 4)[:, :3])
-    x = V.random_vector(rng)
+    K = RealSubspace.span(random_matrix(rng, 4)[:, :3])
+    x = random_vector(rng, 4)
     Px = K.project(x)
     assert K.contains(Px)
     np.testing.assert_allclose(K.project(Px), Px, atol=1e-13)
@@ -107,21 +111,20 @@ def test_project_is_the_real_orthogonal_projection():
     assert np.max(np.abs((K.basis.conj().T @ (x - Px)).real)) < 1e-13
     P = realify(K.basis) @ realify(K.basis).T
     np.testing.assert_allclose(realify(Px), P @ realify(x), atol=1e-13)
-    X = np.column_stack([x, V.random_vector(rng)])
+    X = np.column_stack([x, random_vector(rng, 4)])
     np.testing.assert_allclose(K.project(X)[:, 0], Px, atol=1e-13)
 
 
 def test_stacked_project_and_principal_angles_match_each_slice():
     rng = np.random.default_rng(29)
-    V = ComplexVectorSpace(3)
     B1 = orthonormalize_columns(unrealify(rng.standard_normal((4, 6, 3))))
     B2 = orthonormalize_columns(unrealify(rng.standard_normal((4, 6, 2))))
     X = unrealify(rng.standard_normal((4, 6, 2)))
-    K1, K2 = RealSubspace(V, B1), RealSubspace(V, B2)
+    K1, K2 = RealSubspace(orthonormal(B1)), RealSubspace(orthonormal(B2))
     proj, ang = K1.project(X), principal_angles(K1, K2)
     assert proj.shape == (4, 3, 2) and ang.shape == (4, 2)
     for i in range(4):
-        one, two = RealSubspace(V, B1[i]), RealSubspace(V, B2[i])
+        one, two = RealSubspace(B1[i]), RealSubspace(B2[i])
         np.testing.assert_allclose(proj[i], one.project(X[i]), rtol=0,
                                    atol=1e-14)
         np.testing.assert_allclose(ang[i], principal_angles(one, two),
@@ -130,14 +133,13 @@ def test_stacked_project_and_principal_angles_match_each_slice():
 
 
 def test_fixed_space_of_conjugation_and_of_a_positive_map():
-    V = ComplexVectorSpace(3)
-    real = RealSubspace(V, np.eye(3))
+    real = RealSubspace(np.eye(3))
     conj = fixed_space(Operator(np.eye(3), antilinear=True))
     assert subspace_distance(conj, real) < 1e-12
     # diag(1, 2, 1) fixes the complex span of e_1 and e_3: real dimension 4
     pos = fixed_space(Operator(np.diag([1.0, 2.0, 1.0])))
     assert pos.dim == 4
-    e1, e3 = V.basis_vector(0), V.basis_vector(2)
+    e1, e3 = np.eye(3)[0], np.eye(3)[2]
     assert all(pos.contains(z) for z in (e1, 1j * e1, e3, 1j * e3))
 
 
@@ -153,27 +155,25 @@ def test_real_svd_is_the_svd_of_the_real_linear_map():
 
 
 def test_apply_matches_complex_action():
-    V = ComplexVectorSpace(4)
     rng = np.random.default_rng(15)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    x = V.random_vector(rng)
+    x = random_vector(rng, 4)
     lin = Operator(A)
     np.testing.assert_allclose(lin.apply(x), A @ x, atol=1e-13)
     anti = Operator(A, antilinear=True)
     np.testing.assert_allclose(anti.apply(x), A @ np.conj(x),
                                atol=1e-13)
     # a matrix of columns is mapped column by column
-    X = np.column_stack([x, V.random_vector(rng)])
+    X = np.column_stack([x, random_vector(rng, 4)])
     np.testing.assert_allclose(anti.apply(X)[:, 0], anti.apply(x), atol=1e-13)
 
 
 def test_antilinearity_certificate():
-    V = ComplexVectorSpace(4)
     rng = np.random.default_rng(16)
-    s = random_antilinear(V, rng)
+    s = random_antilinear(4, rng)
     for _ in range(20):
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        x = V.random_vector(rng)
+        x = random_vector(rng, 4)
         lhs = s.apply(lam * x)
         rhs = np.conj(lam) * s.apply(x)
         bound = 1e-12 * max(1.0, abs(lam) * np.linalg.norm(x)) \
@@ -189,20 +189,18 @@ def test_adjoint_of_conjugation_is_itself():
 
 def test_adjoint_involutive_and_defining_identity():
     rng = np.random.default_rng(17)
-    V = ComplexVectorSpace(4)
-    s = random_antilinear(V, rng)
+    s = random_antilinear(4, rng)
     np.testing.assert_allclose(s.adjoint().adjoint().matrix,
                                s.matrix, atol=1e-12)
-    W = ComplexVectorSpace(6)
-    s = random_antilinear(W, rng)
+    s = random_antilinear(6, rng)
     st = s.adjoint()
     worst = 0.0
     for a in range(6):
         for b in range(6):
             for pa in (1.0, 1j):
                 for pb in (1.0, 1j):
-                    x = pa * W.basis_vector(a)
-                    y = pb * W.basis_vector(b)
+                    x = pa * np.eye(6)[a]
+                    y = pb * np.eye(6)[b]
                     worst = max(worst, abs(inner(s.apply(x), y)
                                            - inner(st.apply(y), x)))
     assert worst < 1e-12 * max(1.0, np.linalg.norm(s.matrix, 2))
@@ -211,12 +209,11 @@ def test_adjoint_involutive_and_defining_identity():
 def test_adjoint_identities_on_random_vectors():
     # <F x, y> = <F* y, x> for antilinear F, <A x, y> = <x, A* y> for linear A
     rng = np.random.default_rng(25)
-    V = ComplexVectorSpace(5)
     M = random_matrix(rng, 5)
     F, A = Operator(M, antilinear=True), Operator(M)
     assert F.adjoint().antilinear and not A.adjoint().antilinear
     for _ in range(20):
-        x, y = V.random_vector(rng), V.random_vector(rng)
+        x, y = random_vector(rng, 5), random_vector(rng, 5)
         scale = np.linalg.norm(M, 2) * np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(inner(F.apply(x), y) - inner(F.adjoint().apply(y), x)) \
             < 1e-13 * scale
@@ -228,14 +225,13 @@ def test_adjoint_identities_on_random_vectors():
                                            (True, False), (True, True)])
 def test_composition_kind_and_matrix(first, second):
     rng = np.random.default_rng(26)
-    V = ComplexVectorSpace(4)
     P = Operator(random_matrix(rng, 4), antilinear=first)
     Q = Operator(random_matrix(rng, 4), antilinear=second)
     PQ = P @ Q
     assert PQ.antilinear == (first != second)
     expected = P.matrix @ (np.conj(Q.matrix) if first else Q.matrix)
     np.testing.assert_array_equal(PQ.matrix, expected)
-    x = V.random_vector(rng)
+    x = random_vector(rng, 4)
     np.testing.assert_allclose(PQ.apply(x), P.apply(Q.apply(x)), atol=1e-12)
     np.testing.assert_allclose(PQ.realified(), P.realified() @ Q.realified(),
                                atol=1e-12)
@@ -253,17 +249,16 @@ def test_realified_block_form_and_complex_structure(antilinear):
     # linear maps commute with multiplication by i, antilinear ones
     # anticommute; the block forms are those of z -> A z and z -> A conj z
     rng = np.random.default_rng(27)
-    V = ComplexVectorSpace(4)
     A = random_matrix(rng, 4)
     R = Operator(A, antilinear=antilinear).realified()
     X, Y = A.real, A.imag
     block = (np.block([[X, Y], [Y, -X]]) if antilinear
              else np.block([[X, -Y], [Y, X]]))
     np.testing.assert_array_equal(R, block)
-    Jc = V.complex_structure()
+    Jc = ComplexVectorSpace(4).complex_structure()
     sign = -1.0 if antilinear else 1.0
     np.testing.assert_allclose(R @ Jc, sign * (Jc @ R), atol=1e-14)
-    x = V.random_vector(rng)
+    x = random_vector(rng, 4)
     np.testing.assert_allclose(R @ realify(x),
                                realify(Operator(A, antilinear).apply(x)),
                                atol=1e-13)
@@ -273,34 +268,30 @@ def test_realified_block_form_and_complex_structure(antilinear):
 
 
 def test_symplectic_complement_of_real_standard():
-    V = ComplexVectorSpace(4)
-    K = RealSubspace(V, np.eye(4))
+    K = RealSubspace(np.eye(4))
     Kp = symplectic_complement(K)
     assert subspace_distance(K, Kp) <= 1e-9
-    assert K.dim + Kp.dim == V.rdim
+    assert K.dim + Kp.dim == 8
 
 
 def test_symplectic_complement_of_zero():
-    V = ComplexVectorSpace(3)
-    K = RealSubspace(V, np.zeros((3, 0)))
+    K = RealSubspace(np.zeros((3, 0)))
     assert symplectic_complement(K).dim == 6
 
 
 def test_double_complement():
     rng = np.random.default_rng(18)
-    V = ComplexVectorSpace(5)
     for _ in range(50):
         r = int(rng.integers(1, 10))
-        M = rng.standard_normal((V.rdim, r))
-        K = RealSubspace.span(V, unrealify(M))
+        M = rng.standard_normal((10, r))
+        K = RealSubspace.span(unrealify(M))
         Kpp = symplectic_complement(symplectic_complement(K))
         assert subspace_distance(K, Kpp) < 1e-10
 
 
 def test_complement_pairing_vanishes():
     rng = np.random.default_rng(19)
-    V = ComplexVectorSpace(4)
-    K = RealSubspace.span(V, unrealify(rng.standard_normal((8, 3))))
+    K = RealSubspace.span(unrealify(rng.standard_normal((8, 3))))
     Kp = symplectic_complement(K)
     for h in Kp.basis.T:
         for k in K.basis.T:
@@ -309,44 +300,48 @@ def test_complement_pairing_vanishes():
 
 def test_complement_reverses_inclusion():
     rng = np.random.default_rng(20)
-    V = ComplexVectorSpace(4)
     M = rng.standard_normal((8, 5))
-    K2 = RealSubspace.span(V, unrealify(M))
-    K1 = RealSubspace.span(V, unrealify(M[:, :2]))
+    K2 = RealSubspace.span(unrealify(M))
+    K1 = RealSubspace.span(unrealify(M[:, :2]))
     assert inclusion_residual(K1, K2) < 1e-12
     K2p, K1p = symplectic_complement(K2), symplectic_complement(K1)
     assert inclusion_residual(K2p, K1p) < 1e-10
 
 
 def test_subspace_ops():
-    V = ComplexVectorSpace(3)
     rng = np.random.default_rng(21)
-    K = RealSubspace.span(V, unrealify(rng.standard_normal((6, 3))))
+    K = RealSubspace.span(unrealify(rng.standard_normal((6, 3))))
     assert subspace_distance(subspace_intersection(K, K), K) <= 1e-9
     assert subspace_distance(subspace_sum(K, K), K) <= 1e-9
-    e1 = RealSubspace.span(V, V.basis_vector(0)[:, None])
-    e2 = RealSubspace.span(V, V.basis_vector(1)[:, None])
+    e1 = RealSubspace.span(np.eye(3)[0][:, None])
+    e2 = RealSubspace.span(np.eye(3)[1][:, None])
     assert subspace_intersection(e1, e2).dim == 0
+
+
+@pytest.mark.parametrize("d1, d2", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("op", [subspace_sum, subspace_intersection,
+                                inclusion_residual, subspace_distance,
+                                principal_angles], ids=lambda op: op.__name__)
+def test_subspaces_of_different_dimension_do_not_combine(op, d1, d2):
+    # d is the row count of a basis; bases in C^3 and C^4 do not combine
     with pytest.raises(SpaceMismatchError):
-        subspace_sum(K, RealSubspace(ComplexVectorSpace(4), np.eye(4)))
+        op(RealSubspace(np.eye(d1)), RealSubspace(np.eye(d2)))
 
 
 def test_sum_dimension_for_standard_K():
     # K + K' has real dimension 2d - dim(K cap K')
     rng = np.random.default_rng(22)
-    V = ComplexVectorSpace(4)
     for _ in range(10):
         Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        K = RealSubspace.span(V, Z)
+        K = RealSubspace.span(Z)
         Kp = symplectic_complement(K)
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         total = subspace_sum(K, Kp)
-        assert total.dim == V.rdim - cap.dim
+        assert total.dim == 8 - cap.dim
 
 
 def test_principal_angles_basics():
-    V = ComplexVectorSpace(3)
-    K = RealSubspace(V, np.eye(3))
+    K = RealSubspace(np.eye(3))
     ang = principal_angles(K, K.mult_i())
     np.testing.assert_allclose(ang, np.pi / 2, atol=1e-12)
     same = principal_angles(K, K)
@@ -357,21 +352,19 @@ def test_principal_angles_basics():
 def test_subspace_distance_at_small_angles(delta):
     # real 3-dimensional subspaces of C^4 with one principal angle delta;
     # the frame is exact so that the distance sin(delta) is the only error
-    V = ComplexVectorSpace(4)
-    E = np.eye(V.rdim)
-    K1 = RealSubspace(V, unrealify(E[:, [0, 5, 2]]))
+    E = np.eye(8)
+    K1 = RealSubspace(unrealify(E[:, [0, 5, 2]]))
     tilted = np.cos(delta) * E[:, 2] + np.sin(delta) * E[:, 7]
-    K2 = RealSubspace(V, unrealify(np.column_stack([E[:, 0], E[:, 5], tilted])))
+    K2 = RealSubspace(unrealify(np.column_stack([E[:, 0], E[:, 5], tilted])))
     assert subspace_distance(K1, K2) == pytest.approx(delta, rel=1e-3, abs=0)
     assert subspace_distance(K2, K1) == pytest.approx(delta, rel=1e-3, abs=0)
 
 
 def test_subspace_distance_of_unequal_and_empty_subspaces():
-    V = ComplexVectorSpace(3)
     rng = np.random.default_rng(24)
-    K = RealSubspace.span(V, unrealify(rng.standard_normal((6, 3))))
-    smaller = RealSubspace.span(V, K.basis[:, :2])
-    empty = RealSubspace(V, np.zeros((3, 0)))
+    K = RealSubspace.span(unrealify(rng.standard_normal((6, 3))))
+    smaller = RealSubspace.span(K.basis[:, :2])
+    empty = RealSubspace(np.zeros((3, 0)))
     assert subspace_distance(K, smaller) == pytest.approx(1.0, abs=1e-12)
     assert subspace_distance(empty, K) == pytest.approx(1.0, abs=1e-12)
     assert subspace_distance(empty, empty) == 0.0
@@ -399,9 +392,8 @@ def assert_matches_mgs(M):
     assert Q.shape == ref.shape
     np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-13)
     if Q.shape[1]:
-        V = ComplexVectorSpace(M.shape[0] // 2)
-        dist = subspace_distance(RealSubspace(V, unrealify(Q)),
-                                 RealSubspace(V, unrealify(ref)))
+        dist = subspace_distance(RealSubspace(unrealify(Q)),
+                                 RealSubspace(orthonormal(unrealify(ref))))
         assert dist < 1e-12
     return Q
 
@@ -439,38 +431,36 @@ def test_stacked_orthonormalize_keeps_each_slice_count():
     M = unrealify(M)
     Q = orthonormalize_columns(M)
     assert Q.shape == (3, 4, 5)
-    V = ComplexVectorSpace(4)
     for Ms, Qs, count in zip(M, Q, (5, 4, 4)):
         kept = Qs[:, np.any(Qs, axis=0)]
         ref = orthonormalize_columns(Ms)
         assert kept.shape == ref.shape == (4, count)
         np.testing.assert_allclose(realify(kept).T @ realify(kept),
                                    np.eye(count), rtol=0, atol=1e-13)
-        assert subspace_distance(RealSubspace(V, kept),
-                                 RealSubspace(V, ref)) < 1e-12
+        assert subspace_distance(RealSubspace(kept),
+                                 RealSubspace(orthonormal(ref))) < 1e-12
 
 
 def test_stacked_subspace_ops_match_each_slice():
     # a zero column (a direction dropped in that slice) must change
     # neither the complement nor the intersection nor the residuals
     rng = np.random.default_rng(25)
-    V = ComplexVectorSpace(4)
     B = orthonormalize_columns(unrealify(rng.standard_normal((3, 8, 3))))
     B[1, :, 2] = 0.0
     C = orthonormalize_columns(np.concatenate(
         [B[..., :2], unrealify(rng.standard_normal((3, 8, 2)))], axis=-1))
-    K1, K2 = RealSubspace(V, B, check=False), RealSubspace(V, C)
+    K1, K2 = RealSubspace(B), RealSubspace(orthonormal(C))
     comp = symplectic_complement(K1)
     assert comp.dim == 6          # dimension 6 in slice 1, 5 in the others
     cap = subspace_intersection(K1, K2)
     res = inclusion_residual(K1, K2)
     dist = subspace_distance(K2, K1)
     for i in range(3):
-        one = RealSubspace(V, B[i][:, np.any(B[i], axis=0)])
-        two = RealSubspace(V, C[i])
-        assert subspace_distance(RealSubspace(V, comp.basis[i], check=False),
+        one = RealSubspace(orthonormal(B[i][:, np.any(B[i], axis=0)]))
+        two = RealSubspace(C[i])
+        assert subspace_distance(RealSubspace(comp.basis[i]),
                                  symplectic_complement(one)) < 1e-12
-        assert subspace_distance(RealSubspace(V, cap.basis[i], check=False),
+        assert subspace_distance(RealSubspace(cap.basis[i]),
                                  subspace_intersection(one, two)) < 1e-12
         assert abs(res[i] - inclusion_residual(one, two)) < 1e-12
         assert abs(dist[i] - subspace_distance(two, one)) < 1e-12

@@ -117,7 +117,7 @@ def test_localized_subspace_contains_probes(rep):
         res = np.linalg.norm(v - K.project(v)) / np.linalg.norm(v)
         assert res < 1e-3
     # when every probe clears the threshold the model is the probe span
-    span = RealSubspace.span(K.space, V)
+    span = RealSubspace.span(V)
     assert subspace_distance(K, span) < 1e-9
 
 
@@ -162,9 +162,9 @@ def test_subspace_columns_move_summandwise(rep2):
         assert np.array_equal(
             moved[:, i], poincare_act(a, X[:, i], m))
     # a basis column is a direct-sum vector with its rows laid end to end
-    K = RealSubspace.span(rep2.space(), X.reshape(2, -1).T)
-    assert K.basis.shape == (rep2.space().dim, 2)
-    expected = RealSubspace.span(rep2.space(), moved.reshape(2, -1).T)
+    K = RealSubspace.span(X.reshape(2, -1).T)
+    assert K.basis.shape == (rep2.n_summands * rep2.grid.n_points, 2)
+    expected = RealSubspace.span(moved.reshape(2, -1).T)
     assert subspace_distance(LocalizedNet(rep2).act_on_subspace(a, K),
                              expected) < 1e-12
 
@@ -321,6 +321,20 @@ def test_doublecone_disjoint_dictionaries(rep):
     K, report = doublecone_space(net, O, cone_probes=[probe])
     assert report["dimension"] == 0
     assert report["conditioning_warning"]
+
+
+def test_doublecone_without_probes_returns_the_intersection(rep):
+    # the default empty probe stack reshapes to no columns, not an error
+    O = Region2.double_cone((0.0, 0.0), 2.0)
+    net = LocalizedNet(rep, tol=0.05)
+    net.populate_wedge(Region2.right_wedge(O.right_apex),
+                       [(TestFunction2.bump((0.0, 1.2), 0.4), 0)])
+    net.populate_wedge(Region2.left_wedge(O.left_apex),
+                       [(TestFunction2.bump((0.0, -1.2), 0.4), 0)])
+    K, report = doublecone_space(net, O)
+    assert K.basis.shape == (rep.grid.n_points, 0)
+    assert report == {"dimension": 0, "probe_residuals": [],
+                      "conditioning_warning": False}
 
 
 def test_direct_sum_block_property(rep2):

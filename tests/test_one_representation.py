@@ -6,6 +6,10 @@ realification from spreading back into the other modules of src/modlab.
 It parses each of them and fails when one names realify, unrealify or
 times_i (as a definition, an import, a name or an attribute), or passes
 both a .real and a .imag to a concatenating call such as np.concatenate.
+
+A subspace is its basis, and d is the row count of the basis.  The scan
+also fails when a module other than hilbert.py names ComplexVectorSpace
+or reads an attribute .space: no subspace carries a space object.
 """
 
 import ast
@@ -43,6 +47,23 @@ def realifications(tree):
     return out
 
 
+def space_objects(tree):
+    """(line, what) of each use of a space object in a parsed module."""
+    return [(getattr(node, "lineno", 0), _named(node))
+            for node in ast.walk(tree)
+            if _named(node) == "ComplexVectorSpace"
+            or isinstance(node, ast.Attribute) and node.attr == "space"]
+
+
+def scan(find):
+    """'module:line: what' for each finding outside hilbert.py."""
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5, "the scan found too few modules to be working"
+    return [f"{path.name}:{line}: {what}"
+            for path in modules if path.name != "hilbert.py"
+            for line, what in find(ast.parse(path.read_text()))]
+
+
 def test_the_scan_sees_a_realification():
     tree = ast.parse("from .x import realify\n"
                      "z = np.concatenate([v.real.T, v.imag.T])\n")
@@ -51,9 +72,19 @@ def test_the_scan_sees_a_realification():
 
 
 def test_only_hilbert_realifies():
-    modules = sorted(SRC.glob("*.py"))
-    assert len(modules) > 5, "the scan found too few modules to be working"
-    found = [f"{path.name}:{line}: {what}"
-             for path in modules if path.name != "hilbert.py"
-             for line, what in realifications(ast.parse(path.read_text()))]
+    found = scan(realifications)
     assert not found, "realification outside hilbert.py: " + "; ".join(found)
+
+
+def test_the_scan_sees_a_space_object():
+    tree = ast.parse("from .hilbert import ComplexVectorSpace\n"
+                     "V = ComplexVectorSpace(K.space.dim)\n"
+                     "space = fs.dim + rep.grid.space_dim\n")
+    assert sorted(space_objects(tree)) == [(1, "ComplexVectorSpace"),
+                                           (2, "ComplexVectorSpace"),
+                                           (2, "space")]
+
+
+def test_no_module_but_hilbert_holds_a_space_object():
+    found = scan(space_objects)
+    assert not found, "space object outside hilbert.py: " + "; ".join(found)

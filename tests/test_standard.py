@@ -4,7 +4,7 @@ import pytest
 from modlab.checks import check_standard_suite, worst
 from modlab.config import ExperimentConfig
 from modlab.hilbert import (
-    ComplexVectorSpace, Operator, RealSubspace, principal_angles,
+    Operator, RealSubspace, principal_angles,
     fixed_space, subspace_distance, subspace_intersection,
     symplectic_complement,
 )
@@ -16,38 +16,33 @@ from modlab.standard import (
 
 
 def test_real_standard_is_standard():
-    V = ComplexVectorSpace(4)
-    ok, cert = is_standard(RealSubspace(V, np.eye(4)))
+    ok, cert = is_standard(RealSubspace(np.eye(4)))
     assert ok and cert.dim_intersection == 0 and cert.dim_sum == 8
 
 
 def test_complex_line_is_not_standard():
-    V = ComplexVectorSpace(2)
-    e1 = V.basis_vector(0)
-    K = RealSubspace.span(V, np.column_stack([e1, 1j * e1]))
+    e1 = np.eye(2)[0]
+    K = RealSubspace.span(np.column_stack([e1, 1j * e1]))
     ok, cert = is_standard(K)
     assert not ok
     assert cert.dim_sum == 2  # K + iK is only the complex line
 
 
 def test_fiber_subspace_is_standard():
-    V = ComplexVectorSpace(2)
-    K = fiber_standard_subspace(V, [np.pi / 3])
+    K = fiber_standard_subspace(2, [np.pi / 3])
     ok, _ = is_standard(K)
     assert ok
 
 
 def test_tomita_on_real_standard_is_conjugation():
-    V = ComplexVectorSpace(3)
-    s = tomita_operator(RealSubspace(V, np.eye(3)))
+    s = tomita_operator(RealSubspace(np.eye(3)))
     assert s.antilinear
     np.testing.assert_allclose(s.matrix, np.eye(3), atol=1e-12)
 
 
 def test_tomita_requires_standard():
-    V = ComplexVectorSpace(2)
-    e1 = V.basis_vector(0)
-    K = RealSubspace.span(V, np.column_stack([e1, 1j * e1]))
+    e1 = np.eye(2)[0]
+    K = RealSubspace.span(np.column_stack([e1, 1j * e1]))
     with pytest.raises(NotStandardError) as exc:
         tomita_operator(K)
     assert exc.value.certificate.dim_sum == 2
@@ -55,8 +50,7 @@ def test_tomita_requires_standard():
 
 def test_fiber_delta_spectrum():
     # tan^2(pi/6) = 1/3: delta eigenvalues {1/3, 3}
-    V = ComplexVectorSpace(2)
-    K = fiber_standard_subspace(V, [np.pi / 3])
+    K = fiber_standard_subspace(2, [np.pi / 3])
     md = modular_data(tomita_operator(K))
     ev = np.sort(np.unique(np.round(md._eigenvalues, 9)))
     np.testing.assert_allclose(ev, [1.0 / 3.0, 3.0], atol=1e-9)
@@ -66,28 +60,25 @@ def test_fiber_delta_spectrum():
 
 def test_tomita_squares_to_identity():
     rng = np.random.default_rng(31)
-    V = ComplexVectorSpace(6)
     for _ in range(10):
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(6, rng)
         s = tomita_operator(K)
         assert np.linalg.norm((s @ s).matrix - np.eye(6), 2) < 1e-10
 
 
 def test_fixed_points_of_tomita_are_K():
     rng = np.random.default_rng(32)
-    V = ComplexVectorSpace(5)
-    K = random_standard_subspace(V, rng)
+    K = random_standard_subspace(5, rng)
     s = tomita_operator(K)
     for k in K.basis.T:
         assert np.linalg.norm(s.apply(k) - k) < 1e-10
-    x = V.random_vector(rng)
+    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     fixed = 0.5 * (x + s.apply(x))
     assert K.contains(fixed, tol=1e-9)
 
 
 def test_modular_data_of_conjugation():
-    V = ComplexVectorSpace(3)
-    md = modular_data(tomita_operator(RealSubspace(V, np.eye(3))))
+    md = modular_data(tomita_operator(RealSubspace(np.eye(3))))
     np.testing.assert_allclose(md.delta.matrix, np.eye(3), atol=1e-12)
     assert md.j.antilinear
     np.testing.assert_allclose(md.j.matrix, np.eye(3), atol=1e-12)
@@ -101,9 +92,8 @@ def delta_power(md, p):
 
 def test_modular_data_invariants():
     rng = np.random.default_rng(33)
-    V = ComplexVectorSpace(5)
     for _ in range(5):
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(5, rng)
         md = modular_data(tomita_operator(K))
         half = delta_power(md, 0.5)
         np.testing.assert_allclose((md.j @ half).matrix, md.s.matrix, atol=1e-10)
@@ -119,9 +109,8 @@ def test_modular_data_invariants():
 
 def test_adjoint_is_tomita_of_complement():
     rng = np.random.default_rng(34)
-    V = ComplexVectorSpace(5)
     for _ in range(5):
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(5, rng)
         s = tomita_operator(K)
         sp = tomita_operator(symplectic_complement(K))
         np.testing.assert_allclose(sp.matrix, s.adjoint().matrix, atol=1e-9)
@@ -129,18 +118,16 @@ def test_adjoint_is_tomita_of_complement():
 
 def test_j_maps_K_to_complement():
     rng = np.random.default_rng(35)
-    V = ComplexVectorSpace(5)
     for _ in range(5):
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(5, rng)
         md = modular_data(tomita_operator(K))
-        jK = RealSubspace.span(V, md.j.apply(K.basis))
+        jK = RealSubspace.span(md.j.apply(K.basis))
         assert subspace_distance(jK, symplectic_complement(K)) < 1e-9
 
 
 def test_K_cap_Kprime_is_joint_fixed_space():
-    V = ComplexVectorSpace(4)
     # one genuine fiber plus a two-dimensional fixed part
-    K = fiber_standard_subspace(V, [np.pi / 4], n_fixed=2)
+    K = fiber_standard_subspace(4, [np.pi / 4], n_fixed=2)
     md = modular_data(tomita_operator(K))
     cap = subspace_intersection(K, symplectic_complement(K), cos_tol=1e-8)
     joint = subspace_intersection(fixed_space(md.j), fixed_space(md.delta),
@@ -148,7 +135,7 @@ def test_K_cap_Kprime_is_joint_fixed_space():
     assert subspace_distance(cap, joint) < 1e-8
     # the fixed spaces themselves, against eigh of the realified maps
     for op in (md.j, md.delta):
-        ref = RealSubspace.span(V, unrealify(_fixed_space(op.realified())))
+        ref = RealSubspace.span(unrealify(_fixed_space(op.realified())))
         assert subspace_distance(fixed_space(op), ref) < 1e-10
 
 
@@ -175,8 +162,7 @@ def _fixed_space(M):
 
 def test_modular_flow_identity_and_group_law():
     rng = np.random.default_rng(36)
-    V = ComplexVectorSpace(4)
-    K = random_standard_subspace(V, rng)
+    K = random_standard_subspace(4, rng)
     md = modular_data(tomita_operator(K))
     np.testing.assert_allclose(modular_flow(md, 0.0).matrix, np.eye(4),
                                atol=1e-12)
@@ -188,20 +174,18 @@ def test_modular_flow_identity_and_group_law():
 
 def test_modular_flow_preserves_K():
     rng = np.random.default_rng(37)
-    V = ComplexVectorSpace(5)
-    K = random_standard_subspace(V, rng)
+    K = random_standard_subspace(5, rng)
     md = modular_data(tomita_operator(K))
     for t in (0.3, 1.7):
-        FK = RealSubspace.span(V, modular_flow(md, t).apply(K.basis))
+        FK = RealSubspace.span(modular_flow(md, t).apply(K.basis))
         assert subspace_distance(FK, K) < 1e-9
 
 
 def test_flow_mixes_fiber_frame():
     # delta^it y+ = cos(t log tan^2(th/2)) y+ + sin(...) y-,
     # delta^it y- = cos(...) y- - sin(...) y+
-    V = ComplexVectorSpace(2)
     th = np.pi / 3
-    K = fiber_standard_subspace(V, [th])
+    K = fiber_standard_subspace(2, [th])
     md = modular_data(tomita_operator(K))
     blocks, _ = fiberize(K)
     yp, ym = blocks[0].y_plus, blocks[0].y_minus
@@ -217,8 +201,7 @@ def test_flow_mixes_fiber_frame():
 
 
 def test_fiberize_real_standard():
-    V = ComplexVectorSpace(3)
-    K = RealSubspace(V, np.eye(3))
+    K = RealSubspace(np.eye(3))
     blocks, fixed = fiberize(K)
     assert blocks == []
     assert subspace_distance(fixed, K) <= 1e-9
@@ -227,8 +210,7 @@ def test_fiberize_real_standard():
 
 
 def test_fiberize_recovers_theta():
-    V = ComplexVectorSpace(2)
-    K = fiber_standard_subspace(V, [np.pi / 3])
+    K = fiber_standard_subspace(2, [np.pi / 3])
     blocks, fixed = fiberize(K)
     assert fixed.dim == 0
     assert len(blocks) == 1
@@ -243,8 +225,7 @@ def test_fiberize_recovers_theta():
 def test_fiberize_matches_principal_angles():
     rng = np.random.default_rng(38)
     for d in (4, 6, 7):
-        V = ComplexVectorSpace(d)
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(d, rng)
         blocks, fixed = fiberize(K)
         thetas = sorted([b.theta for b in blocks for _ in range(2)]
                         + [np.pi / 2] * fixed.dim)
@@ -255,21 +236,19 @@ def test_fiberize_matches_principal_angles():
 def test_reassembly_reproduces_modular_data():
     rng = np.random.default_rng(39)
     for d in (2, 4, 5):
-        V = ComplexVectorSpace(d)
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(d, rng)
         md = modular_data(tomita_operator(K))
         blocks, fixed = fiberize(K)
-        jmat, dmat = reassemble_modular(V, blocks, fixed)
+        jmat, dmat = reassemble_modular(blocks, fixed)
         assert np.linalg.norm(jmat - md.j.matrix, 2) < 1e-9
         assert np.linalg.norm(dmat - md.delta.matrix, 2) < 1e-9 * md.condition_number ** 0.5
 
 
 def test_block_y_vectors_span_K_trace():
-    V = ComplexVectorSpace(4)
-    K = fiber_standard_subspace(V, [0.5, 1.1])
+    K = fiber_standard_subspace(4, [0.5, 1.1])
     blocks, fixed = fiberize(K)
     vecs = [b.y_plus for b in blocks] + [b.y_minus for b in blocks]
-    recon = RealSubspace.span(V, np.column_stack(vecs))
+    recon = RealSubspace.span(np.column_stack(vecs))
     assert subspace_distance(recon, K) < 1e-10
 
 
@@ -299,9 +278,8 @@ def realified_modular_data(M):
 def test_complex_route_matches_realified_reference():
     rng = np.random.default_rng(40)
     for d in range(2, 9):
-        V = ComplexVectorSpace(d)
         for _ in range(3):
-            K = random_standard_subspace(V, rng)
+            K = random_standard_subspace(d, rng)
             s = tomita_operator(K)
             md = modular_data(s)
             M = realified_tomita(K)
@@ -324,40 +302,38 @@ def test_complex_route_matches_realified_reference():
 def test_fiberize_degenerate_angles():
     # a repeated angle: its delta eigenspace is a complex plane
     rng = np.random.default_rng(41)
-    V = ComplexVectorSpace(7)
-    K0 = fiber_standard_subspace(V, [0.7, 0.7, 1.2], n_fixed=1)
+    K0 = fiber_standard_subspace(7, [0.7, 0.7, 1.2], n_fixed=1)
     Q, R = np.linalg.qr(rng.standard_normal((7, 7))
                         + 1j * rng.standard_normal((7, 7)))
     U = Q * (np.diag(R) / np.abs(np.diag(R)))
-    K = RealSubspace.span(V, U @ K0.basis)
+    K = RealSubspace.span(U @ K0.basis)
     md = modular_data(tomita_operator(K))
     assert [m for _, m in md.log_delta_spectrum] == [2, 1, 1, 1, 2]
     blocks, fixed = fiberize(K)
     np.testing.assert_allclose([b.theta for b in blocks], [0.7, 0.7, 1.2],
                                atol=1e-10)
     assert fixed.dim == 1
-    jmat, dmat = reassemble_modular(V, blocks, fixed)
+    jmat, dmat = reassemble_modular(blocks, fixed)
     assert np.linalg.norm(jmat - md.j.matrix, 2) < 1e-9
     assert np.linalg.norm(dmat - md.delta.matrix, 2) < 1e-9 * md.condition_number ** 0.5
     s = tomita_operator(K)
     ys = [y for b in blocks for y in (b.y_plus, b.y_minus)]
     for y in ys:
         assert np.linalg.norm(s.apply(y) - y) < 1e-10
-    span = RealSubspace.span(V, np.column_stack([*ys, fixed.basis]))
+    span = RealSubspace.span(np.column_stack([*ys, fixed.basis]))
     assert span.dim == K.dim
     assert subspace_distance(span, K) < 1e-10
 
 
 def test_stack_with_one_nonstandard_slice_raises_its_certificate():
-    V = ComplexVectorSpace(2)
-    e1 = V.basis_vector(0)
+    e1 = np.eye(2)[0]
     good = np.eye(2, dtype=complex)
-    line = RealSubspace.span(V, np.column_stack([e1, 1j * e1])).basis
-    K = RealSubspace(V, np.stack([good, line, good]), check=False)
+    line = RealSubspace.span(np.column_stack([e1, 1j * e1])).basis
+    K = RealSubspace(np.stack([good, line, good]))
     assert not is_standard(K)[0]
     with pytest.raises(NotStandardError) as exc:
         tomita_operator(K)
-    cert = is_standard(RealSubspace(V, line))[1]
+    cert = is_standard(RealSubspace(line))[1]
     assert exc.value.certificate == cert
     assert (cert.dim_intersection, cert.dim_sum) == (2, 2)
 
@@ -370,8 +346,7 @@ def loop_reference(config, rng):
                              "fixed")}
     for _ in range(p["n_samples"]):
         d = int(rng.integers(2, p["max_dim"] + 1))
-        V = ComplexVectorSpace(d)
-        K = random_standard_subspace(V, rng)
+        K = random_standard_subspace(d, rng)
         s = tomita_operator(K)
         md = modular_data(s)
         found["involution"].append(np.linalg.norm(
@@ -380,15 +355,15 @@ def loop_reference(config, rng):
         sp = tomita_operator(Kp)
         found["adjoint"].append(np.linalg.norm(
             sp.matrix - s.adjoint().matrix, 2))
-        jK = RealSubspace.span(V, md.j.apply(K.basis))
+        jK = RealSubspace.span(md.j.apply(K.basis))
         found["conjugation"].append(subspace_distance(jK, Kp))
         for t in p["flow_times"]:
-            FK = RealSubspace.span(V, modular_flow(md, float(t)).apply(K.basis))
+            FK = RealSubspace.span(modular_flow(md, float(t)).apply(K.basis))
             found["flow"].append(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(
-            RealSubspace.span(V, unrealify(_fixed_space(md.j.realified()))),
-            RealSubspace.span(V, unrealify(_fixed_space(md.delta.realified()))),
+            RealSubspace.span(unrealify(_fixed_space(md.j.realified()))),
+            RealSubspace.span(unrealify(_fixed_space(md.delta.realified()))),
             cos_tol=1e-8)
         found["fixed"].append(subspace_distance(cap, fix))
     return {f"subspace.{k}": worst(v) for k, v in found.items()}
