@@ -12,10 +12,12 @@ oscillation of exp(i p.x).
 
 The origin right wedge's delta^(1/2) is, by the Bisognano-Wichmann
 theorem, the Fourier multiplier exp(pi omega) in the rapidity frequency
-omega; modloc transports it to other wedges.  Amplification is
-capped at 1e12; the input mass at capped frequencies is the domain
-diagnostic, and identity checks are run on band-limited
-representatives, for which the capped operator is faithful.
+omega, and s_W = conj after delta^(1/2); modloc transports it to other
+wedges.  Amplification is capped at 1e12; the input mass at capped
+frequencies is the domain diagnostic, and identity checks are run on
+band-limited representatives, for which the capped operator is
+faithful.  One kernel, _half_spectrum, forms the capped multiplier, and
+every wedge map reads it.
 
 A one-particle vector is a complex array of samples on the rapidity
 grid, and a stack of them an array (..., n_points).  Every map acts
@@ -39,8 +41,7 @@ __all__ = [
     "OneParticleVector", "PoincareElement", "LeakageError",
     "DomainViolationError", "SupportError",
     "embed", "embed_with_error", "poincare_act", "covariance_residual",
-    "locality_pairing", "band_project",
-    "domain_certificate", "wedge_modular_half",
+    "locality_pairing", "domain_certificate",
     "wedge_tomita_apply", "compressed_fixed_defect",
     "bw_residual", "bw_residual_of_vector",
     "modular_blowup_profile", "borchers_check", "gaussian_packet",
@@ -573,32 +574,21 @@ def _log_multiplier(grid: RapidityGrid):
     return -RIGHT_WEDGE_DIRECTION * np.pi * grid.omega
 
 
-def _capped(values, grid: RapidityGrid, cap: float):
-    """Spectrum of values, the log multiplier of delta^(1/2), the mask of
-    frequencies it would amplify beyond cap, and the relative input mass
-    there (the tail), one per vector."""
-    ph = np.fft.fft(values)
+def _half_spectrum(c, grid: RapidityGrid, cap: float = AMPLIFICATION_CAP):
+    """The spectrum c of v times the multiplier of delta^(1/2), zeroed
+    where it would amplify beyond cap, and the relative mass of c there
+    (the tail), one per vector.  The one place the multiplier is formed:
+    with h the first result, the spectrum of s_W v is conj(h[..., -w])."""
     logmult = _log_multiplier(grid)
     kill = logmult > math.log(cap)
-    return ph, logmult, kill, _mass_fraction(ph, kill)
-
-
-def wedge_modular_half(v, grid: RapidityGrid, cap: float = AMPLIFICATION_CAP):
-    """Apply delta^(1/2) = the multiplier exp(pi omega).
-
-    Frequencies with amplification above cap are zeroed; their input
-    mass (relative) is returned as the tail diagnostic.  A large tail
-    signals that v is not in the domain of this half-boost.
-    """
-    ph, logmult, kill, tail = _capped(v, grid, cap)
-    return np.fft.ifft(ph * np.exp(np.where(kill, -np.inf, logmult))), tail
+    return c * np.exp(np.where(kill, -np.inf, logmult)), _mass_fraction(c, kill)
 
 
 def domain_certificate(v, grid: RapidityGrid):
     """Relative input mass at frequencies the half-boost capped at
     AMPLIFICATION_CAP cannot amplify; the spectral-decay certificate for
     membership in the numerical domain of delta^(1/2)."""
-    return _capped(v, grid, AMPLIFICATION_CAP)[3]
+    return _half_spectrum(np.fft.fft(v), grid)[1]
 
 
 def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
@@ -610,49 +600,33 @@ def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
     return _smooth_step((np.abs(omega) - (wb - roll)) / roll)
 
 
-def band_project(v, grid: RapidityGrid):
-    """Smoothly band-limit one vector to the frequency region on which
-    the capped delta^(1/2) is faithful, BAND_MARGIN inside the
-    AMPLIFICATION_CAP band; returns (vector, retained mass fraction).
-
-    The mask is an even function of the rapidity frequency, hence of the
-    wedge modular generator: it maps K_W into itself.
-    """
-    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
-    ph = np.fft.fft(v)
-    total = float(np.sum(np.abs(ph) ** 2))
-    kept = float(np.sum(np.abs(mask * ph) ** 2)) / max(total, 1e-300)
-    return np.fft.ifft(mask * ph), kept
-
-
 def wedge_tomita_apply(v, grid: RapidityGrid):
-    """s_W v = conj(delta^(1/2) v) for the origin right wedge."""
-    half, tail = wedge_modular_half(v, grid)
-    return np.conj(half), tail
+    """s_W v = conj(delta^(1/2) v) for the origin right wedge, with
+    delta^(1/2) capped at AMPLIFICATION_CAP; returns (s_W v, tail), the
+    tail being the domain certificate of v."""
+    half, tail = _half_spectrum(np.fft.fft(v), grid)
+    return np.conj(np.fft.ifft(half)), tail
 
 
-def _band_defect(c, grid: RapidityGrid, mask):
-    """Spectrum of s_W v - v for the origin right wedge, c that of v:
-    m(-w) conj(c(-w)) - c(w) where mask > 0, and -c elsewhere, with m the
-    multiplier of delta^(1/2)."""
+def _band_defect(ph, grid: RapidityGrid):
+    """(Pc, spectrum of s_W v_B - v_B) for the origin right wedge, with
+    ph the spectrum of v, P the smooth band mask and Pc the spectrum of
+    the band-limited representative v_B.  The mask is applied before
+    s_W, so the half-boost never sees frequencies beyond the band."""
+    Pc = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP) * ph
     flip = -np.arange(grid.n_points) % grid.n_points      # index of -w
-    live = mask > 0.0
-    s_hat = np.zeros_like(c)
-    s_hat[..., live] = (np.exp(_log_multiplier(grid)[flip[live]])
-                        * np.conj(c[..., flip[live]]))
-    return s_hat - c
+    return Pc, np.conj(_half_spectrum(Pc, grid)[0][..., flip]) - Pc
 
 
 def compressed_fixed_defect(v, grid: RapidityGrid) -> np.ndarray:
-    """P (s_W v - v) with P the smooth band mask, in one spectral pass.
+    """(s_W - 1) P v with P the smooth band mask, in one spectral pass.
 
     This is the cap-safe fixed-point defect for the origin right wedge:
-    applying s_W on the masked band never exceeds the amplification cap,
-    and raw (un-limited) vectors may be fed in directly.
+    P is even, so it commutes with s_W and this is also P (s_W - 1) v;
+    s_W never acts beyond the band, and raw (un-limited) vectors may be
+    fed in directly.
     """
-    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
-    defect = _band_defect(np.fft.fft(v), grid, mask)
-    return np.fft.ifft(mask * defect)
+    return np.fft.ifft(_band_defect(np.fft.fft(v), grid)[1])
 
 
 def bw_residual_of_vector(v, grid: RapidityGrid) -> float:
@@ -661,17 +635,14 @@ def bw_residual_of_vector(v, grid: RapidityGrid) -> float:
     certificate exceeds DOMAIN_CERT_THRESHOLD (wrong-wedge localization).
 
     Projection, half-boost and conjugation are fused into a single
-    spectral pass, so no re-transform roundoff enters the amplified
-    band: with c the spectrum of v_B, the comparison is
-    m(-w) conj(c(-w)) against c(w) over the kept band, m the multiplier
-    of delta^(1/2).
+    spectral pass, so no re-transform roundoff enters the amplified band.
     """
-    ph, _, _, cert = _capped(v, grid, AMPLIFICATION_CAP)
+    ph = np.fft.fft(v)
+    cert = _half_spectrum(ph, grid)[1]
     if cert > DOMAIN_CERT_THRESHOLD:
         raise DomainViolationError(cert)
-    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
-    c = mask * ph
-    return float(np.linalg.norm(_band_defect(c, grid, mask)) / np.linalg.norm(c))
+    c, defect = _band_defect(ph, grid)
+    return float(np.linalg.norm(defect) / np.linalg.norm(c))
 
 
 def bw_residual(f: TestFunction2, model: FreeFieldModel) -> float:
@@ -683,10 +654,12 @@ def bw_residual(f: TestFunction2, model: FreeFieldModel) -> float:
 
 def modular_blowup_profile(v, grid: RapidityGrid, caps=(1e4, 1e8, 1e12)):
     """Norms of the capped delta^(1/2) images along a ladder of
-    amplification caps.  For vectors in the domain the sequence is
-    stable; outside it grows without bound as the cap is raised, the
-    numerical signature of the domain violation."""
-    return [_norm(wedge_modular_half(v, grid, cap)[0], grid) for cap in caps]
+    amplification caps, from one transform of v.  For vectors in the
+    domain the sequence is stable; outside it grows without bound as the
+    cap is raised, the numerical signature of the domain violation."""
+    ph = np.fft.fft(v)
+    return [_norm(np.fft.ifft(_half_spectrum(ph, grid, cap)[0]), grid)
+            for cap in caps]
 
 
 def gaussian_packet(grid: RapidityGrid, center: float = 0.0,

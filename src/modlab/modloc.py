@@ -13,7 +13,9 @@ per summand; a probe dictionary is a stack (k, n_summands, n_points).
 As the basis of a hilbert.RealSubspace the stack is reshaped to complex
 columns (n_summands n_points, k), and back.  The spectral kernels
 of the origin right wedge are freefield's, applied on the shared rapidity
-grid to every row at once; this module only transports them.
+grid to every row at once; this module has none of its own.  Extraction
+pulls the probes into the wedge frame once, works there, and pushes
+only the kept basis back.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .hilbert import (
 
 __all__ = [
     "PoincareRep2", "EmptyModelError", "ExtractionReport",
-    "wedge_frame", "wedge_domain_certificate",
-    "compressed_defect_rep", "localized_subspace",
+    "wedge_frame", "localized_subspace",
     "LocalizedNet", "net_checks", "doublecone_space", "embed_probe",
 ]
 
@@ -101,18 +102,6 @@ def _pull(rep: PoincareRep2, W: Region2, X):
     return g, rep.act(g.inv(), X)
 
 
-def wedge_domain_certificate(rep: PoincareRep2, W: Region2, X):
-    """Largest domain certificate over the summands of each vector."""
-    return np.max(domain_certificate(_pull(rep, W, X)[1], rep.grid), axis=-1)
-
-
-def compressed_defect_rep(rep: PoincareRep2, W: Region2, X) -> np.ndarray:
-    """P (s_W - 1) X: the band-compressed fixed-point defect in the
-    wedge frame, transported back.  Cap-safe on raw vectors."""
-    g, pulled = _pull(rep, W, X)
-    return rep.act(g, compressed_fixed_defect(pulled, rep.grid))
-
-
 @dataclass
 class ExtractionReport:
     singular_values: np.ndarray
@@ -125,31 +114,36 @@ class ExtractionReport:
 def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05):
     """Finite model of K_W = {h in D(s_W): s_W h = h}.
 
-    Probes whose wedge domain certificate exceeds DOMAIN_CERT_THRESHOLD
-    are discarded.  On the real span of the survivors the band-compressed
-    defect P (s_W - 1) is assembled; its kernel directions below tol in
-    singular value form the model.  The stored basis consists of raw probe
-    combinations, so models over matched dictionaries are directly
-    comparable across wedges.  EmptyModelError is raised when every probe
-    fails the certificate or no singular value is at most tol.
+    The probes are pulled into the frame of W = g W_R once, where s_W is
+    freefield's origin right-wedge operator.  Probes whose domain
+    certificate there exceeds DOMAIN_CERT_THRESHOLD are discarded.  On
+    the real span of the survivors the band-compressed defect
+    (s_W - 1) P is assembled; its kernel directions below tol in singular
+    value form the model, which u(g) pushes back out.  The stored basis
+    consists of raw probe combinations, so models over matched
+    dictionaries are directly comparable across wedges.  EmptyModelError
+    is raised when every probe fails the certificate or no singular
+    value is at most tol.
 
     Returns (RealSubspace over the summed grid space, ExtractionReport).
     """
-    P = _stack(rep, probes)
-    certs = wedge_domain_certificate(rep, W, P)
+    g, P = _pull(rep, W, _stack(rep, probes))
+    certs = np.max(domain_certificate(P, rep.grid), axis=-1)
     live = certs <= DOMAIN_CERT_THRESHOLD
     if not np.any(live):
         raise EmptyModelError(
             f"all {len(P)} probes fail the domain certificate "
             f"(min {np.min(certs, initial=np.inf):.2e})")
     B = orthonormalize_columns(_columns(P[live]))
-    sv, Vt = real_svd(_columns(compressed_defect_rep(rep, W, _stack(rep, B.T))))
+    sv, Vt = real_svd(_columns(compressed_fixed_defect(_stack(rep, B.T),
+                                                       rep.grid)))
     keep = sv <= tol
     if not np.any(keep):
         raise EmptyModelError(
             f"no singular value of the fixed-point defect is <= {tol} "
             f"(smallest {sv.min():.2e})")
-    basis = orthonormalize_columns(B @ Vt[keep].T)
+    # u(g) is real-orthogonal: the pushed columns stay orthonormal
+    basis = _columns(rep.act(g, _stack(rep, (B @ Vt[keep].T).T)))
     report = ExtractionReport(singular_values=sv, kept=int(basis.shape[1]),
                               discarded_probes=int(np.sum(~live)),
                               certificates=certs.tolist())
@@ -292,5 +286,5 @@ def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=()):
     residuals = (np.linalg.norm(V - K.project(V), axis=(1, 2))
                  / np.linalg.norm(V, axis=(1, 2)))
     report = {"dimension": K.dim, "probe_residuals": residuals.tolist(),
-              "conditioning_warning": K.dim == 0 and len(residuals) > 0}
+              "conditioning_warning": K.dim == 0}
     return K, report

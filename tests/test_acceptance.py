@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from modlab import freefield
+from modlab import checks, freefield, modloc
 from modlab.checks import (
     check_borchers, check_coherent_calculus, check_covariance,
     check_direct_sum, check_doublecone, check_fiberization, check_locality,
@@ -289,3 +289,18 @@ def test_a_nan_measurement_fails_its_record(monkeypatch):
     assert rec["name"] == "freefield.locality_spacelike"
     assert math.isnan(rec["value"]) and not rec["passed"]
     assert not record("x", "a claim", float("nan"), 1.0, "above")["passed"]
+
+
+def test_an_empty_net_category_fails_its_record(monkeypatch):
+    # a net with one wedge has no isotony or duality pair: a category with
+    # no rows has shown nothing, so its record fails rather than reading 0
+    rows = {"isotony": [{"residual": 1e-15}], "duality": [],
+            "covariance": [{"residual": 2e-14}]}
+    monkeypatch.setattr(checks, "_build_net", lambda config: None)
+    monkeypatch.setattr(modloc, "net_checks",
+                        lambda net, covariance_elements=(): rows)
+    records = {r["name"]: r for r in check_net(default_config(), None)}
+    assert records["modloc.duality"]["value"] == 1.0
+    assert not records["modloc.duality"]["passed"]
+    assert records["modloc.isotony"]["passed"]
+    assert records["modloc.covariance"]["passed"]

@@ -11,11 +11,10 @@ from modlab.freefield import (
     AMPLIFICATION_CAP, BAND_MARGIN, DomainViolationError, FreeFieldModel,
     LeakageError, PoincareElement, RapidityGrid, Region2,
     SupportError, TestFunction2,
-    band_project, borchers_check, bw_residual, bw_residual_of_vector,
+    borchers_check, bw_residual, bw_residual_of_vector,
     compressed_fixed_defect, covariance_residual, domain_certificate, embed,
     embed_with_error, gaussian_packet, locality_pairing,
-    modular_blowup_profile, poincare_act, wedge_modular_half,
-    wedge_tomita_apply,
+    modular_blowup_profile, poincare_act, wedge_tomita_apply,
 )
 from modlab.hilbert import (
     RealSubspace, inclusion_residual, subspace_distance,
@@ -371,10 +370,10 @@ def test_spectral_maps_on_a_stack_equal_per_vector_calls(model):
                           [compressed_fixed_defect(v, grid) for v in stack])
     assert np.array_equal(domain_certificate(stack, grid),
                           [domain_certificate(v, grid) for v in stack])
-    half, tail = wedge_modular_half(stack, grid)
-    halves = [wedge_modular_half(v, grid) for v in stack]
-    assert np.array_equal(half, [h for h, _ in halves])
-    assert np.array_equal(tail, [t for _, t in halves])
+    image, tail = wedge_tomita_apply(stack, grid)
+    images = [wedge_tomita_apply(v, grid) for v in stack]
+    assert np.array_equal(image, [s for s, _ in images])
+    assert np.array_equal(tail, [t for _, t in images])
     assert tail[0] < 1e-10 < tail[1]
 
 
@@ -489,7 +488,7 @@ def test_local_subspace_rank_and_isotony(model):
 
 def test_gaussian_is_in_domain(model):
     phi = gaussian_packet(model.grid, width=1.2)
-    _, tail = wedge_modular_half(phi, model.grid)
+    _, tail = wedge_tomita_apply(phi, model.grid)
     assert tail < 1e-8
     profile = modular_blowup_profile(phi, model.grid)
     assert profile[2] / profile[0] < 1e3
@@ -558,13 +557,25 @@ def test_band_mask_commutes_with_tomita(model):
     # with s_W: masking before or after the half-boost agrees (checked on
     # a domain-safe probe so no amplified junk enters)
     grid = model.grid
+    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
+
+    def P(v):
+        return np.fft.ifft(mask * np.fft.fft(v))
+
     phi = gaussian_packet(grid, width=1.0, momentum=0.3)
-    masked_first, _ = wedge_tomita_apply(band_project(phi, grid)[0], grid)
-    masked_last, _ = band_project(wedge_tomita_apply(phi, grid)[0], grid)
+    masked_first, _ = wedge_tomita_apply(P(phi), grid)
+    masked_last = P(wedge_tomita_apply(phi, grid)[0])
     assert (np.linalg.norm(masked_first - masked_last)
             < 1e-7 * np.linalg.norm(masked_last))
-    _, kept = band_project(
-        embed(TestFunction2.bump((0.0, 3.0), 0.5), model).values, grid)
+    # so the compressed defect (s_W - 1) P phi is also P s_W phi - P phi
+    defect = compressed_fixed_defect(phi, grid)
+    assert (np.linalg.norm(defect - (masked_last - P(phi)))
+            < 1e-7 * np.linalg.norm(phi))
+    # and the BW residual is its norm relative to that of P v
+    Ef = embed(TestFunction2.bump((0.0, 3.0), 0.5), model).values
+    ratio = np.linalg.norm(compressed_fixed_defect(Ef, grid)) / np.linalg.norm(P(Ef))
+    assert abs(bw_residual_of_vector(Ef, grid) - ratio) < 1e-12 * ratio
+    kept = np.linalg.norm(P(Ef)) ** 2 / np.linalg.norm(Ef) ** 2
     assert 0.5 < kept <= 1.0
 
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from modlab import modloc
 from modlab.freefield import (
     FreeFieldModel, PoincareElement, Region2, SupportError, TestFunction2,
-    bw_residual_of_vector, poincare_act, wedge_tomita_apply,
+    bw_residual_of_vector, compressed_fixed_defect, poincare_act,
+    wedge_tomita_apply,
 )
 from modlab.hilbert import RealSubspace, subspace_distance
 from modlab.modloc import (
-    EmptyModelError, LocalizedNet, PoincareRep2,
-    compressed_defect_rep, doublecone_space, embed_probe, localized_subspace,
-    net_checks, wedge_frame, wedge_domain_certificate,
+    EmptyModelError, LocalizedNet, PoincareRep2, doublecone_space,
+    embed_probe, localized_subspace, net_checks, wedge_frame,
 )
 
 
@@ -41,7 +42,8 @@ def inner(rep, x, y):
 
 def tomita(rep, W, X):
     """s_W X = u(g) s_R u(g)^(-1) X for W = g W_R, with freefield's s_R
-    on the shared grid: the map modloc's defect and certificate transport."""
+    on the shared grid: the map localized_subspace works with in the
+    wedge frame."""
     g = wedge_frame(W)
     return rep.act(g, wedge_tomita_apply(rep.act(g.inv(), X), rep.grid)[0])
 
@@ -60,7 +62,7 @@ def test_origin_wedge_tomita_matches_freefield(rep):
     f = TestFunction2.bump((0.0, 3.0), 0.5)
     p = embed_probe(rep, f)
     res = bw_residual_of_vector(p[0], rep.grid)
-    defect = compressed_defect_rep(rep, Region2.right_wedge(), p)
+    defect = compressed_fixed_defect(p, rep.grid)
     assert np.linalg.norm(defect) / np.linalg.norm(p) < 5 * max(res, 1e-4)
     _, tail = wedge_tomita_apply(p, rep.grid)
     assert np.max(tail) < 1e-10
@@ -73,9 +75,10 @@ def test_translated_wedge_conjugation(rep):
     g = PoincareElement.translation(*a)
     f = TestFunction2.bump((0.0, 3.0), 0.5).transform(g)
     p = embed_probe(rep, f)
-    defect = compressed_defect_rep(rep, W, p)
-    assert np.linalg.norm(defect) / np.linalg.norm(p) < 1e-2
-    assert wedge_domain_certificate(rep, W, p) < 1e-10
+    _, report = localized_subspace(rep, W, [p])
+    # the one singular value is || P (s_W - 1) p || / || p ||
+    assert report.singular_values[0] < 1e-2
+    assert report.certificates[0] < 1e-10
 
 
 def test_translated_wedge_operator_identity(rep):
@@ -119,6 +122,23 @@ def test_localized_subspace_contains_probes(rep):
     # when every probe clears the threshold the model is the probe span
     span = RealSubspace.span(V)
     assert subspace_distance(K, span) < 1e-9
+
+
+def test_extraction_moves_the_probes_once_each_way(rep, monkeypatch):
+    # one pull into the wedge frame, one push of the kept basis back, and
+    # one Gram-Schmidt: the pushed columns are orthonormal already
+    W = Region2.right_wedge((0.0, 0.5))
+    probes = [embed_probe(rep, f) for f in right_dict((0.0, 0.5))]
+    calls = []
+    act, ortho = PoincareRep2.act, modloc.orthonormalize_columns
+    monkeypatch.setattr(PoincareRep2, "act",
+                        lambda self, g, X: calls.append("act") or act(self, g, X))
+    monkeypatch.setattr(modloc, "orthonormalize_columns",
+                        lambda M: calls.append("ortho") or ortho(M))
+    K, _ = localized_subspace(rep, W, probes)
+    assert calls == ["act", "ortho", "act"]
+    gram = K.basis.conj().T @ K.basis
+    assert np.allclose(gram.real, np.eye(K.dim), atol=1e-12)
 
 
 def test_localized_subspace_rejects_wrong_wedge(rep):
@@ -333,8 +353,9 @@ def test_doublecone_without_probes_returns_the_intersection(rep):
                        [(TestFunction2.bump((0.0, -1.2), 0.4), 0)])
     K, report = doublecone_space(net, O)
     assert K.basis.shape == (rep.grid.n_points, 0)
+    # an empty intersection warns whether or not probes were given
     assert report == {"dimension": 0, "probe_residuals": [],
-                      "conditioning_warning": False}
+                      "conditioning_warning": True}
 
 
 def test_direct_sum_block_property(rep2):
