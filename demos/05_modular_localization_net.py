@@ -30,9 +30,12 @@ net.populate_wedge(Region2.right_wedge((0.0, 1.0)),
 gamma = PoincareElement.reflection()
 net.populate_wedge(Region2.left_wedge((0.0, 0.0)),
                    [(f.transform(gamma), 0) for f in base])
-for key, entry in net.entries.items():
+for entry in net.entries.values():
+    g = entry.region.frame          # the wedge is g W_R
+    side = "left" if g.reflect else "right"
     sv = entry.report.singular_values
-    print(f"   {key}: dim {entry.subspace.dim}, "
+    print(f"   {side:5s} wedge at ({g.a0:.1f}, {g.a1:.1f}): "
+          f"dim {entry.subspace.dim}, "
           f"largest fixed-point defect {sv.max():.2e}")
 print()
 
@@ -48,13 +51,12 @@ print("== a double cone as a wedge intersection ==")
 O = Region2.double_cone((0.0, 0.0), 2.2)
 cone_fns = [TestFunction2.bump((0.0, 0.0), 0.5),
             TestFunction2.bump((0.15, 0.2), 0.4)]
+WR, WL = O.wedges                   # O is their intersection
 net2 = LocalizedNet(rep, tol=0.05)
-net2.populate_wedge(Region2.right_wedge(O.right_apex),
-                    [(f, 0) for f in cone_fns
-                     + [TestFunction2.bump((0.0, 1.4), 0.5)]])
-net2.populate_wedge(Region2.left_wedge(O.left_apex),
-                    [(f, 0) for f in cone_fns
-                     + [TestFunction2.bump((0.0, -1.4), 0.5)]])
+net2.populate_wedge(WR, [(f, 0) for f in cone_fns
+                         + [TestFunction2.bump((0.0, 1.4), 0.5)]])
+net2.populate_wedge(WL, [(f, 0) for f in cone_fns
+                         + [TestFunction2.bump((0.0, -1.4), 0.5)]])
 probes = [embed_probe(rep, f) for f in cone_fns]
 K, rep_cone = doublecone_space(net2, O, cone_probes=probes)
 print(f"   intersection dimension: {rep_cone['dimension']}")

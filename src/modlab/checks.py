@@ -8,6 +8,7 @@ they verify.  Checks are deterministic given (config, seed).
 from __future__ import annotations
 
 import math
+import operator
 import time
 
 import numpy as np
@@ -314,41 +315,24 @@ def check_borchers(config, rng):
 
 # -- modular localization suite ---------------------------------------------
 
-def _right_dict(config, shift=(0.0, 0.0)):
+def _build_net(config):
+    """Right and left wedges at the apexes (0, a), a in 0, 0.5, 1.  The
+    dictionary moved by (0, s) lies in the right wedge at (0, a) for
+    s >= a, and reflected, in the left wedge for s <= a."""
     step = config.freefield["lattice_step"]
-    g = ff.PoincareElement.translation(*shift)
     base = [ff.TestFunction2.bump((c0, c1), r, step)
             for c0, c1, r in config.modloc["dictionary"]]
-    if shift == (0.0, 0.0):
-        return base
-    return [f.transform(g) for f in base]
-
-
-def _build_net(config):
-    model = _model(config)
-    rep = ml.PoincareRep2([model])
-    net = ml.LocalizedNet(rep)
-    gamma_el = ff.PoincareElement.reflection()
-    shifts = [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0)]
-    dicts = {s: _right_dict(config, s) for s in shifts}
-    right_fns = {
-        (0.0, 0.0): [f for s in shifts for f in dicts[s]],
-        (0.0, 0.5): [f for s in shifts[1:] for f in dicts[s]],
-        (0.0, 1.0): list(dicts[(0.0, 1.0)]),
-    }
-    for apex, fns in right_fns.items():
-        net.populate_wedge(ff.Region2.right_wedge(apex),
-                           [(f, 0) for f in fns])
-    left_dicts = {s: [f.transform(gamma_el).transform(
-        ff.PoincareElement.translation(0.0, s[1]))
-        for f in dicts[(0.0, 0.0)]] for s in shifts}
-    left_fns = {
-        (0.0, 0.0): left_dicts[(0.0, 0.0)],
-        (0.0, 0.5): left_dicts[(0.0, 0.0)] + left_dicts[(0.0, 0.5)],
-        (0.0, 1.0): [f for s in shifts for f in left_dicts[s]],
-    }
-    for apex, fns in left_fns.items():
-        net.populate_wedge(ff.Region2.left_wedge(apex), [(f, 0) for f in fns])
+    reflected = [f.transform(ff.PoincareElement.reflection()) for f in base]
+    net = ml.LocalizedNet(ml.PoincareRep2([_model(config)]))
+    shifts = (0.0, 0.5, 1.0)
+    for region, fns, inside in ((ff.Region2.right_wedge, base, operator.ge),
+                                (ff.Region2.left_wedge, reflected, operator.le)):
+        moved = {s: [f.transform(ff.PoincareElement.translation(0.0, s))
+                     for f in fns] for s in shifts}
+        for a in shifts:
+            net.populate_wedge(region((0.0, a)),
+                               [(f, 0) for s in shifts if inside(s, a)
+                                for f in moved[s]])
     return net
 
 
@@ -379,8 +363,7 @@ def check_doublecone(config, rng):
                 ff.TestFunction2.bump((0.15, 0.2), 0.4, step),
                 ff.TestFunction2.bump((-0.1, -0.15), 0.4, step)]
     net = ml.LocalizedNet(rep)
-    WR = ff.Region2.right_wedge(O.right_apex)
-    WL = ff.Region2.left_wedge(O.left_apex)
+    WR, WL = O.wedges
     net.populate_wedge(WR, [(f, 0) for f in cone_fns
                             + [ff.TestFunction2.bump((0.0, 1.4), 0.5, step)]])
     net.populate_wedge(WL, [(f, 0) for f in cone_fns

@@ -5,10 +5,11 @@ p(theta) = (m cosh theta, m sinh theta) with the invariant measure
 d theta, sampled on a uniform periodic grid.  Boosts act as theta
 shifts (FFT phase shifts), translations as multiplication by
 exp(i a.p(theta)), and the total spacetime reflection as pointwise
-conjugation.  Test functions are smooth bumps sampled on a global
-spacetime lattice; their embedding into the one-particle space is a
-Fourier quadrature windowed where the lattice stops resolving the
-oscillation of exp(i p.x).
+conjugation.  A region is an intersection of wedges g W_R, held as
+their frames g; a double cone is a right and a left wedge.  Test
+functions are smooth bumps sampled on a global spacetime lattice; their
+embedding into the one-particle space is a Fourier quadrature windowed
+where the lattice stops resolving the oscillation of exp(i p.x).
 
 The origin right wedge's delta^(1/2) is, by the Bisognano-Wichmann
 theorem, the Fourier multiplier exp(pi omega) in the rapidity frequency
@@ -31,7 +32,7 @@ import hashlib
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -158,86 +159,6 @@ def _norm(v, grid: RapidityGrid) -> float:
     return math.sqrt(max(_inner(v, v, grid).real, 0.0))
 
 
-# -- spacetime regions ----------------------------------------------------
-
-@dataclass(frozen=True)
-class Region2:
-    """2D region: right/left wedge with an apex, double cone given by the
-    apexes of its two generating wedges, or a causal complement."""
-    kind: str                       # right_wedge | left_wedge | double_cone | complement
-    apex: tuple = None              # wedges
-    right_apex: tuple = None        # double cones: apex of the right wedge
-    left_apex: tuple = None
-    inner: "Region2" = None         # complement
-
-    # constructors ------------------------------------------------------
-
-    @staticmethod
-    def right_wedge(apex=(0.0, 0.0)) -> "Region2":
-        return Region2("right_wedge", apex=tuple(apex))
-
-    @staticmethod
-    def left_wedge(apex=(0.0, 0.0)) -> "Region2":
-        return Region2("left_wedge", apex=tuple(apex))
-
-    @staticmethod
-    def double_cone(center=(0.0, 0.0), radius=1.0) -> "Region2":
-        c0, c1 = center
-        return Region2("double_cone",
-                       right_apex=(c0, c1 - radius), left_apex=(c0, c1 + radius))
-
-    # geometry ------------------------------------------------------------
-
-    def contains(self, x0, x1):
-        x0 = np.asarray(x0, dtype=float)
-        x1 = np.asarray(x1, dtype=float)
-        if self.kind == "right_wedge":
-            a0, a1 = self.apex
-            return (x1 - a1) - np.abs(x0 - a0) > 0.0
-        if self.kind == "left_wedge":
-            a0, a1 = self.apex
-            return -(x1 - a1) - np.abs(x0 - a0) > 0.0
-        if self.kind == "double_cone":
-            r = Region2.right_wedge(self.right_apex)
-            l = Region2.left_wedge(self.left_apex)
-            return r.contains(x0, x1) & l.contains(x0, x1)
-        if self.kind == "complement":
-            r, l = self.inner.causal_complement_parts()
-            return r.contains(x0, x1) | l.contains(x0, x1)
-        raise ValueError(self.kind)
-
-    def causal_complement(self) -> "Region2":
-        if self.kind == "right_wedge":
-            return Region2.left_wedge(self.apex)
-        if self.kind == "left_wedge":
-            return Region2.right_wedge(self.apex)
-        if self.kind == "complement":
-            return self.inner
-        return Region2("complement", inner=self)
-
-    def causal_complement_parts(self):
-        """The complement of a double cone is the union of two wedges."""
-        if self.kind != "double_cone":
-            raise ValueError("parts only defined for double cones")
-        return [Region2.right_wedge(self.left_apex),
-                Region2.left_wedge(self.right_apex)]
-
-    def transform(self, g: "PoincareElement") -> "Region2":
-        if self.kind in ("right_wedge", "left_wedge"):
-            new_apex = g.apply_point(self.apex)
-            kind = self.kind
-            if g.reflect:
-                kind = "left_wedge" if kind == "right_wedge" else "right_wedge"
-            return Region2(kind, apex=tuple(new_apex))
-        if self.kind == "double_cone":
-            ra = g.apply_point(self.right_apex)
-            la = g.apply_point(self.left_apex)
-            if g.reflect:
-                ra, la = la, ra
-            return Region2("double_cone", right_apex=tuple(ra), left_apex=tuple(la))
-        raise ValueError(f"cannot transform region of kind {self.kind}")
-
-
 # -- Poincare group elements ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -282,6 +203,75 @@ class PoincareElement:
         ainv = PoincareElement(-self.rapidity, 0.0, 0.0, self.reflect).apply_point(
             (-self.a0, -self.a1))
         return PoincareElement(-self.rapidity, ainv[0], ainv[1], self.reflect)
+
+
+# -- spacetime regions ----------------------------------------------------
+
+@dataclass(frozen=True)
+class Region2:
+    """2D region: the intersection of the wedges g W_R, one for each frame
+    g, with W_R the right wedge at the origin.  A frame is the translation
+    to the wedge's apex, after the reflection for a left wedge; a wedge
+    has one frame, a double cone a right and a left one.  Boosts fix W_R,
+    so no frame holds one."""
+    frames: tuple
+
+    @staticmethod
+    def right_wedge(apex=(0.0, 0.0)) -> "Region2":
+        return Region2((PoincareElement.translation(*apex),))
+
+    @staticmethod
+    def left_wedge(apex=(0.0, 0.0)) -> "Region2":
+        return Region2((PoincareElement.translation(*apex)
+                        * PoincareElement.reflection(),))
+
+    @staticmethod
+    def double_cone(center=(0.0, 0.0), radius=1.0) -> "Region2":
+        c0, c1 = center
+        return Region2(Region2.right_wedge((c0, c1 - radius)).frames
+                       + Region2.left_wedge((c0, c1 + radius)).frames)
+
+    @property
+    def frame(self) -> PoincareElement:
+        """g with the wedge = g W_R."""
+        if len(self.frames) != 1:
+            raise ValueError(f"not a wedge: {self}")
+        return self.frames[0]
+
+    @property
+    def is_double_cone(self) -> bool:
+        """Whether the region is a right and a left wedge."""
+        return sorted(g.reflect for g in self.frames) == [False, True]
+
+    @property
+    def wedges(self) -> tuple:
+        """The wedges whose intersection the region is, one per frame."""
+        return tuple(Region2((g,)) for g in self.frames)
+
+    def contains(self, x0, x1):
+        """Whether the points x lie in the region: g^(-1) x in W_R for
+        every frame g."""
+        x = (np.asarray(x0, dtype=float), np.asarray(x1, dtype=float))
+        inside = True
+        for g in self.frames:
+            y0, y1 = g.inv().apply_point(x)
+            inside = inside & (y1 - np.abs(y0) > 0.0)
+        return inside
+
+    def includes(self, W: "Region2") -> bool:
+        """Whether the wedge W lies in this wedge: with this = g W_R and
+        W = h W_R, g^(-1) h moves W_R into itself."""
+        k = self.frame.inv() * W.frame
+        return not k.reflect and k.a1 >= abs(k.a0)
+
+    def causal_complement(self) -> "Region2":
+        """The wedge's causal complement: W_R' is the reflected W_R."""
+        return Region2((self.frame * PoincareElement.reflection(),))
+
+    def transform(self, g: PoincareElement) -> "Region2":
+        """The region g R: a frame h becomes g h, less the boost it holds."""
+        return Region2(tuple(replace(g * h, rapidity=0.0)
+                             for h in self.frames))
 
 
 # -- test functions --------------------------------------------------------
@@ -354,16 +344,10 @@ class TestFunction2:
             b0 = np.array([self.x0[0], self.x0[0], self.x0[-1], self.x0[-1]])
             b1 = np.array([self.x1[0], self.x1[-1], self.x1[0], self.x1[-1]])
         corners0, corners1 = g.apply_point((b0, b1))
+        ginv = g.inv()
 
         def profile(x0, x1):
-            c, s = math.cosh(g.rapidity), math.sinh(g.rapidity)
-            y0 = x0 - g.a0
-            y1 = x1 - g.a1
-            if g.reflect:
-                y0, y1 = -y0, -y1
-            z0 = c * y0 - s * y1
-            z1 = -s * y0 + c * y1
-            return self.profile(z0, z1)
+            return self.profile(*ginv.apply_point((x0, x1)))
 
         new_boundary = (corners0, corners1) if self._boundary is not None else None
         return TestFunction2(self.region.transform(g), profile,

@@ -3,10 +3,12 @@
 Given the (anti)unitary positive-energy representation carried by one
 or more mass summands, each wedge W = g W_R gets the prescription
 j_W = u(r_W), delta_W^(it) = u(Lambda_W(t)), s_W = j_W delta_W^(1/2),
-realized by transporting the origin right-wedge operators with u(g).
-The localized space K_W is the fixed-point set of s_W; its finite
-model is extracted from a dictionary of probes by singular-value
-thresholding of (s_W - 1) on their real span.
+realized by transporting the origin right-wedge operators with u(g),
+g the wedge's frame (freefield.Region2.frame).  The localized space
+K_W is the fixed-point set of s_W; its finite model is extracted from a
+dictionary of probes by singular-value thresholding of (s_W - 1) on
+their real span.  A double cone is the intersection of a right and a
+left wedge, and its model the intersection of their models.
 
 A direct-sum vector is a complex array (n_summands, n_points), one row
 per summand; a probe dictionary is a stack (k, n_summands, n_points).
@@ -37,7 +39,7 @@ from .hilbert import (
 
 __all__ = [
     "PoincareRep2", "EmptyModelError", "ExtractionReport",
-    "wedge_frame", "localized_subspace",
+    "localized_subspace",
     "LocalizedNet", "net_checks", "doublecone_space", "embed_probe",
 ]
 
@@ -86,19 +88,9 @@ def embed_probe(rep: PoincareRep2, f: TestFunction2, summand: int = 0) -> np.nda
     return X
 
 
-def wedge_frame(W: Region2) -> PoincareElement:
-    """g with W = g . (right wedge at the origin)."""
-    if W.kind == "right_wedge":
-        return PoincareElement.translation(*W.apex)
-    if W.kind == "left_wedge":
-        return (PoincareElement.translation(*W.apex)
-                * PoincareElement.reflection())
-    raise ValueError(f"not a wedge: {W.kind}")
-
-
 def _pull(rep: PoincareRep2, W: Region2, X):
     """(g, u(g)^(-1) X) for W = g W_R."""
-    g = wedge_frame(W)
+    g = W.frame
     return g, rep.act(g.inv(), X)
 
 
@@ -159,7 +151,7 @@ class NetEntry:
 
 
 class LocalizedNet:
-    """Map from wedges (and double cones) to finite K-models."""
+    """Map from wedges to finite K-models."""
 
     def __init__(self, rep: PoincareRep2, tol: float = 0.05):
         self.rep = rep
@@ -168,10 +160,8 @@ class LocalizedNet:
 
     @staticmethod
     def _key(W: Region2):
-        if W.kind in ("right_wedge", "left_wedge"):
-            return (W.kind, round(W.apex[0], 9), round(W.apex[1], 9))
-        return (W.kind, tuple(np.round(W.right_apex, 9)),
-                tuple(np.round(W.left_apex, 9)))
+        return tuple((round(g.a0, 9), round(g.a1, 9), g.reflect)
+                     for g in W.frames)
 
     def populate_wedge(self, W: Region2, functions):
         """functions: list of (TestFunction2, summand index) supported in W."""
@@ -191,16 +181,6 @@ class LocalizedNet:
         return RealSubspace.span(_columns(moved))
 
 
-def _wedge_contains(W1: Region2, W2: Region2) -> bool:
-    """W2 subset of W1, for wedges of the same kind."""
-    if W1.kind != W2.kind:
-        return False
-    a, b = W1.apex, W2.apex
-    if W1.kind == "right_wedge":
-        return b[1] - a[1] >= abs(b[0] - a[0])
-    return a[1] - b[1] >= abs(b[0] - a[0])
-
-
 def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspace:
     """Vectors of the joint span symplectically orthogonal to K, taking
     the generic dimension dim(joint) - dim(K)."""
@@ -216,16 +196,17 @@ def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspac
 def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
     """Isotony, duality, and covariance residuals over the stored wedges.
 
-    Covariance: for each group element g and each wedge W with both
-    models available, compares u(g) K(W) against the model built from
-    the geometrically transported dictionary of W.
+    Covariance: for each group element g and each wedge W, compares
+    u(g) K(W) against the model built from the geometrically transported
+    dictionary of W.  A transported dictionary with no model for gW
+    gives a row of residual 1.0 with the error text.
     """
     entries = list(net.entries.values())
     report = {"isotony": [], "duality": [], "covariance": []}
 
     for e1 in entries:
         for e2 in entries:
-            if e1 is e2 or not _wedge_contains(e2.region, e1.region):
+            if e1 is e2 or not e2.region.includes(e1.region):
                 continue
             res = inclusion_residual(e1.subspace, e2.subspace)
             report["isotony"].append({
@@ -252,35 +233,31 @@ def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
             gW = e.region.transform(g)
             moved = net.act_on_subspace(g, e.subspace)
             probes = [transported[pair] for pair in e.functions]
+            row = {"wedge": net._key(e.region), "element": repr(g)}
             try:
                 K_gW, _ = localized_subspace(net.rep, gW, probes, net.tol)
-            except EmptyModelError:
-                continue
-            res = subspace_distance(moved, K_gW)
-            report["covariance"].append({
-                "wedge": net._key(e.region), "element": repr(g),
-                "residual": float(res)})
+                row["residual"] = float(subspace_distance(moved, K_gW))
+            except EmptyModelError as exc:
+                row.update(residual=1.0, error=str(exc))
+            report["covariance"].append(row)
     return report
 
 
 def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=()):
-    """K(O) as the intersection of the two generating wedge models, at
-    cos_tol 1e-4.
+    """K(O) as the intersection of the models of the right and the left
+    wedge of O, at cos_tol 1e-4.
 
-    Requires K(right wedge at O.right_apex) and K(left wedge at
-    O.left_apex) in the net.  Returns (subspace, report) with the real
-    dimension and the projection residuals of the given cone-supported
-    probes against the intersection.
+    Requires both wedges of O in the net.  Returns (subspace, report)
+    with the real dimension and the projection residuals of the given
+    cone-supported probes against the intersection.
     """
-    if O.kind != "double_cone":
-        raise ValueError("doublecone_space needs a double cone")
-    WR = Region2.right_wedge(O.right_apex)
-    WL = Region2.left_wedge(O.left_apex)
+    if not O.is_double_cone:
+        raise ValueError(f"not a right and a left wedge: {O}")
     try:
-        eR, eL = net.get(WR), net.get(WL)
+        K1, K2 = (net.get(W).subspace for W in O.wedges)
     except KeyError as exc:
         raise ValueError(f"generating wedge missing from the net: {exc}")
-    K = subspace_intersection(eR.subspace, eL.subspace, cos_tol=1e-4)
+    K = subspace_intersection(K1, K2, cos_tol=1e-4)
     # (k, dim, 1) stack: each residual rounds as if its probe were alone
     V = _columns(_stack(net.rep, cone_probes)).T[..., None]
     residuals = (np.linalg.norm(V - K.project(V), axis=(1, 2))

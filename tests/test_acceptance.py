@@ -6,6 +6,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from modlab import checks, freefield, modloc
 from modlab.checks import (
@@ -16,8 +17,9 @@ from modlab.checks import (
 )
 from modlab.config import ExperimentConfig
 from modlab.freefield import (
-    REFINEMENT_RUNGS, DomainViolationError, FreeFieldModel, RapidityGrid,
-    Region2, TestFunction2, bw_residual, embed, modular_blowup_profile,
+    REFINEMENT_RUNGS, DomainViolationError, FreeFieldModel, PoincareElement,
+    RapidityGrid, Region2, TestFunction2, bw_residual, embed,
+    modular_blowup_profile,
 )
 
 
@@ -304,3 +306,34 @@ def test_an_empty_net_category_fails_its_record(monkeypatch):
     assert not records["modloc.duality"]["passed"]
     assert records["modloc.isotony"]["passed"]
     assert records["modloc.covariance"]["passed"]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["default", "broken"])
+def test_a_covariance_pair_without_a_model_fails_its_record(monkeypatch,
+                                                            broken):
+    # the broken transport reflects boosted functions into the opposite
+    # wedge, so no boosted wedge has a model: each such pair must be a
+    # failing row with the error text, since dropped, the record would
+    # pass on the translation rows alone
+    if broken:
+        transform = TestFunction2.transform
+        monkeypatch.setattr(TestFunction2, "transform", lambda f, g: transform(
+            f, PoincareElement.reflection() * g if g.rapidity else g))
+    found = []
+    net_checks = modloc.net_checks
+
+    def recorded(*args, **kwargs):
+        found.append(net_checks(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(modloc, "net_checks", recorded)
+    records = {r["name"]: r for r in check_net(default_config(), None)}
+    rows = found[0]["covariance"]
+    assert len(rows) == 12
+    failed = [row for row in rows if "error" in row]
+    assert len(failed) == (6 if broken else 0)
+    assert all(row["residual"] == 1.0 and "domain certificate" in row["error"]
+               and "rapidity=0.1" in row["element"] for row in failed)
+    assert records["modloc.covariance"]["passed"] is not broken
+    assert records["modloc.isotony"]["passed"]
+    assert records["modloc.duality"]["passed"]

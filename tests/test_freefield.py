@@ -63,24 +63,89 @@ def test_region_geometry():
     assert not W.contains(0.0, -3.0)
     assert not W.contains(2.0, 1.0)
     assert W.causal_complement().contains(0.0, -3.0)
+    assert W.causal_complement() == Region2.left_wedge((0.0, 0.0))
     O = Region2.double_cone((0.0, 0.0), 1.0)
     assert O.contains(0.0, 0.0)
     assert not O.contains(0.8, 0.5)
-    comp = O.causal_complement()
-    assert comp.contains(0.0, 2.0) and comp.contains(0.0, -2.0)
-    assert not comp.contains(0.0, 0.0)
     # double cone = intersection of its two generating wedges
-    assert O.right_apex == (0.0, -1.0) and O.left_apex == (0.0, 1.0)
+    assert O.wedges == (Region2.right_wedge((0.0, -1.0)),
+                        Region2.left_wedge((0.0, 1.0)))
+    # only a wedge has one frame, and a causal complement that is a region
+    with pytest.raises(ValueError, match="not a wedge"):
+        O.causal_complement()
 
 
 def test_region_transforms():
     W = Region2.right_wedge((0.0, 0.0))
     g = PoincareElement.translation(0.5, 1.0)
-    assert W.transform(g).apex == (0.5, 1.0)
+    assert W.transform(g) == Region2.right_wedge((0.5, 1.0))
     refl = W.transform(PoincareElement.reflection())
-    assert refl.kind == "left_wedge"
+    assert refl == Region2.left_wedge((0.0, 0.0))
     b = W.transform(PoincareElement.boost(0.7))
-    assert b.kind == "right_wedge" and b.apex == (0.0, 0.0)
+    assert b == W
+
+
+def random_elements(rng, n):
+    """Boosts, translations, reflections and products of up to three."""
+    def one():
+        pick = rng.integers(3)
+        if pick == 0:
+            return PoincareElement.boost(rng.uniform(-1.0, 1.0))
+        if pick == 1:
+            return PoincareElement.translation(*rng.uniform(-2.0, 2.0, 2))
+        return PoincareElement.reflection()
+
+    out = []
+    for _ in range(n):
+        g = one()
+        for _ in range(rng.integers(3)):
+            g = g * one()
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: Region2.right_wedge(rng.uniform(-1.0, 1.0, 2)),
+    lambda rng: Region2.left_wedge(rng.uniform(-1.0, 1.0, 2)),
+    lambda rng: Region2.double_cone(rng.uniform(-1.0, 1.0, 2),
+                                    rng.uniform(0.5, 2.0)),
+], ids=["right_wedge", "left_wedge", "double_cone"])
+def test_transformed_region_holds_the_transformed_points(make):
+    rng = np.random.default_rng(63)
+    x = rng.uniform(-3.0, 3.0, (2, 400))
+    elements = random_elements(rng, 40)
+    assert any(g.reflect for g in elements)
+    assert any(g.rapidity != 0.0 for g in elements)
+    inside = 0
+    for g in elements:
+        R = make(rng)
+        held = R.contains(*x)
+        assert np.array_equal(R.transform(g).contains(*g.apply_point(x)), held)
+        inside += int(held.sum())
+    assert 0 < inside < x.shape[1] * len(elements)
+
+
+def test_wedge_inclusion_agrees_with_sampled_points():
+    # points of the origin right wedge, from near its apex to far out, in
+    # lightcone coordinates u = x1 + x0, v = x1 - x0
+    u, v = np.meshgrid(np.geomspace(0.01, 3.0, 12), np.geomspace(0.01, 3.0, 12))
+    x = ((u - v).ravel() / 2, (u + v).ravel() / 2)
+    rng = np.random.default_rng(64)
+    # apexes on a lattice of step 0.5: a wedge that is not included has
+    # points at least 0.49 outside, which the samples near its apex see
+    apexes = 0.5 * rng.integers(-2, 3, (20, 2))
+    wedges = [make(a) for a in apexes
+              for make in (Region2.right_wedge, Region2.left_wedge)]
+    for W in wedges:
+        assert Region2.right_wedge().transform(W.frame) == W
+        assert np.all(W.contains(*W.frame.apply_point(x)))
+    verdicts = []
+    for W1 in wedges:
+        for W2 in wedges:
+            sampled = bool(np.all(W1.contains(*W2.frame.apply_point(x))))
+            assert W1.includes(W2) == sampled, (W1, W2)
+            verdicts.append(sampled)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_poincare_group_law():

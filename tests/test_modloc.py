@@ -10,7 +10,7 @@ from modlab.freefield import (
 from modlab.hilbert import RealSubspace, subspace_distance
 from modlab.modloc import (
     EmptyModelError, LocalizedNet, PoincareRep2, doublecone_space,
-    embed_probe, localized_subspace, net_checks, wedge_frame,
+    embed_probe, localized_subspace, net_checks,
 )
 
 
@@ -44,16 +44,14 @@ def tomita(rep, W, X):
     """s_W X = u(g) s_R u(g)^(-1) X for W = g W_R, with freefield's s_R
     on the shared grid: the map localized_subspace works with in the
     wedge frame."""
-    g = wedge_frame(W)
+    g = W.frame
     return rep.act(g, wedge_tomita_apply(rep.act(g.inv(), X), rep.grid)[0])
 
 
 def test_wedge_frame_roundtrip():
     for W in (Region2.right_wedge((0.3, -0.2)), Region2.left_wedge((0.0, 1.0))):
-        g = wedge_frame(W)
-        W0 = Region2.right_wedge((0.0, 0.0)).transform(g)
-        assert W0.kind == W.kind
-        np.testing.assert_allclose(W0.apex, W.apex, atol=1e-14)
+        W0 = Region2.right_wedge((0.0, 0.0)).transform(W.frame)
+        assert W0 == W
 
 
 def test_origin_wedge_tomita_matches_freefield(rep):
@@ -313,8 +311,7 @@ def test_doublecone_space(rep):
     cone_fns = [TestFunction2.bump((0.0, 0.0), 0.5),
                 TestFunction2.bump((0.15, 0.2), 0.4),
                 TestFunction2.bump((-0.1, -0.15), 0.4)]
-    WR = Region2.right_wedge(O.right_apex)
-    WL = Region2.left_wedge(O.left_apex)
+    WR, WL = O.wedges
     wr_extra = [TestFunction2.bump((0.0, 1.4), 0.5)]
     wl_extra = [TestFunction2.bump((0.0, -1.4), 0.5)]
     net = LocalizedNet(rep, tol=0.05)
@@ -330,10 +327,32 @@ def test_doublecone_space(rep):
         doublecone_space(net, Region2.double_cone((5.0, 5.0), 1.0))
 
 
+def mixed_cone():
+    """The intersection of two right wedges: not a double cone."""
+    return Region2(Region2.right_wedge((0.0, -1.0)).frames
+                   + Region2.right_wedge((0.0, 1.0)).frames)
+
+
+@pytest.mark.parametrize("call, region, says", [
+    (lambda rep, R: doublecone_space(LocalizedNet(rep), R),
+     Region2.right_wedge(), "not a right and a left wedge"),
+    (lambda rep, R: doublecone_space(LocalizedNet(rep), R),
+     mixed_cone(), "not a right and a left wedge"),
+    (lambda rep, R: localized_subspace(
+        rep, R, [embed_probe(rep, TestFunction2.bump((0.0, 0.0), 0.5))]),
+     Region2.double_cone((0.0, 0.0), 2.0), "not a wedge"),
+], ids=["doublecone_space-wedge", "doublecone_space-two-right-frames",
+        "localized_subspace-double-cone"])
+def test_a_region_of_the_wrong_shape_is_refused_by_name(rep, call, region,
+                                                       says):
+    with pytest.raises(ValueError) as info:
+        call(rep, region)
+    assert str(info.value) == f"{says}: {region}"
+
+
 def test_doublecone_disjoint_dictionaries(rep):
     O = Region2.double_cone((0.0, 0.0), 2.0)
-    WR = Region2.right_wedge(O.right_apex)
-    WL = Region2.left_wedge(O.left_apex)
+    WR, WL = O.wedges
     net = LocalizedNet(rep, tol=0.05)
     net.populate_wedge(WR, [(TestFunction2.bump((0.0, 1.2), 0.4), 0)])
     net.populate_wedge(WL, [(TestFunction2.bump((0.0, -1.2), 0.4), 0)])
@@ -346,11 +365,10 @@ def test_doublecone_disjoint_dictionaries(rep):
 def test_doublecone_without_probes_returns_the_intersection(rep):
     # the default empty probe stack reshapes to no columns, not an error
     O = Region2.double_cone((0.0, 0.0), 2.0)
+    WR, WL = O.wedges
     net = LocalizedNet(rep, tol=0.05)
-    net.populate_wedge(Region2.right_wedge(O.right_apex),
-                       [(TestFunction2.bump((0.0, 1.2), 0.4), 0)])
-    net.populate_wedge(Region2.left_wedge(O.left_apex),
-                       [(TestFunction2.bump((0.0, -1.2), 0.4), 0)])
+    net.populate_wedge(WR, [(TestFunction2.bump((0.0, 1.2), 0.4), 0)])
+    net.populate_wedge(WL, [(TestFunction2.bump((0.0, -1.2), 0.4), 0)])
     K, report = doublecone_space(net, O)
     assert K.basis.shape == (rep.grid.n_points, 0)
     # an empty intersection warns whether or not probes were given
