@@ -19,8 +19,10 @@ overflow mass is available as a diagnostic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,13 +54,36 @@ def _multi_indices(d, n):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=32)
+def _ladder_tables(d, cutoff):
+    """occ, up, sqrt(alpha!), level slices and the index of each
+    occupation of FockSpace(d, cutoff): built once per (d, cutoff) and
+    shared read-only by every space of that shape."""
+    occupations, level_slices = [], []
+    for n in range(cutoff + 1):
+        start = len(occupations)
+        occupations.extend(_multi_indices(d, n))
+        level_slices.append(slice(start, len(occupations)))
+    index = {a: i for i, a in enumerate(occupations)}
+    occ = np.array(occupations)
+    up = np.array([[index.get(a[:i] + (a[i] + 1,) + a[i + 1:], -1)
+                    for i in range(d)] for a in occupations])
+    sqrt_fact = np.array([math.sqrt(math.prod(math.factorial(k) for k in a))
+                          for a in occupations])
+    for table in (occ, up, sqrt_fact):
+        table.flags.writeable = False
+    return occ, up, sqrt_fact, tuple(level_slices), MappingProxyType(index)
+
+
 class FockSpace:
     """Symmetric Fock space over C^d truncated at total particle number N.
 
     The basis is ordered by level, so FockSpace(d, N + 1) starts with the
     basis of FockSpace(d, N).  occ[k] is the occupation multi-index of
     basis state k, an integer array of shape (dim, d); up[k, i] is the
-    index of occ[k] + e_i, or -1 when that lies above the cutoff.
+    index of occ[k] + e_i, or -1 when that lies above the cutoff.  These
+    tables, sqrt(alpha!) per basis state (_sqrt_fact), level_slices and
+    index are read-only and shared by the spaces of one (d, N).
     """
 
     def __init__(self, one_particle_dim: int, cutoff: int):
@@ -66,24 +91,9 @@ class FockSpace:
             raise ValueError("need dim >= 1 and cutoff >= 0")
         self.d = int(one_particle_dim)
         self.cutoff = int(cutoff)
-        occupations = []
-        self.level_slices = []
-        start = 0
-        for n in range(self.cutoff + 1):
-            level = list(_multi_indices(self.d, n))
-            occupations.extend(level)
-            self.level_slices.append(slice(start, start + len(level)))
-            start += len(level)
-        self.dim = start
-        self.index = {a: i for i, a in enumerate(occupations)}
-        self.occ = np.array(occupations)
-        self.up = np.array(
-            [[self.index.get(a[:i] + (a[i] + 1,) + a[i + 1:], -1)
-              for i in range(self.d)] for a in occupations])
-        # sqrt(alpha!) per basis state, used all over
-        self._sqrt_fact = np.array(
-            [math.sqrt(math.prod(math.factorial(k) for k in a))
-             for a in occupations])
+        (self.occ, self.up, self._sqrt_fact, self.level_slices,
+         self.index) = _ladder_tables(self.d, self.cutoff)
+        self.dim = len(self.occ)
 
     def __repr__(self):
         return f"FockSpace(d={self.d}, N={self.cutoff}, dim={self.dim})"

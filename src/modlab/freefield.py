@@ -371,12 +371,11 @@ def _window(model: FreeFieldModel, theta):
 
 
 class _LRUCache:
-    """Least-recently-used map of arrays, bounded by their total bytes;
-    a lock keeps it consistent when embeddings run in several threads."""
+    """Least-recently-used map bounded by its number of entries; a lock
+    keeps it consistent when embeddings run in several threads."""
 
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
+    def __init__(self, max_items: int):
+        self.max_items = max_items
         self._data = OrderedDict()
         self._lock = threading.Lock()
 
@@ -387,25 +386,21 @@ class _LRUCache:
                 self._data.move_to_end(key)
             return value
 
-    def put(self, key, value: np.ndarray):
+    def put(self, key, value):
         with self._lock:
-            old = self._data.pop(key, None)
-            if old is not None:
-                self.nbytes -= old.nbytes
             self._data[key] = value
-            self.nbytes += value.nbytes
-            while self.nbytes > self.max_bytes and len(self._data) > 1:
-                self.nbytes -= self._data.popitem(last=False)[1].nbytes
+            self._data.move_to_end(key)
+            while len(self._data) > self.max_items:
+                self._data.popitem(last=False)
 
     def clear(self):
         with self._lock:
             self._data.clear()
-            self.nbytes = 0
 
 
-PHASE_CHUNK = 32                                # lattice rows per cached chunk
-_PHASE_ROWS = _LRUCache(96 * 2 ** 20)           # chunks of exp(+-i (k h) p)
-_EMBEDDINGS = _LRUCache(16 * 2 ** 20)           # read-only embed results
+PHASE_CHUNK = 32                # lattice rows per cached chunk
+_PHASE_ROWS = _LRUCache(24)     # chunks of exp(+-i (k h) p)
+_EMBEDDINGS = _LRUCache(256)    # read-only embed results
 
 
 def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
@@ -417,12 +412,13 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     The rows depend on the model only through its momenta, so chunks of
     PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk), for
     k >= 0 only: h (-k) = -(h k), cos is even and sin odd, so row -k is
-    the complex conjugate of row k, bit for bit.  A chunk is filled as
-    cos(arg) + i sin(arg), about a third cheaper than the complex
-    exponential exp(+-1j * outer(x, p)) and bit-identical to it where
-    the host's exp and cos/sin agree.  arg carries the signs of zero of
-    the complex products: 1j * t has imaginary part t + 0.0 and -1j * t
-    has -t.
+    the complex conjugate of row k, bit for bit.  The cache keeps the 24
+    most recent chunks, whatever N: reuse follows the lattice rows.  A
+    chunk is filled in place, cos(arg) into its real and sin(arg) into
+    its imaginary part: cheaper than the complex exponential
+    exp(+-1j * outer(x, p)) and bit-identical to it where the host's exp
+    and cos/sin agree.  arg carries the signs of zero of the complex
+    products: 1j * t has imaginary part t + 0.0 and -1j * t has -t.
     """
     half = model.grid.n_points // 2 + 1
     out = np.empty((count, half), dtype=complex)
@@ -434,10 +430,13 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
         if rows is None:
             x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
             arg = np.outer(x, model.momenta()[axis][:half])
-            arg = arg + 0.0 if axis == 0 else -arg
+            if axis == 0:
+                arg += 0.0
+            else:
+                np.negative(arg, out=arg)
             rows = np.empty(arg.shape, dtype=complex)
-            rows.real = np.cos(arg)
-            rows.imag = np.sin(arg)
+            np.cos(arg, out=rows.real)
+            np.sin(arg, out=rows.imag)
             _PHASE_ROWS.put(key, rows)
         if k >= 0:
             n = min(stop - k, PHASE_CHUNK - r)
@@ -462,10 +461,13 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     bitwise odd, cos is even and sin odd, and f is real; so with
     E0 = exp(i x0 p0), B = f @ exp(-i x1 p1) on those columns,
     v(theta[N - j]) = sum_x E0[x, j] conj(B[x, j]), bit for bit the
-    full-width quadrature.
+    full-width quadrature.  At most two such tables are held at a time:
+    B is formed, and the axis-1 table freed, before E0 is built, and the
+    mirror reads B conjugated in place.
 
-    Results are memoized on (model, step, lattice origin, shape and
-    digest of the sampled values); the returned values are read-only.
+    The 256 most recent results are memoized on (model, step, lattice
+    origin, shape and digest of the sampled values); the returned values
+    are read-only.
     """
     values = f.values
     key = (model, f.step, f.origin, values.shape, values.dtype.str,
@@ -473,13 +475,13 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     v = _EMBEDDINGS.get(key)
     if v is None:
         n = model.grid.n_points
-        E0 = _phase_rows(model, f.step, 0, f.origin[0], len(f.x0))
         B = values @ _phase_rows(model, f.step, 1, f.origin[1], len(f.x1))
+        E0 = _phase_rows(model, f.step, 0, f.origin[0], len(f.x0))
         mirror = slice(n // 2 - 1, 0, -1)          # columns N/2 - 1 ... 1
         v = np.empty(n, dtype=complex)
         v[:n // 2 + 1] = np.einsum("xt,xt->t", E0, B)
-        v[n // 2 + 1:] = np.einsum("xt,xt->t", E0[:, mirror],
-                                   np.conj(B[:, mirror]))
+        np.conjugate(B, out=B)
+        v[n // 2 + 1:] = np.einsum("xt,xt->t", E0[:, mirror], B[:, mirror])
         v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
         v *= _window(model, model.grid.theta)
         v.flags.writeable = False

@@ -1,11 +1,14 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from modlab import freefield
+from modlab.checks import run_checks
+from modlab.config import ExperimentConfig
 from modlab.freefield import _band_mask, _window
 from modlab.freefield import (
     AMPLIFICATION_CAP, BAND_MARGIN, DomainViolationError, FreeFieldModel,
@@ -327,20 +330,22 @@ def test_embed_result_is_read_only(light_model):
 
 
 def test_lru_cache_evicts_least_recent_within_budget():
-    cache = freefield._LRUCache(max_bytes=3 * 8)
+    cache = freefield._LRUCache(max_items=3)
     for key in "abc":
         cache.put(key, np.zeros(1))
     cache.get("a")                      # "b" is now the least recent
     cache.put("d", np.zeros(1))
     assert cache.get("b") is None
     assert all(cache.get(k) is not None for k in "acd")
-    assert cache.nbytes == 24
-    cache.put("e", np.zeros(5))         # over budget alone: kept, others go
-    assert cache.nbytes == 40 and cache.get("e") is not None
+    assert len(cache._data) == 3
+    cache.put("e", np.zeros(5))         # an entry counts once, whatever its size
+    assert cache.get("a") is None and len(cache._data) == 3
+    cache.put("c", np.ones(1))          # a re-put replaces, and adds no entry
+    assert cache.get("c")[0] == 1.0 and len(cache._data) == 3
 
 
-def test_lru_cache_keeps_its_byte_count_under_concurrent_use():
-    cache = freefield._LRUCache(max_bytes=16 * 8)
+def test_lru_cache_keeps_its_entry_bound_under_concurrent_use():
+    cache = freefield._LRUCache(max_items=16)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -359,8 +364,38 @@ def test_lru_cache_keeps_its_byte_count_under_concurrent_use():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(old)
-    held = list(cache._data.values())
-    assert cache.nbytes == sum(v.nbytes for v in held) <= cache.max_bytes
+    # 40 keys were put into 16 places: the cache ends full, not over
+    assert len(cache._data) == cache.max_items
+
+
+def test_embed_holds_at_most_two_phase_tables(model):
+    f = TestFunction2.bump((0.3, 2.7), 0.5)
+    embed(f, model)                     # its phase chunks are now cached
+    freefield._EMBEDDINGS.clear()
+    tracemalloc.start()
+    try:
+        embed(f, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = max(len(f.x0), len(f.x1)) * (model.grid.n_points // 2 + 1) * 16
+    assert peak <= 2.25 * table
+
+
+def test_default_checks_keep_24_phase_chunks_and_fill_at_most_64(monkeypatch):
+    freefield._EMBEDDINGS.clear()
+    freefield._PHASE_ROWS.clear()
+    put, held = freefield._PHASE_ROWS.put, []
+
+    def counting_put(key, rows):
+        put(key, rows)
+        held.append(len(freefield._PHASE_ROWS._data))
+
+    monkeypatch.setattr(freefield._PHASE_ROWS, "put", counting_put)
+    for kind in ("freefield", "modloc"):
+        records, _ = run_checks(ExperimentConfig.from_dict({"kind": kind}))
+        assert all(r["passed"] for r in records)
+    assert max(held) <= 24 and len(held) <= 64
 
 
 def test_embed_error_estimate(light_model):
