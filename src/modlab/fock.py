@@ -11,7 +11,9 @@ FockSpace.dim, and v[fs.level_slices[n]] is its level-n block.  FockSpace
 holds the ladder: its tables occ and up are the only place that knows
 which basis states are neighbours, and every operator below reads them.
 Operators are hilbert.Operator matrices in the occupation basis, the same
-type that holds maps on C^d.
+type that holds maps on C^d.  gamma and both symmetrizations work on
+whole level blocks: gamma raises level n to n + 1 with one array product
+per level, and the symmetrizations stack permutations or subsets.
 
 Operators that would populate level N + 1 drop the overflow; the
 overflow mass is available as a diagnostic.
@@ -108,13 +110,16 @@ def vacuum(space: FockSpace) -> np.ndarray:
 
 
 def tensor_power_level(space: FockSpace, h, n: int) -> np.ndarray:
-    """Level-n block of h^(x n): coefficients sqrt(n!/alpha!) prod h^alpha."""
+    """Level-n block of h^(x n): coefficients sqrt(n!/alpha!) prod h^alpha.
+
+    h may be a stack (..., d); the result is then a stack (..., level dim).
+    """
     if n > space.cutoff:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
     h = np.asarray(h, dtype=complex)
     sl = space.level_slices[n]
     return (math.sqrt(math.factorial(n)) / space._sqrt_fact[sl]
-            * np.prod(h ** space.occ[sl], axis=1))
+            * np.prod(h[..., None, :] ** space.occ[sl], axis=-1))
 
 
 def coherent(space: FockSpace, h) -> np.ndarray:
@@ -157,11 +162,13 @@ def coherent_tail_mass(norm_h: float, cutoff: int) -> float:
 def sym_project(space: FockSpace, vectors) -> np.ndarray:
     """Symmetrization of x_1 x ... x x_n by the literal permutation average.
 
-    Builds the dense degree-n tensor, so intended for small n and d (the
-    guard refuses more than ~2e6 entries).  Result is a Fock vector that
-    is zero outside level n.
+    The average (1/n!) sum_sigma prod_k x_sigma(k)[w_k] is taken only at
+    the read-out word w of each level-n state (alpha's modes in order),
+    over chunks of permutations, so the degree-n tensor is never formed.
+    Intended for small n and d (the guard refuses d^n above ~2e6).
+    Result is a Fock vector that is zero outside level n.
     """
-    xs = [np.asarray(x, complex) for x in vectors]
+    xs = np.array(vectors, dtype=complex).reshape(len(vectors), space.d)
     n = len(xs)
     if n > space.cutoff:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
@@ -170,19 +177,19 @@ def sym_project(space: FockSpace, vectors) -> np.ndarray:
         raise ValueError("dense symmetrization too large; lower n or d")
     if n == 0:
         return vacuum(space)
-    T = np.zeros((d,) * n, dtype=complex)
-    for sigma in itertools.permutations(range(n)):
-        term = xs[sigma[0]]
-        for j in sigma[1:]:
-            term = np.multiply.outer(term, xs[j])
-        T += term
-    T /= math.factorial(n)
     sl = space.level_slices[n]
-    sqrt_n_fact = math.sqrt(math.factorial(n))
+    # words[s, k]: the mode in slot k of state s's word, modes ascending
+    ends = np.cumsum(space.occ[sl], axis=1)
+    words = (ends[:, None, :] <= np.arange(n)[:, None]).sum(axis=2)
+    T = np.zeros(sl.stop - sl.start, dtype=complex)
+    perms = itertools.permutations(range(n))
+    step = max(1, 2 ** 16 // words.size)     # 1 MB of terms per chunk
+    while chunk := list(itertools.islice(perms, step)):
+        sigma = np.array(chunk)[:, None, :]
+        T += np.prod(xs[sigma, words], axis=2).sum(axis=0)
+    T /= math.factorial(n)
     out = np.zeros(space.dim, dtype=complex)
-    for i, alpha in enumerate(space.occ[sl]):
-        word = tuple(j for j, a in enumerate(alpha) for _ in range(a))
-        out[sl.start + i] = sqrt_n_fact / space._sqrt_fact[sl.start + i] * T[word]
+    out[sl] = math.sqrt(math.factorial(n)) / space._sqrt_fact[sl] * T
     return out
 
 
@@ -190,21 +197,18 @@ def sym_power_expand(space: FockSpace, vectors) -> np.ndarray:
     """Symmetrization via the tensor-power expansion
     (1/n!) sum_{F subset {1..n}} (-1)^(|F|+n) (sum_{j in F} x_j)^(x n).
     Agrees with sym_project to rounding."""
-    xs = [np.asarray(x, complex) for x in vectors]
+    xs = np.array(vectors, dtype=complex).reshape(len(vectors), space.d)
     n = len(xs)
     if n > space.cutoff:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
     if n == 0:
         return vacuum(space)
-    sl = space.level_slices[n]
-    block = np.zeros(sl.stop - sl.start, dtype=complex)
-    for size in range(1, n + 1):
-        sign = (-1) ** (size + n)
-        for F in itertools.combinations(range(n), size):
-            v = np.sum([xs[j] for j in F], axis=0)
-            block += sign * tensor_power_level(space, v, n)
+    # row F of subsets is the 0/1 indicator of one nonempty F
+    subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
+    signs = (-1.0) ** (subsets.sum(axis=1) + n)
+    block = signs @ tensor_power_level(space, subsets @ xs, n)
     out = np.zeros(space.dim, dtype=complex)
-    out[sl] = block / math.factorial(n)
+    out[space.level_slices[n]] = block / math.factorial(n)
     return out
 
 
@@ -246,32 +250,35 @@ def gamma(space: FockSpace, a) -> Operator:
     """Second quantization: level-n block acts as a^(x n).
 
     a may be a complex d x d matrix (complex-linear) or an Operator on
-    C^d; an antilinear argument yields an antilinear Fock operator.  Built
-    through creation operators, so it is exact on the truncation and
-    multiplicative: gamma(a) gamma(b) = gamma(ab).
+    C^d; an antilinear argument yields an antilinear Fock operator.  Exact
+    on the truncation and multiplicative: gamma(a) gamma(b) = gamma(ab).
 
     Column alpha is a*(A e_1)^a_1 ... a*(A e_d)^a_d Omega / sqrt(alpha!).
-    Its unnormalized vector is one creation matvec on that of its parent
-    alpha - e_i, i the last occupied mode, which comes one level earlier:
-    each state p passes its vector on to up[p, i] for every i at or after
-    its own last occupied mode.
+    Its unnormalized vector is a*(A e_i) applied to that of its parent
+    alpha - e_i, i the last occupied mode, which lies one level lower.  So
+    the blocks are built level by level: the level-n vectors P (one row
+    per state) are raised by each a*_j through up at once, contracted with
+    A into a*(A e_i) P for every mode i, and the children keep the rows
+    of (parent p, mode i) with i at or after p's last occupied mode.  In
+    that order, parent first, they are exactly the level-(n+1) basis.
     """
     a = a if isinstance(a, Operator) else Operator(a)
-    if a.matrix.shape != (space.d, space.d):
+    d = space.d
+    if a.matrix.shape != (d, d):
         raise ValueError("one-particle matrix has wrong shape")
-    cols = [creation(space, a.matrix[:, i]).matrix for i in range(space.d)]
-    V = np.zeros((space.dim, space.dim), dtype=complex)   # row k: column k
-    V[0, 0] = 1.0
-    last = np.zeros(space.dim, dtype=int)     # last occupied mode per state
-    for p in range(space.dim):
-        for i in range(last[p], space.d):
-            k = space.up[p, i]
-            if k >= 0:
-                V[k] = cols[i] @ V[p]
-                last[k] = i
-    # C order: BLAS sums a transposed operand in another order, and the
-    # products the checks form from M would move at roundoff
-    M = (V / space._sqrt_fact[:, None]).T.copy()
+    M = np.zeros((space.dim, space.dim), dtype=complex)
+    M[0, 0] = 1.0
+    P = np.ones((1, 1), dtype=complex)      # row p: unnormalized column p
+    last = np.zeros(1, dtype=int)           # last occupied mode per row
+    for lo, hi in zip(space.level_slices, space.level_slices[1:]):
+        # raised[p, c, j]: coefficient of state c in a*_j P[p]
+        raised = np.zeros((len(P), hi.stop - hi.start, d), dtype=complex)
+        raised[:, space.up[lo] - hi.start, np.arange(d)] = (
+            P[:, :, None] * np.sqrt(space.occ[lo] + 1))
+        mixed = (raised.reshape(-1, d) @ a.matrix).reshape(raised.shape)
+        parent, last = np.nonzero(np.arange(d) >= last[:, None])
+        P = mixed[parent, :, last]
+        M[hi, hi] = (P / space._sqrt_fact[hi, None]).T
     return Operator(M, antilinear=a.antilinear)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ def test_sym_project_degree_guard():
     fs = FockSpace(2, 1)
     with pytest.raises(TruncationError):
         sym_project(fs, [[1, 0], [0, 1]])
+
+
+def test_sym_project_at_degree_8_stays_small():
+    # 8! permutation terms, taken in chunks: no dense stack of them
+    fs = FockSpace(2, 8)
+    rng = np.random.default_rng(96)
+    xs = [rand_vec(rng, 2) for _ in range(8)]
+    expected = sym_power_expand(fs, xs)
+    tracemalloc.start()
+    try:
+        got = sym_project(fs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert peak <= 8 * 2 ** 20
 
 
 def test_sym_power_expand_single_vector():
@@ -299,19 +316,51 @@ def _gamma_by_creation_words(space, A):
     return M
 
 
+def _assert_roundoff_equal(G, R):
+    """Same zero pattern exactly, entries equal to 1e-15 of the largest."""
+    np.testing.assert_array_equal(G != 0, R != 0)
+    assert np.abs(G - R).max() <= 1e-15 * np.abs(R).max()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gamma_equals_column_by_column_reference(d):
+    # the level blocks sum in another order than the creation words
     fs = FockSpace(d, 10)
     rng = np.random.default_rng(48 + d)
     A = rand_vec(rng, d * d).reshape(d, d)
     G = gamma(fs, A)
     assert not G.antilinear
-    np.testing.assert_array_equal(G.matrix, _gamma_by_creation_words(fs, A))
+    _assert_roundoff_equal(G.matrix, _gamma_by_creation_words(fs, A))
     S = Operator(rand_vec(rng, d * d).reshape(d, d), antilinear=True)
     G = gamma(fs, S)
     assert G.antilinear
-    np.testing.assert_array_equal(
-        G.matrix, _gamma_by_creation_words(fs, S.matrix))
+    _assert_roundoff_equal(G.matrix, _gamma_by_creation_words(fs, S.matrix))
+
+
+@pytest.mark.parametrize("d, N", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_gamma_blocks_are_exact_at_levels_0_and_1_and_zero_across(d, N):
+    fs = FockSpace(d, N)
+    rng = np.random.default_rng(90 + d)
+    A = rand_vec(rng, d * d).reshape(d, d)
+    G = gamma(fs, A).matrix
+    level0, level1 = fs.level_slices[:2]
+    assert G[level0, level0].tolist() == [[1.0]]
+    assert np.array_equal(G[level1, level1], A)
+    across = np.ones_like(G, dtype=bool)
+    for sl in fs.level_slices:
+        across[sl, sl] = False
+    assert np.all(G[across] == 0)
+
+
+def test_gamma_is_multiplicative_at_dimension_969():
+    fs = FockSpace(3, 16)
+    assert fs.dim == 969
+    rng = np.random.default_rng(95)
+    # contractions, the maps whose second quantization is bounded
+    A, B = (X / np.linalg.norm(X, 2)
+            for X in rand_vec(rng, 18).reshape(2, 3, 3))
+    lhs = (gamma(fs, A) @ gamma(fs, B)).matrix
+    assert np.abs(lhs - gamma(fs, A @ B).matrix).max() < 1e-10
 
 
 def test_gamma_identity_and_multiplicativity():

@@ -1,7 +1,7 @@
 """The free-field and refinement records equal the stored benchmark
 reference exactly, not just within the benchmark's drift bound; the
-subspace suite's records pass the benchmark's gate on stored seeds, and
-the modloc records pass it at seed 7.
+subspace and fock suites' records pass the benchmark's gate on stored
+seeds, and the modloc records pass it at seed 7.
 
 The exact records run through the CLI in a child process with one BLAS
 thread, the setting perfbench/reference.json was made with.  modloc
@@ -77,6 +77,14 @@ def test_subspace_records_pass_the_gate_on_stored_seeds(seed):
     records, _ = run_checks(ExperimentConfig.from_dict(
         {"kind": "subspace", "seed": seed}))
     assert GATE({"checks": records}, "subspace", seed, REFERENCE) == []
+
+
+@pytest.mark.parametrize("seed", [SEEDS[i * len(SEEDS) // 16]
+                                  for i in range(16)])
+def test_fock_records_pass_the_gate_on_stored_seeds(seed):
+    records, _ = run_checks(ExperimentConfig.from_dict(
+        {"kind": "fock", "seed": seed}))
+    assert GATE({"checks": records}, "fock", seed, REFERENCE) == []
 
 
 def test_modloc_records_pass_the_gate():
