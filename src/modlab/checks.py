@@ -406,25 +406,25 @@ CHECKS = {
     "modloc": [check_net, check_doublecone, check_direct_sum],
 }
 
-# checks re-run by the refinement ladder; floor-exempt ones may sit at the
-# quadrature floor, where monotone decrease is not meaningful
+# checks re-run by the refinement ladder, each with the floor below which
+# its residual may stall: there monotone decrease is not meaningful
 REFINEMENT_SENSITIVE = {
-    "freefield.bw_right_wedge": {"floor": 0.0},
-    "freefield.covariance_boost": {"floor": 0.0},
-    "freefield.covariance_translation": {"floor": 1e-8},
-    "freefield.locality_spacelike": {"floor": 1e-8},
+    "freefield.bw_right_wedge": 0.0,
+    "freefield.covariance_boost": 0.0,
+    "freefield.covariance_translation": 1e-8,
+    "freefield.locality_spacelike": 1e-8,
 }
 
 
-def run_checks(config: ExperimentConfig):
-    """Run the checks of the configured kind.  A check that raises a
-    numerical error gives one failed record "<kind>.<check>" instead,
-    whose error field names the exception."""
-    kinds = (["subspace", "fock", "freefield", "modloc"]
-             if config.kind == "all" else [config.kind])
+def _run_each(config, checks, prefix=""):
+    """Run each check of checks, a {kind: [check function]} map, with an
+    rng seeded from config.seed.  A check that raises a numerical error
+    gives one failed record "<prefix><kind>.<check>" instead, whose error
+    field names the exception.  Returns (records, timings), the seconds
+    of each check keyed "<prefix><check function>"."""
     records, timings = [], {}
-    for kind in kinds:
-        for fn in CHECKS[kind]:
+    for kind, fns in checks.items():
+        for fn in fns:
             rng = np.random.default_rng(config.seed)
             t0 = time.perf_counter()
             try:
@@ -432,66 +432,70 @@ def run_checks(config: ExperimentConfig):
             except (ff.DomainViolationError, ff.LeakageError,
                     ml.EmptyModelError) as exc:
                 records.append(dict(record(
-                    f"{kind}.{fn.__name__.removeprefix('check_')}",
+                    f"{prefix}{kind}.{fn.__name__.removeprefix('check_')}",
                     "the check runs without a numerical error", 0.0, 0.5,
                     direction="above"), error=f"{type(exc).__name__}: {exc}"))
-            timings[fn.__name__] = time.perf_counter() - t0
+            timings[prefix + fn.__name__] = time.perf_counter() - t0
     return records, timings
 
 
-def run_refinement(config: ExperimentConfig, ladder):
-    """Re-run the resolution-dependent freefield checks across rung
-    presets and check the residuals decrease (a 10 percent slack allows
-    stalls at the numerical floor).
+def run_checks(config: ExperimentConfig):
+    """Run the checks of the configured kind, every kind of CHECKS for
+    "all".  Returns (records, timings); a check that raises a numerical
+    error is one failed record "<kind>.<check>" (see _run_each)."""
+    return _run_each(config, CHECKS if config.kind == "all"
+                     else {config.kind: CHECKS[config.kind]})
 
-    Returns (records, rows, timings); timings holds the seconds of each
-    check on each rung, keyed "rung<k>.<check function>".  A rung window
-    outside the configured grid is a ConfigError, raised up front.
+
+def run_refinement(config: ExperimentConfig, ladder):
+    """Re-run the resolution-dependent freefield checks on each rung's
+    grid preset and check the residuals decrease (a 10 percent slack
+    allows stalls at the numerical floor).
+
+    Each rung runs as run_checks does, with prefix "rung<k>." (see
+    _run_each), so a check that raises is a failed record
+    "rung<k>.freefield.<check>".  Returns (records, rows, timings):
+    those failed records, then one "refine.<name>" record per
+    REFINEMENT_SENSITIVE name measured on two rungs or more; the
+    sensitive residuals of each rung; and timings keyed
+    "rung<k>.<check function>".  A rung window outside the configured
+    grid is a ConfigError, raised before any check runs.
     """
-    for rung in ladder:
-        window = ff.REFINEMENT_RUNGS[int(rung)]["window"]
-        if window >= config.freefield["theta_max"]:
+    rungs = {}
+    for rung in map(int, ladder):
+        preset = ff.REFINEMENT_RUNGS[rung]
+        if preset["window"] >= config.freefield["theta_max"]:
             raise ConfigError(
-                f"freefield.theta_max: must be above {window}, the window "
-                f"of refinement rung {rung}")
-    rows, timings = [], {}
-    for rung in ladder:
-        preset = ff.REFINEMENT_RUNGS[int(rung)]
-        cfg = ExperimentConfig.from_dict(config.to_dict())
-        cfg.freefield.update(
+                f"freefield.theta_max: must be above {preset['window']}, the "
+                f"window of refinement rung {rung}")
+        data = config.to_dict()
+        data["freefield"].update(
             n_points=preset["n_points"], window=preset["window"],
-            window_width=preset["window_width"],
-            lattice_step=preset["step"])
-        rng = np.random.default_rng(cfg.seed)
-        for fn in (check_bisognano_wichmann, check_covariance,
-                   check_locality):
-            t0 = time.perf_counter()
-            recs = fn(cfg, rng)
-            timings[f"rung{rung}.{fn.__name__}"] = time.perf_counter() - t0
-            for rec in recs:
-                if rec["name"] in REFINEMENT_SENSITIVE:
-                    rows.append({"resolution": int(rung),
-                                 "check": rec["name"],
-                                 "residual": rec["value"]})
-    records = []
-    for name, opts in REFINEMENT_SENSITIVE.items():
+            window_width=preset["window_width"], lattice_step=preset["step"])
+        rungs[rung] = ExperimentConfig.from_dict(data)
+    records, rows, timings = [], [], {}
+    for rung, cfg in rungs.items():
+        # looked up at call time, so a replaced module attribute runs
+        recs, times = _run_each(cfg, {"freefield": [
+            check_bisognano_wichmann, check_covariance, check_locality]},
+            prefix=f"rung{rung}.")
+        timings.update(times)
+        records += [rec for rec in recs if "error" in rec]
+        rows += [{"resolution": rung, "check": rec["name"],
+                  "residual": rec["value"]}
+                 for rec in recs if rec["name"] in REFINEMENT_SENSITIVE]
+    for name, floor in REFINEMENT_SENSITIVE.items():
         seq = [r["residual"] for r in rows if r["check"] == name]
         if len(seq) < 2:
             continue
-        ok = all(b <= 1.1 * a or b <= opts["floor"]
-                 for a, b in zip(seq, seq[1:]))
-        records.append({"name": f"refine.{name}",
-                        "claim": "residual decreases along the refinement "
-                                 "ladder (within 10 percent, floor-exempt)",
-                        "value": float(seq[-1]), "threshold": float(seq[0]),
-                        "direction": "below",
-                        "passed": bool(ok), "sequence": seq})
+        ok = all(b <= 1.1 * a or b <= floor for a, b in zip(seq, seq[1:]))
+        records.append(dict(record(
+            f"refine.{name}", "residual decreases along the refinement "
+            "ladder (within 10 percent, floor-exempt)", seq[-1], seq[0]),
+            passed=ok, sequence=seq))
     return records, rows, timings
 
 
 def list_checks():
-    out = []
-    for kind, fns in CHECKS.items():
-        for fn in fns:
-            out.append((kind, fn.__name__.replace("check_", "")))
-    return out
+    return [(kind, fn.__name__.removeprefix("check_"))
+            for kind, fns in CHECKS.items() for fn in fns]

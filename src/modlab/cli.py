@@ -22,35 +22,9 @@ from .checks import list_checks, run_checks, run_refinement
 from .config import ConfigError, ExperimentConfig, schema_text
 
 
-def _environment():
-    return {"python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine()}
-
-
-def _write_report(report, out_dir, name):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name + ".json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    return path
-
-
-def _write_csv(rows, fieldnames, out_dir, name):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name + ".csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fieldnames})
-    return path
-
-
 def _verify_out_dir(out_dir):
     """Refuse, before any check runs, an out_dir that cannot be made a
-    writable directory; the report writers create it."""
+    writable directory; the report writer creates it."""
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -69,30 +43,56 @@ def _load_config(args):
     return config
 
 
-def cmd_run(args):
-    config = _load_config(args)
+def _run_and_report(config, run, name, csv_name, columns, **extra):
+    """Time run(), which gives (records, csv rows, timings); write
+    <name>.json and <csv_name>.csv to config.out_dir, print one line per
+    record, and return the exit code."""
     t0 = time.perf_counter()
-    records, timings = run_checks(config)
+    records, rows, timings = run()
     total = time.perf_counter() - t0
     status = "pass" if all(r["passed"] for r in records) else "fail"
     report = {
         "config": config.to_dict(),
+        **extra,
         "checks": records,
         "status": status,
-        "environment": _environment(),
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "machine": platform.machine()},
         "timings": {**timings, "total": total},
     }
-    path = _write_report(report, config.out_dir, "report")
-    _write_csv(records, ["name", "value", "threshold", "direction", "passed"],
-               config.out_dir, "checks")
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    with open(os.path.join(config.out_dir, csv_name + ".csv"), "w",
+              newline="") as fh:
+        writer = csv.DictWriter(fh, columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
     for r in records:
         flag = "pass" if r["passed"] else "FAIL"
-        cmp_ = "<" if r["direction"] == "below" else ">"
-        error = f" ({r['error']})" if "error" in r else ""
-        print(f"[{flag}] {r['name']}: {r['value']:.3e} {cmp_} "
-              f"{r['threshold']:.1e}{error}")
+        if "sequence" in r:
+            detail = ", ".join(f"{v:.3e}" for v in r["sequence"])
+        else:
+            cmp_ = "<" if r["direction"] == "below" else ">"
+            error = f" ({r['error']})" if "error" in r else ""
+            detail = f"{r['value']:.3e} {cmp_} {r['threshold']:.1e}{error}"
+        print(f"[{flag}] {r['name']}: {detail}")
     print(f"report written to {path}")
     return 0 if status == "pass" else 1
+
+
+def cmd_run(args):
+    config = _load_config(args)
+
+    def run():
+        records, timings = run_checks(config)
+        return records, records, timings
+    return _run_and_report(config, run, "report", "checks",
+                           ["name", "value", "threshold", "direction",
+                            "passed"])
 
 
 def cmd_refine(args):
@@ -105,27 +105,9 @@ def cmd_refine(args):
         raise ConfigError("ladder must be strictly increasing")
     if any(r not in (1, 2, 3) for r in ladder):
         raise ConfigError("ladder rungs must be chosen from 1, 2, 3")
-    t0 = time.perf_counter()
-    records, rows, timings = run_refinement(config, ladder)
-    total = time.perf_counter() - t0
-    status = "pass" if all(r["passed"] for r in records) else "fail"
-    report = {
-        "config": config.to_dict(),
-        "ladder": ladder,
-        "checks": records,
-        "status": status,
-        "environment": _environment(),
-        "timings": {**timings, "total": total},
-    }
-    path = _write_report(report, config.out_dir, "refine_report")
-    _write_csv(rows, ["resolution", "check", "residual"], config.out_dir,
-               "refinement")
-    for r in records:
-        flag = "pass" if r["passed"] else "FAIL"
-        seq = ", ".join(f"{v:.3e}" for v in r["sequence"])
-        print(f"[{flag}] {r['name']}: {seq}")
-    print(f"report written to {path}")
-    return 0 if status == "pass" else 1
+    return _run_and_report(config, lambda: run_refinement(config, ladder),
+                           "refine_report", "refinement",
+                           ["resolution", "check", "residual"], ladder=ladder)
 
 
 def cmd_list_checks(args):

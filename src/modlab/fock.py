@@ -123,13 +123,10 @@ def tensor_power_level(space: FockSpace, h, n: int) -> np.ndarray:
 
 
 def coherent(space: FockSpace, h) -> np.ndarray:
-    """e^h = sum_n h^(x n)/sqrt(n!), truncated at the cutoff."""
+    """e^h = sum_n h^(x n)/sqrt(n!), truncated at the cutoff: the
+    coefficient of state alpha is prod h^alpha / sqrt(alpha!)."""
     h = np.asarray(h, dtype=complex)
-    c = np.zeros(space.dim, dtype=complex)
-    for n in range(space.cutoff + 1):
-        sl = space.level_slices[n]
-        c[sl] = tensor_power_level(space, h, n) / math.sqrt(math.factorial(n))
-    return c
+    return np.prod(h ** space.occ, axis=1) / space._sqrt_fact
 
 
 def coherent_inner(h, k, cutoff: int) -> complex:
@@ -165,19 +162,20 @@ def sym_project(space: FockSpace, vectors) -> np.ndarray:
     The average (1/n!) sum_sigma prod_k x_sigma(k)[w_k] is taken only at
     the read-out word w of each level-n state (alpha's modes in order),
     over chunks of permutations, so the degree-n tensor is never formed.
-    Intended for small n and d (the guard refuses d^n above ~2e6).
+    Intended for small n and d: the guard refuses more than 2e6 product
+    terms, n! times the level-n dimension (about half a second).
     Result is a Fock vector that is zero outside level n.
     """
     xs = np.array(vectors, dtype=complex).reshape(len(vectors), space.d)
     n = len(xs)
     if n > space.cutoff:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
-    d = space.d
-    if d ** max(n, 1) > 2_000_000:
-        raise ValueError("dense symmetrization too large; lower n or d")
+    sl = space.level_slices[n]
+    if math.factorial(n) * (sl.stop - sl.start) > 2_000_000:
+        raise ValueError("symmetrization too large: n! x level size "
+                         "above 2e6 product terms; lower n or d")
     if n == 0:
         return vacuum(space)
-    sl = space.level_slices[n]
     # words[s, k]: the mode in slot k of state s's word, modes ascending
     ends = np.cumsum(space.occ[sl], axis=1)
     words = (ends[:, None, :] <= np.arange(n)[:, None]).sum(axis=2)

@@ -28,7 +28,6 @@ from .hilbert import (
     RealSubspace,
     operator_norm,
     subspace_intersection,
-    subspace_sum,
 )
 
 __all__ = [
@@ -66,13 +65,18 @@ class NotStandardError(ValueError):
 
 def is_standard(K: RealSubspace):
     """Check K cap iK = 0 and K + iK = everything; returns (bool,
-    certificate), of a stack for its first non-standard slice if any."""
-    iK = K.mult_i()
-    # dimensions: the nonzero columns of each slice
-    inter, total = (np.ravel(np.count_nonzero(np.any(L.basis, axis=-2), axis=-1))
-                    for L in (subspace_intersection(K, iK, cos_tol=1e-9),
-                              subspace_sum(K, iK)))
-    rdim = 2 * K.basis.shape[-2]
+    certificate), of a stack for its first non-standard slice if any.
+
+    The squared singular values of a Re-orthonormal basis Z of K are
+    1 +- cos theta_k, theta_k the principal angles between K and iK, so
+    dim(K + iK) = 2 rank Z and dim(K cap iK) = 2 (r - rank Z), with r the
+    nonzero columns and rank the squared singular values above 1e-9.
+    """
+    Z = K.basis
+    r = np.count_nonzero(np.any(Z != 0, axis=-2), axis=-1)
+    rank = np.sum(np.linalg.svd(Z, compute_uv=False) ** 2 > 1e-9, axis=-1)
+    inter, total = np.ravel(2 * (r - rank)), np.ravel(2 * rank)
+    rdim = 2 * Z.shape[-2]
     i = int(np.argmax((inter != 0) | (total != rdim)))
     cert = StandardnessCertificate(int(inter[i]), int(total[i]), rdim)
     return cert.standard, cert

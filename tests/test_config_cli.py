@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -320,6 +323,33 @@ def test_check_that_raises_becomes_a_failed_record(tmp_path, capsys, kind,
         assert rec["error"].startswith(error + ": ")
     # every check gave at least one record, its own or the error record
     assert len(report["checks"]) >= len(CHECKS[kind])
+
+
+def test_refine_rung_that_raises_is_a_failed_record(tmp_path):
+    # at mass 0.2 the rung-1 grid leaves the right-wedge bump outside the
+    # numerical domain of delta^(1/2); the command runs in a child
+    # process, so a traceback would show on its stderr
+    cfg = write_config(tmp_path, {"kind": "freefield",
+                                  "freefield": {"mass": 0.2}})
+    out = tmp_path / "out"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modlab.cli", "refine", "--config", cfg,
+         "--ladder", "1,2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "refine_report.json").read_text())
+    assert report["status"] == "fail"
+    names = [r["name"] for r in report["checks"]]
+    assert [n for n in names if n.startswith("rung")] == [
+        "rung1.freefield.bisognano_wichmann"]
+    failed = report["checks"][names.index("rung1.freefield.bisognano_wichmann")]
+    assert not failed["passed"]
+    assert failed["error"].startswith("DomainViolationError: ")
+    assert any(n.startswith("refine.") for n in names)
+    assert (out / "refinement.csv").exists()
 
 
 def test_cli_seed_override(tmp_path):

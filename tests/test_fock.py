@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import modlab
+from modlab import fock
 from modlab.fock import (
     FockSpace, TruncationError,
     vacuum, coherent, coherent_inner, tensor_power_level,
@@ -74,6 +75,18 @@ def test_sym_project_degree_guard():
     fs = FockSpace(2, 1)
     with pytest.raises(TruncationError):
         sym_project(fs, [[1, 0], [0, 1]])
+
+
+def test_sym_project_guard_refuses_before_any_permutation(monkeypatch):
+    # (2, 12) is 12! * 13 product terms, about 20 minutes; (4, 5) is the
+    # largest shape check_symmetrization draws
+    def no_permutations(*args):
+        raise AssertionError("permutations drawn before the guard")
+    rng = np.random.default_rng(12)
+    sym_project(FockSpace(4, 5), [rand_vec(rng, 4) for _ in range(5)])
+    monkeypatch.setattr(fock.itertools, "permutations", no_permutations)
+    with pytest.raises(ValueError, match="symmetrization too large"):
+        sym_project(FockSpace(2, 12), [rand_vec(rng, 2) for _ in range(12)])
 
 
 def test_sym_project_at_degree_8_stays_small():
