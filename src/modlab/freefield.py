@@ -399,15 +399,17 @@ class _LRUCache:
 
 
 PHASE_CHUNK = 32                # lattice rows per cached chunk
+BLOCK = 256                     # widest block of rapidity columns in embed
 _PHASE_ROWS = _LRUCache(24)     # chunks of exp(+-i (k h) p)
 _EMBEDDINGS = _LRUCache(256)    # read-only embed results
 
 
 def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
-                count: int) -> np.ndarray:
+                count: int, columns: slice = slice(None), out=None) -> np.ndarray:
     """Rows exp(i (k h) p0) (axis 0) or exp(-i (k h) p1) (axis 1) for the
     lattice integers k0 <= k < k0 + count, over the rapidity columns
-    0 ... N/2 only; embed mirrors the other columns.
+    0 ... N/2 only (embed mirrors the other columns), or over the range
+    of them that columns selects; written into out when it is given.
 
     The rows depend on the model only through its momenta, so chunks of
     PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk), for
@@ -421,7 +423,8 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     products: 1j * t has imaginary part t + 0.0 and -1j * t has -t.
     """
     half = model.grid.n_points // 2 + 1
-    out = np.empty((count, half), dtype=complex)
+    if out is None:
+        out = np.empty((count, len(range(half)[columns])), dtype=complex)
     k, stop = k0, k0 + count
     while k < stop:
         c, r = divmod(abs(k), PHASE_CHUNK)
@@ -440,10 +443,11 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
             _PHASE_ROWS.put(key, rows)
         if k >= 0:
             n = min(stop - k, PHASE_CHUNK - r)
-            out[k - k0:k - k0 + n] = rows[r:r + n]
+            out[k - k0:k - k0 + n] = rows[r:r + n, columns]
         else:                           # rows |k|, |k| - 1, ... of the chunk
             n = min(stop - k, r + 1, -k)
-            np.conjugate(rows[r - n + 1:r + 1][::-1], out=out[k - k0:k - k0 + n])
+            np.conjugate(rows[r - n + 1:r + 1, columns][::-1],
+                         out=out[k - k0:k - k0 + n])
         k += n
     return out
 
@@ -461,9 +465,12 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     bitwise odd, cos is even and sin odd, and f is real; so with
     E0 = exp(i x0 p0), B = f @ exp(-i x1 p1) on those columns,
     v(theta[N - j]) = sum_x E0[x, j] conj(B[x, j]), bit for bit the
-    full-width quadrature.  At most two such tables are held at a time:
-    B is formed, and the axis-1 table freed, before E0 is built, and the
-    mirror reads B conjugated in place.
+    full-width quadrature.  The columns go in near-equal blocks of at most
+    BLOCK, through one reused buffer for the phase rows and one for B,
+    which the mirror reads conjugated in place.  Blocks of a matrix
+    product and of column sums keep each output's order of summation, so
+    the bits are those of full-width tables; no block is one column wide,
+    which numpy would send to gemv, summing in another order.
 
     The 256 most recent results are memoized on (model, step, lattice
     origin, shape and digest of the sampled values); the returned values
@@ -474,14 +481,25 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
            hashlib.blake2b(values.tobytes(), digest_size=16).digest())
     v = _EMBEDDINGS.get(key)
     if v is None:
-        n = model.grid.n_points
-        B = values @ _phase_rows(model, f.step, 1, f.origin[1], len(f.x1))
-        E0 = _phase_rows(model, f.step, 0, f.origin[0], len(f.x0))
-        mirror = slice(n // 2 - 1, 0, -1)          # columns N/2 - 1 ... 1
-        v = np.empty(n, dtype=complex)
-        v[:n // 2 + 1] = np.einsum("xt,xt->t", E0, B)
-        np.conjugate(B, out=B)
-        v[n // 2 + 1:] = np.einsum("xt,xt->t", E0[:, mirror], B[:, mirror])
+        (m0, m1), n = values.shape, model.grid.n_points
+        half = n // 2 + 1
+        nb = -(-half // BLOCK)                      # near-equal column blocks
+        rows = np.empty(max(m0, m1) * -(-half // nb), dtype=complex)
+        B = np.empty(m0 * -(-half // nb), dtype=complex)
+        values, v = values.astype(complex), np.empty(n, dtype=complex)
+        for i in range(nb):
+            a, b = half * i // nb, half * (i + 1) // nb
+            E1 = _phase_rows(model, f.step, 1, f.origin[1], m1, slice(a, b),
+                             rows[:m1 * (b - a)].reshape(m1, -1))
+            Bb = np.matmul(values, E1, out=B[:m0 * (b - a)].reshape(m0, -1))
+            E0 = _phase_rows(model, f.step, 0, f.origin[0], m0, slice(a, b),
+                             rows[:m0 * (b - a)].reshape(m0, -1))
+            v[a:b] = np.einsum("xt,xt->t", E0, Bb)
+            np.conjugate(Bb, out=Bb)
+            lo, hi = max(a, 1), min(b, n // 2)      # columns j into v[N - j]
+            v[n - lo:n - hi:-1] = np.einsum("xt,xt->t", E0[:, lo - a:hi - a],
+                                            Bb[:, lo - a:hi - a])
+        del rows, B, E0, E1, Bb         # before the window's temporaries
         v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
         v *= _window(model, model.grid.theta)
         v.flags.writeable = False

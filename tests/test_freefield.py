@@ -262,6 +262,42 @@ def test_embed_equals_uncached_formula_exactly_at_4096_points(big_model, center,
     assert_embed_is_exact(big_model, center, g)
 
 
+def recorded_blocks(monkeypatch):
+    """The column ranges embed asks _phase_rows for, one per call."""
+    blocks, phase_rows = [], freefield._phase_rows
+
+    def recording(model, step, axis, k0, count, columns=slice(None), out=None):
+        blocks.append((columns.start, columns.stop))
+        return phase_rows(model, step, axis, k0, count, columns, out)
+
+    monkeypatch.setattr(freefield, "_phase_rows", recording)
+    return blocks
+
+
+block_models = pytest.mark.parametrize("n, blocks", [
+    (2 * freefield.BLOCK, 2),           # N/2 + 1 is one more than BLOCK
+    (freefield.BLOCK, 1),               # N/2 + 1 fits in one block
+    (4096, -(-2049 // freefield.BLOCK)),
+], ids=["block_plus_one", "one_block", "default"])
+
+
+@block_models
+@exact_centers
+@exact_transforms
+def test_embed_in_column_blocks_equals_uncached_formula(monkeypatch, n, blocks,
+                                                         center, g):
+    taken = recorded_blocks(monkeypatch)
+    assert_embed_is_exact(FreeFieldModel(1.0, RapidityGrid(6.0, n), 5.0, 1.2),
+                          center, g)
+    # each block asks for its axis-1 rows, then its axis-0 rows, and the
+    # blocks tile the columns 0 ... N/2 with none narrower than two
+    edges = sorted(set(taken))
+    assert len(taken) == 2 * len(edges) and len(edges) == blocks
+    assert [a for a, _ in edges] == [0] + [b for _, b in edges[:-1]]
+    assert edges[-1][1] == n // 2 + 1
+    assert min(b - a for a, b in edges) >= 2
+
+
 def assert_same_bits(got, expected):
     """Equal values, and equal signs of zero in both parts."""
     assert np.array_equal(got, expected)
@@ -282,6 +318,16 @@ def test_phase_rows_equal_the_complex_exponential(big_model, k0):
             p = big_model.momenta()[axis][:half]
             assert_same_bits(freefield._phase_rows(big_model, step, axis, k0, count),
                              np.exp(sign * np.outer(x, p)))
+            # a range of columns, returned or written into out
+            full = np.exp(sign * np.outer(x, p))
+            for a, b in ((0, 2), (7, 263), (half - 2, half)):
+                cols = slice(a, b)
+                assert_same_bits(freefield._phase_rows(
+                    big_model, step, axis, k0, count, cols), full[:, cols])
+                out = np.empty((count, b - a), dtype=complex)
+                assert freefield._phase_rows(big_model, step, axis, k0, count,
+                                             cols, out) is out
+                assert_same_bits(out, full[:, cols])
     # rows with k < 0 are served as conjugates of the cached rows |k|
     assert all(key[-1] >= 0 for key in freefield._PHASE_ROWS._data)
 
@@ -380,6 +426,30 @@ def test_embed_holds_at_most_two_phase_tables(model):
         tracemalloc.stop()
     table = max(len(f.x0), len(f.x1)) * (model.grid.n_points // 2 + 1) * 16
     assert peak <= 2.25 * table
+
+
+def traced_embed_peak(f, model):
+    """tracemalloc peak of one embed of f, its phase chunks cached."""
+    embed(f, model)
+    freefield._EMBEDDINGS.clear()
+    tracemalloc.start()
+    try:
+        embed(f, model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embed_peak_does_not_grow_with_the_grid_beyond_its_output():
+    f = TestFunction2.bump((0.3, 2.7), 0.5)
+    peaks = {n: traced_embed_peak(f, FreeFieldModel(1.0, RapidityGrid(6.0, n),
+                                                    5.8, 1.2))
+             for n in (4096, 8192)}
+    output = 8192 * 16
+    assert peaks[8192] <= peaks[4096] + output
+    # one full-width (lattice rows x (N/2 + 1)) table at 8192 points
+    table = max(len(f.x0), len(f.x1)) * (8192 // 2 + 1) * 16
+    assert peaks[8192] < 0.25 * table
 
 
 def test_default_checks_keep_24_phase_chunks_and_fill_at_most_64(monkeypatch):
