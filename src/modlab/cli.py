@@ -101,8 +101,8 @@ def cmd_refine(args):
         ladder = [int(x) for x in args.ladder.split(",") if x]
     except ValueError:
         raise ConfigError("ladder must be a comma-separated list of rungs")
-    if not ladder or sorted(ladder) != ladder or len(set(ladder)) != len(ladder):
-        raise ConfigError("ladder must be strictly increasing")
+    if len(ladder) < 2 or sorted(set(ladder)) != ladder:
+        raise ConfigError("ladder needs two or more strictly increasing rungs")
     if any(r not in (1, 2, 3) for r in ladder):
         raise ConfigError("ladder rungs must be chosen from 1, 2, 3")
     return _run_and_report(config, lambda: run_refinement(config, ladder),

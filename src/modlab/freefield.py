@@ -28,9 +28,9 @@ handed the model when it needs the momenta or else just the grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -140,8 +140,12 @@ class FreeFieldModel:
                    p["window"], p["window_width"])
 
     def momenta(self):
-        th = self.grid.theta
-        return self.mass * np.cosh(th), self.mass * np.sinh(th)
+        return _momenta(self.mass, self.grid)
+
+
+def _momenta(mass: float, grid: RapidityGrid):
+    """(p0, p1) = (m cosh theta, m sinh theta) on the grid."""
+    return mass * np.cosh(grid.theta), mass * np.sinh(grid.theta)
 
 
 class OneParticleVector(NamedTuple):
@@ -370,38 +374,36 @@ def _window(model: FreeFieldModel, theta):
                         / model.window_width)
 
 
-class _LRUCache:
-    """Least-recently-used map bounded by its number of entries; a lock
-    keeps it consistent when embeddings run in several threads."""
-
-    def __init__(self, max_items: int):
-        self.max_items = max_items
-        self._data = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_items:
-                self._data.popitem(last=False)
-
-    def clear(self):
-        with self._lock:
-            self._data.clear()
-
-
 PHASE_CHUNK = 32                # lattice rows per cached chunk
 BLOCK = 256                     # widest block of rapidity columns in embed
-_PHASE_ROWS = _LRUCache(24)     # chunks of exp(+-i (k h) p)
-_EMBEDDINGS = _LRUCache(256)    # read-only embed results
+EMBED_MEMO = 256                # embed results kept
+_EMBEDDINGS = OrderedDict()     # read-only embed results, oldest first
+
+
+@functools.lru_cache(maxsize=24)
+def _phase_chunk(mass: float, grid: RapidityGrid, step: float, axis: int,
+                 c: int) -> np.ndarray:
+    """Read-only rows exp(i (k h) p0) (axis 0) or exp(-i (k h) p1) (axis 1)
+    for c PHASE_CHUNK <= k < (c + 1) PHASE_CHUNK, on the rapidity columns
+    0 ... N/2.  The 24 most recent are kept, whatever N: reuse follows
+    the lattice rows.  Keyed on the momenta's (mass, grid), not on the
+    model, so models that differ only in window share chunks.  Filled in
+    place, cos(arg) into the real and sin(arg) into the imaginary part:
+    bit-identical to exp(+-1j * outer(x, p)) where the host's exp and
+    cos/sin agree, and cheaper.  arg carries the signs of zero of the
+    complex products: 1j * t has imaginary part t + 0.0 and -1j * t has -t.
+    """
+    x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
+    arg = np.outer(x, _momenta(mass, grid)[axis][:grid.n_points // 2 + 1])
+    if axis == 0:
+        arg += 0.0
+    else:
+        np.negative(arg, out=arg)
+    rows = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=rows.real)
+    np.sin(arg, out=rows.imag)
+    rows.flags.writeable = False
+    return rows
 
 
 def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
@@ -410,17 +412,9 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     lattice integers k0 <= k < k0 + count, over the rapidity columns
     0 ... N/2 only (embed mirrors the other columns), or over the range
     of them that columns selects; written into out when it is given.
-
-    The rows depend on the model only through its momenta, so chunks of
-    PHASE_CHUNK rows are cached per (mass, grid, step, axis, chunk), for
-    k >= 0 only: h (-k) = -(h k), cos is even and sin odd, so row -k is
-    the complex conjugate of row k, bit for bit.  The cache keeps the 24
-    most recent chunks, whatever N: reuse follows the lattice rows.  A
-    chunk is filled in place, cos(arg) into its real and sin(arg) into
-    its imaginary part: cheaper than the complex exponential
-    exp(+-1j * outer(x, p)) and bit-identical to it where the host's exp
-    and cos/sin agree.  arg carries the signs of zero of the complex
-    products: 1j * t has imaginary part t + 0.0 and -1j * t has -t.
+    Row -k is the complex conjugate of row k, bit for bit (h (-k) = -(h k),
+    cos is even and sin odd), so every row is read from the _phase_chunk
+    of |k|.
     """
     half = model.grid.n_points // 2 + 1
     if out is None:
@@ -428,19 +422,7 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     k, stop = k0, k0 + count
     while k < stop:
         c, r = divmod(abs(k), PHASE_CHUNK)
-        key = (model.mass, model.grid, step, axis, c)
-        rows = _PHASE_ROWS.get(key)
-        if rows is None:
-            x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
-            arg = np.outer(x, model.momenta()[axis][:half])
-            if axis == 0:
-                arg += 0.0
-            else:
-                np.negative(arg, out=arg)
-            rows = np.empty(arg.shape, dtype=complex)
-            np.cos(arg, out=rows.real)
-            np.sin(arg, out=rows.imag)
-            _PHASE_ROWS.put(key, rows)
+        rows = _phase_chunk(model.mass, model.grid, step, axis, c)
         if k >= 0:
             n = min(stop - k, PHASE_CHUNK - r)
             out[k - k0:k - k0 + n] = rows[r:r + n, columns]
@@ -472,14 +454,15 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     the bits are those of full-width tables; no block is one column wide,
     which numpy would send to gemv, summing in another order.
 
-    The 256 most recent results are memoized on (model, step, lattice
-    origin, shape and digest of the sampled values); the returned values
-    are read-only.
+    The EMBED_MEMO most recent results are memoized on (model, step,
+    lattice origin, shape and digest of the sampled values); the returned
+    values are read-only.  A hit is popped and put back as the most
+    recent.
     """
     values = f.values
     key = (model, f.step, f.origin, values.shape, values.dtype.str,
            hashlib.blake2b(values.tobytes(), digest_size=16).digest())
-    v = _EMBEDDINGS.get(key)
+    v = _EMBEDDINGS.pop(key, None)
     if v is None:
         (m0, m1), n = values.shape, model.grid.n_points
         half = n // 2 + 1
@@ -503,7 +486,9 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
         v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
         v *= _window(model, model.grid.theta)
         v.flags.writeable = False
-        _EMBEDDINGS.put(key, v)
+    _EMBEDDINGS[key] = v
+    while len(_EMBEDDINGS) > EMBED_MEMO:
+        _EMBEDDINGS.popitem(last=False)
     return OneParticleVector(model, v)
 
 

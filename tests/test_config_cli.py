@@ -193,19 +193,30 @@ def test_working_grids_load(freefield):
     assert cfg.freefield["theta_max"] == 6.0
 
 
-def test_refine_single_rung_is_plain_run(tmp_path, capsys):
+def test_refine_reports_each_rung_and_its_timings(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "kind": "freefield", "out_dir": str(tmp_path / "out")})
-    assert main(["refine", "--config", cfg, "--ladder", "2"]) == 0
+    assert main(["refine", "--config", cfg, "--ladder", "2,3"]) == 0
     rows = (tmp_path / "out" / "refinement.csv").read_text().splitlines()
     assert rows[0] == "resolution,check,residual"
-    assert len(rows) > 1
+    assert {row.split(",")[0] for row in rows[1:]} == {"2", "3"}
     report = json.loads((tmp_path / "out" / "refine_report.json").read_text())
     assert set(report["timings"]) == {
-        "rung2.check_bisognano_wichmann", "rung2.check_covariance",
-        "rung2.check_locality", "total"}
+        f"rung{k}.check_{name}" for k in (2, 3)
+        for name in ("bisognano_wichmann", "covariance", "locality")} | {"total"}
     assert report["timings"]["total"] >= max(report["timings"].values()) > 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("ladder", ["2", "1,1"])
+def test_refine_refuses_fewer_than_two_rungs(tmp_path, capsys, ladder):
+    # one rung has nothing to decrease along, and used to pass with no record
+    cfg = write_config(tmp_path, {
+        "kind": "freefield", "out_dir": str(tmp_path / "out"),
+        "freefield": {"mass": 0.2}})
+    assert main(["refine", "--config", cfg, "--ladder", ladder]) == 2
+    assert "configuration error: ladder" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_refine_rejects_rung_windows_outside_the_grid(tmp_path, capsys,

@@ -221,17 +221,32 @@ def uncached_embedding(f, model):
     return v * _window(model, model.grid.theta)
 
 
-def assert_embed_is_exact(model, center, g):
+def clear_caches():
     freefield._EMBEDDINGS.clear()
-    freefield._PHASE_ROWS.clear()
+    freefield._phase_chunk.cache_clear()
+
+
+def touched_chunks(f):
+    """The (axis, chunk of |k|) pairs of f's lattice rows."""
+    return {(axis, abs(k) // freefield.PHASE_CHUNK) for axis in (0, 1)
+            for k in range(f.origin[axis], f.origin[axis] + f.values.shape[axis])}
+
+
+def assert_embed_is_exact(model, center, g):
+    clear_caches()
     f = TestFunction2.bump(center, 0.5).transform(g)
     expected = uncached_embedding(f, model)
     assert np.array_equal(embed(f, model).values, expected)   # cold
     assert np.array_equal(embed(f, model).values, expected)   # memo
-    # only the rapidity columns 0 ... N/2 are tabulated
+    # each chunk of |k| is filled once, and only the rapidity columns
+    # 0 ... N/2 are tabulated
+    touched = touched_chunks(f)
+    assert freefield._phase_chunk.cache_info().misses == len(touched)
     half = (freefield.PHASE_CHUNK, model.grid.n_points // 2 + 1)
-    chunks = list(freefield._PHASE_ROWS._data.values())
-    assert chunks and all(rows.shape == half for rows in chunks)
+    for axis, c in touched:
+        rows = freefield._phase_chunk(model.mass, model.grid, f.step, axis, c)
+        assert rows.shape == half and not rows.flags.writeable
+    assert freefield._phase_chunk.cache_info().misses == len(touched)
 
 
 # both lattice origins positive for the first center, negative for the second
@@ -309,7 +324,7 @@ def assert_same_bits(got, expected):
 @pytest.mark.parametrize("k0", [-65, -64, -33, -32, -1, 0, 31])
 def test_phase_rows_equal_the_complex_exponential(big_model, k0):
     # counts that end inside a chunk, on a chunk edge, and past zero
-    freefield._PHASE_ROWS.clear()
+    freefield._phase_chunk.cache_clear()
     step = 1.0 / 128
     half = big_model.grid.n_points // 2 + 1
     for count in (1, 2, 31, 32, 33, 64, 65, 97, 131):
@@ -328,22 +343,22 @@ def test_phase_rows_equal_the_complex_exponential(big_model, k0):
                 assert freefield._phase_rows(big_model, step, axis, k0, count,
                                              cols, out) is out
                 assert_same_bits(out, full[:, cols])
-    # rows with k < 0 are served as conjugates of the cached rows |k|
-    assert all(key[-1] >= 0 for key in freefield._PHASE_ROWS._data)
+    # rows with k < 0 are served as conjugates of the cached rows |k|:
+    # no chunk beyond those of |k| is filled, each once
+    chunks = {abs(k) // freefield.PHASE_CHUNK for k in range(k0, k0 + 131)}
+    assert freefield._phase_chunk.cache_info().misses == 2 * len(chunks)
 
 
 def test_reflected_bump_reuses_the_cached_phase_rows(model):
-    freefield._EMBEDDINGS.clear()
-    freefield._PHASE_ROWS.clear()
+    clear_caches()
     f = TestFunction2.bump((0.4, 3.0), 0.5)
     embed(f, model)
-    cached = set(freefield._PHASE_ROWS._data)
+    fills = freefield._phase_chunk.cache_info().misses
     reflected = f.transform(PoincareElement.reflection())
     assert max(reflected.x1) < 0 < min(f.x1)
     assert np.array_equal(embed(reflected, model).values,
                           uncached_embedding(reflected, model))
-    assert {key for key in freefield._PHASE_ROWS._data if key[3] == 1} \
-        <= {key for key in cached if key[3] == 1}
+    assert freefield._phase_chunk.cache_info().misses == fills
 
 
 def test_transformed_support_corners_equal_the_pointwise_images():
@@ -375,32 +390,48 @@ def test_embed_result_is_read_only(light_model):
     assert np.array_equal(embed(f, light_model).values, kept)
 
 
-def test_lru_cache_evicts_least_recent_within_budget():
-    cache = freefield._LRUCache(max_items=3)
-    for key in "abc":
-        cache.put(key, np.zeros(1))
-    cache.get("a")                      # "b" is now the least recent
-    cache.put("d", np.zeros(1))
-    assert cache.get("b") is None
-    assert all(cache.get(k) is not None for k in "acd")
-    assert len(cache._data) == 3
-    cache.put("e", np.zeros(5))         # an entry counts once, whatever its size
-    assert cache.get("a") is None and len(cache._data) == 3
-    cache.put("c", np.ones(1))          # a re-put replaces, and adds no entry
-    assert cache.get("c")[0] == 1.0 and len(cache._data) == 3
+small_model = FreeFieldModel(1.0, RapidityGrid(6.0, 256), 5.0, 1.2)
 
 
-def test_lru_cache_keeps_its_entry_bound_under_concurrent_use():
-    cache = freefield._LRUCache(max_items=16)
+def test_embed_memo_evicts_least_recent_within_its_bound(monkeypatch):
+    monkeypatch.setattr(freefield, "EMBED_MEMO", 3)
+    clear_caches()
+    a, b, c, d = (TestFunction2.bump((0.0, 2.0 + i), 0.5, 1.0 / 16)
+                  for i in range(4))
+    first = {f: embed(f, small_model).values for f in (a, b, c)}
+    assert embed(a, small_model).values is first[a]     # "b" is now the least recent
+    first[d] = embed(d, small_model).values
+    assert len(freefield._EMBEDDINGS) == 3
+    assert all(embed(f, small_model).values is first[f] for f in (a, c))
+    again = embed(b, small_model).values                # evicted, so recomputed
+    assert again is not first[b] and np.array_equal(again, first[b])
+    assert embed(d, small_model).values is not first[d]     # "d" was the oldest
+    # an entry counts once, whatever its size; a hit adds no entry
+    embed(a, FreeFieldModel.rung(1))
+    assert len(freefield._EMBEDDINGS) == 3
+    embed(a, FreeFieldModel.rung(1))
+    assert len(freefield._EMBEDDINGS) == 3
+
+
+def test_concurrent_embeds_are_exact_within_both_bounds(monkeypatch):
+    monkeypatch.setattr(freefield, "EMBED_MEMO", 16)
+    clear_caches()
+    # 40 bumps whose lattice rows touch more chunks than are kept
+    bumps = [TestFunction2.bump((0.6 * (i % 8) - 2.1, 1.0 + 0.3 * i), 0.5,
+                                1.0 / 64) for i in range(40)]
+    assert len(set().union(*map(touched_chunks, bumps))) > 24
+    expected = [uncached_embedding(f, small_model) for f in bumps]
+    wrong = []
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def work(seed):
             rng = np.random.default_rng(seed)
-            for _ in range(2000):
-                key = int(rng.integers(0, 40))
-                if cache.get(key) is None:
-                    cache.put(key, np.zeros(int(rng.integers(1, 4))))
+            for _ in range(100):
+                i = int(rng.integers(0, len(bumps)))
+                if not np.array_equal(embed(bumps[i], small_model).values,
+                                      expected[i]):
+                    wrong.append(i)
 
         threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
         for t in threads:
@@ -410,8 +441,12 @@ def test_lru_cache_keeps_its_entry_bound_under_concurrent_use():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(old)
-    # 40 keys were put into 16 places: the cache ends full, not over
-    assert len(cache._data) == cache.max_items
+    assert not wrong
+    # 40 embeddings were put into 16 places, and more than 24 chunks into
+    # 24: neither ends over its bound
+    assert len(freefield._EMBEDDINGS) <= freefield.EMBED_MEMO
+    info = freefield._phase_chunk.cache_info()
+    assert info.currsize <= info.maxsize == 24 and info.misses > 24
 
 
 def test_embed_holds_at_most_two_phase_tables(model):
@@ -452,20 +487,13 @@ def test_embed_peak_does_not_grow_with_the_grid_beyond_its_output():
     assert peaks[8192] < 0.25 * table
 
 
-def test_default_checks_keep_24_phase_chunks_and_fill_at_most_64(monkeypatch):
-    freefield._EMBEDDINGS.clear()
-    freefield._PHASE_ROWS.clear()
-    put, held = freefield._PHASE_ROWS.put, []
-
-    def counting_put(key, rows):
-        put(key, rows)
-        held.append(len(freefield._PHASE_ROWS._data))
-
-    monkeypatch.setattr(freefield._PHASE_ROWS, "put", counting_put)
+def test_default_checks_keep_24_phase_chunks_and_fill_at_most_64():
+    clear_caches()
     for kind in ("freefield", "modloc"):
         records, _ = run_checks(ExperimentConfig.from_dict({"kind": kind}))
         assert all(r["passed"] for r in records)
-    assert max(held) <= 24 and len(held) <= 64
+    info = freefield._phase_chunk.cache_info()
+    assert info.currsize <= info.maxsize == 24 and info.misses <= 64
 
 
 def test_embed_error_estimate(light_model):
