@@ -13,7 +13,7 @@ from modlab.modloc import (LocalizedNet, PoincareRep2, doublecone_space,
                            embed_probe, localized_subspace, net_checks)
 
 rep = PoincareRep2([FreeFieldModel()])
-net = LocalizedNet(rep, tol=0.05)
+net = LocalizedNet(rep)
 
 base = [TestFunction2.bump((0.0, 3.0), 0.5),
         TestFunction2.bump((0.4, 3.6), 0.55),
@@ -23,13 +23,11 @@ base = [TestFunction2.bump((0.0, 3.0), 0.5),
 print("== populate nested right wedges (matched dictionaries) ==")
 shift = PoincareElement.translation(0.0, 1.0)
 inner_dict = [f.transform(shift) for f in base]
-net.populate_wedge(Region2.right_wedge((0.0, 0.0)),
-                   [(f, 0) for f in base + inner_dict])
-net.populate_wedge(Region2.right_wedge((0.0, 1.0)),
-                   [(f, 0) for f in inner_dict])
+net.populate_wedge(Region2.right_wedge((0.0, 0.0)), base + inner_dict)
+net.populate_wedge(Region2.right_wedge((0.0, 1.0)), inner_dict)
 gamma = PoincareElement.reflection()
 net.populate_wedge(Region2.left_wedge((0.0, 0.0)),
-                   [(f.transform(gamma), 0) for f in base])
+                   [f.transform(gamma) for f in base])
 for entry in net.entries.values():
     g = entry.region.frame          # the wedge is g W_R
     side = "left" if g.reflect else "right"
@@ -52,11 +50,9 @@ O = Region2.double_cone((0.0, 0.0), 2.2)
 cone_fns = [TestFunction2.bump((0.0, 0.0), 0.5),
             TestFunction2.bump((0.15, 0.2), 0.4)]
 WR, WL = O.wedges                   # O is their intersection
-net2 = LocalizedNet(rep, tol=0.05)
-net2.populate_wedge(WR, [(f, 0) for f in cone_fns
-                         + [TestFunction2.bump((0.0, 1.4), 0.5)]])
-net2.populate_wedge(WL, [(f, 0) for f in cone_fns
-                         + [TestFunction2.bump((0.0, -1.4), 0.5)]])
+net2 = LocalizedNet(rep)
+net2.populate_wedge(WR, cone_fns + [TestFunction2.bump((0.0, 1.4), 0.5)])
+net2.populate_wedge(WL, cone_fns + [TestFunction2.bump((0.0, -1.4), 0.5)])
 probes = [embed_probe(rep, f) for f in cone_fns]
 K, rep_cone = doublecone_space(net2, O, cone_probes=probes)
 print(f"   intersection dimension: {rep_cone['dimension']}")

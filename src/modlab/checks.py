@@ -331,7 +331,7 @@ def _build_net(config):
                      for f in fns] for s in shifts}
         for a in shifts:
             net.populate_wedge(region((0.0, a)),
-                               [(f, 0) for s in shifts if inside(s, a)
+                               [f for s in shifts if inside(s, a)
                                 for f in moved[s]])
     return net
 
@@ -364,10 +364,10 @@ def check_doublecone(config, rng):
                 ff.TestFunction2.bump((-0.1, -0.15), 0.4, step)]
     net = ml.LocalizedNet(rep)
     WR, WL = O.wedges
-    net.populate_wedge(WR, [(f, 0) for f in cone_fns
-                            + [ff.TestFunction2.bump((0.0, 1.4), 0.5, step)]])
-    net.populate_wedge(WL, [(f, 0) for f in cone_fns
-                            + [ff.TestFunction2.bump((0.0, -1.4), 0.5, step)]])
+    net.populate_wedge(WR, cone_fns
+                       + [ff.TestFunction2.bump((0.0, 1.4), 0.5, step)])
+    net.populate_wedge(WL, cone_fns
+                       + [ff.TestFunction2.bump((0.0, -1.4), 0.5, step)])
     probes = [ml.embed_probe(rep, f) for f in cone_fns]
     _, report = ml.doublecone_space(net, O, cone_probes=probes)
     residuals = report["probe_residuals"]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .checks import list_checks, run_checks, run_refinement
 from .config import ConfigError, ExperimentConfig, schema_text
+from .freefield import REFINEMENT_RUNGS
 
 
 def _verify_out_dir(out_dir):
@@ -103,8 +104,9 @@ def cmd_refine(args):
         raise ConfigError("ladder must be a comma-separated list of rungs")
     if len(ladder) < 2 or sorted(set(ladder)) != ladder:
         raise ConfigError("ladder needs two or more strictly increasing rungs")
-    if any(r not in (1, 2, 3) for r in ladder):
-        raise ConfigError("ladder rungs must be chosen from 1, 2, 3")
+    if any(r not in REFINEMENT_RUNGS for r in ladder):
+        raise ConfigError("ladder rungs must be chosen from "
+                          + ", ".join(map(str, REFINEMENT_RUNGS)))
     return _run_and_report(config, lambda: run_refinement(config, ladder),
                            "refine_report", "refinement",
                            ["resolution", "check", "residual"], ladder=ladder)

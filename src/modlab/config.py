@@ -49,7 +49,9 @@ SCHEMA = {
         "cutoff": (int, 10, "Fock truncation for the modular checks (>= 1)"),
         "fiber_theta": (float, 1.0471975511965976,
                         "angle of the fiber model (0 < theta < pi/2)"),
-        "weyl_cutoffs": (list, [8, 12, 16], "cutoff ladder for Weyl checks"),
+        "weyl_cutoffs": (list, [8, 12, 16], "cutoff ladder for Weyl checks "
+                         f"(strictly increasing, two or more, largest >= "
+                         f"{WEYL_PROBE_LEVEL})"),
     },
     "freefield": {
         "mass": (float, 1.0, "field mass (> 0)"),
@@ -147,6 +149,10 @@ def _check_section(section, data, out):
                 raise ConfigError(
                     f"{path}: the largest cutoff must be >= {WEYL_PROBE_LEVEL}, "
                     f"the highest Fock level the CCR check compares")
+            # check_weyl takes the last as the finest and checks each step down
+            if len(value) < 2 or sorted(set(value)) != value:
+                raise ConfigError(
+                    f"{path}: needs two or more strictly increasing cutoffs")
         out[key] = value
 
 

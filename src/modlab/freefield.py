@@ -17,8 +17,9 @@ omega, and s_W = conj after delta^(1/2); modloc transports it to other
 wedges.  Amplification is capped at 1e12; the input mass at capped
 frequencies is the domain diagnostic, and identity checks are run on
 band-limited representatives, for which the capped operator is
-faithful.  One kernel, _half_spectrum, forms the capped multiplier, and
-every wedge map reads it.
+faithful; the blow-up profile reads the capped images along the fixed
+ladder of caps BLOWUP_CAPS.  One kernel, _half_spectrum, forms the
+capped multiplier, and every wedge map reads it.
 
 A one-particle vector is a complex array of samples on the rapidity
 grid, and a stack of them an array (..., n_points).  Every map acts
@@ -51,6 +52,8 @@ __all__ = [
 
 AMPLIFICATION_CAP = 1e12
 BAND_MARGIN = 1.0
+BAND_ROLL = 1.5             # width of the band mask's smooth edge
+BLOWUP_CAPS = (1e4, 1e8, 1e12)
 DOMAIN_CERT_THRESHOLD = 1e-10
 RIGHT_WEDGE_DIRECTION = -1    # multiplier exp(+pi omega); frozen by the
                               # calibration "right-wedge bumps are fixed"
@@ -295,7 +298,7 @@ class TestFunction2:
     __test__ = False            # despite the name, not a pytest class
 
     def __init__(self, region: Region2, profile, bbox, step: float,
-                 support_boundary=None):
+                 support_boundary):
         self.region = region
         self.profile = profile
         self.step = float(step)
@@ -311,9 +314,8 @@ class TestFunction2:
             raise SupportError("support is not inside the declared region")
 
     def supported_in(self, region: Region2) -> bool:
-        """Whether the recorded support boundary, if any, lies in region."""
-        b = self._boundary
-        return b is None or bool(np.all(region.contains(*b)))
+        """Whether the recorded support boundary lies in region."""
+        return bool(np.all(region.contains(*self._boundary)))
 
     @staticmethod
     def bump(center, radius, step: float = 1.0 / 128,
@@ -342,22 +344,16 @@ class TestFunction2:
     def transform(self, g: PoincareElement) -> "TestFunction2":
         """The transformed function x -> f(g^(-1) x), sampled on the
         lattice over the transformed support box."""
-        if self._boundary is not None:
-            b0, b1 = self._boundary
-        else:
-            b0 = np.array([self.x0[0], self.x0[0], self.x0[-1], self.x0[-1]])
-            b1 = np.array([self.x1[0], self.x1[-1], self.x1[0], self.x1[-1]])
-        corners0, corners1 = g.apply_point((b0, b1))
+        corners0, corners1 = g.apply_point(self._boundary)
         ginv = g.inv()
 
         def profile(x0, x1):
             return self.profile(*ginv.apply_point((x0, x1)))
 
-        new_boundary = (corners0, corners1) if self._boundary is not None else None
         return TestFunction2(self.region.transform(g), profile,
                              ((corners0.min(), corners0.max()),
                               (corners1.min(), corners1.max())),
-                             self.step, support_boundary=new_boundary)
+                             self.step, support_boundary=(corners0, corners1))
 
 
 def _smooth_step(s):
@@ -580,13 +576,14 @@ def domain_certificate(v, grid: RapidityGrid):
     return _half_spectrum(np.fft.fft(v), grid)[1]
 
 
-def _band_mask(omega, margin: float, cap: float, roll: float = 1.5):
-    """Smooth, even frequency mask: 1 inside |w| <= wb - roll, 0 beyond
-    wb = ln(cap)/pi - margin.  Evenness makes it a bounded function of
-    the modular operator, so it maps wedge fixed points to fixed points;
-    smoothness keeps the masked vectors decaying in theta."""
-    wb = math.log(cap) / np.pi - margin
-    return _smooth_step((np.abs(omega) - (wb - roll)) / roll)
+def _band_mask(omega):
+    """Smooth, even frequency mask: 1 inside |w| <= wb - BAND_ROLL, 0
+    beyond wb = ln(AMPLIFICATION_CAP)/pi - BAND_MARGIN.  Evenness makes
+    it a bounded function of the modular operator, so it maps wedge fixed
+    points to fixed points; smoothness keeps the masked vectors decaying
+    in theta."""
+    wb = math.log(AMPLIFICATION_CAP) / np.pi - BAND_MARGIN
+    return _smooth_step((np.abs(omega) - (wb - BAND_ROLL)) / BAND_ROLL)
 
 
 def wedge_tomita_apply(v, grid: RapidityGrid):
@@ -602,7 +599,7 @@ def _band_defect(ph, grid: RapidityGrid):
     ph the spectrum of v, P the smooth band mask and Pc the spectrum of
     the band-limited representative v_B.  The mask is applied before
     s_W, so the half-boost never sees frequencies beyond the band."""
-    Pc = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP) * ph
+    Pc = _band_mask(grid.omega) * ph
     flip = -np.arange(grid.n_points) % grid.n_points      # index of -w
     return Pc, np.conj(_half_spectrum(Pc, grid)[0][..., flip]) - Pc
 
@@ -641,14 +638,14 @@ def bw_residual(f: TestFunction2, model: FreeFieldModel) -> float:
     return bw_residual_of_vector(embed(f, model).values, model.grid)
 
 
-def modular_blowup_profile(v, grid: RapidityGrid, caps=(1e4, 1e8, 1e12)):
-    """Norms of the capped delta^(1/2) images along a ladder of
-    amplification caps, from one transform of v.  For vectors in the
+def modular_blowup_profile(v, grid: RapidityGrid):
+    """Norms of the capped delta^(1/2) images along the amplification
+    caps BLOWUP_CAPS, from one transform of v.  For vectors in the
     domain the sequence is stable; outside it grows without bound as the
     cap is raised, the numerical signature of the domain violation."""
     ph = np.fft.fft(v)
     return [_norm(np.fft.ifft(_half_spectrum(ph, grid, cap)[0]), grid)
-            for cap in caps]
+            for cap in BLOWUP_CAPS]
 
 
 def gaussian_packet(grid: RapidityGrid, center: float = 0.0,

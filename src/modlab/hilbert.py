@@ -197,9 +197,9 @@ class RealSubspace:
         """Orthogonal projection, for Re<.,.>, of columns (or a vector) onto K."""
         return self.basis @ _re_gram(self.basis, np.asarray(v, dtype=complex))
 
-    def contains(self, x, tol: float = EQUALITY_TOL) -> bool:
-        """Whether the complex vector x lies in K."""
-        return np.linalg.norm(x - self.project(x)) <= tol * np.linalg.norm(x)
+    def contains(self, x) -> bool:
+        """Whether the complex vector x lies in K, to relative EQUALITY_TOL."""
+        return np.linalg.norm(x - self.project(x)) <= EQUALITY_TOL * np.linalg.norm(x)
 
     def __repr__(self):
         return f"RealSubspace(dim={self.dim} in C^{self.basis.shape[-2]})"

@@ -5,10 +5,12 @@ or more mass summands, each wedge W = g W_R gets the prescription
 j_W = u(r_W), delta_W^(it) = u(Lambda_W(t)), s_W = j_W delta_W^(1/2),
 realized by transporting the origin right-wedge operators with u(g),
 g the wedge's frame (freefield.Region2.frame).  The localized space
-K_W is the fixed-point set of s_W; its finite model is extracted from a
-dictionary of probes by singular-value thresholding of (s_W - 1) on
-their real span.  A double cone is the intersection of a right and a
-left wedge, and its model the intersection of their models.
+K_W is the fixed-point set of s_W; its finite model is extracted from
+the embeddings of a dictionary of test functions by singular-value
+thresholding of (s_W - 1) on their real span, at the fixed threshold
+EXTRACTION_TOL.  A net maps each wedge, a Region2, to its model.  A
+double cone is the intersection of a right and a left wedge, and its
+model the intersection of their models.
 
 A direct-sum vector is a complex array (n_summands, n_points), one row
 per summand; a probe dictionary is a stack (k, n_summands, n_points).
@@ -38,10 +40,12 @@ from .hilbert import (
 )
 
 __all__ = [
-    "PoincareRep2", "EmptyModelError", "ExtractionReport",
+    "EXTRACTION_TOL", "PoincareRep2", "EmptyModelError", "ExtractionReport",
     "localized_subspace",
     "LocalizedNet", "net_checks", "doublecone_space", "embed_probe",
 ]
+
+EXTRACTION_TOL = 0.05       # largest singular value of (s_W - 1) P kept
 
 
 class EmptyModelError(RuntimeError):
@@ -103,19 +107,19 @@ class ExtractionReport:
     certificates: list = field(default_factory=list)
 
 
-def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05):
+def localized_subspace(rep: PoincareRep2, W: Region2, probes):
     """Finite model of K_W = {h in D(s_W): s_W h = h}.
 
     The probes are pulled into the frame of W = g W_R once, where s_W is
     freefield's origin right-wedge operator.  Probes whose domain
     certificate there exceeds DOMAIN_CERT_THRESHOLD are discarded.  On
     the real span of the survivors the band-compressed defect
-    (s_W - 1) P is assembled; its kernel directions below tol in singular
-    value form the model, which u(g) pushes back out.  The stored basis
-    consists of raw probe combinations, so models over matched
-    dictionaries are directly comparable across wedges.  EmptyModelError
-    is raised when every probe fails the certificate or no singular
-    value is at most tol.
+    (s_W - 1) P is assembled; its kernel directions, of singular value
+    at most EXTRACTION_TOL, form the model, which u(g) pushes back out.
+    The stored basis consists of raw probe combinations, so models over
+    matched dictionaries are directly comparable across wedges.
+    EmptyModelError is raised when every probe fails the certificate or
+    no singular value is at most EXTRACTION_TOL.
 
     Returns (RealSubspace over the summed grid space, ExtractionReport).
     """
@@ -129,11 +133,11 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05)
     B = orthonormalize_columns(_columns(P[live]))
     sv, Vt = real_svd(_columns(compressed_fixed_defect(_stack(rep, B.T),
                                                        rep.grid)))
-    keep = sv <= tol
+    keep = sv <= EXTRACTION_TOL
     if not np.any(keep):
         raise EmptyModelError(
-            f"no singular value of the fixed-point defect is <= {tol} "
-            f"(smallest {sv.min():.2e})")
+            f"no singular value of the fixed-point defect is <= "
+            f"{EXTRACTION_TOL} (smallest {sv.min():.2e})")
     # u(g) is real-orthogonal: the pushed columns stay orthonormal
     basis = _columns(rep.act(g, _stack(rep, (B @ Vt[keep].T).T)))
     report = ExtractionReport(singular_values=sv, kept=int(basis.shape[1]),
@@ -145,36 +149,27 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes, tol: float = 0.05)
 @dataclass
 class NetEntry:
     region: Region2
-    functions: list            # (TestFunction2, summand) pairs
+    functions: list            # TestFunction2s supported in the region
     subspace: RealSubspace
     report: ExtractionReport
 
 
 class LocalizedNet:
-    """Map from wedges to finite K-models."""
+    """Map from wedges (Region2) to finite K-models."""
 
-    def __init__(self, rep: PoincareRep2, tol: float = 0.05):
+    def __init__(self, rep: PoincareRep2):
         self.rep = rep
-        self.tol = tol
         self.entries = {}
 
-    @staticmethod
-    def _key(W: Region2):
-        return tuple((round(g.a0, 9), round(g.a1, 9), g.reflect)
-                     for g in W.frames)
-
     def populate_wedge(self, W: Region2, functions):
-        """functions: list of (TestFunction2, summand index) supported in W."""
-        for f, idx in functions:
+        """K(W) from test functions supported in W, put in summand 0."""
+        for f in functions:
             if not f.supported_in(W):
                 raise SupportError("dictionary member not supported in wedge")
-        probes = np.array([embed_probe(self.rep, f, idx) for f, idx in functions])
-        K, report = localized_subspace(self.rep, W, probes, self.tol)
-        self.entries[self._key(W)] = NetEntry(W, list(functions), K, report)
+        probes = np.array([embed_probe(self.rep, f) for f in functions])
+        K, report = localized_subspace(self.rep, W, probes)
+        self.entries[W] = NetEntry(W, list(functions), K, report)
         return K
-
-    def get(self, W: Region2) -> NetEntry:
-        return self.entries[self._key(W)]
 
     def act_on_subspace(self, g: PoincareElement, K: RealSubspace) -> RealSubspace:
         moved = self.rep.act(g, _stack(self.rep, K.basis.T))
@@ -210,32 +205,31 @@ def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
                 continue
             res = inclusion_residual(e1.subspace, e2.subspace)
             report["isotony"].append({
-                "small": net._key(e1.region), "large": net._key(e2.region),
+                "small": e1.region, "large": e2.region,
                 "residual": float(res)})
 
     for e in entries:
-        comp_key = net._key(e.region.causal_complement())
-        if comp_key not in net.entries:
+        ec = net.entries.get(e.region.causal_complement())
+        if ec is None:
             continue
-        ec = net.entries[comp_key]
         joint = subspace_sum(e.subspace, ec.subspace)
         modeled = _complement_within_span(joint, e.subspace)
         res = subspace_distance(modeled, ec.subspace)
         report["duality"].append({
-            "wedge": net._key(e.region), "residual": float(res)})
+            "wedge": e.region, "residual": float(res)})
 
     # wedges share dictionary functions: transport and embed each once
-    functions = dict.fromkeys(pair for e in entries for pair in e.functions)
+    functions = dict.fromkeys(f for e in entries for f in e.functions)
     for g in covariance_elements:
-        transported = {(f, idx): embed_probe(net.rep, f.transform(g), idx)
-                       for f, idx in functions}
+        transported = {f: embed_probe(net.rep, f.transform(g))
+                       for f in functions}
         for e in entries:
             gW = e.region.transform(g)
             moved = net.act_on_subspace(g, e.subspace)
-            probes = [transported[pair] for pair in e.functions]
-            row = {"wedge": net._key(e.region), "element": repr(g)}
+            probes = [transported[f] for f in e.functions]
+            row = {"wedge": e.region, "element": repr(g)}
             try:
-                K_gW, _ = localized_subspace(net.rep, gW, probes, net.tol)
+                K_gW, _ = localized_subspace(net.rep, gW, probes)
                 row["residual"] = float(subspace_distance(moved, K_gW))
             except EmptyModelError as exc:
                 row.update(residual=1.0, error=str(exc))
@@ -254,7 +248,7 @@ def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=()):
     if not O.is_double_cone:
         raise ValueError(f"not a right and a left wedge: {O}")
     try:
-        K1, K2 = (net.get(W).subspace for W in O.wedges)
+        K1, K2 = (net.entries[W].subspace for W in O.wedges)
     except KeyError as exc:
         raise ValueError(f"generating wedge missing from the net: {exc}")
     K = subspace_intersection(K1, K2, cos_tol=1e-4)

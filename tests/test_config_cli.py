@@ -135,6 +135,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"seed": True}, "seed"),
     ({"subspace": {"tolerance": float("nan")}}, "subspace.tolerance"),
     ({"fock": {"weyl_cutoffs": [4]}}, "fock.weyl_cutoffs"),
+    ({"fock": {"weyl_cutoffs": [16, 12, 8]}}, "fock.weyl_cutoffs"),
+    ({"fock": {"weyl_cutoffs": [8, 8, 16]}}, "fock.weyl_cutoffs"),
+    ({"fock": {"weyl_cutoffs": [8]}}, "fock.weyl_cutoffs"),
     ({"freefield": {"n_points": 1000}}, "freefield.n_points"),
     ({"freefield": {"window": 6.5}}, "freefield.window"),
     ({"freefield": {"theta_max": 3.0}}, "freefield.theta_max"),
@@ -162,6 +165,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"freefield": {"lattice_step": 1e-5}}, "freefield.lattice_step"),
     ({"freefield": {"theta_max": 709.7}}, "freefield.theta_max"),
 ], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
+        "weyl_cutoffs_decreasing", "weyl_cutoffs_repeated",
+        "weyl_cutoffs_one_rung",
         "n_points_not_power_of_two", "window_outside_grid",
         "theta_max_below_4", "zero_mass", "negative_second_mass",
         "max_dim_below_2", "zero_window_width", "zero_cutoff",

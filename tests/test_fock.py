@@ -11,7 +11,7 @@ import modlab
 from modlab import fock
 from modlab.fock import (
     FockSpace, TruncationError,
-    vacuum, coherent, coherent_inner, tensor_power_level,
+    vacuum, coherent, coherent_inner, coherent_tail_mass, tensor_power_level,
     sym_project, sym_power_expand, creation, annihilation,
     creation_overflow_mass, field_operator, gamma,
     weyl_matrix, weyl_on_coherent, weyl_unitarity_defect,
@@ -152,6 +152,19 @@ def test_coherent_norm_approaches_e():
     h = np.array([1.0, 0.0])
     val = np.vdot(coherent(fs, h), coherent(fs, h)).real
     assert abs(val - math.e) < 1e-9  # tail sum_{n>12} 1/n! ~ 1.6e-10
+
+
+@pytest.mark.parametrize("d, cutoff, r", [(1, 10, 1.0), (2, 8, 2.0),
+                                          (3, 6, 0.5)])
+def test_coherent_tail_mass_is_the_truncated_norm(d, cutoff, r):
+    # ||e^h||^2 = exp(||h||^2) untruncated; the cutoff drops the tail
+    rng = np.random.default_rng(47)
+    h = rand_vec(rng, d)
+    h *= r / np.linalg.norm(h)
+    v = coherent(FockSpace(d, cutoff), h)
+    kept = np.vdot(v, v).real
+    assert coherent_tail_mass(r, cutoff) == pytest.approx(
+        math.exp(r ** 2) - kept, rel=1e-6)
 
 
 def test_coherent_derivative_recovers_levels():

@@ -11,8 +11,8 @@ from modlab.checks import run_checks
 from modlab.config import ExperimentConfig
 from modlab.freefield import _band_mask, _window
 from modlab.freefield import (
-    AMPLIFICATION_CAP, BAND_MARGIN, DomainViolationError, FreeFieldModel,
-    LeakageError, PoincareElement, RapidityGrid, Region2,
+    AMPLIFICATION_CAP, BAND_MARGIN, BAND_ROLL, DomainViolationError,
+    FreeFieldModel, LeakageError, PoincareElement, RapidityGrid, Region2,
     SupportError, TestFunction2,
     borchers_check, bw_residual, bw_residual_of_vector,
     compressed_fixed_defect, covariance_residual, domain_certificate, embed,
@@ -177,9 +177,11 @@ def test_bump_support_validation():
 
 
 def test_embed_zero_function(model):
+    # the support is empty: the origin stands for its boundary
     f = TestFunction2(Region2.double_cone((0, 0), 1.0),
                       lambda x0, x1: np.zeros(np.broadcast(x0, x1).shape),
-                      ((-0.5, 0.5), (-0.5, 0.5)), 1.0 / 64)
+                      ((-0.5, 0.5), (-0.5, 0.5)), 1.0 / 64,
+                      (np.zeros(1), np.zeros(1)))
     assert np.linalg.norm(embed(f, model).values) == 0.0
 
 
@@ -191,8 +193,11 @@ def test_embed_linearity(light_model):
     def combo(x0, x1):
         return a * f.profile(x0, x1) + b * g.profile(x0, x1)
 
+    # the corners of the box, which holds both disks
     fg = TestFunction2(Region2.double_cone((0.1, 2.2), 2.0), combo,
-                       ((-0.6, 0.8), (1.4, 3.0)), f.step)
+                       ((-0.6, 0.8), (1.4, 3.0)), f.step,
+                       (np.array([-0.6, -0.6, 0.8, 0.8]),
+                        np.array([1.4, 3.0, 1.4, 3.0])))
     lhs = embed(fg, light_model).values
     rhs = a * embed(f, light_model).values + b * embed(g, light_model).values
     assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
@@ -593,11 +598,10 @@ def test_window_and_band_mask_match_the_inline_formula(m):
         _window(m, theta),
         inline_smooth_step(np.abs(theta), m.window - m.window_width,
                            m.window_width))
-    for cap, roll in ((AMPLIFICATION_CAP, 1.5), (1e4, 0.5)):
-        wb = math.log(cap) / np.pi - BAND_MARGIN
-        assert np.array_equal(
-            _band_mask(omega, BAND_MARGIN, cap, roll),
-            inline_smooth_step(np.abs(omega), wb - roll, roll))
+    wb = math.log(AMPLIFICATION_CAP) / np.pi - BAND_MARGIN
+    assert np.array_equal(_band_mask(omega),
+                          inline_smooth_step(np.abs(omega), wb - BAND_ROLL,
+                                             BAND_ROLL))
 
 
 def test_covariance_identity_is_exact(model):
@@ -755,7 +759,7 @@ def test_band_mask_commutes_with_tomita(model):
     # with s_W: masking before or after the half-boost agrees (checked on
     # a domain-safe probe so no amplified junk enters)
     grid = model.grid
-    mask = _band_mask(grid.omega, BAND_MARGIN, AMPLIFICATION_CAP)
+    mask = _band_mask(grid.omega)
 
     def P(v):
         return np.fft.ifft(mask * np.fft.fft(v))

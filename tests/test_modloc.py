@@ -110,7 +110,7 @@ def test_wedge_adjoint_relation(rep):
 def test_localized_subspace_contains_probes(rep):
     W = Region2.right_wedge()
     probes = [embed_probe(rep, f) for f in right_dict()]
-    K, report = localized_subspace(rep, W, probes, tol=0.05)
+    K, report = localized_subspace(rep, W, probes)
     assert K.dim == len(probes)
     assert not report.fallback_used
     V = np.reshape(probes, (len(probes), -1)).T     # one column per probe
@@ -153,13 +153,13 @@ def test_localized_subspace_refuses_dictionary_without_localized_content(rep):
     W = Region2.right_wedge()
     Ef, Eg = (embed_probe(rep, f) for f in right_dict()[:2])
     with pytest.raises(EmptyModelError, match="singular value"):
-        localized_subspace(rep, W, [1j * Ef, 1j * Eg], tol=0.05)
+        localized_subspace(rep, W, [1j * Ef, 1j * Eg])
 
 
 def test_localized_subspace_keeps_localized_part_of_mixed_dictionary(rep):
     W = Region2.right_wedge()
     Ef, Eg = (embed_probe(rep, f) for f in right_dict()[:2])
-    K, report = localized_subspace(rep, W, [Ef, 1j * Eg], tol=0.05)
+    K, report = localized_subspace(rep, W, [Ef, 1j * Eg])
     assert K.dim == report.kept == 1
     assert not report.fallback_used
     sv = report.singular_values
@@ -191,7 +191,7 @@ def test_localized_subspace_real_linear(rep):
     # the recovered model is a real-linear span closed under combinations
     W = Region2.right_wedge()
     probes = [embed_probe(rep, f) for f in right_dict()]
-    K, _ = localized_subspace(rep, W, probes, tol=0.05)
+    K, _ = localized_subspace(rep, W, probes)
     rng = np.random.default_rng(71)
     c = rng.standard_normal(K.dim)
     v = K.basis @ c
@@ -203,32 +203,32 @@ def test_modular_flow_covariance_of_model(rep):
     # matched dictionaries, so compare u(Lambda_W(t)) K against the model
     # built from the flow-transported test functions
     W = Region2.right_wedge()
-    net = LocalizedNet(rep, tol=0.05)
+    net = LocalizedNet(rep)
     fns = right_dict()
-    K = net.populate_wedge(W, [(f, 0) for f in fns])
+    K = net.populate_wedge(W, fns)
     t = 0.03
     flow = PoincareElement.boost(-2.0 * np.pi * t)      # Lambda_W(t)
     moved = net.act_on_subspace(flow, K)
     transported = [f.transform(flow) for f in fns]
     probes = [embed_probe(rep, f) for f in transported]
-    K_t, _ = localized_subspace(rep, W, probes, tol=0.05)
+    K_t, _ = localized_subspace(rep, W, probes)
     assert subspace_distance(moved, K_t) < 1e-3
 
 
 def test_populate_wedge_refuses_a_bump_outside_the_wedge(rep):
-    net = LocalizedNet(rep, tol=0.05)
+    net = LocalizedNet(rep)
     left = TestFunction2.bump((0.0, -3.0), 0.5, region=Region2.left_wedge())
     with pytest.raises(SupportError):
         net.populate_wedge(Region2.right_wedge(),
-                           [(right_dict()[0], 0), (left, 0)])
+                           [right_dict()[0], left])
     assert not net.entries
 
 
 def test_reflection_maps_model_to_complement_model(rep):
-    net = LocalizedNet(rep, tol=0.05)
+    net = LocalizedNet(rep)
     gamma = PoincareElement.reflection()
-    KR = net.populate_wedge(Region2.right_wedge(), [(f, 0) for f in right_dict()])
-    left_fns = [(f.transform(gamma), 0) for f in right_dict()]
+    KR = net.populate_wedge(Region2.right_wedge(), right_dict())
+    left_fns = [f.transform(gamma) for f in right_dict()]
     KL = net.populate_wedge(Region2.left_wedge(), left_fns)
     # j_W = u(reflection) for the origin wedge in 2D
     moved = net.act_on_subspace(gamma, KR)
@@ -239,7 +239,7 @@ def build_net(rep):
     """Three nested right wedges, their causal complements, and nested
     dictionaries throughout (a bigger wedge always contains the probes
     of the wedges inside it)."""
-    net = LocalizedNet(rep, tol=0.05)
+    net = LocalizedNet(rep)
     gamma = PoincareElement.reflection()
     shifts = [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0)]
     dicts = {s: right_dict(s) for s in shifts}
@@ -249,7 +249,7 @@ def build_net(rep):
         (0.0, 1.0): list(dicts[(0.0, 1.0)]),
     }
     for apex, fns in right_fns.items():
-        net.populate_wedge(Region2.right_wedge(apex), [(f, 0) for f in fns])
+        net.populate_wedge(Region2.right_wedge(apex), fns)
     # complements: left wedges at the same apexes.  W_L((0,s)) grows with
     # s, so the dictionary of W_L((0,1)) holds all reflected families
     left_dicts = {s: [f.transform(gamma).transform(
@@ -261,7 +261,7 @@ def build_net(rep):
         (0.0, 1.0): [f for s in shifts for f in left_dicts[s]],
     }
     for apex, fns in left_fns.items():
-        net.populate_wedge(Region2.left_wedge(apex), [(f, 0) for f in fns])
+        net.populate_wedge(Region2.left_wedge(apex), fns)
     return net
 
 
@@ -287,17 +287,17 @@ def test_net_checks_transport_each_dictionary_function_once(rep, monkeypatch):
     expected = []
     for g in elements:
         for e in net.entries.values():
-            probes = [embed_probe(rep, f.transform(g), idx) for f, idx in e.functions]
-            K, _ = localized_subspace(rep, e.region.transform(g), probes, net.tol)
+            probes = [embed_probe(rep, f.transform(g)) for f in e.functions]
+            K, _ = localized_subspace(rep, e.region.transform(g), probes)
             res = subspace_distance(net.act_on_subspace(g, e.subspace), K)
-            expected.append({"wedge": net._key(e.region), "element": repr(g),
+            expected.append({"wedge": e.region, "element": repr(g),
                              "residual": float(res)})
     calls = []
     transform = TestFunction2.transform
     monkeypatch.setattr(TestFunction2, "transform",
                         lambda f, g: calls.append(f) or transform(f, g))
     rows = net_checks(net, covariance_elements=elements)["covariance"]
-    distinct = {id(f) for e in net.entries.values() for f, _ in e.functions}
+    distinct = {id(f) for e in net.entries.values() for f in e.functions}
     assert len(distinct) == 24
     assert len(calls) == len(elements) * len(distinct)
     assert rows == expected
@@ -314,9 +314,9 @@ def test_doublecone_space(rep):
     WR, WL = O.wedges
     wr_extra = [TestFunction2.bump((0.0, 1.4), 0.5)]
     wl_extra = [TestFunction2.bump((0.0, -1.4), 0.5)]
-    net = LocalizedNet(rep, tol=0.05)
-    net.populate_wedge(WR, [(f, 0) for f in cone_fns + wr_extra])
-    net.populate_wedge(WL, [(f, 0) for f in cone_fns + wl_extra])
+    net = LocalizedNet(rep)
+    net.populate_wedge(WR, cone_fns + wr_extra)
+    net.populate_wedge(WL, cone_fns + wl_extra)
     probes = [embed_probe(rep, f) for f in cone_fns]
     K, report = doublecone_space(net, O, cone_probes=probes)
     assert report["dimension"] >= len(cone_fns)
@@ -353,9 +353,9 @@ def test_a_region_of_the_wrong_shape_is_refused_by_name(rep, call, region,
 def test_doublecone_disjoint_dictionaries(rep):
     O = Region2.double_cone((0.0, 0.0), 2.0)
     WR, WL = O.wedges
-    net = LocalizedNet(rep, tol=0.05)
-    net.populate_wedge(WR, [(TestFunction2.bump((0.0, 1.2), 0.4), 0)])
-    net.populate_wedge(WL, [(TestFunction2.bump((0.0, -1.2), 0.4), 0)])
+    net = LocalizedNet(rep)
+    net.populate_wedge(WR, [TestFunction2.bump((0.0, 1.2), 0.4)])
+    net.populate_wedge(WL, [TestFunction2.bump((0.0, -1.2), 0.4)])
     probe = embed_probe(rep, TestFunction2.bump((0.0, 0.0), 0.3))
     K, report = doublecone_space(net, O, cone_probes=[probe])
     assert report["dimension"] == 0
@@ -366,9 +366,9 @@ def test_doublecone_without_probes_returns_the_intersection(rep):
     # the default empty probe stack reshapes to no columns, not an error
     O = Region2.double_cone((0.0, 0.0), 2.0)
     WR, WL = O.wedges
-    net = LocalizedNet(rep, tol=0.05)
-    net.populate_wedge(WR, [(TestFunction2.bump((0.0, 1.2), 0.4), 0)])
-    net.populate_wedge(WL, [(TestFunction2.bump((0.0, -1.2), 0.4), 0)])
+    net = LocalizedNet(rep)
+    net.populate_wedge(WR, [TestFunction2.bump((0.0, 1.2), 0.4)])
+    net.populate_wedge(WL, [TestFunction2.bump((0.0, -1.2), 0.4)])
     K, report = doublecone_space(net, O)
     assert K.basis.shape == (rep.grid.n_points, 0)
     # an empty intersection warns whether or not probes were given
@@ -382,9 +382,9 @@ def test_direct_sum_block_property(rep2):
     g = TestFunction2.bump((0.4, 3.4), 0.55)
     p1 = embed_probe(rep2, f, summand=0)
     p2 = embed_probe(rep2, g, summand=1)
-    K_joint, _ = localized_subspace(rep2, W, [p1, p2], tol=0.05)
-    K_1, _ = localized_subspace(rep2, W, [p1], tol=0.05)
-    K_2, _ = localized_subspace(rep2, W, [p2], tol=0.05)
+    K_joint, _ = localized_subspace(rep2, W, [p1, p2])
+    K_1, _ = localized_subspace(rep2, W, [p1])
+    K_2, _ = localized_subspace(rep2, W, [p2])
     from modlab.hilbert import subspace_sum
     assert subspace_distance(K_joint, subspace_sum(K_1, K_2)) < 1e-10
 

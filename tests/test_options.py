@@ -1,12 +1,13 @@
-"""Every defaulted parameter of modlab is set by some call.
+"""Every defaulted parameter of modlab is set by some call in src/.
 
-An option that no call sets is a configuration that nothing exercises,
-so it is replaced by the value it defaults to.  This test keeps such
-options from coming back.  It parses every def in src/modlab, at module
-level and in classes, and every call in src/, demos/ and tests/, and
+An option that no call of the program sets has one value in use, so it
+is replaced by that constant.  Tests and demos do not count as callers:
+a knob that only a test turns is a configuration the program never runs.
+This test keeps such options from coming back.  It parses every def in
+src/modlab, at module level and in classes, and every call in src/, and
 fails when a defaulted parameter is passed, by position or keyword, by
 no call of that name.  A call of a class counts as a call of its
-__init__.
+__init__.  EXEMPT lists the parameters kept for another reason.
 
 The matching is by name alone, so a call of any function of that name
 counts.  It does not see forwarding either: a parameter that a caller
@@ -19,11 +20,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# "<key>(<name>)" -> why the parameter stays with no src/ caller setting it
+EXEMPT = {
+    "main(argv)": "lets tests drive the command line in-process; the "
+                  "console script passes none and argparse reads sys.argv",
+}
 
-def _parse(*dirs):
-    for d in dirs:
-        for path in sorted((ROOT / d).rglob("*.py")):
-            yield path, ast.parse(path.read_text(), str(path))
+
+def _parse(d):
+    for path in sorted((ROOT / d).rglob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
 
 
 def _defaulted(fn, key, offset):
@@ -59,10 +65,11 @@ def defaulted_parameters():
 
 
 def calls():
-    """name -> list of (positional count, keyword names) of every call;
-    a starred argument passes every position, a ** argument every name."""
+    """name -> list of (positional count, keyword names) of every call
+    in src/; a starred argument passes every position, a ** argument
+    every name."""
     out = {}
-    for path, tree in _parse("src", "demos", "tests"):
+    for path, tree in _parse("src"):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -80,10 +87,12 @@ def calls():
 def test_every_defaulted_parameter_is_passed_by_some_call():
     params = defaulted_parameters()
     assert len(params) > 10, "the scan found too few parameters to be working"
+    assert set(EXEMPT) <= {f"{key}({name})" for key, _, name in params}
     seen = calls()
     unused = [f"{key}({name})" for key, pos, name in params
-              if not any(name in kws or None in kws
-                         or (pos is not None and n > pos)
-                         for n, kws in seen.get(key, []))]
+              if f"{key}({name})" not in EXEMPT
+              and not any(name in kws or None in kws
+                          or (pos is not None and n > pos)
+                          for n, kws in seen.get(key, []))]
     assert not unused, (f"{len(unused)} of {len(params)} defaulted parameters "
                         f"are passed by no call: {', '.join(unused)}")
