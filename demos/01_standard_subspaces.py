@@ -28,16 +28,17 @@ print("here s is plain conjugation and the modular flow is trivial\n")
 
 print("== an angle-pi/3 fiber in C^2 ==")
 K2 = fiber_standard_subspace(2, [np.pi / 3])
-md2 = modular_data(tomita_operator(K2))
-print("log delta spectrum:", [(round(lg, 6), m) for lg, m in md2.log_delta_spectrum])
+fibers = fiberize(K2)               # one diagonalization of delta
+print("log delta spectrum:",
+      [(round(lg, 6), m) for lg, m in fibers.md.log_delta_spectrum])
 print(f"(tan^2(pi/6) = 1/3, so log delta = +-log 3 = +-{np.log(3):.6f})")
-blocks, fixed = fiberize(K2)
-print(f"fiberize found {len(blocks)} block(s), theta = {blocks[0].theta:.6f} "
-      f"(pi/3 = {np.pi/3:.6f}), fixed part dim {fixed.dim}")
+print(f"fiberize found {len(fibers.theta)} fiber(s), theta = "
+      f"{fibers.theta[0]:.6f} (pi/3 = {np.pi/3:.6f}), fixed part dim "
+      f"{fibers.fixed.dim}")
 
 t = 0.4
-F = modular_flow(md2, t)
-yp, ym = blocks[0].y_plus, blocks[0].y_minus
+F = modular_flow(fibers.md, t)
+yp, ym = fibers.y_plus[:, 0], fibers.y_minus[:, 0]
 w = np.log(np.tan(np.pi / 6) ** 2)
 pred = np.cos(w * t) * yp + np.sin(w * t) * ym
 print(f"flow mixes the fiber frame: |delta^it y+ - prediction| = "
@@ -50,8 +51,7 @@ md5 = modular_data(s5)
 Kp = symplectic_complement(K5)
 jK = RealSubspace.span(md5.j.apply(K5.basis))
 print(f"j K = K'?  projection distance {subspace_distance(jK, Kp):.2e}")
-blocks5, fixed5 = fiberize(K5)
-thetas = sorted(b.theta for b in blocks5)
+thetas = fiberize(K5).theta          # ascending
 oracle = np.sort(principal_angles(K5, K5.mult_i()))
 print(f"fiber angles: {np.round(thetas, 4)}")
 print(f"principal angles between K and iK (each angle twice): "

@@ -23,9 +23,9 @@ from .hilbert import (
     symplectic_complement,
 )
 from .standard import (
-    draw_standard_subspace, fiber_standard_subspace, fiberize, modular_data,
-    modular_flow, random_standard_subspace, reassemble_modular,
-    rotated_standard_subspace, tomita_operator,
+    delta_fixed_space, draw_standard_subspace, fiber_standard_subspace,
+    fiberize, modular_data, modular_flow, random_standard_subspace,
+    reassemble_modular, rotated_standard_subspace, tomita_operator,
 )
 
 __all__ = ["CHECKS", "run_checks", "run_refinement", "list_checks",
@@ -76,7 +76,7 @@ def check_standard_suite(config, rng):
             FK = RealSubspace.span(modular_flow(md, float(t)).apply(K.basis))
             found["flow"].extend(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
-        fix = subspace_intersection(fixed_space(md.j), fixed_space(md.delta),
+        fix = subspace_intersection(fixed_space(md.j), delta_fixed_space(md),
                                     cos_tol=1e-8)
         found["fixed"].extend(subspace_distance(cap, fix))
     claims = {
@@ -95,17 +95,18 @@ def check_fiberization(config, rng):
     angles, reassembly = [], []
     for d in range(2, p["max_dim"] + 1):
         K = random_standard_subspace(d, rng)
-        md = modular_data(tomita_operator(K))
-        blocks, fixed = fiberize(K)
-        thetas = sorted([b.theta for b in blocks for _ in range(2)]
-                        + [np.pi / 2] * fixed.dim)
+        fibers = fiberize(K)
+        md = fibers.md
+        # each fiber angle twice, then pi/2 on the fixed part: ascending
+        thetas = np.concatenate([np.repeat(fibers.theta, 2),
+                                 np.full(fibers.fixed.dim, np.pi / 2)])
         oracle = principal_angles(K, K.mult_i())      # ascending
         angles.append(float(np.max(np.abs(thetas - oracle)))
                       if len(thetas) == len(oracle) else np.inf)
-        jmat, dmat = reassemble_modular(blocks, fixed)
+        jmat, dmat = reassemble_modular(fibers)
         reassembly += [
-            float(np.linalg.norm(jmat - md.j.matrix, 2)),
-            float(np.linalg.norm(dmat - md.delta.matrix, 2)
+            float(operator_norm(jmat - md.j.matrix)),
+            float(operator_norm(dmat - md.delta.matrix)
                   / max(1.0, math.sqrt(md.condition_number)))]
     tol = 1e-9
     return [
@@ -269,14 +270,14 @@ def check_bisognano_wichmann(config, rng):
     step = config.freefield["lattice_step"]
     f = ff.TestFunction2.bump((0.0, 3.0), 0.5, step,
                               region=ff.Region2.right_wedge())
-    res = ff.bw_residual(f, model)
+    Ef = ff.embed(f, model).values
+    res = ff.bw_residual_of_vector(Ef, model.grid)
     g = ff.TestFunction2.bump((0.0, -3.0), 0.5, step,
                               region=ff.Region2.left_wedge())
     Eg = ff.embed(g, model).values
     cert = ff.domain_certificate(Eg, model.grid)
     blow = ff.modular_blowup_profile(Eg, model.grid)
     growth = blow[-1] / blow[0]
-    Ef = ff.embed(f, model).values
     control = ff.modular_blowup_profile(Ef, model.grid)
     blowup = 1e3
     return [

@@ -28,7 +28,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .hilbert import Operator, RealSubspace, symplectic_complement
+from .hilbert import (Operator, RealSubspace, operator_norm,
+                      symplectic_complement)
 from .standard import modular_data, modular_flow, tomita_operator
 
 __all__ = [
@@ -344,7 +345,7 @@ def weyl_unitarity_defect(h: complex, cutoff: int, probe_cutoff: int) -> float:
     only decrease as the cutoff grows."""
     V = weyl_displacement_columns(h, probe_cutoff + 1, cutoff + 1)
     D = np.eye(probe_cutoff + 1) - V @ V.conj().T
-    return float(np.linalg.norm(D, 2))
+    return float(operator_norm(D))
 
 
 # -- second-quantized modular objects -------------------------------------
@@ -385,7 +386,7 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
         lhs = (gj @ W) @ gj
         jk = md.j.apply(k)
         rhs = weyl_matrix(fs, jk).adjoint()
-        res2.append(np.linalg.norm(lhs.matrix - rhs.matrix, 2))
+        res2.append(operator_norm(lhs.matrix - rhs.matrix))
         for t in (0.3, 0.7):
             flow = modular_flow(md, t)
             gflow = gamma(fs, flow)
@@ -393,7 +394,7 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
             lhs3 = (gflow @ W) @ gflow_inv
             kt = flow.apply(k)
             rhs3 = weyl_matrix(fs, kt)
-            res3.append(np.linalg.norm(lhs3.matrix - rhs3.matrix, 2))
+            res3.append(operator_norm(lhs3.matrix - rhs3.matrix))
 
     for _ in range(50):
         h = sample(K)

@@ -114,8 +114,14 @@ def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(M: np.ndarray):
-    """Spectral norm of a matrix, or of each matrix of a stack."""
-    return np.linalg.norm(M, 2, axis=(-2, -1))
+    """Spectral norm of a matrix, or of each matrix of a stack: the root of
+    the largest eigenvalue of the smaller Gram matrix, 0 if it is empty.
+    A real M is not copied for its conjugate, and a complex one's copy is
+    freed before eigvalsh runs."""
+    if M.shape[-1] > M.shape[-2]:
+        M = M.swapaxes(-1, -2)          # same singular values
+    G = (M.conj() if np.iscomplexobj(M) else M).swapaxes(-1, -2) @ M
+    return np.sqrt(np.max(np.linalg.eigvalsh(G), axis=-1, initial=0.0))
 
 
 def real_svd(Z: np.ndarray):

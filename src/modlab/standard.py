@@ -14,7 +14,8 @@ h = Z Re c and k = Z Im c, so s x = Z conj(c) and s = Z conj(Z)^(-1).
 Each eigenvalue of delta appears once, with its complex multiplicity.
 d is the row count of a basis; the constructions of standard subspaces
 take it as an integer.  Stacks (see hilbert) work in is_standard,
-tomita_operator, modular_data, modular_flow and rotated_standard_subspace.
+tomita_operator, modular_data, modular_flow, delta_fixed_space and
+rotated_standard_subspace.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .hilbert import (
 __all__ = [
     "StandardnessCertificate", "NotStandardError", "is_standard",
     "tomita_operator", "ModularData", "modular_data", "modular_flow",
-    "FiberBlock", "fiberize", "reassemble_modular",
+    "delta_fixed_space", "Fibers", "fiberize", "reassemble_modular",
     "fiber_standard_subspace", "draw_standard_subspace",
     "rotated_standard_subspace", "random_standard_subspace",
 ]
@@ -158,70 +159,56 @@ def modular_flow(md: ModularData, t: float) -> Operator:
     return _spectral(md._eigenvectors, np.exp(1j * t * np.log(md._eigenvalues)))
 
 
-@dataclass
-class FiberBlock:
-    """One 2-complex-dimensional block of the angle canonical form.
+def delta_fixed_space(md: ModularData) -> RealSubspace:
+    """The fixed space of delta, of each slice of a stack: the complex span
+    of its eigenvectors with eigenvalue within EIGENVALUE_ONE_TOL of 1."""
+    W = md._eigenvectors * (np.abs(md._eigenvalues - 1.0)
+                            <= EIGENVALUE_ONE_TOL)[..., None, :]
+    return RealSubspace.span(np.concatenate([W, 1j * W], axis=-1))
 
-    On the frame (v, jv) the modular operator acts as
-    diag(tan^2(theta/2), tan^(-2)(theta/2)) and the trace of K on the
-    block is generated by y_plus and y_minus.  The vectors are complex
-    arrays of length d.
-    """
-    theta: float
-    frame: tuple            # (v, jv)
+
+@dataclass
+class Fibers:
+    """The angle canonical form of a standard K.  Column i of the (d, k)
+    blocks v, jv, y_plus and y_minus belongs to the angle theta[i],
+    ascending: delta is diag(tan^2(theta/2), tan^(-2)(theta/2)) on the
+    frame (v, jv), where y_plus and y_minus generate the trace of K.
+    fixed = K cap K', and md is the modular data decomposed."""
+    theta: np.ndarray
+    v: np.ndarray
+    jv: np.ndarray
     y_plus: np.ndarray
     y_minus: np.ndarray
+    fixed: RealSubspace
+    md: ModularData
 
 
-def fiberize(K: RealSubspace):
-    """Decompose a standard K into angle fibers plus its fixed part.
-
-    Returns (blocks, fixed_part) with fixed_part = K cap K' (the part on
-    which delta acts trivially; eigenvalues within EIGENVALUE_ONE_TOL of 1
-    are assigned to it).  Each eigenvector v of delta with eigenvalue
-    lambda < 1 gives one block, with frame (v, jv) and the angle theta
-    with tan^2(theta/2) = lambda, in ascending order; the theta values
-    coincide with the principal angles between K and iK.
-    """
+def fiberize(K: RealSubspace) -> Fibers:
+    """Decompose a standard K into angle fibers plus its fixed part, from
+    one diagonalization of delta.  Each eigenvector v with eigenvalue
+    lambda below 1 - EIGENVALUE_ONE_TOL is one fiber, of angle theta with
+    tan^2(theta/2) = lambda; the theta values coincide with the principal
+    angles between K and iK.  The rest span delta_fixed_space."""
     md = modular_data(tomita_operator(K))
-    ev, V = md._eigenvalues, md._eigenvectors
-    blocks = []
-    for lam, v in zip(ev, V.T):
-        if lam >= 1.0 - EIGENVALUE_ONE_TOL:
-            break
-        jv = md.j.apply(v)
-        t = np.sqrt(lam)
-        scale = 1.0 / np.sqrt(1.0 + lam)
-        blocks.append(FiberBlock(theta=2.0 * np.arctan(t), frame=(v, jv),
-                                 y_plus=scale * (v + t * jv),
-                                 y_minus=scale * 1j * (v - t * jv)))
-    # fixed part: delta-eigenvalue-1 sector intersected with K
-    W = V[:, np.abs(ev - 1.0) <= EIGENVALUE_ONE_TOL]
-    E1 = RealSubspace.span(np.hstack([W, 1j * W]))
-    return blocks, subspace_intersection(K, E1, cos_tol=1e-8)
+    k = np.count_nonzero(md._eigenvalues < 1.0 - EIGENVALUE_ONE_TOL)
+    lam, v = md._eigenvalues[:k], md._eigenvectors[:, :k]   # ascending
+    jv, t = md.j.apply(v), np.sqrt(lam)
+    scale = 1.0 / np.sqrt(1.0 + lam)
+    fixed = subspace_intersection(K, delta_fixed_space(md), cos_tol=1e-8)
+    return Fibers(2.0 * np.arctan(t), v, jv, scale * (v + t * jv),
+                  scale * 1j * (v - t * jv), fixed, md)
 
 
-def reassemble_modular(blocks, fixed_part: RealSubspace):
-    """Rebuild the complex matrices (J, D) of (j, delta) from fiber blocks
-    and the fixed part; j acts as x -> J conj(x).
-
-    On each block frame (v, jv): delta has eigenvalue tan^2(theta/2) on v
-    and its inverse on jv, and j swaps v and jv.  On the fixed part delta
-    = 1 and j is the conjugation fixing it; its real orthonormal basis F
-    is complex-orthonormal, since Im<h, k> = 0 on K cap K'.
-    """
-    d = fixed_part.basis.shape[-2]
-    D = np.zeros((d, d), dtype=complex)
-    J = np.zeros((d, d), dtype=complex)
-    for b in blocks:
-        v, jv = b.frame
-        lam = np.tan(b.theta / 2.0) ** 2
-        D += lam * np.outer(v, v.conj()) + (1.0 / lam) * np.outer(jv, jv.conj())
-        J += np.outer(jv, v) + np.outer(v, jv)
-    F = fixed_part.basis
-    D += F @ F.conj().T
-    J += F @ F.T
-    return J, D
+def reassemble_modular(fibers: Fibers):
+    """The complex matrices (J, D) of (j, delta), j acting as x -> J conj(x):
+    on W = (v, jv, F), F the real orthonormal basis of the fixed part
+    (complex-orthonormal, since Im<h, k> = 0 on K cap K'), delta is
+    diag(lambda, 1/lambda, 1) and j maps W to (jv, v, F)."""
+    F = fibers.fixed.basis
+    lam = np.tan(fibers.theta / 2.0) ** 2
+    W = np.hstack([fibers.v, fibers.jv, F])
+    w = np.concatenate([lam, 1.0 / lam, np.ones(F.shape[-1])])
+    return np.hstack([fibers.jv, fibers.v, F]) @ W.T, (W * w) @ W.conj().T
 
 
 # -- constructions of standard subspaces -------------------------------

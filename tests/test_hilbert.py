@@ -6,7 +6,7 @@ from modlab.hilbert import (
     inner, symplectic_complement,
     subspace_sum, subspace_intersection, inclusion_residual,
     subspace_distance, principal_angles,
-    orthonormalize_columns, fixed_space, real_svd,
+    orthonormalize_columns, fixed_space, real_svd, operator_norm,
 )
 
 
@@ -464,3 +464,27 @@ def test_stacked_subspace_ops_match_each_slice():
                                  subspace_intersection(one, two)) < 1e-12
         assert abs(res[i] - inclusion_residual(one, two)) < 1e-12
         assert abs(dist[i] - subspace_distance(two, one)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (5, 5), (2, 6, 3),
+                                   (3, 4, 4)])
+def test_operator_norm_matches_the_largest_singular_value(shape):
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = np.linalg.svd(M, compute_uv=False)[..., 0]
+    np.testing.assert_allclose(operator_norm(M), ref, rtol=1e-14)
+    assert np.shape(operator_norm(M)) == shape[:-2]
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0), (2, 0, 3),
+                                   (2, 3, 0)])
+def test_operator_norm_of_an_empty_matrix_is_zero(shape):
+    got = operator_norm(np.zeros(shape, dtype=complex))
+    assert np.shape(got) == shape[:-2]
+    assert np.all(got == 0.0)
+    assert operator_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_operator_norm_of_a_nan_matrix_is_nan():
+    # a NaN residual fails its record instead of raising LinAlgError
+    assert np.isnan(operator_norm(np.full((2, 2), np.nan)))

@@ -1,0 +1,77 @@
+"""Mutants of the physics that named records must fail.
+
+Each row breaks one function of modlab by a small factor, patched at
+every module that binds it (checks, fock and modloc import names from
+other modules, so a patch of the defining module alone can miss a
+caller).  It then runs the checks of the named kinds at seed 7 and
+asserts that every named record is there and fails.  Bounds and
+thresholds are those of the unpatched program, under which the same
+records pass (tests/test_acceptance.py).  Run with -s to see by
+how many decades each value crossed its threshold.
+"""
+
+import math
+
+import pytest
+
+from modlab import (checks, cli, config, fock, freefield, hilbert, modloc,
+                    standard)
+from modlab.checks import run_checks
+from modlab.config import ExperimentConfig
+
+MODULES = (checks, cli, config, fock, freefield, hilbert, modloc, standard)
+
+
+def coherent_scaled(original):
+    """e^h off by 1 percent in norm."""
+    return lambda space, h: 1.01 * original(space, h)
+
+
+def shift_scaled(original):
+    """A boost of rapidity l that shifts by 1.02 l."""
+    return lambda values, lam, omega: original(values, 1.02 * lam, omega)
+
+
+MUTANTS = [
+    (fock, "coherent", coherent_scaled, ["fock"], ["fock.coherent_inner"]),
+    (freefield, "_shift", shift_scaled, ["freefield", "modloc"],
+     ["freefield.covariance_boost", "freefield.borchers_flow",
+      "modloc.covariance"]),
+]
+
+
+def _patch_every_binding(monkeypatch, module, name, mutate):
+    original = getattr(module, name)
+    mutant = mutate(original)
+    bound = [m for m in MODULES if getattr(m, name, None) is original]
+    for m in bound:
+        monkeypatch.setattr(m, name, mutant)
+    return bound
+
+
+def _decades(rec):
+    """How far past its threshold a failed value lies, in decades."""
+    ratio = rec["value"] / rec["threshold"]
+    if rec["direction"] == "above":
+        ratio = 1.0 / ratio if ratio else math.inf
+    return math.log10(ratio) if ratio > 0 else -math.inf
+
+
+@pytest.mark.parametrize("module, name, mutate, kinds, must_fail", MUTANTS,
+                         ids=[f"{m.__name__}.{n}" for m, n, *_ in MUTANTS])
+def test_mutant_fails_its_records(monkeypatch, module, name, mutate, kinds,
+                                  must_fail):
+    assert _patch_every_binding(monkeypatch, module, name, mutate)
+    records = {}
+    for kind in kinds:
+        recs, _ = run_checks(ExperimentConfig.from_dict(
+            {"kind": kind, "seed": 7}))
+        records.update((r["name"], r) for r in recs)
+    for rec_name in must_fail:
+        assert rec_name in records, f"{rec_name}: missing"
+        rec = records[rec_name]
+        print(f"{module.__name__}.{name}: {rec_name} {rec['value']:.3e} "
+              f"against {rec['threshold']:.0e}, "
+              f"{_decades(rec):+.2f} decades")
+        assert not rec["passed"], f"{rec_name} passed under the mutant"
+

@@ -9,9 +9,9 @@ from modlab.hilbert import (
     symplectic_complement,
 )
 from modlab.standard import (
-    NotStandardError, fiber_standard_subspace, fiberize, is_standard,
-    modular_data, modular_flow, random_standard_subspace,
-    reassemble_modular, tomita_operator,
+    NotStandardError, delta_fixed_space, fiber_standard_subspace, fiberize,
+    is_standard, modular_data, modular_flow, random_standard_subspace,
+    reassemble_modular, rotated_standard_subspace, tomita_operator,
 )
 
 
@@ -130,13 +130,34 @@ def test_K_cap_Kprime_is_joint_fixed_space():
     K = fiber_standard_subspace(4, [np.pi / 4], n_fixed=2)
     md = modular_data(tomita_operator(K))
     cap = subspace_intersection(K, symplectic_complement(K), cos_tol=1e-8)
-    joint = subspace_intersection(fixed_space(md.j), fixed_space(md.delta),
+    joint = subspace_intersection(fixed_space(md.j), delta_fixed_space(md),
                                   cos_tol=1e-8)
     assert subspace_distance(cap, joint) < 1e-8
     # the fixed spaces themselves, against eigh of the realified maps
     for op in (md.j, md.delta):
         ref = RealSubspace.span(unrealify(_fixed_space(op.realified())))
         assert subspace_distance(fixed_space(op), ref) < 1e-10
+    ref = RealSubspace.span(unrealify(_fixed_space(md.delta.realified())))
+    assert delta_fixed_space(md).dim == 4
+    assert subspace_distance(delta_fixed_space(md), ref) < 1e-10
+
+
+def test_delta_fixed_space_of_a_stack_is_that_of_each_slice():
+    # delta fixed spaces of real dimension 2, 6 and 2 in one stack of C^3
+    rng = np.random.default_rng(34)
+    draws = [(fiber_standard_subspace(3, [0.9], n_fixed=1).basis,
+              rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))),
+             (np.eye(3, dtype=complex),
+              rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))]
+    draws.append(draws[0])
+    stack = rotated_standard_subspace(*map(np.stack, zip(*draws)))
+    got = delta_fixed_space(modular_data(tomita_operator(stack)))
+    for i, fib in enumerate(draws):
+        md = modular_data(tomita_operator(
+            rotated_standard_subspace(*fib)))
+        ref = RealSubspace.span(unrealify(_fixed_space(md.delta.realified())))
+        slice_ = RealSubspace(got.basis[i])
+        assert subspace_distance(slice_, ref) < 1e-10
 
 
 def realify(Z):
@@ -187,8 +208,8 @@ def test_flow_mixes_fiber_frame():
     th = np.pi / 3
     K = fiber_standard_subspace(2, [th])
     md = modular_data(tomita_operator(K))
-    blocks, _ = fiberize(K)
-    yp, ym = blocks[0].y_plus, blocks[0].y_minus
+    fibers = fiberize(K)
+    yp, ym = fibers.y_plus[:, 0], fibers.y_minus[:, 0]
     w = np.log(np.tan(th / 2.0) ** 2)
     for t in (0.21, 1.3):
         F = modular_flow(md, t)
@@ -202,22 +223,24 @@ def test_flow_mixes_fiber_frame():
 
 def test_fiberize_real_standard():
     K = RealSubspace(np.eye(3))
-    blocks, fixed = fiberize(K)
-    assert blocks == []
-    assert subspace_distance(fixed, K) <= 1e-9
+    fibers = fiberize(K)
+    assert fibers.theta.shape == (0,)
+    for block in (fibers.v, fibers.jv, fibers.y_plus, fibers.y_minus):
+        assert block.shape == (3, 0)
+    assert subspace_distance(fibers.fixed, K) <= 1e-9
     ang = principal_angles(K, K.mult_i())
     np.testing.assert_allclose(ang, np.pi / 2, atol=1e-12)
 
 
 def test_fiberize_recovers_theta():
     K = fiber_standard_subspace(2, [np.pi / 3])
-    blocks, fixed = fiberize(K)
-    assert fixed.dim == 0
-    assert len(blocks) == 1
-    assert abs(blocks[0].theta - np.pi / 3) < 1e-10
+    fibers = fiberize(K)
+    assert fibers.fixed.dim == 0
+    assert fibers.theta.shape == (1,)
+    assert abs(fibers.theta[0] - np.pi / 3) < 1e-10
     # y vectors lie in K and are fixed by s
     s = tomita_operator(K)
-    for y in (blocks[0].y_plus, blocks[0].y_minus):
+    for y in (fibers.y_plus[:, 0], fibers.y_minus[:, 0]):
         assert np.linalg.norm(y - K.project(y)) <= 1e-10 * np.linalg.norm(y)
         assert np.linalg.norm(s.apply(y) - y) < 1e-10
 
@@ -226,11 +249,12 @@ def test_fiberize_matches_principal_angles():
     rng = np.random.default_rng(38)
     for d in (4, 6, 7):
         K = random_standard_subspace(d, rng)
-        blocks, fixed = fiberize(K)
-        thetas = sorted([b.theta for b in blocks for _ in range(2)]
-                        + [np.pi / 2] * fixed.dim)
+        fibers = fiberize(K)
+        assert np.all(np.diff(fibers.theta) >= 0)
+        thetas = np.concatenate([np.repeat(fibers.theta, 2),
+                                 np.full(fibers.fixed.dim, np.pi / 2)])
         oracle = np.sort(principal_angles(K, K.mult_i()))
-        np.testing.assert_allclose(np.sort(thetas), oracle, atol=1e-9)
+        np.testing.assert_allclose(thetas, oracle, atol=1e-9)
 
 
 def test_reassembly_reproduces_modular_data():
@@ -238,17 +262,15 @@ def test_reassembly_reproduces_modular_data():
     for d in (2, 4, 5):
         K = random_standard_subspace(d, rng)
         md = modular_data(tomita_operator(K))
-        blocks, fixed = fiberize(K)
-        jmat, dmat = reassemble_modular(blocks, fixed)
+        jmat, dmat = reassemble_modular(fiberize(K))
         assert np.linalg.norm(jmat - md.j.matrix, 2) < 1e-9
         assert np.linalg.norm(dmat - md.delta.matrix, 2) < 1e-9 * md.condition_number ** 0.5
 
 
 def test_block_y_vectors_span_K_trace():
     K = fiber_standard_subspace(4, [0.5, 1.1])
-    blocks, fixed = fiberize(K)
-    vecs = [b.y_plus for b in blocks] + [b.y_minus for b in blocks]
-    recon = RealSubspace.span(np.column_stack(vecs))
+    fibers = fiberize(K)
+    recon = RealSubspace.span(np.hstack([fibers.y_plus, fibers.y_minus]))
     assert subspace_distance(recon, K) < 1e-10
 
 
@@ -309,18 +331,16 @@ def test_fiberize_degenerate_angles():
     K = RealSubspace.span(U @ K0.basis)
     md = modular_data(tomita_operator(K))
     assert [m for _, m in md.log_delta_spectrum] == [2, 1, 1, 1, 2]
-    blocks, fixed = fiberize(K)
-    np.testing.assert_allclose([b.theta for b in blocks], [0.7, 0.7, 1.2],
-                               atol=1e-10)
-    assert fixed.dim == 1
-    jmat, dmat = reassemble_modular(blocks, fixed)
+    fibers = fiberize(K)
+    np.testing.assert_allclose(fibers.theta, [0.7, 0.7, 1.2], atol=1e-10)
+    assert fibers.fixed.dim == 1
+    jmat, dmat = reassemble_modular(fibers)
     assert np.linalg.norm(jmat - md.j.matrix, 2) < 1e-9
     assert np.linalg.norm(dmat - md.delta.matrix, 2) < 1e-9 * md.condition_number ** 0.5
     s = tomita_operator(K)
-    ys = [y for b in blocks for y in (b.y_plus, b.y_minus)]
-    for y in ys:
-        assert np.linalg.norm(s.apply(y) - y) < 1e-10
-    span = RealSubspace.span(np.column_stack([*ys, fixed.basis]))
+    ys = np.hstack([fibers.y_plus, fibers.y_minus])
+    assert np.linalg.norm(s.apply(ys) - ys, axis=0).max() < 1e-10
+    span = RealSubspace.span(np.hstack([ys, fibers.fixed.basis]))
     assert span.dim == K.dim
     assert subspace_distance(span, K) < 1e-10
 
