@@ -13,7 +13,7 @@ from modlab.hilbert import (RealSubspace, inner, principal_angles,
                             subspace_distance, symplectic_complement)
 from modlab.standard import (fiber_standard_subspace, fiberize, is_standard,
                              modular_data, modular_flow,
-                             random_standard_subspace, tomita_operator)
+                             random_standard_subspace)
 
 rng = np.random.default_rng(2)
 
@@ -22,13 +22,13 @@ K = RealSubspace(np.eye(3))         # real basis columns e_1, e_2, e_3
 ok, cert = is_standard(K)
 print(f"standard: {ok}  (dim K cap iK = {cert.dim_intersection}, "
       f"dim K + iK = {cert.dim_sum})")
-md = modular_data(tomita_operator(K))
+md = modular_data(K)
 print(f"delta = identity? deviation {np.linalg.norm(md.delta.matrix - np.eye(3)):.2e}")
 print("here s is plain conjugation and the modular flow is trivial\n")
 
 print("== an angle-pi/3 fiber in C^2 ==")
 K2 = fiber_standard_subspace(2, [np.pi / 3])
-fibers = fiberize(K2)               # one diagonalization of delta
+fibers = fiberize(K2)               # one SVD of the basis of K2
 print("log delta spectrum:",
       [(round(lg, 6), m) for lg, m in fibers.md.log_delta_spectrum])
 print(f"(tan^2(pi/6) = 1/3, so log delta = +-log 3 = +-{np.log(3):.6f})")
@@ -46,8 +46,7 @@ print(f"flow mixes the fiber frame: |delta^it y+ - prediction| = "
 
 print("== a random standard subspace in C^5 ==")
 K5 = random_standard_subspace(5, rng)
-s5 = tomita_operator(K5)
-md5 = modular_data(s5)
+md5 = modular_data(K5)
 Kp = symplectic_complement(K5)
 jK = RealSubspace.span(md5.j.apply(K5.basis))
 print(f"j K = K'?  projection distance {subspace_distance(jK, Kp):.2e}")

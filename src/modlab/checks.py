@@ -64,8 +64,8 @@ def check_standard_suite(config, rng):
     found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow", "fixed")}
     for d, stack in draws.items():
         K = rotated_standard_subspace(*map(np.stack, zip(*stack)))
-        s = tomita_operator(K)
-        md = modular_data(s)
+        md = modular_data(K)
+        s = md.s
         found["involution"].extend(operator_norm((s @ s).matrix - np.eye(d)))
         Kp = symplectic_complement(K)
         sp = tomita_operator(Kp)

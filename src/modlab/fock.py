@@ -30,7 +30,7 @@ import numpy as np
 
 from .hilbert import (Operator, RealSubspace, operator_norm,
                       symplectic_complement)
-from .standard import modular_data, modular_flow, tomita_operator
+from .standard import modular_data, modular_flow
 
 __all__ = [
     "FockSpace", "TruncationError",
@@ -354,7 +354,7 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
                                    rng: np.random.Generator) -> dict:
     """Verify the second-quantized modular identities on the truncation.
 
-    For the Tomita data (s, j, delta) of a standard K:
+    For the Tomita data (s, j, delta), modular_data(K), of a standard K:
       (1) gamma(s) e^(ik) = e^(-ik) for k in K,
       (2) gamma(j) W(k) gamma(j) = W(jk)*,
       (3) gamma(delta^it) W(k) gamma(delta^-it) = W(delta^it k),
@@ -363,8 +363,8 @@ def second_quantized_modular_check(K: RealSubspace, cutoff: int,
     for (1), 3 for (2) and (3), with t = 0.3 and 0.7, and 50 pairs for (4).
     """
     fs = FockSpace(K.basis.shape[-2], cutoff)
-    s = tomita_operator(K)
-    md = modular_data(s)
+    md = modular_data(K)
+    s = md.s
     Kp = symplectic_complement(K)
 
     def sample(space_sub):

@@ -8,14 +8,22 @@ Everything here is finite-dimensional, so "closed" and "dense" are
 rank statements.
 
 s, j, delta and delta^(it) are hilbert.Operator objects, d x d complex
-matrices.  With Z = K.basis, the columns of a real basis of K (a
-complex basis of C^d when K is standard), x = Z c splits as h + ik with
-h = Z Re c and k = Z Im c, so s x = Z conj(c) and s = Z conj(Z)^(-1).
-Each eigenvalue of delta appears once, with its complex multiplicity.
-d is the row count of a basis; the constructions of standard subspaces
-take it as an integer.  Stacks (see hilbert) work in is_standard,
-tomita_operator, modular_data, modular_flow, delta_fixed_space and
-rotated_standard_subspace.
+matrices, all read off one complex SVD Z = U diag(sigma) W* of the
+Re-orthonormal basis Z = K.basis, sigma descending.  Re(Z* Z) = 1 pairs
+the singular values, sigma_k^2 + sigma_(d-1-k)^2 = 2: they are
+sqrt(2) cos(theta/2) and sqrt(2) sin(theta/2) for each principal angle
+theta between K and iK, and 1 on K cap K'.  With x = Z c = h + ik,
+h = Z Re c and k = Z Im c, s x = Z conj(c), so s = Z conj(Z)^(-1) has
+the matrix Z conj(W) diag(1/sigma) U^T; delta = s* s is
+U diag(sigma_rev / sigma)^2 U*, sigma_rev = sigma reversed, and
+j = s delta^(-1/2) is Z conj(W) diag(1/sigma_rev) U^T.  The small
+singular values are sines, accurate relative to themselves, so
+log delta = 2 (log sigma_rev - log sigma) is formed in the log domain
+with no clamp.  Each eigenvalue of delta appears once, with its complex
+multiplicity.  d is the row count of a basis; the constructions of
+standard subspaces take it as an integer.  Stacks (see hilbert) work in
+is_standard, tomita_operator, modular_data, modular_flow,
+delta_fixed_space and rotated_standard_subspace.
 """
 
 from __future__ import annotations
@@ -24,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    Operator,
-    RealSubspace,
-    operator_norm,
-    subspace_intersection,
-)
+from .hilbert import Operator, RealSubspace, subspace_intersection
 
 __all__ = [
     "StandardnessCertificate", "NotStandardError", "is_standard",
@@ -40,7 +43,6 @@ __all__ = [
 ]
 
 EIGENVALUE_ONE_TOL = 1e-10
-EIGENVALUE_CLAMP = 1e-14
 
 
 @dataclass
@@ -64,6 +66,17 @@ class NotStandardError(ValueError):
             f"{certificate.dim_sum} of {certificate.rdim}")
 
 
+def _certificate(Z, sv) -> StandardnessCertificate:
+    """The certificate of a basis Z from its singular values sv (see
+    is_standard)."""
+    r = np.count_nonzero(np.any(Z != 0, axis=-2), axis=-1)
+    rank = np.sum(sv ** 2 > 1e-9, axis=-1)
+    inter, total = np.ravel(2 * (r - rank)), np.ravel(2 * rank)
+    rdim = 2 * Z.shape[-2]
+    i = int(np.argmax((inter != 0) | (total != rdim)))
+    return StandardnessCertificate(int(inter[i]), int(total[i]), rdim)
+
+
 def is_standard(K: RealSubspace):
     """Check K cap iK = 0 and K + iK = everything; returns (bool,
     certificate), of a stack for its first non-standard slice if any.
@@ -73,46 +86,25 @@ def is_standard(K: RealSubspace):
     dim(K + iK) = 2 rank Z and dim(K cap iK) = 2 (r - rank Z), with r the
     nonzero columns and rank the squared singular values above 1e-9.
     """
-    Z = K.basis
-    r = np.count_nonzero(np.any(Z != 0, axis=-2), axis=-1)
-    rank = np.sum(np.linalg.svd(Z, compute_uv=False) ** 2 > 1e-9, axis=-1)
-    inter, total = np.ravel(2 * (r - rank)), np.ravel(2 * rank)
-    rdim = 2 * Z.shape[-2]
-    i = int(np.argmax((inter != 0) | (total != rdim)))
-    cert = StandardnessCertificate(int(inter[i]), int(total[i]), rdim)
+    cert = _certificate(K.basis, np.linalg.svd(K.basis, compute_uv=False))
     return cert.standard, cert
-
-
-def tomita_operator(K: RealSubspace) -> Operator:
-    """The antilinear involution h + ik -> h - ik on K + iK.
-
-    Requires K standard; then every x decomposes uniquely as h + ik with
-    h, k in K and the map is defined on all of C^d.  Its matrix is
-    S = Z conj(Z)^(-1), Z the basis of K as complex columns.
-    """
-    ok, cert = is_standard(K)
-    if not ok:
-        raise NotStandardError(cert)
-    Zt = K.basis.swapaxes(-1, -2)
-    S = np.linalg.solve(Zt.conj(), Zt).swapaxes(-1, -2)   # S conj(Z) = Z
-    return Operator(S, antilinear=True)
 
 
 @dataclass
 class ModularData:
-    """Polar pieces of a Tomita operator s = j delta^(1/2)."""
+    """Polar pieces of a Tomita operator s = j delta^(1/2), with
+    delta = frame diag(exp(log_delta)) frame*, log_delta ascending."""
     s: Operator
     j: Operator
     delta: Operator
-    # eigendecomposition of delta, kept for spectral calculus
-    _eigenvalues: np.ndarray
-    _eigenvectors: np.ndarray
+    log_delta: np.ndarray
+    frame: np.ndarray
 
     @property
     def log_delta_spectrum(self) -> list:
         """(log eigenvalue, complex multiplicity) pairs of one delta."""
         out = []
-        for lg in np.log(self._eigenvalues):
+        for lg in self.log_delta:
             if out and abs(out[-1][0] - lg) <= 1e-9 * max(1.0, abs(lg)):
                 out[-1][1] += 1
             else:
@@ -121,33 +113,31 @@ class ModularData:
 
     @property
     def condition_number(self):
-        return self._eigenvalues[..., -1] / self._eigenvalues[..., 0]
+        return np.exp(self.log_delta[..., -1] - self.log_delta[..., 0])
 
 
-def modular_data(s: Operator) -> ModularData:
-    """Polar decomposition s = j delta^(1/2) of a Tomita operator.
+def modular_data(K: RealSubspace) -> ModularData:
+    """The Tomita operator s of a standard K and its polar decomposition
+    s = j delta^(1/2), from one SVD of K's basis (see the module
+    docstring).  Raises NotStandardError, with the certificate of the
+    first non-standard slice of a stack, if K is not standard."""
+    Z = K.basis
+    U, sv, Wh = np.linalg.svd(Z, full_matrices=False)
+    cert = _certificate(Z, sv)
+    if not cert.standard:
+        raise NotStandardError(cert)
+    ZW, Ut = Z @ Wh.swapaxes(-1, -2), U.swapaxes(-1, -2)    # Z conj(W), U^T
+    sv_rev = sv[..., ::-1]
+    log_delta = 2.0 * (np.log(sv_rev) - np.log(sv))
+    s = Operator((ZW / sv[..., None, :]) @ Ut, antilinear=True)
+    j = Operator((ZW / sv_rev[..., None, :]) @ Ut, antilinear=True)
+    return ModularData(s, j, _spectral(U, np.exp(log_delta)), log_delta, U)
 
-    delta = s* s, with matrix S^T conj(S), is complex-linear and positive;
-    j = s delta^(-1/2) is an antiunitary involution.  Eigenvalues of delta
-    are clamped below at 1e-14 and the condition number is reported.
-    """
-    if not s.antilinear:
-        raise ValueError("modular_data expects an antilinear map")
-    S = s.matrix
-    # s^2 = 1 on the whole space is the finite-dimensional Tomita property
-    invol = operator_norm(S @ S.conj() - np.eye(S.shape[-1]))
-    if np.any(invol > 1e-8 * np.maximum(1.0, operator_norm(S) ** 2)):
-        raise ValueError(f"not an involution: ||s^2 - 1|| = {np.max(invol):.2e}")
-    D = S.swapaxes(-1, -2) @ S.conj()
-    D = 0.5 * (D + D.conj().swapaxes(-1, -2))
-    ev, V = np.linalg.eigh(D)
-    low = ev[..., 0]
-    if np.any((low <= 0) | (low < EIGENVALUE_CLAMP * ev[..., -1])):
-        raise np.linalg.LinAlgError(
-            f"singular Tomita operator: delta eigenvalue {np.min(low):.3e}")
-    ev = np.clip(ev, EIGENVALUE_CLAMP, None)
-    j = s @ _spectral(V, ev ** -0.5)
-    return ModularData(s, j, Operator(D), ev, V)
+
+def tomita_operator(K: RealSubspace) -> Operator:
+    """The antilinear involution h + ik -> h - ik on K + iK, of a standard
+    K: modular_data(K).s."""
+    return modular_data(K).s
 
 
 def _spectral(V, f) -> Operator:
@@ -155,15 +145,14 @@ def _spectral(V, f) -> Operator:
 
 
 def modular_flow(md: ModularData, t: float) -> Operator:
-    """delta^(it) = V e^(it log lambda) V* as a complex-linear unitary."""
-    return _spectral(md._eigenvectors, np.exp(1j * t * np.log(md._eigenvalues)))
+    """delta^(it) = U e^(it log lambda) U* as a complex-linear unitary."""
+    return _spectral(md.frame, np.exp(1j * t * md.log_delta))
 
 
 def delta_fixed_space(md: ModularData) -> RealSubspace:
     """The fixed space of delta, of each slice of a stack: the complex span
-    of its eigenvectors with eigenvalue within EIGENVALUE_ONE_TOL of 1."""
-    W = md._eigenvectors * (np.abs(md._eigenvalues - 1.0)
-                            <= EIGENVALUE_ONE_TOL)[..., None, :]
+    of its eigenvectors with |log eigenvalue| within EIGENVALUE_ONE_TOL."""
+    W = md.frame * (np.abs(md.log_delta) <= EIGENVALUE_ONE_TOL)[..., None, :]
     return RealSubspace.span(np.concatenate([W, 1j * W], axis=-1))
 
 
@@ -185,15 +174,14 @@ class Fibers:
 
 def fiberize(K: RealSubspace) -> Fibers:
     """Decompose a standard K into angle fibers plus its fixed part, from
-    one diagonalization of delta.  Each eigenvector v with eigenvalue
-    lambda below 1 - EIGENVALUE_ONE_TOL is one fiber, of angle theta with
+    its modular data.  Each eigenvector v of delta with log eigenvalue
+    log lambda below -EIGENVALUE_ONE_TOL is one fiber, of angle theta with
     tan^2(theta/2) = lambda; the theta values coincide with the principal
     angles between K and iK.  The rest span delta_fixed_space."""
-    md = modular_data(tomita_operator(K))
-    k = np.count_nonzero(md._eigenvalues < 1.0 - EIGENVALUE_ONE_TOL)
-    lam, v = md._eigenvalues[:k], md._eigenvectors[:, :k]   # ascending
-    jv, t = md.j.apply(v), np.sqrt(lam)
-    scale = 1.0 / np.sqrt(1.0 + lam)
+    md = modular_data(K)
+    k = np.count_nonzero(md.log_delta < -EIGENVALUE_ONE_TOL)
+    v, t = md.frame[:, :k], np.exp(0.5 * md.log_delta[:k])   # ascending
+    jv, scale = md.j.apply(v), 1.0 / np.sqrt(1.0 + t * t)
     fixed = subspace_intersection(K, delta_fixed_space(md), cos_tol=1e-8)
     return Fibers(2.0 * np.arctan(t), v, jv, scale * (v + t * jv),
                   scale * 1j * (v - t * jv), fixed, md)

@@ -1,6 +1,7 @@
 """Mutants of the physics that named records must fail.
 
-Each row breaks one function of modlab by a small factor, patched at
+Each row breaks one function of modlab, by a small factor or in one
+piece of its structure, patched at
 every module that binds it (checks, fock and modloc import names from
 other modules, so a patch of the defining module alone can miss a
 caller).  It then runs the checks of the named kinds at seed 7 and
@@ -10,8 +11,10 @@ records pass (tests/test_acceptance.py).  Run with -s to see by
 how many decades each value crossed its threshold.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from modlab import (checks, cli, config, fock, freefield, hilbert, modloc,
@@ -32,12 +35,46 @@ def shift_scaled(original):
     return lambda values, lam, omega: original(values, 1.02 * lam, omega)
 
 
+def j_linear(original):
+    """A modular conjugation that is complex-linear: j's matrix acting
+    without the conjugation."""
+    def mutant(K):
+        md = original(K)
+        return dataclasses.replace(md, j=hilbert.Operator(md.j.matrix))
+    return mutant
+
+
+def delta_inverted(original):
+    """delta and delta^(-1) swapped: the log-spectrum negated, and delta
+    rebuilt on the same frame."""
+    def mutant(K):
+        md = original(K)
+        U, lg = md.frame, -md.log_delta
+        delta = (U * np.exp(lg)[..., None, :]) @ U.conj().swapaxes(-1, -2)
+        return dataclasses.replace(md, log_delta=lg,
+                                   delta=hilbert.Operator(delta))
+    return mutant
+
+
 MUTANTS = [
     (fock, "coherent", coherent_scaled, ["fock"], ["fock.coherent_inner"]),
     (freefield, "_shift", shift_scaled, ["freefield", "modloc"],
      ["freefield.covariance_boost", "freefield.borchers_flow",
       "modloc.covariance"]),
+    (standard, "modular_data", j_linear, ["subspace", "fock"],
+     ["subspace.conjugation", "subspace.fixed", "subspace.fiber_reassembly",
+      "fock.weyl_conjugation"]),
+    (standard, "modular_data", delta_inverted, ["subspace"],
+     ["subspace.fiber_angles"]),
 ]
+
+
+def _row_id(row):
+    """module.function, with the mutant's name where rows share it."""
+    module, name, mutate = row[:3]
+    rid = f"{module.__name__}.{name}"
+    shared = sum(r[0] is module and r[1] == name for r in MUTANTS) > 1
+    return f"{rid}-{mutate.__name__}" if shared else rid
 
 
 def _patch_every_binding(monkeypatch, module, name, mutate):
@@ -58,7 +95,7 @@ def _decades(rec):
 
 
 @pytest.mark.parametrize("module, name, mutate, kinds, must_fail", MUTANTS,
-                         ids=[f"{m.__name__}.{n}" for m, n, *_ in MUTANTS])
+                         ids=[_row_id(row) for row in MUTANTS])
 def test_mutant_fails_its_records(monkeypatch, module, name, mutate, kinds,
                                   must_fail):
     assert _patch_every_binding(monkeypatch, module, name, mutate)

@@ -51,8 +51,8 @@ def test_tomita_requires_standard():
 def test_fiber_delta_spectrum():
     # tan^2(pi/6) = 1/3: delta eigenvalues {1/3, 3}
     K = fiber_standard_subspace(2, [np.pi / 3])
-    md = modular_data(tomita_operator(K))
-    ev = np.sort(np.unique(np.round(md._eigenvalues, 9)))
+    md = modular_data(K)
+    ev = np.sort(np.unique(np.round(np.exp(md.log_delta), 9)))
     np.testing.assert_allclose(ev, [1.0 / 3.0, 3.0], atol=1e-9)
     logs = sorted(lg for lg, _ in md.log_delta_spectrum)
     np.testing.assert_allclose(logs, [-np.log(3.0), np.log(3.0)], atol=1e-9)
@@ -78,7 +78,7 @@ def test_fixed_points_of_tomita_are_K():
 
 
 def test_modular_data_of_conjugation():
-    md = modular_data(tomita_operator(RealSubspace(np.eye(3))))
+    md = modular_data(RealSubspace(np.eye(3)))
     np.testing.assert_allclose(md.delta.matrix, np.eye(3), atol=1e-12)
     assert md.j.antilinear
     np.testing.assert_allclose(md.j.matrix, np.eye(3), atol=1e-12)
@@ -94,7 +94,7 @@ def test_modular_data_invariants():
     rng = np.random.default_rng(33)
     for _ in range(5):
         K = random_standard_subspace(5, rng)
-        md = modular_data(tomita_operator(K))
+        md = modular_data(K)
         half = delta_power(md, 0.5)
         np.testing.assert_allclose((md.j @ half).matrix, md.s.matrix, atol=1e-10)
         np.testing.assert_allclose((md.j @ md.j).matrix, np.eye(5), atol=1e-10)
@@ -120,7 +120,7 @@ def test_j_maps_K_to_complement():
     rng = np.random.default_rng(35)
     for _ in range(5):
         K = random_standard_subspace(5, rng)
-        md = modular_data(tomita_operator(K))
+        md = modular_data(K)
         jK = RealSubspace.span(md.j.apply(K.basis))
         assert subspace_distance(jK, symplectic_complement(K)) < 1e-9
 
@@ -128,7 +128,7 @@ def test_j_maps_K_to_complement():
 def test_K_cap_Kprime_is_joint_fixed_space():
     # one genuine fiber plus a two-dimensional fixed part
     K = fiber_standard_subspace(4, [np.pi / 4], n_fixed=2)
-    md = modular_data(tomita_operator(K))
+    md = modular_data(K)
     cap = subspace_intersection(K, symplectic_complement(K), cos_tol=1e-8)
     joint = subspace_intersection(fixed_space(md.j), delta_fixed_space(md),
                                   cos_tol=1e-8)
@@ -151,10 +151,9 @@ def test_delta_fixed_space_of_a_stack_is_that_of_each_slice():
               rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))]
     draws.append(draws[0])
     stack = rotated_standard_subspace(*map(np.stack, zip(*draws)))
-    got = delta_fixed_space(modular_data(tomita_operator(stack)))
+    got = delta_fixed_space(modular_data(stack))
     for i, fib in enumerate(draws):
-        md = modular_data(tomita_operator(
-            rotated_standard_subspace(*fib)))
+        md = modular_data(rotated_standard_subspace(*fib))
         ref = RealSubspace.span(unrealify(_fixed_space(md.delta.realified())))
         slice_ = RealSubspace(got.basis[i])
         assert subspace_distance(slice_, ref) < 1e-10
@@ -184,7 +183,7 @@ def _fixed_space(M):
 def test_modular_flow_identity_and_group_law():
     rng = np.random.default_rng(36)
     K = random_standard_subspace(4, rng)
-    md = modular_data(tomita_operator(K))
+    md = modular_data(K)
     np.testing.assert_allclose(modular_flow(md, 0.0).matrix, np.eye(4),
                                atol=1e-12)
     s_, t_ = 0.37, -1.21
@@ -196,7 +195,7 @@ def test_modular_flow_identity_and_group_law():
 def test_modular_flow_preserves_K():
     rng = np.random.default_rng(37)
     K = random_standard_subspace(5, rng)
-    md = modular_data(tomita_operator(K))
+    md = modular_data(K)
     for t in (0.3, 1.7):
         FK = RealSubspace.span(modular_flow(md, t).apply(K.basis))
         assert subspace_distance(FK, K) < 1e-9
@@ -207,7 +206,7 @@ def test_flow_mixes_fiber_frame():
     # delta^it y- = cos(...) y- - sin(...) y+
     th = np.pi / 3
     K = fiber_standard_subspace(2, [th])
-    md = modular_data(tomita_operator(K))
+    md = modular_data(K)
     fibers = fiberize(K)
     yp, ym = fibers.y_plus[:, 0], fibers.y_minus[:, 0]
     w = np.log(np.tan(th / 2.0) ** 2)
@@ -261,7 +260,7 @@ def test_reassembly_reproduces_modular_data():
     rng = np.random.default_rng(39)
     for d in (2, 4, 5):
         K = random_standard_subspace(d, rng)
-        md = modular_data(tomita_operator(K))
+        md = modular_data(K)
         jmat, dmat = reassemble_modular(fiberize(K))
         assert np.linalg.norm(jmat - md.j.matrix, 2) < 1e-9
         assert np.linalg.norm(dmat - md.delta.matrix, 2) < 1e-9 * md.condition_number ** 0.5
@@ -302,8 +301,8 @@ def test_complex_route_matches_realified_reference():
     for d in range(2, 9):
         for _ in range(3):
             K = random_standard_subspace(d, rng)
-            s = tomita_operator(K)
-            md = modular_data(s)
+            md = modular_data(K)
+            s = md.s
             M = realified_tomita(K)
             ev, D, J, flow = realified_modular_data(M)
             assert np.linalg.norm(s.realified() - M, 2) < 1e-10
@@ -313,7 +312,7 @@ def test_complex_route_matches_realified_reference():
                 assert np.linalg.norm(
                     modular_flow(md, t).realified() - flow(t), 2) < 1e-10
             # log-spectra agree, each realified eigenvalue counted twice
-            np.testing.assert_allclose(np.repeat(np.log(md._eigenvalues), 2),
+            np.testing.assert_allclose(np.repeat(md.log_delta, 2),
                                        np.log(ev), atol=1e-10)
             counts = [m for _, m in md.log_delta_spectrum]
             assert sum(counts) == d
@@ -329,7 +328,7 @@ def test_fiberize_degenerate_angles():
                         + 1j * rng.standard_normal((7, 7)))
     U = Q * (np.diag(R) / np.abs(np.diag(R)))
     K = RealSubspace.span(U @ K0.basis)
-    md = modular_data(tomita_operator(K))
+    md = modular_data(K)
     assert [m for _, m in md.log_delta_spectrum] == [2, 1, 1, 1, 2]
     fibers = fiberize(K)
     np.testing.assert_allclose(fibers.theta, [0.7, 0.7, 1.2], atol=1e-10)
@@ -343,6 +342,36 @@ def test_fiberize_degenerate_angles():
     span = RealSubspace.span(np.hstack([ys, fibers.fixed.basis]))
     assert span.dim == K.dim
     assert subspace_distance(span, K) < 1e-10
+
+
+def small_angle_subspace(theta):
+    """One fiber of angle theta, one of 0.4 and a fixed direction in C^5,
+    rotated at random."""
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    return rotated_standard_subspace(
+        fiber_standard_subspace(5, [theta, 0.4], n_fixed=1).basis, Z)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 3e-4, 1e-4, 5e-5])
+def test_small_angle_modular_data_in_the_log_domain(theta):
+    # the singular values sqrt(2) sin(theta/2) keep their relative
+    # precision, so delta's smallest eigenvalue is resolved wherever
+    # is_standard accepts
+    K = small_angle_subspace(theta)
+    assert is_standard(K)[0]
+    md = modular_data(K)
+    want = 2.0 * np.log(np.tan(theta / 2.0))
+    assert abs(md.log_delta[0] - want) <= 1e-12 * abs(want)
+    assert np.linalg.norm((md.j @ md.j).matrix - np.eye(5), 2) < 1e-10
+    assert abs(fiberize(K).theta[0] - theta) <= 1e-11 * theta
+
+
+def test_angle_below_the_rank_floor_is_not_standard():
+    K = small_angle_subspace(1e-5)
+    assert not is_standard(K)[0]
+    with pytest.raises(NotStandardError):
+        modular_data(K)
 
 
 def test_stack_with_one_nonstandard_slice_raises_its_certificate():
@@ -367,8 +396,8 @@ def loop_reference(config, rng):
     for _ in range(p["n_samples"]):
         d = int(rng.integers(2, p["max_dim"] + 1))
         K = random_standard_subspace(d, rng)
-        s = tomita_operator(K)
-        md = modular_data(s)
+        md = modular_data(K)
+        s = md.s
         found["involution"].append(np.linalg.norm(
             (s @ s).matrix - np.eye(d), 2))
         Kp = symplectic_complement(K)
