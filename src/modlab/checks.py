@@ -16,7 +16,7 @@ import numpy as np
 from . import fock as fk
 from . import freefield as ff
 from . import modloc as ml
-from .config import WEYL_PROBE_LEVEL, ConfigError, ExperimentConfig
+from .config import SECOND_MASS, THETA_MAX, ExperimentConfig
 from .hilbert import (
     RealSubspace, fixed_space, operator_norm,
     principal_angles, subspace_distance, subspace_intersection, subspace_sum,
@@ -36,6 +36,13 @@ __all__ = ["CHECKS", "run_checks", "run_refinement", "list_checks",
 GAMMA_TOLERANCE = 1e-10
 WEYL_TOLERANCE = 1e-6
 MODULAR_TOLERANCE = 1e-7
+
+# inputs a test reads; every other input is a literal at its use, and
+# THETA_MAX and SECOND_MASS are in config, whose bounds read them
+MAX_DIM = 8                     # largest complex dimension sampled
+FLOW_TIMES = (0.3, 1.7)         # modular flow times checked
+FOCK_CUTOFF = 10                # Fock truncation of the modular checks
+FIBER_THETA = math.pi / 3       # angle of the fiber model
 
 
 def record(name, claim, value, threshold, direction="below"):
@@ -59,7 +66,7 @@ def check_standard_suite(config, rng):
     p = config.subspace
     draws = {}
     for _ in range(p["n_samples"]):
-        d = int(rng.integers(2, p["max_dim"] + 1))
+        d = int(rng.integers(2, MAX_DIM + 1))
         draws.setdefault(d, []).append(draw_standard_subspace(d, rng))
     found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow", "fixed")}
     for d, stack in draws.items():
@@ -72,8 +79,8 @@ def check_standard_suite(config, rng):
         found["adjoint"].extend(operator_norm(sp.matrix - s.adjoint().matrix))
         jK = RealSubspace.span(md.j.apply(K.basis))
         found["conjugation"].extend(subspace_distance(jK, Kp))
-        for t in p["flow_times"]:
-            FK = RealSubspace.span(modular_flow(md, float(t)).apply(K.basis))
+        for t in FLOW_TIMES:
+            FK = RealSubspace.span(modular_flow(md, t).apply(K.basis))
             found["flow"].extend(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(fixed_space(md.j), delta_fixed_space(md),
@@ -91,9 +98,8 @@ def check_standard_suite(config, rng):
 
 
 def check_fiberization(config, rng):
-    p = config.subspace
     angles, reassembly = [], []
-    for d in range(2, p["max_dim"] + 1):
+    for d in range(2, MAX_DIM + 1):
         K = random_standard_subspace(d, rng)
         fibers = fiberize(K)
         md = fibers.md
@@ -164,26 +170,26 @@ def check_coherent_calculus(config, rng):
 
 
 def check_weyl(config, rng):
-    p = config.fock
     h = np.array([0.8 + 0.3j])
     k = np.array([0.5 - 0.2j])
     devs, defects = [], []
-    for N in p["weyl_cutoffs"]:
-        fs = fk.FockSpace(1, int(N))
+    cutoffs = (8, 12, 16)           # the last is the finest
+    for N in cutoffs:
+        fs = fk.FockSpace(1, N)
         lhs = fk.weyl_matrix(fs, h).apply(
             fk.coherent(fs, 1j / math.sqrt(2.0) * k))
         rhs = fk.weyl_on_coherent(fs, h, k)
-        low = fs.level_slices[min(6, int(N))].stop
+        low = fs.level_slices[min(6, N)].stop
         devs.append(float(np.linalg.norm(lhs[:low] - rhs[:low])))
-        defects.append(fk.weyl_unitarity_defect(1.0 + 0.0j, int(N), 8))
-    fs = fk.FockSpace(1, max(int(N) for N in p["weyl_cutoffs"]))
+        defects.append(fk.weyl_unitarity_defect(1.0 + 0.0j, N, 8))
+    fs = fk.FockSpace(1, cutoffs[-1])
     e1 = np.array([1.0 + 0.0j])
     ie1 = np.array([1.0j])
     Wh, Wk = fk.weyl_matrix(fs, e1), fk.weyl_matrix(fs, ie1)
     Whk = fk.weyl_matrix(fs, e1 + ie1)
     lhs = (Wh @ Wk).apply(fk.vacuum(fs))
     rhs = np.exp(-0.5j) * Whk.apply(fk.vacuum(fs))
-    low = fs.level_slices[WEYL_PROBE_LEVEL].stop
+    low = fs.level_slices[8].stop
     ccr = float(np.linalg.norm(lhs[:low] - rhs[:low]))
     monotone = all(a > b for a, b in zip(devs, devs[1:])) and \
         all(a > b for a, b in zip(defects, defects[1:]))
@@ -200,9 +206,8 @@ def check_weyl(config, rng):
 
 
 def check_second_quantized(config, rng):
-    p = config.fock
-    K = fiber_standard_subspace(2, [p["fiber_theta"]])
-    rep = fk.second_quantized_modular_check(K, p["cutoff"], rng)
+    K = fiber_standard_subspace(2, [FIBER_THETA])
+    rep = fk.second_quantized_modular_check(K, FOCK_CUTOFF, rng)
     claims = {
         "conjugation_on_coherent": "gamma(s) e^(ik) = e^(-ik) for k in K",
         "weyl_conjugation": "J W(k) J = W(jk)*",
@@ -220,7 +225,7 @@ def check_second_quantized(config, rng):
 def _model(config) -> ff.FreeFieldModel:
     p = config.freefield
     return ff.FreeFieldModel(p["mass"],
-                             ff.RapidityGrid(p["theta_max"], p["n_points"]),
+                             ff.RapidityGrid(THETA_MAX, p["n_points"]),
                              p["window"], p["window_width"])
 
 
@@ -322,7 +327,8 @@ def _build_net(config):
     s >= a, and reflected, in the left wedge for s <= a."""
     step = config.freefield["lattice_step"]
     base = [ff.TestFunction2.bump((c0, c1), r, step)
-            for c0, c1, r in config.modloc["dictionary"]]
+            for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),
+                              (-0.3, 2.8, 0.45), (0.1, 4.0, 0.6))]
     reflected = [f.transform(ff.PoincareElement.reflection()) for f in base]
     net = ml.LocalizedNet(ml.PoincareRep2([_model(config)]))
     shifts = (0.0, 0.5, 1.0)
@@ -380,7 +386,7 @@ def check_doublecone(config, rng):
 
 def check_direct_sum(config, rng):
     model = _model(config)
-    model2 = ff.FreeFieldModel(config.modloc["second_mass"], model.grid,
+    model2 = ff.FreeFieldModel(SECOND_MASS, model.grid,
                                model.window, model.window_width)
     rep2 = ml.PoincareRep2([model, model2])
     step = config.freefield["lattice_step"]
@@ -459,16 +465,11 @@ def run_refinement(config: ExperimentConfig, ladder):
     those failed records, then one "refine.<name>" record per
     REFINEMENT_SENSITIVE name measured on two rungs or more; the
     sensitive residuals of each rung; and timings keyed
-    "rung<k>.<check function>".  A rung window outside the configured
-    grid is a ConfigError, raised before any check runs.
+    "rung<k>.<check function>".
     """
     rungs = {}
     for rung in map(int, ladder):
         preset = ff.REFINEMENT_RUNGS[rung]
-        if preset["window"] >= config.freefield["theta_max"]:
-            raise ConfigError(
-                f"freefield.theta_max: must be above {preset['window']}, the "
-                f"window of refinement rung {rung}")
         data = config.to_dict()
         data["freefield"].update(
             n_points=preset["n_points"], window=preset["window"],

@@ -152,7 +152,8 @@ def build_parser():
     lc_p.set_defaults(fn=cmd_list_checks)
 
     ps_p = sub.add_parser("print-schema",
-                          help="print the configuration schema")
+                          help="print the configuration schema: the inputs "
+                               "a run varies")
     ps_p.set_defaults(fn=cmd_print_schema)
     return parser
 

@@ -15,7 +15,7 @@ from modlab.checks import (
     check_net, check_second_quantized, check_standard_suite,
     check_symmetrization, check_weyl, record, run_checks,
 )
-from modlab.config import ExperimentConfig
+from modlab.config import THETA_MAX, ExperimentConfig
 from modlab.freefield import (
     REFINEMENT_RUNGS, DomainViolationError, FreeFieldModel, PoincareElement,
     RapidityGrid, Region2, TestFunction2, bw_residual, embed,
@@ -159,7 +159,7 @@ def test_criterion_09_bisognano_wichmann():
         cfg = rung_config(k)
         p = cfg.freefield
         model = FreeFieldModel(p["mass"],
-                               RapidityGrid(p["theta_max"], p["n_points"]),
+                               RapidityGrid(THETA_MAX, p["n_points"]),
                                p["window"], p["window_width"])
         f = TestFunction2.bump((0.0, 3.0), 0.5, p["lattice_step"],
                                region=Region2.right_wedge())
@@ -170,7 +170,7 @@ def test_criterion_09_bisognano_wichmann():
     cfg = rung_config(3)
     p = cfg.freefield
     model = FreeFieldModel(p["mass"],
-                           RapidityGrid(p["theta_max"], p["n_points"]),
+                           RapidityGrid(THETA_MAX, p["n_points"]),
                            p["window"], p["window_width"])
     g = TestFunction2.bump((0.0, -3.0), 0.5, p["lattice_step"],
                            region=Region2.left_wedge())
@@ -221,7 +221,7 @@ def test_criterion_11_localization_net():
 def test_criterion_12_determinism(tmp_path):
     from modlab.cli import main
     data = {"kind": "subspace", "seed": 13,
-            "subspace": {"n_samples": 40, "max_dim": 6}}
+            "subspace": {"n_samples": 40}}
     reports = []
     for tag in ("a", "b"):
         cfg_path = tmp_path / f"{tag}.json"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 from modlab.cli import main
-from modlab.config import SCHEMA, ConfigError, ExperimentConfig, schema_text
+from modlab.config import (CHECK_BUMP_RADIUS, SCHEMA, ConfigError,
+                           ExperimentConfig, schema_text)
 from modlab.freefield import REFINEMENT_RUNGS
 
 
@@ -36,11 +38,22 @@ REMOVED_BOUNDS = [
 ]
 
 
+# inputs no run varied, now constants in checks.py and config.py
+REMOVED_INPUTS = [
+    ("subspace", "max_dim"), ("subspace", "flow_times"),
+    ("freefield", "theta_max"),
+    *(("fock", key) for key in ("cutoff", "fiber_theta", "weyl_cutoffs")),
+    *(("modloc", key) for key in ("second_mass", "dictionary")),
+]
+
+
 @pytest.mark.parametrize("section, key", [("subspace", "bogus"),
-                                          *REMOVED_BOUNDS],
+                                          *REMOVED_BOUNDS, *REMOVED_INPUTS],
                          ids=lambda v: v)
 def test_unknown_section_key_names_path(tmp_path, capsys, section, key):
-    message = f"unknown key: {section}.{key}"
+    # the fock and modloc sections hold no input: each is refused whole
+    message = (f"unknown key: {section}" if section in ("fock", "modloc")
+               else f"unknown key: {section}.{key}")
     with pytest.raises(ConfigError, match=f"^{message}$"):
         ExperimentConfig.from_dict({section: {key: 1e9}})
     cfg = write_config(tmp_path, {"kind": "fock",
@@ -52,7 +65,7 @@ def test_unknown_section_key_names_path(tmp_path, capsys, section, key):
 
 
 def test_schema_holds_only_settable_fields():
-    assert sum(len(keys) for keys in SCHEMA.values()) == 18
+    assert sum(len(keys) for keys in SCHEMA.values()) == 10
 
 
 def test_type_error_names_field():
@@ -77,21 +90,32 @@ def test_schema_text_mentions_all_sections():
 
 
 def test_empty_dictionary_names_field():
-    with pytest.raises(ConfigError, match="modloc.dictionary"):
-        ExperimentConfig.from_dict({"modloc": {"dictionary": []}})
-    with pytest.raises(ConfigError, match=r"modloc.dictionary\[0\]"):
-        ExperimentConfig.from_dict({"modloc": {"dictionary": [[1.0, 2.0]]}})
+    # the dictionary is a literal in checks.py: a config one names its section
+    for dictionary in ([], [[1.0, 2.0]]):
+        with pytest.raises(ConfigError, match="^unknown key: modloc$"):
+            ExperimentConfig.from_dict({"modloc": {"dictionary": dictionary}})
 
 
-def test_dictionary_bump_must_lie_inside_the_right_wedge():
+def test_dictionary_bump_must_lie_inside_the_right_wedge(monkeypatch):
     # the disk of radius r at (x0, x1) lies in W_R iff x1 - |x0| > sqrt(2) r;
-    # radius 100 is refused before any bump is sampled
-    for bad in ([0.0, 3.0, 2.5], [0.0, 3.0, 100.0], [2.8, 3.0, 0.5],
-                [0.0, 3.0, 2.2]):
-        with pytest.raises(ConfigError, match=r"modloc.dictionary\[1\]"):
-            ExperimentConfig.from_dict(
-                {"modloc": {"dictionary": [[0.0, 3.0, 0.5], bad]}})
-    ExperimentConfig.from_dict({"modloc": {"dictionary": [[0.0, 3.0, 2.1]]}})
+    # every disk of the net's dictionary does, and the widest is the radius
+    # the lattice-step budget of the config assumes
+    from modlab import checks
+    disks = []
+    bump = checks.ff.TestFunction2.bump
+
+    def recording_bump(center, radius, *args, **kwargs):
+        disks.append((*center, radius))
+        return bump(center, radius, *args, **kwargs)
+    monkeypatch.setattr(checks.ff.TestFunction2, "bump",
+                        staticmethod(recording_bump))
+    checks._build_net(ExperimentConfig.from_dict({"kind": "modloc"}))
+    assert len(disks) == 4
+    for x0, x1, r in disks:
+        assert x1 - abs(x0) > math.sqrt(2.0) * r
+    assert max(r for *_, r in disks) == CHECK_BUMP_RADIUS
+    with pytest.raises(ConfigError, match="^unknown key: modloc$"):
+        ExperimentConfig.from_dict({"modloc": {"dictionary": [[0.0, 3.0, 2.1]]}})
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -103,7 +127,7 @@ def write_config(tmp_path, data, name="cfg.json"):
 def test_cli_run_subspace(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "kind": "subspace", "seed": 11, "out_dir": str(tmp_path / "out"),
-        "subspace": {"n_samples": 25, "max_dim": 5}})
+        "subspace": {"n_samples": 25}})
     code = main(["run", "--config", cfg])
     assert code == 0
     out = capsys.readouterr().out
@@ -134,68 +158,60 @@ def test_cli_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("data, field", [
     ({"seed": True}, "seed"),
     ({"subspace": {"tolerance": float("nan")}}, "subspace.tolerance"),
-    ({"fock": {"weyl_cutoffs": [4]}}, "fock.weyl_cutoffs"),
-    ({"fock": {"weyl_cutoffs": [16, 12, 8]}}, "fock.weyl_cutoffs"),
-    ({"fock": {"weyl_cutoffs": [8, 8, 16]}}, "fock.weyl_cutoffs"),
-    ({"fock": {"weyl_cutoffs": [8]}}, "fock.weyl_cutoffs"),
     ({"freefield": {"n_points": 1000}}, "freefield.n_points"),
     ({"freefield": {"window": 6.5}}, "freefield.window"),
-    ({"freefield": {"theta_max": 3.0}}, "freefield.theta_max"),
     ({"freefield": {"mass": 0.0}}, "freefield.mass"),
-    ({"modloc": {"second_mass": -1.0}}, "modloc.second_mass"),
-    ({"subspace": {"max_dim": 1}}, "subspace.max_dim"),
     ({"freefield": {"window_width": 0.0}}, "freefield.window_width"),
-    ({"fock": {"cutoff": 0}}, "fock.cutoff"),
-    ({"fock": {"fiber_theta": 2.0}}, "fock.fiber_theta"),
-    ({"subspace": {"flow_times": ["a"]}}, "subspace.flow_times"),
-    ({"subspace": {"flow_times": []}}, "subspace.flow_times"),
     ({"freefield": {"lattice_step": -0.01}}, "freefield.lattice_step"),
     ({"subspace": {"n_samples": 0}}, "subspace.n_samples"),
     ({"seed": -1}, "seed"),
-    ({"modloc": {"dictionary": [[0.0, 3.0, 2.5]]}}, "modloc.dictionary[0]"),
     ({"freefield": {"window": 0.0}}, "freefield.window"),
-    ({"modloc": {"dictionary": [[0.0, float("inf"), 0.5]]}},
-     "modloc.dictionary[0]"),
-    ({"modloc": {"dictionary": [[0.0, 3.0, 0.5], [True, 3.0, 0.5]]}},
-     "modloc.dictionary[1]"),
-    ({"freefield": {"theta_max": 1000.0}}, "freefield.theta_max"),
-    ({"freefield": {"mass": 1e307}}, "freefield.theta_max"),
-    ({"modloc": {"dictionary": [[0.0, 3.0, 0.5], [0.0, 300.0, 100.0]]}},
-     "modloc.dictionary[1]"),
+    ({"freefield": {"mass": 1e307}}, "freefield.mass"),
     ({"freefield": {"lattice_step": 1e-5}}, "freefield.lattice_step"),
-    ({"freefield": {"theta_max": 709.7}}, "freefield.theta_max"),
-], ids=["bool_seed", "nan_tolerance", "weyl_cutoff_below_probe_level",
-        "weyl_cutoffs_decreasing", "weyl_cutoffs_repeated",
-        "weyl_cutoffs_one_rung",
+    # a removed input is refused as an unknown key, whatever its value
+    *(({"fock": {"weyl_cutoffs": ladder}}, "unknown key: fock")
+      for ladder in ([4], [16, 12, 8], [8, 8, 16], [8])),
+    *(({"freefield": {"theta_max": t}}, "unknown key: freefield.theta_max")
+      for t in (3.0, 1000.0, 709.7)),
+    *(({"subspace": {"flow_times": times}}, "unknown key: subspace.flow_times")
+      for times in (["a"], [])),
+    *(({"modloc": {"dictionary": disks}}, "unknown key: modloc")
+      for disks in ([[0.0, 3.0, 2.5]], [[0.0, float("inf"), 0.5]],
+                    [[0.0, 3.0, 0.5], [True, 3.0, 0.5]],
+                    [[0.0, 3.0, 0.5], [0.0, 300.0, 100.0]])),
+], ids=["bool_seed", "nan_tolerance",
         "n_points_not_power_of_two", "window_outside_grid",
-        "theta_max_below_4", "zero_mass", "negative_second_mass",
-        "max_dim_below_2", "zero_window_width", "zero_cutoff",
-        "fiber_theta_above_half_pi", "non_numeric_flow_time",
-        "empty_flow_times", "negative_lattice_step", "zero_n_samples",
-        "negative_seed", "dictionary_bump_outside_wedge", "zero_window",
-        "infinite_dictionary_entry", "bool_dictionary_entry",
-        "momentum_overflow", "momentum_overflow_from_mass",
-        "dictionary_bump_over_sample_budget",
-        "lattice_step_over_sample_budget", "lattice_phase_overflow"])
+        "zero_mass", "zero_window_width",
+        "negative_lattice_step", "zero_n_samples",
+        "negative_seed", "zero_window",
+        "momentum_overflow_from_mass",
+        "lattice_step_over_sample_budget",
+        "weyl_cutoff_below_probe_level", "weyl_cutoffs_decreasing",
+        "weyl_cutoffs_repeated", "weyl_cutoffs_one_rung",
+        "theta_max_below_4", "momentum_overflow", "lattice_phase_overflow",
+        "non_numeric_flow_time", "empty_flow_times",
+        "dictionary_bump_outside_wedge", "infinite_dictionary_entry",
+        "bool_dictionary_entry", "dictionary_bump_over_sample_budget"])
 def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     cfg = write_config(tmp_path, {"kind": "fock",
                                   "out_dir": str(tmp_path / "out"), **data})
     assert main(["run", "--config", cfg]) == 2
-    assert f"configuration error: {field}:" in capsys.readouterr().err
+    # a bad value names its field; an unknown key ends the message
+    end = "\n" if field.startswith("unknown key: ") else ":"
+    assert f"configuration error: {field}{end}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("freefield", [
-    {"theta_max": 6.0},
+    {},
     *({"n_points": p["n_points"], "window": p["window"],
        "window_width": p["window_width"], "lattice_step": p["step"]}
       for p in REFINEMENT_RUNGS.values()),
 ], ids=["default", "rung1", "rung2", "rung3"])
 def test_working_grids_load(freefield):
-    # the phase bound refuses 709.7, where cosh(theta_max) is still finite
     cfg = ExperimentConfig.from_dict({"kind": "freefield",
                                       "freefield": freefield})
-    assert cfg.freefield["theta_max"] == 6.0
+    assert freefield.items() <= cfg.freefield.items()
 
 
 def test_refine_reports_each_rung_and_its_timings(tmp_path, capsys):
@@ -221,26 +237,6 @@ def test_refine_refuses_fewer_than_two_rungs(tmp_path, capsys, ladder):
         "freefield": {"mass": 0.2}})
     assert main(["refine", "--config", cfg, "--ladder", ladder]) == 2
     assert "configuration error: ladder" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_refine_rejects_rung_windows_outside_the_grid(tmp_path, capsys,
-                                                     monkeypatch):
-    # rung 1 and 2 windows (5.2, 5.5) do not fit theta_max = 5.0, although
-    # the configured window 4.5 does; no check may run before the refusal
-    from modlab import checks
-
-    def must_not_run(config, rng):
-        raise AssertionError("a check ran before the refusal")
-    for name in ("check_bisognano_wichmann", "check_covariance",
-                 "check_locality"):
-        monkeypatch.setattr(checks, name, must_not_run)
-    cfg = write_config(tmp_path, {
-        "kind": "freefield", "out_dir": str(tmp_path / "out"),
-        "freefield": {"theta_max": 5.0, "window": 4.5}})
-    assert main(["refine", "--config", cfg, "--ladder", "1,2"]) == 2
-    assert ("configuration error: freefield.theta_max:"
-            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -288,7 +284,7 @@ def test_cli_print_schema(capsys):
 
 
 def test_report_determinism(tmp_path):
-    data = {"kind": "fock", "seed": 5, "fock": {"cutoff": 6}}
+    data = {"kind": "fock", "seed": 5}
     cfg1 = write_config(tmp_path, dict(data, out_dir=str(tmp_path / "a")), "a.json")
     cfg2 = write_config(tmp_path, dict(data, out_dir=str(tmp_path / "b")), "b.json")
     assert main(["run", "--config", cfg1]) == 0

@@ -17,15 +17,12 @@ from modlab.fock import (
     weyl_matrix, weyl_on_coherent, weyl_unitarity_defect,
     second_quantized_modular_check,
 )
-from modlab.checks import GAMMA_TOLERANCE, MODULAR_TOLERANCE, WEYL_TOLERANCE
-from modlab.config import ExperimentConfig
+from modlab.checks import (FIBER_THETA, FOCK_CUTOFF, GAMMA_TOLERANCE,
+                           MODULAR_TOLERANCE, WEYL_TOLERANCE)
 from modlab.hilbert import (
     Operator, RealSubspace, symplectic_complement,
 )
 from modlab.standard import fiber_standard_subspace, tomita_operator
-
-FOCK = ExperimentConfig().fock        # the inputs the fock records use
-
 
 def rand_vec(rng, d):
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -613,8 +610,8 @@ def test_ccr_phase_fails_with_the_sign_flipped():
 
 def test_second_quantized_claims_fail_on_wrong_samples():
     tol = MODULAR_TOLERANCE
-    K = fiber_standard_subspace(2, [FOCK["fiber_theta"]])
-    fs = FockSpace(2, FOCK["cutoff"])
+    K = fiber_standard_subspace(2, [FIBER_THETA])
+    fs = FockSpace(2, FOCK_CUTOFF)
     rng = np.random.default_rng(81)
     # gamma(s) e^(ik) = e^(-ik) holds for k in K, not for k in iK
     assert _conjugation_residual(fs, K, K, rng) < tol

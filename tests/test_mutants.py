@@ -1,7 +1,7 @@
 """Mutants of the physics that named records must fail.
 
-Each row breaks one function of modlab, by a small factor or in one
-piece of its structure, patched at
+Each row breaks one function or constant of modlab, by a small factor
+or in one piece of its structure, patched at
 every module that binds it (checks, fock and modloc import names from
 other modules, so a patch of the defining module alone can miss a
 caller).  It then runs the checks of the named kinds at seed 7 and
@@ -28,6 +28,14 @@ MODULES = (checks, cli, config, fock, freefield, hilbert, modloc, standard)
 def coherent_scaled(original):
     """e^h off by 1 percent in norm."""
     return lambda space, h: 1.01 * original(space, h)
+
+
+def p0_off_shell(original):
+    """p0 = 1.05 m cosh theta: momenta off the mass shell."""
+    def mutant(mass, grid):
+        p0, p1 = original(mass, grid)
+        return 1.05 * p0, p1
+    return mutant
 
 
 def shift_scaled(original):
@@ -61,6 +69,15 @@ MUTANTS = [
     (freefield, "_shift", shift_scaled, ["freefield", "modloc"],
      ["freefield.covariance_boost", "freefield.borchers_flow",
       "modloc.covariance"]),
+    (freefield, "_momenta", p0_off_shell, ["freefield", "modloc"],
+     ["freefield.covariance_boost", "modloc.covariance",
+      "modloc.doublecone"]),
+    # the left wedge fixed: every right-wedge probe fails the domain
+    # certificate, so the BW check and all three modloc checks raise, and
+    # each gives one error record
+    (freefield, "RIGHT_WEDGE_DIRECTION", +1, ["freefield", "modloc"],
+     ["freefield.bisognano_wichmann", "modloc.net", "modloc.doublecone",
+      "modloc.direct_sum"]),
     (standard, "modular_data", j_linear, ["subspace", "fock"],
      ["subspace.conjugation", "subspace.fixed", "subspace.fiber_reassembly",
       "fock.weyl_conjugation"]),
@@ -78,8 +95,9 @@ def _row_id(row):
 
 
 def _patch_every_binding(monkeypatch, module, name, mutate):
+    """mutate is a function of the original, or else the mutant value."""
     original = getattr(module, name)
-    mutant = mutate(original)
+    mutant = mutate(original) if callable(mutate) else mutate
     bound = [m for m in MODULES if getattr(m, name, None) is original]
     for m in bound:
         monkeypatch.setattr(m, name, mutant)
@@ -94,10 +112,21 @@ def _decades(rec):
     return math.log10(ratio) if ratio > 0 else -math.inf
 
 
+@pytest.fixture
+def fresh_embed_caches():
+    """Phase chunks and embeddings cached before a mutant would hide it,
+    and those cached under it would outlive the test."""
+    freefield._phase_chunk.cache_clear()
+    freefield._EMBEDDINGS.clear()
+    yield
+    freefield._phase_chunk.cache_clear()
+    freefield._EMBEDDINGS.clear()
+
+
 @pytest.mark.parametrize("module, name, mutate, kinds, must_fail", MUTANTS,
                          ids=[_row_id(row) for row in MUTANTS])
-def test_mutant_fails_its_records(monkeypatch, module, name, mutate, kinds,
-                                  must_fail):
+def test_mutant_fails_its_records(monkeypatch, fresh_embed_caches, module,
+                                  name, mutate, kinds, must_fail):
     assert _patch_every_binding(monkeypatch, module, name, mutate)
     records = {}
     for kind in kinds:

@@ -13,10 +13,17 @@ The matching is by name alone, so a call of any function of that name
 counts.  It does not see forwarding either: a parameter that a caller
 only hands on, as in f(x, tol=tol) inside a function whose own tol no
 call sets, counts as set.
+
+The same rule holds for the config: every SCHEMA key is set by a call
+in src/, in the form X["<section>"].update(<key>=...) with which
+run_refinement sets its rungs' grids, or listed in CONFIG_EXEMPT with
+the reason it stays settable.
 """
 
 import ast
 from pathlib import Path
+
+from modlab.config import SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,3 +103,42 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                           for n, kws in seen.get(key, []))]
     assert not unused, (f"{len(unused)} of {len(params)} defaulted parameters "
                         f"are passed by no call: {', '.join(unused)}")
+
+
+# "<section>.<key>" (a top-level key alone) -> why the config key stays
+# settable with no src/ call setting it
+CONFIG_EXEMPT = {
+    "kind": "a run setting: which suites run",
+    "seed": "a run setting: the seed every check's generator starts from",
+    "out_dir": "a run setting: where the reports are written",
+    "subspace.n_samples": "set by perfbench/test_perfbench.py, to keep its "
+                          "runs short",
+    "subspace.tolerance": "set by perfbench/test_perfbench.py, so that a run "
+                          "can force a failing record",
+    "freefield.mass": "the one config route to a real numerical error "
+                      "through the command line: at 0.2 refine's rung 1 "
+                      "raises",
+}
+
+
+def config_settings():
+    """<section>.<key> of every keyword of a call X["<section>"].update(...)
+    in src/, the form in which the program sets a config value."""
+    out = set()
+    for path, tree in _parse("src"):
+        for node in ast.walk(tree):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr == "update"
+                    and isinstance(f.value, ast.Subscript)
+                    and isinstance(f.value.slice, ast.Constant)):
+                out |= {f"{f.value.slice.value}.{k.arg}" for k in node.keywords}
+    return out
+
+
+def test_every_config_key_is_set_by_some_call():
+    keys = {f"{section}.{key}" if section else key
+            for section, fields in SCHEMA.items() for key in fields}
+    assert set(CONFIG_EXEMPT) <= keys
+    unset = sorted(keys - config_settings() - set(CONFIG_EXEMPT))
+    assert not unset, (f"{len(unset)} config keys are set by no call in "
+                       f"src/: {', '.join(unset)}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modlab import checks
 from modlab.checks import check_standard_suite, worst
 from modlab.config import ExperimentConfig
 from modlab.hilbert import (
@@ -394,7 +395,7 @@ def loop_reference(config, rng):
     found = {k: [] for k in ("involution", "adjoint", "conjugation", "flow",
                              "fixed")}
     for _ in range(p["n_samples"]):
-        d = int(rng.integers(2, p["max_dim"] + 1))
+        d = int(rng.integers(2, checks.MAX_DIM + 1))
         K = random_standard_subspace(d, rng)
         md = modular_data(K)
         s = md.s
@@ -406,7 +407,7 @@ def loop_reference(config, rng):
             sp.matrix - s.adjoint().matrix, 2))
         jK = RealSubspace.span(md.j.apply(K.basis))
         found["conjugation"].append(subspace_distance(jK, Kp))
-        for t in p["flow_times"]:
+        for t in checks.FLOW_TIMES:
             FK = RealSubspace.span(modular_flow(md, float(t)).apply(K.basis))
             found["flow"].append(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
@@ -418,12 +419,14 @@ def loop_reference(config, rng):
     return {f"subspace.{k}": worst(v) for k, v in found.items()}
 
 
-@pytest.mark.parametrize("seed, subspace", [
-    *((seed, {}) for seed in range(8)),
-    (7, {"n_samples": 1}), (7, {"max_dim": 2}), (7, {"max_dim": 3}),
+@pytest.mark.parametrize("seed, subspace, max_dim", [
+    *((seed, {}, 8) for seed in range(8)),
+    (7, {"n_samples": 1}, 8), (7, {}, 2), (7, {}, 3),
 ], ids=[*(f"seed{seed}" for seed in range(8)), "one_sample", "one_group",
         "two_groups"])
-def test_stacked_suite_matches_the_loop_reference(seed, subspace):
+def test_stacked_suite_matches_the_loop_reference(monkeypatch, seed, subspace,
+                                                  max_dim):
+    monkeypatch.setattr(checks, "MAX_DIM", max_dim)
     cfg = ExperimentConfig.from_dict({"kind": "subspace", "seed": seed,
                                       "subspace": subspace})
     got = {r["name"]: r["value"]
