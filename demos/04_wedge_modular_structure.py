@@ -9,20 +9,20 @@ certificate and blow up as the cap is raised.  Vectors are complex
 arrays on the rapidity grid, which the spectral maps take explicitly.
 """
 
+from modlab.checks import _model
+from modlab.config import REFINEMENT_RUNGS, ExperimentConfig
 from modlab.freefield import (FreeFieldModel, Region2, TestFunction2,
                               bw_residual, domain_certificate, embed,
                               gaussian_packet, modular_blowup_profile,
-                              DomainViolationError,
-                              REFINEMENT_RUNGS, RapidityGrid, borchers_check)
+                              DomainViolationError, borchers_check)
 
 model = FreeFieldModel()
 
 print("== right-wedge bumps are modular fixed points ==")
 for k in (1, 2, 3):
-    p = REFINEMENT_RUNGS[k]
-    m = FreeFieldModel(1.0, RapidityGrid(6.0, p["n_points"]), p["window"],
-                       p["window_width"])
-    f = TestFunction2.bump((0.0, 3.0), 0.5, p["step"],
+    config = ExperimentConfig(freefield=dict(REFINEMENT_RUNGS[k]))
+    m = _model(config)
+    f = TestFunction2.bump((0.0, 3.0), 0.5, config.freefield["lattice_step"],
                            region=Region2.right_wedge())
     print(f"   rung {k}: ||s_W Ef - Ef|| / ||Ef|| = {bw_residual(f, m):.3e}")
 print()

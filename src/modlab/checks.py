@@ -7,6 +7,7 @@ they verify.  Checks are deterministic given (config, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import time
@@ -16,7 +17,7 @@ import numpy as np
 from . import fock as fk
 from . import freefield as ff
 from . import modloc as ml
-from .config import SECOND_MASS, THETA_MAX, ExperimentConfig
+from .config import REFINEMENT_RUNGS, THETA_MAX, ExperimentConfig
 from .hilbert import (
     RealSubspace, fixed_space, operator_norm,
     principal_angles, subspace_distance, subspace_intersection, subspace_sum,
@@ -37,12 +38,13 @@ GAMMA_TOLERANCE = 1e-10
 WEYL_TOLERANCE = 1e-6
 MODULAR_TOLERANCE = 1e-7
 
-# inputs a test reads; every other input is a literal at its use, and
-# THETA_MAX and SECOND_MASS are in config, whose bounds read them
+# inputs a test reads, and the second summand's mass; every other input
+# is a literal at its use, and THETA_MAX is in config, whose bounds read it
 MAX_DIM = 8                     # largest complex dimension sampled
 FLOW_TIMES = (0.3, 1.7)         # modular flow times checked
 FOCK_CUTOFF = 10                # Fock truncation of the modular checks
 FIBER_THETA = math.pi / 3       # angle of the fiber model
+SECOND_MASS = 1.4               # mass of check_direct_sum's second summand
 
 
 def record(name, claim, value, threshold, direction="below"):
@@ -386,9 +388,7 @@ def check_doublecone(config, rng):
 
 def check_direct_sum(config, rng):
     model = _model(config)
-    model2 = ff.FreeFieldModel(SECOND_MASS, model.grid,
-                               model.window, model.window_width)
-    rep2 = ml.PoincareRep2([model, model2])
+    rep2 = ml.PoincareRep2([model, dataclasses.replace(model, mass=SECOND_MASS)])
     step = config.freefield["lattice_step"]
     W = ff.Region2.right_wedge()
     f = ff.TestFunction2.bump((0.0, 3.0), 0.5, step)
@@ -469,11 +469,11 @@ def run_refinement(config: ExperimentConfig, ladder):
     """
     rungs = {}
     for rung in map(int, ladder):
-        preset = ff.REFINEMENT_RUNGS[rung]
+        p = REFINEMENT_RUNGS[rung]
         data = config.to_dict()
         data["freefield"].update(
-            n_points=preset["n_points"], window=preset["window"],
-            window_width=preset["window_width"], lattice_step=preset["step"])
+            n_points=p["n_points"], lattice_step=p["lattice_step"],
+            window=p["window"], window_width=p["window_width"])
         rungs[rung] = ExperimentConfig.from_dict(data)
     records, rows, timings = [], [], {}
     for rung, cfg in rungs.items():

@@ -19,8 +19,7 @@ import time
 import numpy as np
 
 from .checks import list_checks, run_checks, run_refinement
-from .config import ConfigError, ExperimentConfig, schema_text
-from .freefield import REFINEMENT_RUNGS
+from .config import REFINEMENT_RUNGS, ConfigError, ExperimentConfig, schema_text
 
 
 def _verify_out_dir(out_dir):

@@ -4,11 +4,12 @@ A config holds only what a run varies: the kind, seed and output
 directory; subspace.n_samples, and subspace.tolerance, the one bound a
 config sets, so that a run can force a failing record; freefield.mass;
 and the grid size, window, window width and lattice step that refine's
-rungs set.  The checks' other inputs are constants in checks.py, beside
-the acceptance bounds; the grid's rapidity half-width and the second
-summand's mass are here, since the bounds below read them.  Unknown
-keys are errors, and a config round-trips losslessly, so a report's
-config echo fully reproduces the run.
+rungs set.  The free-field discretization is stated here alone: the
+rapidity half-width THETA_MAX and REFINEMENT_RUNGS, whose rung 3 is the
+default of the config, of freefield's model and of its bumps.  The
+checks' other inputs are constants in checks.py, beside the acceptance
+bounds.  Unknown keys are errors, and a config round-trips losslessly,
+so a report's config echo fully reproduces the run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["ConfigError", "ExperimentConfig", "SCHEMA", "schema_text"]
+__all__ = ["ConfigError", "ExperimentConfig", "REFINEMENT_RUNGS", "SCHEMA",
+           "THETA_MAX", "schema_text"]
 
 
 class ConfigError(ValueError):
@@ -26,15 +28,25 @@ class ConfigError(ValueError):
 
 KINDS = ("subspace", "fock", "freefield", "modloc", "all")
 THETA_MAX = 6.0             # rapidity half-width of every grid of the checks
-SECOND_MASS = 1.4           # mass of checks.check_direct_sum's second summand
+# refine's rungs, keyed by the freefield names; rung 3 is the default
+REFINEMENT_RUNGS = {
+    1: dict(n_points=2048, lattice_step=1.0 / 128, window=5.2, window_width=1.4),
+    2: dict(n_points=4096, lattice_step=1.0 / 128, window=5.5, window_width=1.3),
+    3: dict(n_points=4096, lattice_step=1.0 / 128, window=5.8, window_width=1.2),
+}
+DEFAULT_RUNG = REFINEMENT_RUNGS[3]
 # a bump of radius r takes about 2 r / lattice_step samples per side of its
 # lattice; the defaults take about 157
 MAX_BUMP_SIDE = 1024
 CHECK_BUMP_RADIUS = 0.6     # the largest bump checks.py places, a net disk
-# lattice |x| that the checks reach, before chunking: 4 (freefield bumps
-# within 4, modloc moves under 2) beyond the farthest net dictionary disk,
-# |x0| + |x1| + r = 4.7
-CHECK_REACH = 8.7
+# every point lies within lattice_step / sqrt(2) of the lattice, so below
+# this step each bump of checks.py (radius >= 0.4, >= 0.5 exp(-0.2) boosted)
+# has a lattice sample inside
+MAX_LATTICE_STEP = math.sqrt(2.0) * 0.4
+# lattice |x| that the checks reach: 4 (freefield bumps within 4, modloc
+# moves under 2) beyond the farthest net dictionary disk, |x0| + |x1| + r =
+# 4.7, and one phase chunk of 32 rows at the largest step
+CHECK_REACH = 8.7 + 32 * MAX_LATTICE_STEP
 
 # section -> key -> (type, default, description)
 SCHEMA = {
@@ -52,17 +64,22 @@ SCHEMA = {
     "freefield": {
         "mass": (float, 1.0, "field mass (> 0, with every phase x * mass * "
                  f"cosh({THETA_MAX}) of the lattice the checks place finite)"),
-        "n_points": (int, 4096, "rapidity grid size (power of two, >= 8)"),
-        "window": (float, 5.8, f"embedding window position (> 0, < {THETA_MAX}, "
-                   "the grid's rapidity half-width); accepted below 5.8, but "
-                   "with the other defaults every window tried there fails "
-                   "a check (5.7: modloc.doublecone; 5.5: "
-                   "freefield.bw_right_wedge 5.2e-3, modloc.duality 0.98)"),
-        "window_width": (float, 1.2, "embedding window taper width (> 0)"),
-        "lattice_step": (float, 1.0 / 128,
-                         f"spacetime lattice step for bumps (> 0, and at "
-                         f"most {MAX_BUMP_SIDE} samples across a bump of "
-                         f"radius {CHECK_BUMP_RADIUS})"),
+        "n_points": (int, DEFAULT_RUNG["n_points"],
+                     "rapidity grid size (power of two, >= 8)"),
+        "window": (float, DEFAULT_RUNG["window"],
+                   f"embedding window position (> 0, < {THETA_MAX}, the "
+                   f"grid's rapidity half-width); accepted below "
+                   f"{DEFAULT_RUNG['window']}, but with the other defaults "
+                   "every window tried there fails a check (5.7: "
+                   "modloc.doublecone; 5.5: freefield.bw_right_wedge "
+                   "5.2e-3, modloc.duality 0.98)"),
+        "window_width": (float, DEFAULT_RUNG["window_width"],
+                         "embedding window taper width (> 0)"),
+        "lattice_step": (float, DEFAULT_RUNG["lattice_step"],
+                         f"spacetime lattice step for bumps (> 0, at most "
+                         f"{MAX_BUMP_SIDE} samples across a bump of radius "
+                         f"{CHECK_BUMP_RADIUS}, and below {MAX_LATTICE_STEP:.4f}"
+                         ", so that each bump of radius 0.4 holds a sample)"),
     },
 }
 SECTIONS = [section for section in SCHEMA if section]
@@ -92,10 +109,18 @@ def _check_section(section, data, out):
         if key in ("tolerance", "mass", "window", "window_width",
                    "lattice_step") and value <= 0:
             raise ConfigError(f"{path}: must be positive")
+        if key == "mass" and math.isinf(value * math.cosh(THETA_MAX) * CHECK_REACH):
+            raise ConfigError(f"{path}: the phase x * mass * cosh({THETA_MAX}) "
+                              f"at lattice |x| {CHECK_REACH:.3g} overflows")
+        if key == "window" and value >= THETA_MAX:
+            raise ConfigError(f"{path}: must be below {THETA_MAX}, inside the grid")
         if key == "lattice_step" and 2 * CHECK_BUMP_RADIUS / value > MAX_BUMP_SIDE:
             raise ConfigError(f"{path}: a bump of radius {CHECK_BUMP_RADIUS} "
                               f"would take more than {MAX_BUMP_SIDE} lattice "
                               f"samples per side")
+        if key == "lattice_step" and value >= MAX_LATTICE_STEP:
+            raise ConfigError(f"{path}: must be below {MAX_LATTICE_STEP:.4f}, "
+                              "or a bump of radius 0.4 may hold no sample")
         if key == "n_points" and (value < 8 or value & (value - 1)):
             raise ConfigError(f"{path}: must be a power of two >= 8")
         if key == "n_samples" and value < 1:
@@ -118,21 +143,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         for section in SECTIONS:
             merged = {k: v for k, (_, v, _) in SCHEMA[section].items()}
-            given = getattr(self, section)
-            checked = {}
-            _check_section(section, given, checked)
-            merged.update(checked)
+            _check_section(section, getattr(self, section), merged)
             setattr(self, section, merged)
-        ff = self.freefield
-        if ff["window"] >= THETA_MAX:
-            raise ConfigError(f"freefield.window: must be below {THETA_MAX}, "
-                              f"inside the grid")
-        reach = CHECK_REACH + 32 * ff["lattice_step"]
-        phase = max(ff["mass"], SECOND_MASS) * math.cosh(THETA_MAX) * reach
-        if not math.isfinite(phase):
-            raise ConfigError(f"freefield.mass: the phase x * mass * cosh("
-                              f"{THETA_MAX}) at lattice |x| {reach:.3g} "
-                              f"overflows")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -38,6 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_RUNG, THETA_MAX
+
 __all__ = [
     "RapidityGrid", "FreeFieldModel", "Region2", "TestFunction2",
     "OneParticleVector", "PoincareElement", "LeakageError",
@@ -47,7 +49,6 @@ __all__ = [
     "wedge_tomita_apply", "compressed_fixed_defect",
     "bw_residual", "bw_residual_of_vector",
     "modular_blowup_profile", "borchers_check", "gaussian_packet",
-    "REFINEMENT_RUNGS",
 ]
 
 AMPLIFICATION_CAP = 1e12
@@ -59,13 +60,6 @@ RIGHT_WEDGE_DIRECTION = -1    # multiplier exp(+pi omega); frozen by the
                               # calibration "right-wedge bumps are fixed"
 LEAKAGE_BUFFER = 0.3
 LEAKAGE_BUDGET = 1e-8
-
-# (n_points, lattice step, window, window width); rung 3 is the default
-REFINEMENT_RUNGS = {
-    1: dict(n_points=2048, step=1.0 / 128, window=5.2, window_width=1.4),
-    2: dict(n_points=4096, step=1.0 / 128, window=5.5, window_width=1.3),
-    3: dict(n_points=4096, step=1.0 / 128, window=5.8, window_width=1.2),
-}
 
 
 class LeakageError(RuntimeError):
@@ -126,21 +120,16 @@ class FreeFieldModel:
     discretization parameter of the embedding, not of the field.
     """
     mass: float = 1.0
-    grid: RapidityGrid = field(default_factory=lambda: RapidityGrid(6.0, 4096))
-    window: float = 5.8
-    window_width: float = 1.2
+    grid: RapidityGrid = field(default_factory=lambda: RapidityGrid(
+        THETA_MAX, DEFAULT_RUNG["n_points"]))
+    window: float = DEFAULT_RUNG["window"]
+    window_width: float = DEFAULT_RUNG["window_width"]
 
     def __post_init__(self):
         if self.mass <= 0:
             raise ValueError("massive case only: mass > 0")
         if self.window >= self.grid.theta_max:
             raise ValueError("window must sit inside the grid")
-
-    @classmethod
-    def rung(cls, k: int):
-        p = REFINEMENT_RUNGS[k]
-        return cls(1.0, RapidityGrid(6.0, p["n_points"]),
-                   p["window"], p["window_width"])
 
     def momenta(self):
         return _momenta(self.mass, self.grid)
@@ -318,7 +307,7 @@ class TestFunction2:
         return bool(np.all(region.contains(*self._boundary)))
 
     @staticmethod
-    def bump(center, radius, step: float = 1.0 / 128,
+    def bump(center, radius, step: float = DEFAULT_RUNG["lattice_step"],
              region: Region2 = None) -> "TestFunction2":
         """Mollifier bump exp(-1/(1 - |x-c|^2/r^2)) on the disk of the
         given center and radius."""

@@ -15,11 +15,10 @@ from modlab.checks import (
     check_net, check_second_quantized, check_standard_suite,
     check_symmetrization, check_weyl, record, run_checks,
 )
-from modlab.config import THETA_MAX, ExperimentConfig
+from modlab.config import REFINEMENT_RUNGS, ExperimentConfig
 from modlab.freefield import (
-    REFINEMENT_RUNGS, DomainViolationError, FreeFieldModel, PoincareElement,
-    RapidityGrid, Region2, TestFunction2, bw_residual, embed,
-    modular_blowup_profile,
+    DomainViolationError, PoincareElement, Region2, TestFunction2,
+    bw_residual, embed, modular_blowup_profile,
 )
 
 
@@ -28,12 +27,7 @@ def default_config(**over):
 
 
 def rung_config(k):
-    cfg = default_config()
-    preset = REFINEMENT_RUNGS[k]
-    cfg.freefield.update(n_points=preset["n_points"], window=preset["window"],
-                         window_width=preset["window_width"],
-                         lattice_step=preset["step"])
-    return cfg
+    return ExperimentConfig(freefield=dict(REFINEMENT_RUNGS[k]))
 
 
 def report_line(number, label, passed, detail=""):
@@ -157,22 +151,16 @@ def test_criterion_09_bisognano_wichmann():
     residuals = []
     for k in (1, 2, 3):
         cfg = rung_config(k)
-        p = cfg.freefield
-        model = FreeFieldModel(p["mass"],
-                               RapidityGrid(THETA_MAX, p["n_points"]),
-                               p["window"], p["window_width"])
-        f = TestFunction2.bump((0.0, 3.0), 0.5, p["lattice_step"],
+        model = checks._model(cfg)
+        f = TestFunction2.bump((0.0, 3.0), 0.5, cfg.freefield["lattice_step"],
                                region=Region2.right_wedge())
         residuals.append(bw_residual(f, model))
     monotone = residuals[0] > residuals[1] > residuals[2]
     final = residuals[2] < 1e-3
 
     cfg = rung_config(3)
-    p = cfg.freefield
-    model = FreeFieldModel(p["mass"],
-                           RapidityGrid(THETA_MAX, p["n_points"]),
-                           p["window"], p["window_width"])
-    g = TestFunction2.bump((0.0, -3.0), 0.5, p["lattice_step"],
+    model = checks._model(cfg)
+    g = TestFunction2.bump((0.0, -3.0), 0.5, cfg.freefield["lattice_step"],
                            region=Region2.left_wedge())
     violated = False
     try:

@@ -4,12 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from modlab.cli import main
-from modlab.config import (CHECK_BUMP_RADIUS, SCHEMA, ConfigError,
-                           ExperimentConfig, schema_text)
-from modlab.freefield import REFINEMENT_RUNGS
+from modlab.config import (CHECK_BUMP_RADIUS, REFINEMENT_RUNGS, SCHEMA,
+                           ConfigError, ExperimentConfig, schema_text)
 
 
 def test_defaults_round_trip():
@@ -168,6 +168,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"freefield": {"window": 0.0}}, "freefield.window"),
     ({"freefield": {"mass": 1e307}}, "freefield.mass"),
     ({"freefield": {"lattice_step": 1e-5}}, "freefield.lattice_step"),
+    # a bump of the checks with no lattice sample inside embeds to 0
+    *(({"freefield": {"lattice_step": step}}, "freefield.lattice_step")
+      for step in (1.0, 2.0, 1e306)),
     # a removed input is refused as an unknown key, whatever its value
     *(({"fock": {"weyl_cutoffs": ladder}}, "unknown key: fock")
       for ladder in ([4], [16, 12, 8], [8, 8, 16], [8])),
@@ -186,6 +189,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         "negative_seed", "zero_window",
         "momentum_overflow_from_mass",
         "lattice_step_over_sample_budget",
+        "bump_without_sample_1", "bump_without_sample_2",
+        "bump_without_sample_1e306",
         "weyl_cutoff_below_probe_level", "weyl_cutoffs_decreasing",
         "weyl_cutoffs_repeated", "weyl_cutoffs_one_rung",
         "theta_max_below_4", "momentum_overflow", "lattice_phase_overflow",
@@ -204,14 +209,48 @@ def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
 
 @pytest.mark.parametrize("freefield", [
     {},
-    *({"n_points": p["n_points"], "window": p["window"],
-       "window_width": p["window_width"], "lattice_step": p["step"]}
-      for p in REFINEMENT_RUNGS.values()),
+    *REFINEMENT_RUNGS.values(),
 ], ids=["default", "rung1", "rung2", "rung3"])
 def test_working_grids_load(freefield):
     cfg = ExperimentConfig.from_dict({"kind": "freefield",
                                       "freefield": freefield})
     assert freefield.items() <= cfg.freefield.items()
+
+
+def test_the_default_discretization_is_rung_3():
+    # stated once, in config.REFINEMENT_RUNGS: the config, the model and
+    # the bumps all read it
+    from modlab import checks, freefield
+    cfg = ExperimentConfig()
+    assert cfg.freefield == {"mass": 1.0, **REFINEMENT_RUNGS[3]}
+    assert checks._model(cfg) == freefield.FreeFieldModel()
+    bump = freefield.TestFunction2.bump((0.0, 0.0), 0.5)
+    assert bump.step == cfg.freefield["lattice_step"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_bump_of_the_checks_holds_a_sample_below_the_step_bound(
+        monkeypatch):
+    # at the largest accepted step, every bump and moved bump that the
+    # freefield and modloc checks sample is nonzero somewhere, so no
+    # embedding is 0; the records themselves may fail at so coarse a step
+    from modlab import checks, config, freefield
+    step = math.nextafter(config.MAX_LATTICE_STEP, 0.0)
+    ExperimentConfig.from_dict({"freefield": {"lattice_step": step}})
+    with pytest.raises(ConfigError, match="^freefield.lattice_step: "):
+        ExperimentConfig.from_dict(
+            {"freefield": {"lattice_step": config.MAX_LATTICE_STEP}})
+    sampled = []
+    init = freefield.TestFunction2.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sampled.append(bool(np.any(self.values)))
+    monkeypatch.setattr(freefield.TestFunction2, "__init__", recording_init)
+    for kind in ("freefield", "modloc"):
+        checks.run_checks(ExperimentConfig.from_dict(
+            {"kind": kind, "freefield": {"lattice_step": step}}))
+    assert len(sampled) > 50 and all(sampled)
 
 
 def test_refine_reports_each_rung_and_its_timings(tmp_path, capsys):

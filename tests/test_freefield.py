@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modlab import freefield
+from modlab import checks, freefield
 from modlab.checks import run_checks
-from modlab.config import ExperimentConfig
+from modlab.config import REFINEMENT_RUNGS, ExperimentConfig
 from modlab.freefield import _band_mask, _window
 from modlab.freefield import (
     AMPLIFICATION_CAP, BAND_MARGIN, BAND_ROLL, DomainViolationError,
@@ -24,6 +24,11 @@ from modlab.hilbert import (
 )
 
 
+def rung_model(k):
+    """Rung k's model, built by the path a run takes."""
+    return checks._model(ExperimentConfig(freefield=dict(REFINEMENT_RUNGS[k])))
+
+
 @pytest.fixture(scope="module")
 def model():
     return FreeFieldModel()
@@ -31,7 +36,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def light_model():
-    return FreeFieldModel.rung(1)
+    return rung_model(1)
 
 
 def test_grid_validation():
@@ -412,9 +417,9 @@ def test_embed_memo_evicts_least_recent_within_its_bound(monkeypatch):
     assert again is not first[b] and np.array_equal(again, first[b])
     assert embed(d, small_model).values is not first[d]     # "d" was the oldest
     # an entry counts once, whatever its size; a hit adds no entry
-    embed(a, FreeFieldModel.rung(1))
+    embed(a, rung_model(1))
     assert len(freefield._EMBEDDINGS) == 3
-    embed(a, FreeFieldModel.rung(1))
+    embed(a, rung_model(1))
     assert len(freefield._EMBEDDINGS) == 3
 
 
@@ -590,7 +595,7 @@ def inline_smooth_step(x, start, width):
     return b / (a + b)
 
 
-@pytest.mark.parametrize("m", [FreeFieldModel(), FreeFieldModel.rung(1)],
+@pytest.mark.parametrize("m", [FreeFieldModel(), rung_model(1)],
                          ids=["default", "rung1"])
 def test_window_and_band_mask_match_the_inline_formula(m):
     theta, omega = m.grid.theta, m.grid.omega
@@ -626,7 +631,7 @@ def test_covariance_boost(model):
 def test_covariance_ladder_decreases():
     f = TestFunction2.bump((0.0, 2.5), 0.5)
     g = PoincareElement.boost(0.2)
-    res = [covariance_residual(f, g, FreeFieldModel.rung(k)) for k in (1, 2, 3)]
+    res = [covariance_residual(f, g, rung_model(k)) for k in (1, 2, 3)]
     assert res[0] > res[1] > res[2]
 
 
@@ -712,7 +717,7 @@ def test_bw_residual_right_wedge(model):
 def test_bw_residual_ladder_decreases():
     res = []
     for k in (1, 2, 3):
-        m = FreeFieldModel.rung(k)
+        m = rung_model(k)
         f = TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
         res.append(bw_residual(f, m))
     assert res[0] > res[1] > res[2]

@@ -4,7 +4,7 @@ Each row breaks one function or constant of modlab, by a small factor
 or in one piece of its structure, patched at
 every module that binds it (checks, fock and modloc import names from
 other modules, so a patch of the defining module alone can miss a
-caller).  It then runs the checks of the named kinds at seed 7 and
+caller), or one method, patched on its class.  It then runs the checks of the named kinds at seed 7 and
 asserts that every named record is there and fails.  Bounds and
 thresholds are those of the unpatched program, under which the same
 records pass (tests/test_acceptance.py).  Run with -s to see by
@@ -43,6 +43,19 @@ def shift_scaled(original):
     return lambda values, lam, omega: original(values, 1.02 * lam, omega)
 
 
+def boost_reversed(original):
+    """f o g^(-1) sampled with the boost of g reversed."""
+    def mutant(self, g):
+        return original(self, dataclasses.replace(g, rapidity=-g.rapidity))
+    return mutant
+
+
+def reflection_dropped(original):
+    """u(g) without the conjugation by which the reflection acts."""
+    return lambda g, v, model: original(dataclasses.replace(g, reflect=False),
+                                        v, model)
+
+
 def j_linear(original):
     """A modular conjugation that is complex-linear: j's matrix acting
     without the conjugation."""
@@ -78,6 +91,13 @@ MUTANTS = [
     (freefield, "RIGHT_WEDGE_DIRECTION", +1, ["freefield", "modloc"],
      ["freefield.bisognano_wichmann", "modloc.net", "modloc.doublecone",
       "modloc.direct_sum"]),
+    (freefield.TestFunction2, "transform", boost_reversed,
+     ["freefield", "modloc"],
+     ["freefield.covariance_boost", "modloc.covariance"]),
+    # the reflected dictionary embeds unconjugated, outside the left
+    # wedges, so check_net raises and gives its one error record
+    (freefield, "poincare_act", reflection_dropped, ["freefield", "modloc"],
+     ["modloc.net", "modloc.doublecone"]),
     (standard, "modular_data", j_linear, ["subspace", "fock"],
      ["subspace.conjugation", "subspace.fixed", "subspace.fiber_reassembly",
       "fock.weyl_conjugation"]),
@@ -95,10 +115,12 @@ def _row_id(row):
 
 
 def _patch_every_binding(monkeypatch, module, name, mutate):
-    """mutate is a function of the original, or else the mutant value."""
+    """mutate is a function of the original, or else the mutant value.
+    A class (in place of a module) is the one binding of its method."""
     original = getattr(module, name)
     mutant = mutate(original) if callable(mutate) else mutate
-    bound = [m for m in MODULES if getattr(m, name, None) is original]
+    bound = [module] if isinstance(module, type) else [
+        m for m in MODULES if getattr(m, name, None) is original]
     for m in bound:
         monkeypatch.setattr(m, name, mutant)
     return bound
