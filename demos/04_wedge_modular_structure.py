@@ -10,7 +10,7 @@ arrays on the rapidity grid, which the spectral maps take explicitly.
 """
 
 from modlab.checks import _model
-from modlab.config import REFINEMENT_RUNGS, ExperimentConfig
+from modlab.config import ExperimentConfig
 from modlab.freefield import (FreeFieldModel, Region2, TestFunction2,
                               bw_residual, domain_certificate, embed,
                               gaussian_packet, modular_blowup_profile,
@@ -20,7 +20,7 @@ model = FreeFieldModel()
 
 print("== right-wedge bumps are modular fixed points ==")
 for k in (1, 2, 3):
-    config = ExperimentConfig(freefield=dict(REFINEMENT_RUNGS[k]))
+    config = ExperimentConfig().on_rung(k)
     m = _model(config)
     f = TestFunction2.bump((0.0, 3.0), 0.5, config.freefield["lattice_step"],
                            region=Region2.right_wedge())

@@ -17,7 +17,7 @@ import numpy as np
 from . import fock as fk
 from . import freefield as ff
 from . import modloc as ml
-from .config import REFINEMENT_RUNGS, THETA_MAX, ExperimentConfig
+from .config import THETA_MAX, ExperimentConfig
 from .hilbert import (
     RealSubspace, fixed_space, operator_norm,
     principal_angles, subspace_distance, subspace_intersection, subspace_sum,
@@ -456,8 +456,8 @@ def run_checks(config: ExperimentConfig):
 
 def run_refinement(config: ExperimentConfig, ladder):
     """Re-run the resolution-dependent freefield checks on each rung's
-    grid preset and check the residuals decrease (a 10 percent slack
-    allows stalls at the numerical floor).
+    grid (config.on_rung) and check the residuals decrease (a 10 percent
+    slack allows stalls at the numerical floor).
 
     Each rung runs as run_checks does, with prefix "rung<k>." (see
     _run_each), so a check that raises is a failed record
@@ -467,16 +467,9 @@ def run_refinement(config: ExperimentConfig, ladder):
     sensitive residuals of each rung; and timings keyed
     "rung<k>.<check function>".
     """
-    rungs = {}
-    for rung in map(int, ladder):
-        p = REFINEMENT_RUNGS[rung]
-        data = config.to_dict()
-        data["freefield"].update(
-            n_points=p["n_points"], lattice_step=p["lattice_step"],
-            window=p["window"], window_width=p["window_width"])
-        rungs[rung] = ExperimentConfig.from_dict(data)
     records, rows, timings = [], [], {}
-    for rung, cfg in rungs.items():
+    for rung in map(int, ladder):
+        cfg = config.on_rung(rung)
         # looked up at call time, so a replaced module attribute runs
         recs, times = _run_each(cfg, {"freefield": [
             check_bisognano_wichmann, check_covariance, check_locality]},

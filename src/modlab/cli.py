@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import platform
@@ -36,7 +35,8 @@ def _verify_out_dir(out_dir):
 def _load_config(args):
     config = ExperimentConfig.load(args.config)
     if args.seed is not None:       # validated like the configured seed
-        config = dataclasses.replace(config, seed=args.seed)
+        config = ExperimentConfig.from_dict({**config.to_dict(),
+                                             "seed": args.seed})
     if args.out is not None:
         config.out_dir = args.out
     _verify_out_dir(config.out_dir)

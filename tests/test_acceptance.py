@@ -15,7 +15,7 @@ from modlab.checks import (
     check_net, check_second_quantized, check_standard_suite,
     check_symmetrization, check_weyl, record, run_checks,
 )
-from modlab.config import REFINEMENT_RUNGS, ExperimentConfig
+from modlab.config import ExperimentConfig
 from modlab.freefield import (
     DomainViolationError, PoincareElement, Region2, TestFunction2,
     bw_residual, embed, modular_blowup_profile,
@@ -27,7 +27,7 @@ def default_config(**over):
 
 
 def rung_config(k):
-    return ExperimentConfig(freefield=dict(REFINEMENT_RUNGS[k]))
+    return ExperimentConfig().on_rung(k)
 
 
 def report_line(number, label, passed, detail=""):

@@ -4,12 +4,11 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from modlab.cli import main
-from modlab.config import (CHECK_BUMP_RADIUS, REFINEMENT_RUNGS, SCHEMA,
-                           ConfigError, ExperimentConfig, schema_text)
+from modlab.config import (REFINEMENT_RUNGS, SCHEMA, ConfigError,
+                           ExperimentConfig, schema_text)
 
 
 def test_defaults_round_trip():
@@ -65,7 +64,10 @@ def test_unknown_section_key_names_path(tmp_path, capsys, section, key):
 
 
 def test_schema_holds_only_settable_fields():
-    assert sum(len(keys) for keys in SCHEMA.values()) == 10
+    settable = [f"{section}.{key}".lstrip(".")
+                for section, keys in SCHEMA.items() for key in keys]
+    assert settable == ["kind", "seed", "out_dir", "subspace.n_samples",
+                        "subspace.tolerance", "freefield.mass"]
 
 
 def test_type_error_names_field():
@@ -98,8 +100,7 @@ def test_empty_dictionary_names_field():
 
 def test_dictionary_bump_must_lie_inside_the_right_wedge(monkeypatch):
     # the disk of radius r at (x0, x1) lies in W_R iff x1 - |x0| > sqrt(2) r;
-    # every disk of the net's dictionary does, and the widest is the radius
-    # the lattice-step budget of the config assumes
+    # every disk of the net's dictionary does
     from modlab import checks
     disks = []
     bump = checks.ff.TestFunction2.bump
@@ -113,7 +114,6 @@ def test_dictionary_bump_must_lie_inside_the_right_wedge(monkeypatch):
     assert len(disks) == 4
     for x0, x1, r in disks:
         assert x1 - abs(x0) > math.sqrt(2.0) * r
-    assert max(r for *_, r in disks) == CHECK_BUMP_RADIUS
     with pytest.raises(ConfigError, match="^unknown key: modloc$"):
         ExperimentConfig.from_dict({"modloc": {"dictionary": [[0.0, 3.0, 2.1]]}})
 
@@ -158,19 +158,19 @@ def test_cli_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("data, field", [
     ({"seed": True}, "seed"),
     ({"subspace": {"tolerance": float("nan")}}, "subspace.tolerance"),
-    ({"freefield": {"n_points": 1000}}, "freefield.n_points"),
-    ({"freefield": {"window": 6.5}}, "freefield.window"),
     ({"freefield": {"mass": 0.0}}, "freefield.mass"),
-    ({"freefield": {"window_width": 0.0}}, "freefield.window_width"),
-    ({"freefield": {"lattice_step": -0.01}}, "freefield.lattice_step"),
     ({"subspace": {"n_samples": 0}}, "subspace.n_samples"),
     ({"seed": -1}, "seed"),
-    ({"freefield": {"window": 0.0}}, "freefield.window"),
     ({"freefield": {"mass": 1e307}}, "freefield.mass"),
-    ({"freefield": {"lattice_step": 1e-5}}, "freefield.lattice_step"),
-    # a bump of the checks with no lattice sample inside embeds to 0
-    *(({"freefield": {"lattice_step": step}}, "freefield.lattice_step")
-      for step in (1.0, 2.0, 1e306)),
+    # the grid is stated only in config.REFINEMENT_RUNGS: a grid key is
+    # unknown, whatever its value, also one inside the range it once had
+    *(({"freefield": {key: value}}, f"unknown key: freefield.{key}")
+      for key, value in (("n_points", 1000), ("window", 6.5),
+                         ("window_width", 0.0), ("lattice_step", -0.01),
+                         ("window", 0.0), ("lattice_step", 1e-5),
+                         ("lattice_step", 1.0), ("lattice_step", 2.0),
+                         ("lattice_step", 1e306), ("window", 5.5),
+                         ("lattice_step", 0.3))),
     # a removed input is refused as an unknown key, whatever its value
     *(({"fock": {"weyl_cutoffs": ladder}}, "unknown key: fock")
       for ladder in ([4], [16, 12, 8], [8, 8, 16], [8])),
@@ -182,15 +182,14 @@ def test_cli_usage_errors(tmp_path, capsys):
       for disks in ([[0.0, 3.0, 2.5]], [[0.0, float("inf"), 0.5]],
                     [[0.0, 3.0, 0.5], [True, 3.0, 0.5]],
                     [[0.0, 3.0, 0.5], [0.0, 300.0, 100.0]])),
-], ids=["bool_seed", "nan_tolerance",
+], ids=["bool_seed", "nan_tolerance", "zero_mass", "zero_n_samples",
+        "negative_seed", "momentum_overflow_from_mass",
         "n_points_not_power_of_two", "window_outside_grid",
-        "zero_mass", "zero_window_width",
-        "negative_lattice_step", "zero_n_samples",
-        "negative_seed", "zero_window",
-        "momentum_overflow_from_mass",
+        "zero_window_width", "negative_lattice_step", "zero_window",
         "lattice_step_over_sample_budget",
         "bump_without_sample_1", "bump_without_sample_2",
-        "bump_without_sample_1e306",
+        "bump_without_sample_1e306", "window_that_fails_checks",
+        "lattice_step_that_raises",
         "weyl_cutoff_below_probe_level", "weyl_cutoffs_decreasing",
         "weyl_cutoffs_repeated", "weyl_cutoffs_one_rung",
         "theta_max_below_4", "momentum_overflow", "lattice_phase_overflow",
@@ -207,14 +206,18 @@ def test_cli_rejects_bad_field_with_exit_2(tmp_path, capsys, data, field):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("freefield", [
-    {},
-    *REFINEMENT_RUNGS.values(),
-], ids=["default", "rung1", "rung2", "rung3"])
-def test_working_grids_load(freefield):
-    cfg = ExperimentConfig.from_dict({"kind": "freefield",
-                                      "freefield": freefield})
-    assert freefield.items() <= cfg.freefield.items()
+@pytest.mark.parametrize("rung", [None, 1, 2, 3],
+                         ids=["default", "rung1", "rung2", "rung3"])
+def test_working_grids_load(rung):
+    # a config holds the default rung's grid, and on_rung a copy on
+    # another; the config echo names neither
+    loaded = ExperimentConfig.from_dict({"kind": "freefield",
+                                         "freefield": {"mass": 0.5}})
+    cfg = loaded if rung is None else loaded.on_rung(rung)
+    assert cfg.freefield == {"mass": 0.5, **REFINEMENT_RUNGS[rung or 3]}
+    assert loaded.freefield == {"mass": 0.5, **REFINEMENT_RUNGS[3]}
+    assert cfg.to_dict() == loaded.to_dict()
+    assert cfg.to_dict()["freefield"] == {"mass": 0.5}
 
 
 def test_the_default_discretization_is_rung_3():
@@ -226,31 +229,6 @@ def test_the_default_discretization_is_rung_3():
     assert checks._model(cfg) == freefield.FreeFieldModel()
     bump = freefield.TestFunction2.bump((0.0, 0.0), 0.5)
     assert bump.step == cfg.freefield["lattice_step"]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_every_bump_of_the_checks_holds_a_sample_below_the_step_bound(
-        monkeypatch):
-    # at the largest accepted step, every bump and moved bump that the
-    # freefield and modloc checks sample is nonzero somewhere, so no
-    # embedding is 0; the records themselves may fail at so coarse a step
-    from modlab import checks, config, freefield
-    step = math.nextafter(config.MAX_LATTICE_STEP, 0.0)
-    ExperimentConfig.from_dict({"freefield": {"lattice_step": step}})
-    with pytest.raises(ConfigError, match="^freefield.lattice_step: "):
-        ExperimentConfig.from_dict(
-            {"freefield": {"lattice_step": config.MAX_LATTICE_STEP}})
-    sampled = []
-    init = freefield.TestFunction2.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        sampled.append(bool(np.any(self.values)))
-    monkeypatch.setattr(freefield.TestFunction2, "__init__", recording_init)
-    for kind in ("freefield", "modloc"):
-        checks.run_checks(ExperimentConfig.from_dict(
-            {"kind": kind, "freefield": {"lattice_step": step}}))
-    assert len(sampled) > 50 and all(sampled)
 
 
 def test_refine_reports_each_rung_and_its_timings(tmp_path, capsys):
@@ -319,7 +297,8 @@ def test_cli_list_checks(capsys):
 
 def test_cli_print_schema(capsys):
     assert main(["print-schema"]) == 0
-    assert "lattice_step" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "lattice_step" in out and "REFINEMENT_RUNGS" in out
 
 
 def test_report_determinism(tmp_path):
@@ -356,11 +335,13 @@ def _refuse_constant(name):
     ("modloc", 4.5, {"modloc.net", "modloc.doublecone", "modloc.direct_sum"},
      "EmptyModelError"),
 ])
-def test_check_that_raises_becomes_a_failed_record(tmp_path, capsys, kind,
-                                                   window, raised, error):
+def test_check_that_raises_becomes_a_failed_record(tmp_path, capsys,
+                                                   monkeypatch, kind, window,
+                                                   raised, error):
+    # the window is the rung table's, so it is patched there, in process
     from modlab.checks import CHECKS
-    cfg = write_config(tmp_path, {"kind": kind, "out_dir": str(tmp_path / "out"),
-                                  "freefield": {"window": window}})
+    monkeypatch.setitem(REFINEMENT_RUNGS[3], "window", window)
+    cfg = write_config(tmp_path, {"kind": kind, "out_dir": str(tmp_path / "out")})
     assert main(["run", "--config", cfg]) == 1
     assert error in capsys.readouterr().out
     text = (tmp_path / "out" / "report.json").read_text()

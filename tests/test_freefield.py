@@ -8,7 +8,7 @@ import pytest
 
 from modlab import checks, freefield
 from modlab.checks import run_checks
-from modlab.config import REFINEMENT_RUNGS, ExperimentConfig
+from modlab.config import ExperimentConfig
 from modlab.freefield import _band_mask, _window
 from modlab.freefield import (
     AMPLIFICATION_CAP, BAND_MARGIN, BAND_ROLL, DomainViolationError,
@@ -26,7 +26,7 @@ from modlab.hilbert import (
 
 def rung_model(k):
     """Rung k's model, built by the path a run takes."""
-    return checks._model(ExperimentConfig(freefield=dict(REFINEMENT_RUNGS[k])))
+    return checks._model(ExperimentConfig().on_rung(k))
 
 
 @pytest.fixture(scope="module")

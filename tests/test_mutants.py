@@ -56,6 +56,30 @@ def reflection_dropped(original):
                                         v, model)
 
 
+def field_unscaled(original):
+    """phi(h) = a(h) + a*(h), without its 1/sqrt(2)."""
+    return lambda space, h: hilbert.Operator(
+        math.sqrt(2.0) * original(space, h).matrix)
+
+
+def sqrt_factorial_dropped(original):
+    """The level-n block of h^(x n) without its sqrt(n!)."""
+    return lambda space, h, n: (original(space, h, n)
+                                / math.sqrt(math.factorial(n)))
+
+
+def weyl_phase_flipped(original):
+    """W(h) e^((i/sqrt2)k) with the phase exp(+(i/2) Im<h,k>)."""
+    return lambda space, h, k: original(space, h, k) * np.exp(
+        1j * np.vdot(h, k).imag)
+
+
+def translation_mirrored(original):
+    """u(g) with the spatial translation a1 negated."""
+    return lambda g, v, model: original(dataclasses.replace(g, a1=-g.a1),
+                                        v, model)
+
+
 def j_linear(original):
     """A modular conjugation that is complex-linear: j's matrix acting
     without the conjugation."""
@@ -98,6 +122,19 @@ MUTANTS = [
     # wedges, so check_net raises and gives its one error record
     (freefield, "poincare_act", reflection_dropped, ["freefield", "modloc"],
      ["modloc.net", "modloc.doublecone"]),
+    # the translated dictionary leaves its wedges, and check_doublecone
+    # raises and gives its one error record
+    (freefield, "poincare_act", translation_mirrored,
+     ["freefield", "modloc"],
+     ["freefield.covariance_translation", "modloc.isotony", "modloc.duality",
+      "modloc.covariance", "modloc.doublecone"]),
+    (fock, "field_operator", field_unscaled, ["fock"],
+     ["fock.weyl_agreement", "fock.ccr_phase",
+      "fock.weyl_truncation_monotone"]),
+    (fock, "tensor_power_level", sqrt_factorial_dropped, ["fock"],
+     ["fock.symmetrization"]),
+    (fock, "weyl_on_coherent", weyl_phase_flipped, ["fock"],
+     ["fock.weyl_agreement", "fock.weyl_truncation_monotone"]),
     (standard, "modular_data", j_linear, ["subspace", "fock"],
      ["subspace.conjugation", "subspace.fixed", "subspace.fiber_reassembly",
       "fock.weyl_conjugation"]),

@@ -15,9 +15,11 @@ only hands on, as in f(x, tol=tol) inside a function whose own tol no
 call sets, counts as set.
 
 The same rule holds for the config: every SCHEMA key is set by a call
-in src/, in the form X["<section>"].update(<key>=...) with which
-run_refinement sets its rungs' grids, or listed in CONFIG_EXEMPT with
-the reason it stays settable.
+in src/, in the form X["<section>"].update(<key>=...), or listed in
+CONFIG_EXEMPT with the reason it stays settable.  No call sets one
+today: the grid that refine varies is not a config key but
+config.REFINEMENT_RUNGS, which ExperimentConfig.on_rung reads, so each
+of the six keys is exempt.
 """
 
 import ast
