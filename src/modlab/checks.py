@@ -323,21 +323,48 @@ def check_borchers(config, rng):
 
 # -- modular localization suite ---------------------------------------------
 
-def _build_net(config):
+def _embed_by_rows(model, functions, elements):
+    """Embed each function and its transport f.transform(g) by each
+    element g in one pass, in ascending |x1| of the lattice centre (of its
+    image under g for a transport).  embed reads the phase rows of |k|, so
+    the pass walks the rows once and the later embeds of the same
+    functions are memo hits.  A transport is built at its turn and
+    dropped after its embed."""
+    work = []
+    for f in functions:
+        c = ((f.x0[0] + f.x0[-1]) / 2, (f.x1[0] + f.x1[-1]) / 2)
+        work.append((abs(c[1]), f, None))
+        work += [(abs(g.apply_point(c)[1]), f, g) for g in elements]
+    for _, f, g in sorted(work, key=operator.itemgetter(0)):
+        ff.embed(f if g is None else f.transform(g), model)
+
+
+def _build_net(config, elements):
     """Right and left wedges at the apexes (0, a), a in 0, 0.5, 1.  The
     dictionary moved by (0, s) lies in the right wedge at (0, a) for
-    s >= a, and reflected, in the left wedge for s <= a."""
+    s >= a, and reflected, in the left wedge for s <= a.
+
+    The dictionary and its transports by the covariance elements are
+    embedded first, in one sweep of the lattice rows (_embed_by_rows):
+    wedge by wedge and element by element, four passes would each go
+    over the same rows, and _phase_chunk would have to hold a pass."""
     step = config.freefield["lattice_step"]
     base = [ff.TestFunction2.bump((c0, c1), r, step)
             for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),
                               (-0.3, 2.8, 0.45), (0.1, 4.0, 0.6))]
     reflected = [f.transform(ff.PoincareElement.reflection()) for f in base]
-    net = ml.LocalizedNet(ml.PoincareRep2([_model(config)]))
     shifts = (0.0, 0.5, 1.0)
-    for region, fns, inside in ((ff.Region2.right_wedge, base, operator.ge),
-                                (ff.Region2.left_wedge, reflected, operator.le)):
-        moved = {s: [f.transform(ff.PoincareElement.translation(0.0, s))
-                     for f in fns] for s in shifts}
+    wedges = [(region, inside,
+               {s: [f.transform(ff.PoincareElement.translation(0.0, s))
+                    for f in fns] for s in shifts})
+              for region, fns, inside in (
+                  (ff.Region2.right_wedge, base, operator.ge),
+                  (ff.Region2.left_wedge, reflected, operator.le))]
+    model = _model(config)
+    _embed_by_rows(model, [f for _, _, moved in wedges
+                           for fns in moved.values() for f in fns], elements)
+    net = ml.LocalizedNet(ml.PoincareRep2([model]))
+    for region, inside, moved in wedges:
         for a in shifts:
             net.populate_wedge(region((0.0, a)),
                                [f for s in shifts if inside(s, a)
@@ -346,10 +373,10 @@ def _build_net(config):
 
 
 def check_net(config, rng):
-    net = _build_net(config)
-    rep_checks = ml.net_checks(
-        net, covariance_elements=[ff.PoincareElement.translation(0.0, 0.5),
-                                  ff.PoincareElement.boost(0.1)])
+    elements = [ff.PoincareElement.translation(0.0, 0.5),
+                ff.PoincareElement.boost(0.1)]
+    net = _build_net(config, elements)
+    rep_checks = ml.net_checks(net, covariance_elements=elements)
     # a category with no rows has shown nothing, so it fails
     found = {cat: worst([row["residual"] for row in rows]) if rows else 1.0
              for cat, rows in rep_checks.items()}

@@ -365,14 +365,15 @@ EMBED_MEMO = 256                # embed results kept
 _EMBEDDINGS = OrderedDict()     # read-only embed results, oldest first
 
 
-@functools.lru_cache(maxsize=24)
+@functools.lru_cache(maxsize=16)
 def _phase_chunk(mass: float, grid: RapidityGrid, step: float, axis: int,
                  c: int) -> np.ndarray:
     """Read-only rows exp(i (k h) p0) (axis 0) or exp(-i (k h) p1) (axis 1)
     for c PHASE_CHUNK <= k < (c + 1) PHASE_CHUNK, on the rapidity columns
-    0 ... N/2.  The 24 most recent are kept, whatever N: reuse follows
-    the lattice rows.  Keyed on the momenta's (mass, grid), not on the
-    model, so models that differ only in window share chunks.  Filled in
+    0 ... N/2.  The 16 most recent are kept, whatever N: reuse follows
+    the lattice rows, which checks._build_net embeds in one sweep.  Keyed
+    on the momenta's (mass, grid), not on the model, so models that
+    differ only in window share chunks.  Filled in
     place, cos(arg) into the real and sin(arg) into the imaginary part:
     bit-identical to exp(+-1j * outer(x, p)) where the host's exp and
     cos/sin agree, and cheaper.  arg carries the signs of zero of the

@@ -286,7 +286,7 @@ def test_an_empty_net_category_fails_its_record(monkeypatch):
     # no rows has shown nothing, so its record fails rather than reading 0
     rows = {"isotony": [{"residual": 1e-15}], "duality": [],
             "covariance": [{"residual": 2e-14}]}
-    monkeypatch.setattr(checks, "_build_net", lambda config: None)
+    monkeypatch.setattr(checks, "_build_net", lambda config, elements: None)
     monkeypatch.setattr(modloc, "net_checks",
                         lambda net, covariance_elements=(): rows)
     records = {r["name"]: r for r in check_net(default_config(), None)}

@@ -110,7 +110,7 @@ def test_dictionary_bump_must_lie_inside_the_right_wedge(monkeypatch):
         return bump(center, radius, *args, **kwargs)
     monkeypatch.setattr(checks.ff.TestFunction2, "bump",
                         staticmethod(recording_bump))
-    checks._build_net(ExperimentConfig.from_dict({"kind": "modloc"}))
+    checks._build_net(ExperimentConfig.from_dict({"kind": "modloc"}), ())
     assert len(disks) == 4
     for x0, x1, r in disks:
         assert x1 - abs(x0) > math.sqrt(2.0) * r

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -429,7 +430,7 @@ def test_concurrent_embeds_are_exact_within_both_bounds(monkeypatch):
     # 40 bumps whose lattice rows touch more chunks than are kept
     bumps = [TestFunction2.bump((0.6 * (i % 8) - 2.1, 1.0 + 0.3 * i), 0.5,
                                 1.0 / 64) for i in range(40)]
-    assert len(set().union(*map(touched_chunks, bumps))) > 24
+    assert len(set().union(*map(touched_chunks, bumps))) > 16
     expected = [uncached_embedding(f, small_model) for f in bumps]
     wrong = []
     old = sys.getswitchinterval()
@@ -452,11 +453,11 @@ def test_concurrent_embeds_are_exact_within_both_bounds(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not wrong
-    # 40 embeddings were put into 16 places, and more than 24 chunks into
-    # 24: neither ends over its bound
+    # 40 embeddings were put into 16 places, and more than 16 chunks into
+    # 16: neither ends over its bound
     assert len(freefield._EMBEDDINGS) <= freefield.EMBED_MEMO
     info = freefield._phase_chunk.cache_info()
-    assert info.currsize <= info.maxsize == 24 and info.misses > 24
+    assert info.currsize <= info.maxsize == 16 and info.misses > 16
 
 
 def test_embed_holds_at_most_two_phase_tables(model):
@@ -497,13 +498,42 @@ def test_embed_peak_does_not_grow_with_the_grid_beyond_its_output():
     assert peaks[8192] < 0.25 * table
 
 
-def test_default_checks_keep_24_phase_chunks_and_fill_at_most_64():
+def test_default_checks_keep_16_phase_chunks_and_fill_at_most_59():
     clear_caches()
     for kind in ("freefield", "modloc"):
         records, _ = run_checks(ExperimentConfig.from_dict({"kind": kind}))
         assert all(r["passed"] for r in records)
     info = freefield._phase_chunk.cache_info()
-    assert info.currsize <= info.maxsize == 24 and info.misses <= 64
+    assert info.currsize <= info.maxsize == 16 and info.misses <= 59
+
+
+def net_records_and_fills():
+    clear_caches()
+    records = checks.check_net(ExperimentConfig.from_dict({"kind": "modloc"}),
+                               None)
+    return records, freefield._phase_chunk.cache_info().misses
+
+
+def test_the_net_sweep_changes_only_the_order_of_work(monkeypatch):
+    swept, swept_fills = net_records_and_fills()
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_embed_by_rows", lambda *args: None)
+        unswept, unswept_fills = net_records_and_fills()
+    assert repr(swept) == repr(unswept)
+    assert swept_fills < unswept_fills
+
+    # every embedding of kind all stays in embed's memo until the run ends
+    class CountingMemo(OrderedDict):
+        evictions = 0
+
+        def popitem(self, last=True):
+            self.evictions += 1
+            return super().popitem(last)
+
+    memo = CountingMemo()
+    monkeypatch.setattr(freefield, "_EMBEDDINGS", memo)
+    run_checks(ExperimentConfig.from_dict({"kind": "all"}))
+    assert memo and memo.evictions == 0
 
 
 def test_embed_error_estimate(light_model):
