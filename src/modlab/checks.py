@@ -324,19 +324,13 @@ def check_borchers(config, rng):
 # -- modular localization suite ---------------------------------------------
 
 def _embed_by_rows(model, functions, elements):
-    """Embed each function and its transport f.transform(g) by each
-    element g in one pass, in ascending |x1| of the lattice centre (of its
-    image under g for a transport).  embed reads the phase rows of |k|, so
-    the pass walks the rows once and the later embeds of the same
-    functions are memo hits.  A transport is built at its turn and
-    dropped after its embed."""
-    work = []
-    for f in functions:
-        c = ((f.x0[0] + f.x0[-1]) / 2, (f.x1[0] + f.x1[-1]) / 2)
-        work.append((abs(c[1]), f, None))
-        work += [(abs(g.apply_point(c)[1]), f, g) for g in elements]
-    for _, f, g in sorted(work, key=operator.itemgetter(0)):
-        ff.embed(f if g is None else f.transform(g), model)
+    """Embed each function and its transports f.transform(g) by the
+    elements in one pass, in ascending |x1| of each one's lattice centre.
+    embed reads the phase rows of |k|, so the pass walks the rows once and
+    the later embeds of the same functions are memo hits."""
+    work = functions + [f.transform(g) for f in functions for g in elements]
+    for f in sorted(work, key=lambda f: abs(f.x1[0] + f.x1[-1])):
+        ff.embed(f, model)
 
 
 def _build_net(config, elements):
@@ -345,9 +339,11 @@ def _build_net(config, elements):
     s >= a, and reflected, in the left wedge for s <= a.
 
     The dictionary and its transports by the covariance elements are
-    embedded first, in one sweep of the lattice rows (_embed_by_rows):
-    wedge by wedge and element by element, four passes would each go
-    over the same rows, and _phase_chunk would have to hold a pass."""
+    embedded first, in one sweep of the lattice rows (_embed_by_rows), and
+    populate_wedge and net_checks, whose transports equal these as values,
+    find them in embed's memo.  Wedge by wedge and element by element,
+    four passes would each go over the same rows, and _phase_chunk would
+    have to hold a pass."""
     step = config.freefield["lattice_step"]
     base = [ff.TestFunction2.bump((c0, c1), r, step)
             for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),

@@ -7,9 +7,10 @@ shifts (FFT phase shifts), translations as multiplication by
 exp(i a.p(theta)), and the total spacetime reflection as pointwise
 conjugation.  A region is an intersection of wedges g W_R, held as
 their frames g; a double cone is a right and a left wedge.  Test
-functions are smooth bumps sampled on a global spacetime lattice; their
-embedding into the one-particle space is a Fourier quadrature windowed
-where the lattice stops resolving the oscillation of exp(i p.x).
+functions are values, smooth bumps moved by Poincare elements, sampled
+on a global spacetime lattice when read; their embedding into the
+one-particle space is a Fourier quadrature windowed where the lattice
+stops resolving the oscillation of exp(i p.x).
 
 The origin right wedge's delta^(1/2) is, by the Bisognano-Wichmann
 theorem, the Fourier multiplier exp(pi omega) in the rapidity frequency
@@ -30,9 +31,7 @@ handed the model when it needs the momenta or else just the grid.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -279,70 +278,76 @@ def _bump(q):
     return out
 
 
+@dataclass(frozen=True)
 class TestFunction2:
-    """Real smooth test function sampled on the global spacetime lattice
-    {(i h, j h)}; holding the analytic profile so that Poincare
-    transforms are evaluated exactly, never interpolated."""
+    """The bump exp(-1/(1 - |y - c|^2/r^2)) on the disk of center c and
+    radius r, moved by g: x -> bump(g^(-1) x).  A value, so equal functions
+    share their embedding; region, the declared region, is checked on
+    construction but not compared.  The samples on the global lattice
+    {(i h, j h)} over the box of the moved boundary circle are computed
+    from the profile when read, never interpolated or held."""
 
     __test__ = False            # despite the name, not a pytest class
 
-    def __init__(self, region: Region2, profile, bbox, step: float,
-                 support_boundary):
-        self.region = region
-        self.profile = profile
-        self.step = float(step)
-        (lo0, hi0), (lo1, hi1) = bbox
-        i0, i1 = math.floor(lo0 / step) - 1, math.ceil(hi0 / step) + 1
-        j0, j1 = math.floor(lo1 / step) - 1, math.ceil(hi1 / step) + 1
-        self.origin = (i0, j0)          # lattice integers of x0[0], x1[0]
-        self.x0 = step * np.arange(i0, i1 + 1)
-        self.x1 = step * np.arange(j0, j1 + 1)
-        self.values = profile(self.x0[:, None], self.x1[None, :])
-        self._boundary = support_boundary
-        if not self.supported_in(region):
-            raise SupportError("support is not inside the declared region")
+    center: tuple
+    radius: float
+    step: float
+    region: Region2 = field(compare=False)
+    g: PoincareElement = PoincareElement()
 
-    def supported_in(self, region: Region2) -> bool:
-        """Whether the recorded support boundary lies in region."""
-        return bool(np.all(region.contains(*self._boundary)))
+    def __post_init__(self):
+        if not self.supported_in(self.region):
+            raise SupportError("support is not inside the declared region")
 
     @staticmethod
     def bump(center, radius, step: float = DEFAULT_RUNG["lattice_step"],
              region: Region2 = None) -> "TestFunction2":
-        """Mollifier bump exp(-1/(1 - |x-c|^2/r^2)) on the disk of the
-        given center and radius."""
+        """The unmoved bump, declared by default in the double cone around
+        its disk's box."""
         c0, c1 = float(center[0]), float(center[1])
         r = float(radius)
         if region is None:
             region = Region2.double_cone((c0, c1), r * math.sqrt(2.0) * 1.001)
+        return TestFunction2((c0, c1), r, float(step), region)
+
+    @property
+    def _boundary(self):
+        """The disk's 256-point boundary circle, moved by g."""
         ang = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        boundary = (c0 + r * np.cos(ang), c1 + r * np.sin(ang))
+        return self.g.apply_point((self.center[0] + self.radius * np.cos(ang),
+                                   self.center[1] + self.radius * np.sin(ang)))
 
-        def profile(x0, x1):
-            return _bump(((x0 - c0) ** 2 + (x1 - c1) ** 2) / r ** 2)
+    def _rows(self, axis):
+        """Lattice integers of the rows along x_axis: the boundary's box,
+        one step wider on each side."""
+        b = self._boundary[axis]
+        return np.arange(math.floor(b.min() / self.step) - 1,
+                         math.ceil(b.max() / self.step) + 2)
 
-        return TestFunction2(region, profile,
-                             ((c0 - r, c0 + r), (c1 - r, c1 + r)),
-                             step, support_boundary=boundary)
+    x0 = property(lambda self: self.step * self._rows(0))
+    x1 = property(lambda self: self.step * self._rows(1))
+
+    @property
+    def origin(self):
+        """Lattice integers of x0[0] and x1[0]."""
+        return int(self._rows(0)[0]), int(self._rows(1)[0])
+
+    @property
+    def values(self) -> np.ndarray:
+        y0, y1 = self.g.inv().apply_point((self.x0[:, None], self.x1[None, :]))
+        c0, c1 = self.center
+        return _bump(((y0 - c0) ** 2 + (y1 - c1) ** 2) / self.radius ** 2)
+
+    def supported_in(self, region: Region2) -> bool:
+        """Whether the moved boundary circle lies in region."""
+        return bool(np.all(region.contains(*self._boundary)))
 
     def refine(self) -> "TestFunction2":
-        return TestFunction2(self.region, self.profile,
-                             ((self.x0[0], self.x0[-1]), (self.x1[0], self.x1[-1])),
-                             self.step / 2, support_boundary=self._boundary)
+        return replace(self, step=self.step / 2)
 
-    def transform(self, g: PoincareElement) -> "TestFunction2":
-        """The transformed function x -> f(g^(-1) x), sampled on the
-        lattice over the transformed support box."""
-        corners0, corners1 = g.apply_point(self._boundary)
-        ginv = g.inv()
-
-        def profile(x0, x1):
-            return self.profile(*ginv.apply_point((x0, x1)))
-
-        return TestFunction2(self.region.transform(g), profile,
-                             ((corners0.min(), corners0.max()),
-                              (corners1.min(), corners1.max())),
-                             self.step, support_boundary=(corners0, corners1))
+    def transform(self, h: PoincareElement) -> "TestFunction2":
+        """The transformed function x -> f(h^(-1) x), in the region h R."""
+        return replace(self, g=h * self.g, region=self.region.transform(h))
 
 
 def _smooth_step(s):
@@ -362,7 +367,6 @@ def _window(model: FreeFieldModel, theta):
 PHASE_CHUNK = 32                # lattice rows per cached chunk
 BLOCK = 256                     # widest block of rapidity columns in embed
 EMBED_MEMO = 256                # embed results kept
-_EMBEDDINGS = OrderedDict()     # read-only embed results, oldest first
 
 
 @functools.lru_cache(maxsize=16)
@@ -420,6 +424,7 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     return out
 
 
+@functools.lru_cache(maxsize=EMBED_MEMO)
 def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     """(Ef)(theta) = sqrt(2 pi) fhat(p(theta)) with
     fhat(p) = (2 pi)^(-1) int f(x) exp(i p.x) d^2x, p.x = p0 x0 - p1 x1.
@@ -440,41 +445,34 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     the bits are those of full-width tables; no block is one column wide,
     which numpy would send to gemv, summing in another order.
 
-    The EMBED_MEMO most recent results are memoized on (model, step,
-    lattice origin, shape and digest of the sampled values); the returned
-    values are read-only.  A hit is popped and put back as the most
-    recent.
+    The EMBED_MEMO most recent results are kept, keyed on (f, model):
+    a test function is a value, so equal ones share one result, whose
+    values are read-only.
     """
     values = f.values
-    key = (model, f.step, f.origin, values.shape, values.dtype.str,
-           hashlib.blake2b(values.tobytes(), digest_size=16).digest())
-    v = _EMBEDDINGS.pop(key, None)
-    if v is None:
-        (m0, m1), n = values.shape, model.grid.n_points
-        half = n // 2 + 1
-        nb = -(-half // BLOCK)                      # near-equal column blocks
-        rows = np.empty(max(m0, m1) * -(-half // nb), dtype=complex)
-        B = np.empty(m0 * -(-half // nb), dtype=complex)
-        values, v = values.astype(complex), np.empty(n, dtype=complex)
-        for i in range(nb):
-            a, b = half * i // nb, half * (i + 1) // nb
-            E1 = _phase_rows(model, f.step, 1, f.origin[1], m1, slice(a, b),
-                             rows[:m1 * (b - a)].reshape(m1, -1))
-            Bb = np.matmul(values, E1, out=B[:m0 * (b - a)].reshape(m0, -1))
-            E0 = _phase_rows(model, f.step, 0, f.origin[0], m0, slice(a, b),
-                             rows[:m0 * (b - a)].reshape(m0, -1))
-            v[a:b] = np.einsum("xt,xt->t", E0, Bb)
-            np.conjugate(Bb, out=Bb)
-            lo, hi = max(a, 1), min(b, n // 2)      # columns j into v[N - j]
-            v[n - lo:n - hi:-1] = np.einsum("xt,xt->t", E0[:, lo - a:hi - a],
-                                            Bb[:, lo - a:hi - a])
-        del rows, B, E0, E1, Bb         # before the window's temporaries
-        v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
-        v *= _window(model, model.grid.theta)
-        v.flags.writeable = False
-    _EMBEDDINGS[key] = v
-    while len(_EMBEDDINGS) > EMBED_MEMO:
-        _EMBEDDINGS.popitem(last=False)
+    (m0, m1), n = values.shape, model.grid.n_points
+    half = n // 2 + 1
+    nb = -(-half // BLOCK)                      # near-equal column blocks
+    rows = np.empty(max(m0, m1) * -(-half // nb), dtype=complex)
+    B = np.empty(m0 * -(-half // nb), dtype=complex)
+    values, v = values.astype(complex), np.empty(n, dtype=complex)
+    i0, j0 = f.origin
+    for i in range(nb):
+        a, b = half * i // nb, half * (i + 1) // nb
+        E1 = _phase_rows(model, f.step, 1, j0, m1, slice(a, b),
+                         rows[:m1 * (b - a)].reshape(m1, -1))
+        Bb = np.matmul(values, E1, out=B[:m0 * (b - a)].reshape(m0, -1))
+        E0 = _phase_rows(model, f.step, 0, i0, m0, slice(a, b),
+                         rows[:m0 * (b - a)].reshape(m0, -1))
+        v[a:b] = np.einsum("xt,xt->t", E0, Bb)
+        np.conjugate(Bb, out=Bb)
+        lo, hi = max(a, 1), min(b, n // 2)      # columns j into v[N - j]
+        v[n - lo:n - hi:-1] = np.einsum("xt,xt->t", E0[:, lo - a:hi - a],
+                                        Bb[:, lo - a:hi - a])
+    del rows, B, E0, E1, Bb         # before the window's temporaries
+    v *= f.step ** 2 / math.sqrt(2.0 * np.pi)
+    v *= _window(model, model.grid.theta)
+    v.flags.writeable = False
     return OneParticleVector(model, v)
 
 

@@ -218,15 +218,11 @@ def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
         report["duality"].append({
             "wedge": e.region, "residual": float(res)})
 
-    # wedges share dictionary functions: transport and embed each once
-    functions = dict.fromkeys(f for e in entries for f in e.functions)
     for g in covariance_elements:
-        transported = {f: embed_probe(net.rep, f.transform(g))
-                       for f in functions}
         for e in entries:
             gW = e.region.transform(g)
             moved = net.act_on_subspace(g, e.subspace)
-            probes = [transported[f] for f in e.functions]
+            probes = [embed_probe(net.rep, f.transform(g)) for f in e.functions]
             row = {"wedge": e.region, "element": repr(g)}
             try:
                 K_gW, _ = localized_subspace(net.rep, gW, probes)

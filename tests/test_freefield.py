@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,11 +183,11 @@ def test_bump_support_validation():
 
 
 def test_embed_zero_function(model):
-    # the support is empty: the origin stands for its boundary
-    f = TestFunction2(Region2.double_cone((0, 0), 1.0),
-                      lambda x0, x1: np.zeros(np.broadcast(x0, x1).shape),
-                      ((-0.5, 0.5), (-0.5, 0.5)), 1.0 / 64,
-                      (np.zeros(1), np.zeros(1)))
+    # a disk narrower than half a step, centred between the lattice rows,
+    # holds no lattice point
+    step = 1.0 / 64
+    f = TestFunction2.bump((step / 2, step / 2), step / 4, step)
+    assert not np.any(f.values)
     assert np.linalg.norm(embed(f, model).values) == 0.0
 
 
@@ -195,16 +195,18 @@ def test_embed_linearity(light_model):
     f = TestFunction2.bump((0.0, 2.0), 0.5)
     g = TestFunction2.bump((0.3, 2.5), 0.4)
     a, b = 0.7, -1.3
-
-    def combo(x0, x1):
-        return a * f.profile(x0, x1) + b * g.profile(x0, x1)
-
-    # the corners of the box, which holds both disks
-    fg = TestFunction2(Region2.double_cone((0.1, 2.2), 2.0), combo,
-                       ((-0.6, 0.8), (1.4, 3.0)), f.step,
-                       (np.array([-0.6, -0.6, 0.8, 0.8]),
-                        np.array([1.4, 3.0, 1.4, 3.0])))
-    lhs = embed(fg, light_model).values
+    # a f + b g sampled on one lattice box that holds both disks
+    lo = np.minimum(f.origin, g.origin)
+    hi = np.maximum(np.add(f.origin, f.values.shape),
+                    np.add(g.origin, g.values.shape))
+    combo = np.zeros(hi - lo)
+    for c, h in ((a, f), (b, g)):
+        (i, j), (m0, m1) = h.origin - lo, h.values.shape
+        combo[i:i + m0, j:j + m1] += c * h.values
+    fg = SimpleNamespace(step=f.step, values=combo,
+                         x0=f.step * np.arange(lo[0], hi[0]),
+                         x1=f.step * np.arange(lo[1], hi[1]))
+    lhs = uncached_embedding(fg, light_model)
     rhs = a * embed(f, light_model).values + b * embed(g, light_model).values
     assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
 
@@ -233,7 +235,7 @@ def uncached_embedding(f, model):
 
 
 def clear_caches():
-    freefield._EMBEDDINGS.clear()
+    freefield.embed.cache_clear()
     freefield._phase_chunk.cache_clear()
 
 
@@ -374,11 +376,27 @@ def test_reflected_bump_reuses_the_cached_phase_rows(model):
 
 def test_transformed_support_corners_equal_the_pointwise_images():
     f = TestFunction2.bump((0.3, 2.5), 0.5)
-    g = PoincareElement(0.2, 0.3, -0.45, True)
-    corners = f.transform(g)._boundary
-    expected = np.array([g.apply_point((float(p0), float(p1)))
+    g, h = PoincareElement(0.2, 0.3, -0.45, True), PoincareElement.boost(-0.1)
+    moved = f.transform(g).transform(h)
+    assert moved.g == h * g
+    # the boundary circle, moved by the composed element point by point
+    expected = np.array([(h * g).apply_point((float(p0), float(p1)))
                          for p0, p1 in zip(*f._boundary)]).T
-    assert np.array_equal(corners, expected)
+    assert np.array_equal(moved._boundary, expected)
+
+
+def test_a_test_function_is_a_value(kind_all_embeddings):
+    f = TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
+    same = TestFunction2.bump((0.0, 3.0), 0.5)
+    # the declared region is a promise about the function, not part of it
+    assert f.region != same.region and f == same and hash(f) == hash(same)
+    T = PoincareElement.translation
+    assert f.transform(T(0, .5)).transform(T(0, .5)) == f.transform(T(0, 1))
+    assert embed(f, small_model) is embed(same, small_model)
+    # the samples are computed when read, not held
+    assert not any(isinstance(v, np.ndarray) for v in vars(f).values())
+    # the net's transports equal to dictionary members are memo hits
+    assert kind_all_embeddings.misses <= 72
 
 
 def test_embed_memo_tells_lattice_origins_apart(light_model):
@@ -404,35 +422,37 @@ def test_embed_result_is_read_only(light_model):
 small_model = FreeFieldModel(1.0, RapidityGrid(6.0, 256), 5.0, 1.2)
 
 
-def test_embed_memo_evicts_least_recent_within_its_bound(monkeypatch):
-    monkeypatch.setattr(freefield, "EMBED_MEMO", 3)
+def test_embed_memo_evicts_least_recent_within_its_bound():
     clear_caches()
-    a, b, c, d = (TestFunction2.bump((0.0, 2.0 + i), 0.5, 1.0 / 16)
-                  for i in range(4))
-    first = {f: embed(f, small_model).values for f in (a, b, c)}
-    assert embed(a, small_model).values is first[a]     # "b" is now the least recent
-    first[d] = embed(d, small_model).values
-    assert len(freefield._EMBEDDINGS) == 3
-    assert all(embed(f, small_model).values is first[f] for f in (a, c))
-    again = embed(b, small_model).values                # evicted, so recomputed
-    assert again is not first[b] and np.array_equal(again, first[b])
-    assert embed(d, small_model).values is not first[d]     # "d" was the oldest
+    size = freefield.embed.cache_info().maxsize
+    assert size == freefield.EMBED_MEMO
+    bumps = [TestFunction2.bump((0.0, 2.0 + i / 16), 0.5, 1.0 / 16)
+             for i in range(size + 1)]
+    first = [embed(f, small_model).values for f in bumps[:size]]
+    # a hit: bumps[1] is now the least recent
+    assert embed(bumps[0], small_model).values is first[0]
+    embed(bumps[size], small_model)
+    info = freefield.embed.cache_info()
+    assert info.currsize == size and (info.hits, info.misses) == (1, size + 1)
+    assert embed(bumps[0], small_model).values is first[0]
+    again = embed(bumps[1], small_model).values         # evicted, so recomputed
+    assert again is not first[1] and np.array_equal(again, first[1])
     # an entry counts once, whatever its size; a hit adds no entry
-    embed(a, rung_model(1))
-    assert len(freefield._EMBEDDINGS) == 3
-    embed(a, rung_model(1))
-    assert len(freefield._EMBEDDINGS) == 3
+    embed(bumps[0], rung_model(1))
+    embed(bumps[0], rung_model(1))
+    assert freefield.embed.cache_info().currsize == size
 
 
-def test_concurrent_embeds_are_exact_within_both_bounds(monkeypatch):
-    monkeypatch.setattr(freefield, "EMBED_MEMO", 16)
+def test_concurrent_embeds_are_exact_within_both_bounds():
     clear_caches()
-    # 40 bumps whose lattice rows touch more chunks than are kept
+    size = freefield.EMBED_MEMO
+    # more bumps than embed keeps, whose lattice rows touch more chunks
+    # than are kept
     bumps = [TestFunction2.bump((0.6 * (i % 8) - 2.1, 1.0 + 0.3 * i), 0.5,
-                                1.0 / 64) for i in range(40)]
+                                1.0 / 16) for i in range(size + 64)]
     assert len(set().union(*map(touched_chunks, bumps))) > 16
     expected = [uncached_embedding(f, small_model) for f in bumps]
-    wrong = []
+    drawn, wrong = [], []
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -440,6 +460,7 @@ def test_concurrent_embeds_are_exact_within_both_bounds(monkeypatch):
             rng = np.random.default_rng(seed)
             for _ in range(100):
                 i = int(rng.integers(0, len(bumps)))
+                drawn.append(i)
                 if not np.array_equal(embed(bumps[i], small_model).values,
                                       expected[i]):
                     wrong.append(i)
@@ -453,9 +474,11 @@ def test_concurrent_embeds_are_exact_within_both_bounds(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not wrong
-    # 40 embeddings were put into 16 places, and more than 16 chunks into
-    # 16: neither ends over its bound
-    assert len(freefield._EMBEDDINGS) <= freefield.EMBED_MEMO
+    # more embeddings than embed keeps were put into it, and more than 16
+    # chunks into 16: neither ends over its bound
+    assert len(set(drawn)) > size
+    info = freefield.embed.cache_info()
+    assert info.currsize <= info.maxsize == size
     info = freefield._phase_chunk.cache_info()
     assert info.currsize <= info.maxsize == 16 and info.misses > 16
 
@@ -463,7 +486,7 @@ def test_concurrent_embeds_are_exact_within_both_bounds(monkeypatch):
 def test_embed_holds_at_most_two_phase_tables(model):
     f = TestFunction2.bump((0.3, 2.7), 0.5)
     embed(f, model)                     # its phase chunks are now cached
-    freefield._EMBEDDINGS.clear()
+    freefield.embed.cache_clear()
     tracemalloc.start()
     try:
         embed(f, model)
@@ -477,7 +500,7 @@ def test_embed_holds_at_most_two_phase_tables(model):
 def traced_embed_peak(f, model):
     """tracemalloc peak of one embed of f, its phase chunks cached."""
     embed(f, model)
-    freefield._EMBEDDINGS.clear()
+    freefield.embed.cache_clear()
     tracemalloc.start()
     try:
         embed(f, model)
@@ -514,26 +537,25 @@ def net_records_and_fills():
     return records, freefield._phase_chunk.cache_info().misses
 
 
-def test_the_net_sweep_changes_only_the_order_of_work(monkeypatch):
+@pytest.fixture(scope="module")
+def kind_all_embeddings():
+    """embed's cache_info after a kind-all run from cold caches."""
+    clear_caches()
+    run_checks(ExperimentConfig.from_dict({"kind": "all"}))
+    return freefield.embed.cache_info()
+
+
+def test_the_net_sweep_changes_only_the_order_of_work(monkeypatch,
+                                                      kind_all_embeddings):
     swept, swept_fills = net_records_and_fills()
     with monkeypatch.context() as m:
         m.setattr(checks, "_embed_by_rows", lambda *args: None)
         unswept, unswept_fills = net_records_and_fills()
     assert repr(swept) == repr(unswept)
     assert swept_fills < unswept_fills
-
     # every embedding of kind all stays in embed's memo until the run ends
-    class CountingMemo(OrderedDict):
-        evictions = 0
-
-        def popitem(self, last=True):
-            self.evictions += 1
-            return super().popitem(last)
-
-    memo = CountingMemo()
-    monkeypatch.setattr(freefield, "_EMBEDDINGS", memo)
-    run_checks(ExperimentConfig.from_dict({"kind": "all"}))
-    assert memo and memo.evictions == 0
+    info = kind_all_embeddings
+    assert 0 < info.currsize == info.misses
 
 
 def test_embed_error_estimate(light_model):

@@ -176,10 +176,10 @@ def fresh_embed_caches():
     """Phase chunks and embeddings cached before a mutant would hide it,
     and those cached under it would outlive the test."""
     freefield._phase_chunk.cache_clear()
-    freefield._EMBEDDINGS.clear()
+    freefield.embed.cache_clear()
     yield
     freefield._phase_chunk.cache_clear()
-    freefield._EMBEDDINGS.clear()
+    freefield.embed.cache_clear()
 
 
 @pytest.mark.parametrize("module, name, mutate, kinds, must_fail", MUTANTS,
