@@ -323,27 +323,21 @@ def check_borchers(config, rng):
 
 # -- modular localization suite ---------------------------------------------
 
-def _embed_by_rows(model, functions, elements):
-    """Embed each function and its transports f.transform(g) by the
-    elements in one pass, in ascending |x1| of each one's lattice centre.
-    embed reads the phase rows of |k|, so the pass walks the rows once and
-    the later embeds of the same functions are memo hits."""
-    work = functions + [f.transform(g) for f in functions for g in elements]
-    for f in sorted(work, key=lambda f: abs(f.x1[0] + f.x1[-1])):
-        ff.embed(f, model)
-
-
 def _build_net(config, elements):
     """Right and left wedges at the apexes (0, a), a in 0, 0.5, 1.  The
     dictionary moved by (0, s) lies in the right wedge at (0, a) for
     s >= a, and reflected, in the left wedge for s <= a.
 
-    The dictionary and its transports by the covariance elements are
-    embedded first, in one sweep of the lattice rows (_embed_by_rows), and
-    populate_wedge and net_checks, whose transports equal these as values,
-    find them in embed's memo.  Wedge by wedge and element by element,
-    four passes would each go over the same rows, and _phase_chunk would
-    have to hold a pass."""
+    The 24 dictionary functions and their 48 transports by the covariance
+    elements are embedded first, in one sweep of the lattice rows
+    (ff.embed_sweep), and populate_wedge and net_checks, whose transports
+    equal these as values, find them in embed's memo.  Wedge by wedge and
+    element by element, four passes would each go over the same rows, and
+    the phase cache would have to hold a pass.  Its chunks live until the
+    sweep ends, which empties the cache (and restarts its cache_info()
+    counts), so the net's extractions, where a kind-all run used to peak,
+    run without its 16 MB; check_doublecone fills 3 chunks again, 62 fills
+    in all, and the run now peaks in the sweep and in check_direct_sum."""
     step = config.freefield["lattice_step"]
     base = [ff.TestFunction2.bump((c0, c1), r, step)
             for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),
@@ -357,8 +351,10 @@ def _build_net(config, elements):
                   (ff.Region2.right_wedge, base, operator.ge),
                   (ff.Region2.left_wedge, reflected, operator.le))]
     model = _model(config)
-    _embed_by_rows(model, [f for _, _, moved in wedges
-                           for fns in moved.values() for f in fns], elements)
+    functions = [f for _, _, moved in wedges
+                 for fns in moved.values() for f in fns]
+    ff.embed_sweep(functions + [f.transform(g) for f in functions
+                                for g in elements], model)
     net = ml.LocalizedNet(ml.PoincareRep2([model]))
     for region, inside, moved in wedges:
         for a in shifts:

@@ -17,6 +17,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:                 # not on Windows
+    resource = None
+
 from .checks import list_checks, run_checks, run_refinement
 from .config import REFINEMENT_RUNGS, ConfigError, ExperimentConfig, schema_text
 
@@ -46,10 +51,16 @@ def _load_config(args):
 def _run_and_report(config, run, name, csv_name, columns, **extra):
     """Time run(), which gives (records, csv rows, timings); write
     <name>.json and <csv_name>.csv to config.out_dir, print one line per
-    record, and return the exit code."""
+    record, and return the exit code.  The timings gain the run's total
+    seconds and, where the resource module exists, the process's peak
+    resident set in MiB, peak_rss_mb."""
     t0 = time.perf_counter()
     records, rows, timings = run()
-    total = time.perf_counter() - t0
+    timings = {**timings, "total": time.perf_counter() - t0}
+    if resource is not None:        # ru_maxrss: KiB on Linux, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        timings["peak_rss_mb"] = peak / (2 ** 20 if sys.platform == "darwin"
+                                         else 1024)
     status = "pass" if all(r["passed"] for r in records) else "fail"
     report = {
         "config": config.to_dict(),
@@ -59,7 +70,7 @@ def _run_and_report(config, run, name, csv_name, columns, **extra):
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
                         "machine": platform.machine()},
-        "timings": {**timings, "total": total},
+        "timings": timings,
     }
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, name + ".json")

@@ -43,8 +43,8 @@ __all__ = [
     "RapidityGrid", "FreeFieldModel", "Region2", "TestFunction2",
     "OneParticleVector", "PoincareElement", "LeakageError",
     "DomainViolationError", "SupportError",
-    "embed", "embed_with_error", "poincare_act", "covariance_residual",
-    "locality_pairing", "domain_certificate",
+    "embed", "embed_sweep", "embed_with_error", "poincare_act",
+    "covariance_residual", "locality_pairing", "domain_certificate",
     "wedge_tomita_apply", "compressed_fixed_defect",
     "bw_residual", "bw_residual_of_vector",
     "modular_blowup_profile", "borchers_check", "gaussian_packet",
@@ -375,7 +375,9 @@ def _phase_chunk(mass: float, grid: RapidityGrid, step: float, axis: int,
     """Read-only rows exp(i (k h) p0) (axis 0) or exp(-i (k h) p1) (axis 1)
     for c PHASE_CHUNK <= k < (c + 1) PHASE_CHUNK, on the rapidity columns
     0 ... N/2.  The 16 most recent are kept, whatever N: reuse follows
-    the lattice rows, which checks._build_net embeds in one sweep.  Keyed
+    the lattice rows, which the net's embed_sweep walks once, and empties
+    this cache when it ends, so cache_info()'s counts restart there.  A
+    kind-all run fills 62 chunks, 3 of them again after the sweep.  Keyed
     on the momenta's (mass, grid), not on the model, so models that
     differ only in window share chunks.  Filled in
     place, cos(arg) into the real and sin(arg) into the imaginary part:
@@ -474,6 +476,17 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     v *= _window(model, model.grid.theta)
     v.flags.writeable = False
     return OneParticleVector(model, v)
+
+
+def embed_sweep(functions, model: FreeFieldModel) -> None:
+    """Embed the functions in one sweep of the lattice rows, in ascending
+    |x1| of each one's lattice centre: embed reads the phase rows of |k|,
+    so the sweep walks the rows once, and a later embed of any of the
+    functions is a memo hit.  No such embed reads a phase row, so the
+    chunks go when the sweep ends."""
+    for f in sorted(functions, key=lambda f: abs(f.x1[0] + f.x1[-1])):
+        embed(f, model)
+    _phase_chunk.cache_clear()
 
 
 def embed_with_error(f: TestFunction2, model: FreeFieldModel):

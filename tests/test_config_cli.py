@@ -6,9 +6,13 @@ import sys
 
 import pytest
 
+from modlab import cli
 from modlab.cli import main
 from modlab.config import (REFINEMENT_RUNGS, SCHEMA, ConfigError,
                            ExperimentConfig, schema_text)
+
+# the keys _run_and_report adds to a run's per-check timings
+REPORT_TIMINGS = {"total"} | ({"peak_rss_mb"} if cli.resource else set())
 
 
 def test_defaults_round_trip():
@@ -239,10 +243,13 @@ def test_refine_reports_each_rung_and_its_timings(tmp_path, capsys):
     assert rows[0] == "resolution,check,residual"
     assert {row.split(",")[0] for row in rows[1:]} == {"2", "3"}
     report = json.loads((tmp_path / "out" / "refine_report.json").read_text())
-    assert set(report["timings"]) == {
-        f"rung{k}.check_{name}" for k in (2, 3)
-        for name in ("bisognano_wichmann", "covariance", "locality")} | {"total"}
-    assert report["timings"]["total"] >= max(report["timings"].values()) > 0
+    timings = report["timings"]
+    checked = {f"rung{k}.check_{name}" for k in (2, 3)
+               for name in ("bisognano_wichmann", "covariance", "locality")}
+    assert set(timings) == checked | REPORT_TIMINGS
+    assert timings["total"] >= max(timings[k] for k in checked) > 0
+    if "peak_rss_mb" in timings:
+        assert timings["peak_rss_mb"] > 0
     capsys.readouterr()
 
 
@@ -347,7 +354,8 @@ def test_check_that_raises_becomes_a_failed_record(tmp_path, capsys,
     text = (tmp_path / "out" / "report.json").read_text()
     report = json.loads(text, parse_constant=_refuse_constant)
     assert report["status"] == "fail"
-    assert set(report["timings"]) == {fn.__name__ for fn in CHECKS[kind]} | {"total"}
+    assert set(report["timings"]) == ({fn.__name__ for fn in CHECKS[kind]}
+                                      | REPORT_TIMINGS)
     errors = {r["name"]: r for r in report["checks"] if "error" in r}
     assert set(errors) == raised
     for rec in errors.values():

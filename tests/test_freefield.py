@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from modlab import checks, freefield
+from modlab import checks, freefield, modloc
 from modlab.checks import run_checks
 from modlab.config import ExperimentConfig
 from modlab.freefield import _band_mask, _window
@@ -521,20 +522,66 @@ def test_embed_peak_does_not_grow_with_the_grid_beyond_its_output():
     assert peaks[8192] < 0.25 * table
 
 
-def test_default_checks_keep_16_phase_chunks_and_fill_at_most_59():
-    clear_caches()
+@pytest.fixture
+def counted_fills(monkeypatch):
+    """The keys of every phase-chunk fill, from cold caches.  The net's
+    sweep empties the chunk cache with cache_clear(), which also zeroes
+    cache_info(), so the fills are counted by a wrapper of the uncached
+    function, under a cache of the same bound."""
+    fills = []
+    fill = freefield._phase_chunk.__wrapped__
+
+    def counting(*key):
+        fills.append(key)
+        return fill(*key)
+    size = freefield._phase_chunk.cache_info().maxsize
+    monkeypatch.setattr(freefield, "_phase_chunk",
+                        functools.lru_cache(maxsize=size)(counting))
+    freefield.embed.cache_clear()
+    return fills
+
+
+def test_default_checks_keep_16_phase_chunks_and_fill_at_most_62(counted_fills):
+    # 59 with the chunks kept past the net's sweep: check_doublecone
+    # fills 3 of them again
     for kind in ("freefield", "modloc"):
         records, _ = run_checks(ExperimentConfig.from_dict({"kind": kind}))
         assert all(r["passed"] for r in records)
     info = freefield._phase_chunk.cache_info()
-    assert info.currsize <= info.maxsize == 16 and info.misses <= 59
+    assert info.currsize <= info.maxsize == 16 and len(counted_fills) <= 62
 
 
-def net_records_and_fills():
+NET_ELEMENTS = (PoincareElement.translation(0.0, 0.5),
+                PoincareElement.boost(0.1))
+
+
+def test_the_net_sweep_releases_the_chunks_and_leaves_only_memo_hits(
+        monkeypatch):
     clear_caches()
+    swept = []
+    sweep = freefield.embed_sweep
+
+    def recording(functions, model):
+        sweep(functions, model)
+        swept.append(freefield.embed.cache_info().misses)
+    monkeypatch.setattr(freefield, "embed_sweep", recording)
+    net = checks._build_net(ExperimentConfig.from_dict({"kind": "modloc"}),
+                            NET_ELEMENTS)
+    assert freefield._phase_chunk.cache_info().currsize == 0
+    # populate_wedge and net_checks compute no embedding the sweep did not
+    assert len(swept) == 1 and swept[0] > 0
+    assert freefield.embed.cache_info().misses == swept[0]
+    modloc.net_checks(net, covariance_elements=NET_ELEMENTS)
+    assert freefield.embed.cache_info().misses == swept[0]
+    assert freefield._phase_chunk.cache_info().currsize == 0
+
+
+def net_records_and_fills(fills):
+    clear_caches()
+    fills.clear()
     records = checks.check_net(ExperimentConfig.from_dict({"kind": "modloc"}),
                                None)
-    return records, freefield._phase_chunk.cache_info().misses
+    return records, len(fills)
 
 
 @pytest.fixture(scope="module")
@@ -546,13 +593,14 @@ def kind_all_embeddings():
 
 
 def test_the_net_sweep_changes_only_the_order_of_work(monkeypatch,
+                                                      counted_fills,
                                                       kind_all_embeddings):
-    swept, swept_fills = net_records_and_fills()
+    swept, swept_fills = net_records_and_fills(counted_fills)
     with monkeypatch.context() as m:
-        m.setattr(checks, "_embed_by_rows", lambda *args: None)
-        unswept, unswept_fills = net_records_and_fills()
+        m.setattr(freefield, "embed_sweep", lambda *args: None)
+        unswept, unswept_fills = net_records_and_fills(counted_fills)
     assert repr(swept) == repr(unswept)
-    assert swept_fills < unswept_fills
+    assert 0 < swept_fills < unswept_fills
     # every embedding of kind all stays in embed's memo until the run ends
     info = kind_all_embeddings
     assert 0 < info.currsize == info.misses

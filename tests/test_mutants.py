@@ -101,6 +101,15 @@ def delta_inverted(original):
     return mutant
 
 
+def one_particle_transposed(original):
+    """gamma(a) built from the transpose of a's matrix, antilinear
+    where a is."""
+    def mutant(space, a):
+        a = a if isinstance(a, hilbert.Operator) else hilbert.Operator(a)
+        return original(space, hilbert.Operator(a.matrix.T, a.antilinear))
+    return mutant
+
+
 MUTANTS = [
     (fock, "coherent", coherent_scaled, ["fock"], ["fock.coherent_inner"]),
     (freefield, "_shift", shift_scaled, ["freefield", "modloc"],
@@ -131,6 +140,8 @@ MUTANTS = [
     (fock, "field_operator", field_unscaled, ["fock"],
      ["fock.weyl_agreement", "fock.ccr_phase",
       "fock.weyl_truncation_monotone"]),
+    (fock, "gamma", one_particle_transposed, ["fock"],
+     ["fock.gamma_on_coherent", "fock.conjugation_on_coherent"]),
     (fock, "tensor_power_level", sqrt_factorial_dropped, ["fock"],
      ["fock.symmetrization"]),
     (fock, "weyl_on_coherent", weyl_phase_flipped, ["fock"],
