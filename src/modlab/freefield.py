@@ -79,7 +79,7 @@ class DomainViolationError(RuntimeError):
 
 
 class SupportError(ValueError):
-    """Test-function support violates its declared region."""
+    """Test-function support is not inside the named region."""
 
 
 @dataclass(frozen=True)
@@ -282,33 +282,27 @@ def _bump(q):
 class TestFunction2:
     """The bump exp(-1/(1 - |y - c|^2/r^2)) on the disk of center c and
     radius r, moved by g: x -> bump(g^(-1) x).  A value, so equal functions
-    share their embedding; region, the declared region, is checked on
-    construction but not compared.  The samples on the global lattice
-    {(i h, j h)} over the box of the moved boundary circle are computed
-    from the profile when read, never interpolated or held."""
+    share their embedding.  The samples on the global lattice {(i h, j h)}
+    over the box of the moved boundary circle are computed from the
+    profile when read, never interpolated or held."""
 
     __test__ = False            # despite the name, not a pytest class
 
     center: tuple
     radius: float
     step: float
-    region: Region2 = field(compare=False)
     g: PoincareElement = PoincareElement()
-
-    def __post_init__(self):
-        if not self.supported_in(self.region):
-            raise SupportError("support is not inside the declared region")
 
     @staticmethod
     def bump(center, radius, step: float = DEFAULT_RUNG["lattice_step"],
              region: Region2 = None) -> "TestFunction2":
-        """The unmoved bump, declared by default in the double cone around
-        its disk's box."""
-        c0, c1 = float(center[0]), float(center[1])
-        r = float(radius)
-        if region is None:
-            region = Region2.double_cone((c0, c1), r * math.sqrt(2.0) * 1.001)
-        return TestFunction2((c0, c1), r, float(step), region)
+        """The unmoved bump; SupportError if a region is named and the
+        bump is not supported in it."""
+        f = TestFunction2((float(center[0]), float(center[1])),
+                          float(radius), float(step))
+        if region is not None and not f.supported_in(region):
+            raise SupportError("support is not inside the named region")
+        return f
 
     @property
     def _boundary(self):
@@ -346,8 +340,8 @@ class TestFunction2:
         return replace(self, step=self.step / 2)
 
     def transform(self, h: PoincareElement) -> "TestFunction2":
-        """The transformed function x -> f(h^(-1) x), in the region h R."""
-        return replace(self, g=h * self.g, region=self.region.transform(h))
+        """The transformed function x -> f(h^(-1) x)."""
+        return replace(self, g=h * self.g)
 
 
 def _smooth_step(s):
@@ -660,7 +654,8 @@ def borchers_check(a_magnitude: float, times, probes,
                    model: FreeFieldModel) -> dict:
     """Verify the positive-generator translation commutation relations
     for the right wedge: with U(a) the lightlike translation along
-    (1, 1) and delta, J the wedge modular data,
+    (1, 1), and the wedge modular data delta^(it) = u(boost(-2 pi t)),
+    J = u(reflection),
 
         delta^(it) U(a) delta^(-it) = U(exp(-2 pi t) a),
         J U(a) J = U(-a).
@@ -670,8 +665,9 @@ def borchers_check(a_magnitude: float, times, probes,
     relative deviations over the probe vectors and times; a NaN deviation
     makes its maximum NaN.
     """
-    grid = model.grid
-    ray_phase = model.mass * np.exp(-grid.theta)
+    ray_phase = model.mass * np.exp(-model.grid.theta)
+    boost, J = PoincareElement.boost, PoincareElement.reflection()
+    u = functools.partial(poincare_act, model=model)
 
     def U(s, values):
         return np.exp(1j * s * ray_phase) * values
@@ -680,12 +676,11 @@ def borchers_check(a_magnitude: float, times, probes,
     for v in probes:
         nv = np.linalg.norm(v)
         for t in times:
-            # delta^(it) v (theta) = v(theta + 2 pi t)
-            shifted = _shift(v, 2.0 * np.pi * t, grid.omega)    # delta^(-it)
-            lhs = _shift(U(a_magnitude, shifted), -2.0 * np.pi * t, grid.omega)
-            rhs = U(math.exp(-2.0 * np.pi * t) * a_magnitude, v)
+            lam = 2.0 * np.pi * t
+            lhs = u(boost(-lam), U(a_magnitude, u(boost(lam), v)))
+            rhs = U(math.exp(-lam) * a_magnitude, v)
             dev_flow.append(np.linalg.norm(lhs - rhs) / nv)
-        lhs_j = np.conj(U(a_magnitude, np.conj(v)))
+        lhs_j = u(J, U(a_magnitude, u(J, v)))
         rhs_j = U(-a_magnitude, v)
         dev_j.append(np.linalg.norm(lhs_j - rhs_j) / nv)
     return {"flow_commutation": np.max(dev_flow, initial=0.0),

@@ -386,11 +386,24 @@ def test_transformed_support_corners_equal_the_pointwise_images():
     assert np.array_equal(moved._boundary, expected)
 
 
+def test_building_or_moving_a_test_function_computes_nothing(monkeypatch):
+    calls = []
+    boundary = TestFunction2._boundary
+    monkeypatch.setattr(TestFunction2, "_boundary", property(
+        lambda f: calls.append(f) or boundary.fget(f)))
+    f = TestFunction2.bump((0.0, 3.0), 0.5)
+    f.transform(PoincareElement(0.3, 0.1, -0.2, True)).refine()
+    assert calls == []
+    # support is checked only where a region is named, once
+    TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
+    assert len(calls) == 1
+
+
 def test_a_test_function_is_a_value(kind_all_embeddings):
     f = TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
     same = TestFunction2.bump((0.0, 3.0), 0.5)
-    # the declared region is a promise about the function, not part of it
-    assert f.region != same.region and f == same and hash(f) == hash(same)
+    # naming a region checks the function; it does not change it
+    assert f == same and hash(f) == hash(same)
     T = PoincareElement.translation
     assert f.transform(T(0, .5)).transform(T(0, .5)) == f.transform(T(0, 1))
     assert embed(f, small_model) is embed(same, small_model)

@@ -101,6 +101,30 @@ def delta_inverted(original):
     return mutant
 
 
+def s_scaled(original):
+    """s off the unit circle by 1 percent: s^2 = 1.0201, not an involution."""
+    def mutant(K):
+        md = original(K)
+        return dataclasses.replace(md, s=hilbert.Operator(1.01 * md.s.matrix,
+                                                          antilinear=True))
+    return mutant
+
+
+def flow_imaginary(original):
+    """delta^t in place of delta^(it): the flow at imaginary time."""
+    return lambda md, t: original(md, -1j * t)
+
+
+def complement_orthogonal(original):
+    """K' taken as the real-orthogonal complement of K, not of iK."""
+    return lambda K: original(K.mult_i())
+
+
+def log_multiplier_scaled(original):
+    """delta^(1/2) with its log-multiplier 2 percent too large."""
+    return lambda grid: 1.02 * original(grid)
+
+
 def one_particle_transposed(original):
     """gamma(a) built from the transpose of a's matrix, antilinear
     where a is."""
@@ -127,10 +151,11 @@ MUTANTS = [
     (freefield.TestFunction2, "transform", boost_reversed,
      ["freefield", "modloc"],
      ["freefield.covariance_boost", "modloc.covariance"]),
-    # the reflected dictionary embeds unconjugated, outside the left
-    # wedges, so check_net raises and gives its one error record
+    # J becomes the identity in borchers_check; the reflected dictionary
+    # embeds unconjugated, outside the left wedges, so check_net raises
+    # and gives its one error record
     (freefield, "poincare_act", reflection_dropped, ["freefield", "modloc"],
-     ["modloc.net", "modloc.doublecone"]),
+     ["freefield.borchers_reflection", "modloc.net", "modloc.doublecone"]),
     # the translated dictionary leaves its wedges, and check_doublecone
     # raises and gives its one error record
     (freefield, "poincare_act", translation_mirrored,
@@ -151,6 +176,17 @@ MUTANTS = [
       "fock.weyl_conjugation"]),
     (standard, "modular_data", delta_inverted, ["subspace"],
      ["subspace.fiber_angles"]),
+    (standard, "modular_data", s_scaled, ["subspace"],
+     ["subspace.involution"]),
+    (standard, "modular_flow", flow_imaginary, ["subspace", "fock"],
+     ["subspace.flow", "fock.weyl_flow_covariance"]),
+    (hilbert, "symplectic_complement", complement_orthogonal,
+     ["subspace", "fock"],
+     ["subspace.adjoint", "fock.ccr_phase_across_complement"]),
+    # the first bisognano_wichmann row that fails on a measured value
+    # rather than by raising
+    (freefield, "_log_multiplier", log_multiplier_scaled, ["freefield"],
+     ["freefield.bw_right_wedge"]),
 ]
 
 
