@@ -133,10 +133,9 @@ def coherent(space: FockSpace, h) -> np.ndarray:
 def coherent_inner(h, k, cutoff: int) -> complex:
     """<e^h, e^k> on the truncation: the degree-N partial sum of exp<h, k>."""
     z = complex(np.vdot(np.asarray(h, complex), np.asarray(k, complex)))
-    total, term = 0.0 + 0.0j, 1.0 + 0.0j
-    for n in range(cutoff + 1):
-        if n > 0:
-            term *= z / n
+    total = term = 1.0 + 0.0j
+    for n in range(1, cutoff + 1):
+        term *= z / n
         total += term
     return total
 

@@ -311,24 +311,22 @@ class TestFunction2:
         return self.g.apply_point((self.center[0] + self.radius * np.cos(ang),
                                    self.center[1] + self.radius * np.sin(ang)))
 
-    def _rows(self, axis):
-        """Lattice integers of the rows along x_axis: the boundary's box,
-        one step wider on each side."""
-        b = self._boundary[axis]
-        return np.arange(math.floor(b.min() / self.step) - 1,
-                         math.ceil(b.max() / self.step) + 2)
+    def _rows(self):
+        """Lattice integers of the rows along x0 and along x1, from one
+        ring: the boundary's box, one step wider on each side."""
+        return [np.arange(math.floor(b.min() / self.step) - 1,
+                          math.ceil(b.max() / self.step) + 2)
+                for b in self._boundary]
 
-    x0 = property(lambda self: self.step * self._rows(0))
-    x1 = property(lambda self: self.step * self._rows(1))
-
-    @property
-    def origin(self):
-        """Lattice integers of x0[0] and x1[0]."""
-        return int(self._rows(0)[0]), int(self._rows(1)[0])
+    x0 = property(lambda self: self.step * self._rows()[0])
+    x1 = property(lambda self: self.step * self._rows()[1])
+    # the lattice integers of x0[0] and x1[0]
+    origin = property(lambda self: tuple(int(k[0]) for k in self._rows()))
 
     @property
     def values(self) -> np.ndarray:
-        y0, y1 = self.g.inv().apply_point((self.x0[:, None], self.x1[None, :]))
+        x0, x1 = (self.step * k for k in self._rows())
+        y0, y1 = self.g.inv().apply_point((x0[:, None], x1[None, :]))
         c0, c1 = self.center
         return _bump(((y0 - c0) ** 2 + (y1 - c1) ** 2) / self.radius ** 2)
 
@@ -478,7 +476,7 @@ def embed_sweep(functions, model: FreeFieldModel) -> None:
     so the sweep walks the rows once, and a later embed of any of the
     functions is a memo hit.  No such embed reads a phase row, so the
     chunks go when the sweep ends."""
-    for f in sorted(functions, key=lambda f: abs(f.x1[0] + f.x1[-1])):
+    for f in sorted(functions, key=lambda f: abs(f.x1[[0, -1]].sum())):
         embed(f, model)
     _phase_chunk.cache_clear()
 

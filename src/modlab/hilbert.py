@@ -19,9 +19,11 @@ the SVD of a real-linear map.  realified() gives the real matrix of a map;
 ComplexVectorSpace(d).complex_structure(), that of i, has no caller here.
 
 Stacks of bases (..., d, r) or matrices (..., n, n) give, slice by
-slice, what each slice gives alone.  A direction dropped in one slice is
-a zero column there, which changes no projection or residual; columns
-zero in every slice are removed, so 2-D results keep only kept columns.
+slice, what each slice gives alone.  An empty subspace, or an empty stack
+slice, takes the same path as any other: numpy's SVD and eigvalsh accept
+empty matrices.  A direction dropped in one slice is a zero column there,
+which changes no projection or residual; columns zero in every slice are
+removed, so 2-D results keep only kept columns.
 """
 
 from __future__ import annotations
@@ -227,9 +229,6 @@ def symplectic_complement(K: RealSubspace) -> RealSubspace:
     iK; in particular dim K + dim K' = 2d always.
     """
     d = K.basis.shape[-2]
-    if K.dim == 0:
-        eye = np.eye(d)
-        return RealSubspace(np.hstack([eye, 1j * eye]))
     # realified null space of (iB)^T by full SVD, past the unit singular values
     _, sv, Vt = np.linalg.svd(_realify(1j * K.basis).swapaxes(-1, -2))
     rank = np.sum(sv > 0.5, axis=-1)[..., None, None]
@@ -247,8 +246,6 @@ def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
     """Intersection via principal vectors: directions with principal angle
     cos above 1 - cos_tol are common to both subspaces."""
     _same_space(K1, K2)
-    if K1.dim == 0 or K2.dim == 0:
-        return RealSubspace(K1.basis[..., :0])
     U, sv, Vt = np.linalg.svd(_re_gram(K1.basis, K2.basis),
                               full_matrices=False)
     take = sv >= 1.0 - cos_tol            # a prefix: sv descends
@@ -263,8 +260,6 @@ def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
 def inclusion_residual(K1: RealSubspace, K2: RealSubspace) -> float:
     """sup over unit x in K1 of the distance from x to K2 (0 iff K1 <= K2)."""
     _same_space(K1, K2)
-    if K1.dim == 0:
-        return np.zeros(K1.basis.shape[:-2])[()]
     # the norm of a real-linear map: of the realified matrix
     return operator_norm(_realify(K1.basis - K2.project(K1.basis)))
 
@@ -284,7 +279,5 @@ def principal_angles(K1: RealSubspace, K2: RealSubspace) -> np.ndarray:
     """Principal angles between the real subspaces, ascending, in
     [0, pi/2].  Independent of basis choice; computed by SVD."""
     _same_space(K1, K2)
-    if K1.dim == 0 or K2.dim == 0:
-        return np.zeros(K1.basis.shape[:-2] + (0,))
     sv = np.linalg.svd(_re_gram(K1.basis, K2.basis), compute_uv=False)
     return np.arccos(np.clip(sv, -1.0, 1.0))     # sv descends

@@ -173,19 +173,16 @@ class LocalizedNet:
 
     def act_on_subspace(self, g: PoincareElement, K: RealSubspace) -> RealSubspace:
         moved = self.rep.act(g, _stack(self.rep, K.basis.T))
-        return RealSubspace.span(_columns(moved))
+        return RealSubspace(_columns(moved))    # u(g) keeps them orthonormal
 
 
 def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspace:
     """Vectors of the joint span symplectically orthogonal to K, taking
     the generic dimension dim(joint) - dim(K)."""
-    want = joint.dim - K.dim
-    if want <= 0:
-        return RealSubspace(joint.basis[:, :0])
     # the locality pairing Im<k, x>: constraints  x  joint coords
     C = (K.basis.conj().T @ joint.basis).imag
     _, _, Vt = np.linalg.svd(C, full_matrices=True)
-    return RealSubspace.span(joint.basis @ Vt[-want:].T)
+    return RealSubspace.span(joint.basis @ Vt[K.dim:].T)
 
 
 def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:

@@ -399,6 +399,24 @@ def test_building_or_moving_a_test_function_computes_nothing(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_lattice_read_computes_the_boundary_ring_once(monkeypatch,
+                                                            light_model):
+    calls = []
+    boundary = TestFunction2._boundary
+    monkeypatch.setattr(TestFunction2, "_boundary", property(
+        lambda f: calls.append(f) or boundary.fget(f)))
+    f = TestFunction2.bump((0.1, 2.6), 0.5)
+    for read in ("x0", "x1", "origin", "values"):
+        calls.clear()
+        getattr(f, read)
+        assert len(calls) == 1, read
+    # a swept embedding: the sort key, the samples and the lattice origin
+    clear_caches()
+    calls.clear()
+    freefield.embed_sweep([f], light_model)
+    assert len(calls) == 3
+
+
 def test_a_test_function_is_a_value(kind_all_embeddings):
     f = TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
     same = TestFunction2.bump((0.0, 3.0), 0.5)

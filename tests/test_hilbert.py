@@ -466,6 +466,54 @@ def test_stacked_subspace_ops_match_each_slice():
         assert abs(dist[i] - subspace_distance(two, one)) < 1e-12
 
 
+def empty_operand_results(empty, K):
+    """What each subspace kernel gives with the empty subspace as an operand."""
+    return {"complement": symplectic_complement(empty).basis,
+            "empty & K": subspace_intersection(empty, K).basis,
+            "K & empty": subspace_intersection(K, empty).basis,
+            "empty <= K": inclusion_residual(empty, K),
+            "K <= empty": inclusion_residual(K, empty),
+            "angles": principal_angles(empty, K),
+            "angles'": principal_angles(K, empty),
+            "distance": subspace_distance(empty, K)}
+
+
+def test_a_stack_of_empty_subspaces_keeps_its_stack_axis():
+    # an empty operand takes the general path, so a stack (3, d, 0) gives
+    # a stack of what the 2-D empty subspace gives, slice by slice
+    rng = np.random.default_rng(26)
+    empty = RealSubspace(np.zeros((3, 4, 0), dtype=complex))
+    K = RealSubspace(orthonormal(orthonormalize_columns(
+        unrealify(rng.standard_normal((3, 8, 3))))))
+    stacked = empty_operand_results(empty, K)
+    for i in range(3):
+        alone = empty_operand_results(RealSubspace(empty.basis[i]),
+                                      RealSubspace(K.basis[i]))
+        for name, got in stacked.items():
+            assert np.shape(got) == (3,) + np.shape(alone[name]), name
+            np.testing.assert_allclose(got[i], alone[name], rtol=0,
+                                       atol=1e-14, err_msg=name)
+    assert stacked["complement"].shape == (3, 4, 8)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (3, 0, 4),
+                                   (3, 4, 0)])
+def test_numpy_decomposes_empty_matrices(shape):
+    # the subspace kernels have no branch for an empty operand: they rely
+    # on numpy's svd and eigvalsh accepting empty matrices, stacked or not
+    A, stack, (m, n) = np.zeros(shape), shape[:-2], shape[-2:]
+    U, sv, Vt = np.linalg.svd(A)
+    assert (U.shape, sv.shape) == (stack + (m, m), stack + (0,))
+    # a full SVD still gives an orthonormal basis of the whole row space
+    np.testing.assert_array_equal(Vt @ Vt.swapaxes(-1, -2),
+                                  np.broadcast_to(np.eye(n), stack + (n, n)))
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    assert (U.shape, sv.shape, Vt.shape) == (stack + (m, 0), stack + (0,),
+                                             stack + (0, n))
+    assert np.linalg.svd(A, compute_uv=False).shape == stack + (0,)
+    assert np.linalg.eigvalsh(np.zeros(stack + (0, 0))).shape == stack + (0,)
+
+
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (5, 5), (2, 6, 3),
                                    (3, 4, 4)])
 def test_operator_norm_matches_the_largest_singular_value(shape):
