@@ -335,9 +335,7 @@ def _build_net(config, elements):
     element by element, four passes would each go over the same rows, and
     the phase cache would have to hold a pass.  Its chunks live until the
     sweep ends, which empties the cache (and restarts its cache_info()
-    counts), so the net's extractions, where a kind-all run used to peak,
-    run without its 16 MB; check_doublecone fills 3 chunks again, 62 fills
-    in all, and the run now peaks in the sweep and in check_direct_sum."""
+    counts), so the net's extractions run without them."""
     step = config.freefield["lattice_step"]
     base = [ff.TestFunction2.bump((c0, c1), r, step)
             for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),

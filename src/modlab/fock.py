@@ -1,15 +1,19 @@
 """Truncated symmetric Fock space over C^d.
 
-States are stored in the occupation-number basis: a level-n block is
-indexed by multi-indices (n_1 .. n_d) with sum n, so its dimension is
-C(n + d - 1, d - 1) instead of d^n.  The basis state |alpha> is the
-normalized symmetrization of e_1^(x a_1) x ... x e_d^(x a_d); a tensor
-power h^(x n) then has coefficients sqrt(n!/alpha!) prod_i h_i^alpha_i.
+States are stored in the occupation-number basis.  A level-n basis
+state is a sorted word of n modes, a multiset of modes, so the level has
+C(n + d - 1, d - 1) states instead of d^n, enumerated once by
+itertools.combinations_with_replacement.  Its occupation multi-index
+alpha = (a_1 .. a_d) counts each mode in the word, and the state |alpha>
+is the normalized symmetrization of e_1^(x a_1) x ... x e_d^(x a_d); a
+tensor power h^(x n) then has coefficients sqrt(n!/alpha!) prod_i
+h_i^alpha_i.
 
 A vector of the truncated space is a plain complex array of length
 FockSpace.dim, and v[fs.level_slices[n]] is its level-n block.  FockSpace
-holds the ladder: its tables occ and up are the only place that knows
-which basis states are neighbours, and every operator below reads them.
+holds the basis and the ladder: its tables words, occ and up are the only
+place that knows the states and which of them are neighbours, and every
+operator below reads them.
 Operators are hilbert.Operator matrices in the occupation basis, the same
 type that holds maps on C^d.  gamma and both symmetrizations work on
 whole level blocks: gamma raises level n to n + 1 with one array product
@@ -47,46 +51,41 @@ class TruncationError(ValueError):
     """Requested tensor degree exceeds the Fock cutoff."""
 
 
-def _multi_indices(d, n):
-    """All (a_1..a_d) with sum n, lexicographically."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _multi_indices(d - 1, n - first):
-            yield (first,) + rest
-
-
 @functools.lru_cache(maxsize=32)
 def _ladder_tables(d, cutoff):
-    """occ, up, sqrt(alpha!), level slices and the index of each
+    """words, occ, up, sqrt(alpha!), level slices and the index of each
     occupation of FockSpace(d, cutoff): built once per (d, cutoff) and
-    shared read-only by every space of that shape."""
-    occupations, level_slices = [], []
-    for n in range(cutoff + 1):
-        start = len(occupations)
-        occupations.extend(_multi_indices(d, n))
-        level_slices.append(slice(start, len(occupations)))
-    index = {a: i for i, a in enumerate(occupations)}
-    occ = np.array(occupations)
+    shared read-only by every space of that shape.  words[n] holds one
+    sorted word of n modes per level-n state, in the order of
+    combinations_with_replacement, and every other table is read off it."""
+    words = tuple(np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(d), n)), dtype=int)
+        .reshape(math.comb(n + d - 1, n), n) for n in range(cutoff + 1))
+    occ = np.concatenate([(w[:, :, None] == np.arange(d)).sum(axis=1)
+                          for w in words])
+    ends = list(itertools.accumulate(map(len, words), initial=0))
+    level_slices = tuple(map(slice, ends, ends[1:]))
+    index = {a: i for i, a in enumerate(map(tuple, occ.tolist()))}
     up = np.array([[index.get(a[:i] + (a[i] + 1,) + a[i + 1:], -1)
-                    for i in range(d)] for a in occupations])
+                    for i in range(d)] for a in index])
     sqrt_fact = np.array([math.sqrt(math.prod(math.factorial(k) for k in a))
-                          for a in occupations])
-    for table in (occ, up, sqrt_fact):
+                          for a in index])
+    for table in (occ, up, sqrt_fact) + words:
         table.flags.writeable = False
-    return occ, up, sqrt_fact, tuple(level_slices), MappingProxyType(index)
+    return words, occ, up, sqrt_fact, level_slices, MappingProxyType(index)
 
 
 class FockSpace:
     """Symmetric Fock space over C^d truncated at total particle number N.
 
     The basis is ordered by level, so FockSpace(d, N + 1) starts with the
-    basis of FockSpace(d, N).  occ[k] is the occupation multi-index of
-    basis state k, an integer array of shape (dim, d); up[k, i] is the
-    index of occ[k] + e_i, or -1 when that lies above the cutoff.  These
-    tables, sqrt(alpha!) per basis state (_sqrt_fact), level_slices and
-    index are read-only and shared by the spaces of one (d, N).
+    basis of FockSpace(d, N).  words[n] holds the level-n states as sorted
+    words of modes, an integer array of shape (level dim, n); occ[k] is
+    the occupation multi-index of basis state k, an integer array of shape
+    (dim, d); up[k, i] is the index of occ[k] + e_i, or -1 when that lies
+    above the cutoff.  These tables, sqrt(alpha!) per basis state
+    (_sqrt_fact), level_slices and index are read-only and shared by the
+    spaces of one (d, N).
     """
 
     def __init__(self, one_particle_dim: int, cutoff: int):
@@ -94,7 +93,7 @@ class FockSpace:
             raise ValueError("need dim >= 1 and cutoff >= 0")
         self.d = int(one_particle_dim)
         self.cutoff = int(cutoff)
-        (self.occ, self.up, self._sqrt_fact, self.level_slices,
+        (self.words, self.occ, self.up, self._sqrt_fact, self.level_slices,
          self.index) = _ladder_tables(self.d, self.cutoff)
         self.dim = len(self.occ)
 
@@ -160,8 +159,8 @@ def sym_project(space: FockSpace, vectors) -> np.ndarray:
     """Symmetrization of x_1 x ... x x_n by the literal permutation average.
 
     The average (1/n!) sum_sigma prod_k x_sigma(k)[w_k] is taken only at
-    the read-out word w of each level-n state (alpha's modes in order),
-    over chunks of permutations, so the degree-n tensor is never formed.
+    the word w of each level-n state, space.words[n], over chunks of
+    permutations, so the degree-n tensor is never formed.
     Intended for small n and d: the guard refuses more than 2e6 product
     terms, n! times the level-n dimension (about half a second).
     Result is a Fock vector that is zero outside level n.
@@ -176,9 +175,7 @@ def sym_project(space: FockSpace, vectors) -> np.ndarray:
                          "above 2e6 product terms; lower n or d")
     if n == 0:
         return vacuum(space)
-    # words[s, k]: the mode in slot k of state s's word, modes ascending
-    ends = np.cumsum(space.occ[sl], axis=1)
-    words = (ends[:, None, :] <= np.arange(n)[:, None]).sum(axis=2)
+    words = space.words[n]
     T = np.zeros(sl.stop - sl.start, dtype=complex)
     perms = itertools.permutations(range(n))
     step = max(1, 2 ** 16 // words.size)     # 1 MB of terms per chunk

@@ -320,15 +320,17 @@ class TestFunction2:
 
     x0 = property(lambda self: self.step * self._rows()[0])
     x1 = property(lambda self: self.step * self._rows()[1])
-    # the lattice integers of x0[0] and x1[0]
-    origin = property(lambda self: tuple(int(k[0]) for k in self._rows()))
+    values = property(lambda self: self.lattice()[1])
 
-    @property
-    def values(self) -> np.ndarray:
-        x0, x1 = (self.step * k for k in self._rows())
-        y0, y1 = self.g.inv().apply_point((x0[:, None], x1[None, :]))
+    def lattice(self):
+        """The lattice integers of x0[0] and x1[0], and the samples on
+        the lattice, from one ring."""
+        k0, k1 = self._rows()
+        y0, y1 = self.g.inv().apply_point((self.step * k0[:, None],
+                                           self.step * k1[None, :]))
         c0, c1 = self.center
-        return _bump(((y0 - c0) ** 2 + (y1 - c1) ** 2) / self.radius ** 2)
+        return ((int(k0[0]), int(k1[0])),
+                _bump(((y0 - c0) ** 2 + (y1 - c1) ** 2) / self.radius ** 2))
 
     def supported_in(self, region: Region2) -> bool:
         """Whether the moved boundary circle lies in region."""
@@ -368,14 +370,13 @@ def _phase_chunk(mass: float, grid: RapidityGrid, step: float, axis: int,
     for c PHASE_CHUNK <= k < (c + 1) PHASE_CHUNK, on the rapidity columns
     0 ... N/2.  The 16 most recent are kept, whatever N: reuse follows
     the lattice rows, which the net's embed_sweep walks once, and empties
-    this cache when it ends, so cache_info()'s counts restart there.  A
-    kind-all run fills 62 chunks, 3 of them again after the sweep.  Keyed
-    on the momenta's (mass, grid), not on the model, so models that
-    differ only in window share chunks.  Filled in
-    place, cos(arg) into the real and sin(arg) into the imaginary part:
-    bit-identical to exp(+-1j * outer(x, p)) where the host's exp and
-    cos/sin agree, and cheaper.  arg carries the signs of zero of the
-    complex products: 1j * t has imaginary part t + 0.0 and -1j * t has -t.
+    this cache when it ends, so cache_info()'s counts restart there.
+    Keyed on the momenta's (mass, grid), not on the model, so models that
+    differ only in window share chunks.  Filled in place, cos(arg) into
+    the real and sin(arg) into the imaginary part: bit-identical to
+    exp(+-1j * outer(x, p)) where the host's exp and cos/sin agree, and
+    cheaper.  arg carries the signs of zero of the complex products:
+    1j * t has imaginary part t + 0.0 and -1j * t has -t.
     """
     x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
     arg = np.outer(x, _momenta(mass, grid)[axis][:grid.n_points // 2 + 1])
@@ -391,18 +392,14 @@ def _phase_chunk(mass: float, grid: RapidityGrid, step: float, axis: int,
 
 
 def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
-                count: int, columns: slice = slice(None), out=None) -> np.ndarray:
+                count: int, columns: slice, out: np.ndarray) -> np.ndarray:
     """Rows exp(i (k h) p0) (axis 0) or exp(-i (k h) p1) (axis 1) for the
-    lattice integers k0 <= k < k0 + count, over the rapidity columns
-    0 ... N/2 only (embed mirrors the other columns), or over the range
-    of them that columns selects; written into out when it is given.
-    Row -k is the complex conjugate of row k, bit for bit (h (-k) = -(h k),
-    cos is even and sin odd), so every row is read from the _phase_chunk
-    of |k|.
+    lattice integers k0 <= k < k0 + count, over the range columns of the
+    rapidity columns 0 ... N/2 (embed mirrors the other columns), written
+    into out and returned.  Row -k is the complex conjugate of row k, bit
+    for bit (h (-k) = -(h k), cos is even and sin odd), so every row is
+    read from the _phase_chunk of |k|.
     """
-    half = model.grid.n_points // 2 + 1
-    if out is None:
-        out = np.empty((count, len(range(half)[columns])), dtype=complex)
     k, stop = k0, k0 + count
     while k < stop:
         c, r = divmod(abs(k), PHASE_CHUNK)
@@ -443,14 +440,13 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     a test function is a value, so equal ones share one result, whose
     values are read-only.
     """
-    values = f.values
+    (i0, j0), values = f.lattice()
     (m0, m1), n = values.shape, model.grid.n_points
     half = n // 2 + 1
     nb = -(-half // BLOCK)                      # near-equal column blocks
     rows = np.empty(max(m0, m1) * -(-half // nb), dtype=complex)
     B = np.empty(m0 * -(-half // nb), dtype=complex)
     values, v = values.astype(complex), np.empty(n, dtype=complex)
-    i0, j0 = f.origin
     for i in range(nb):
         a, b = half * i // nb, half * (i + 1) // nb
         E1 = _phase_rows(model, f.step, 1, j0, m1, slice(a, b),
@@ -472,11 +468,11 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
 
 def embed_sweep(functions, model: FreeFieldModel) -> None:
     """Embed the functions in one sweep of the lattice rows, in ascending
-    |x1| of each one's lattice centre: embed reads the phase rows of |k|,
-    so the sweep walks the rows once, and a later embed of any of the
-    functions is a memo hit.  No such embed reads a phase row, so the
+    |x1| of each one's moved disk centre: embed reads the phase rows of
+    |k|, so the sweep walks the rows once, and a later embed of any of
+    the functions is a memo hit.  No such embed reads a phase row, so the
     chunks go when the sweep ends."""
-    for f in sorted(functions, key=lambda f: abs(f.x1[[0, -1]].sum())):
+    for f in sorted(functions, key=lambda f: abs(f.g.apply_point(f.center)[1])):
         embed(f, model)
     _phase_chunk.cache_clear()
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -273,6 +274,31 @@ def _tensor_power_loop(space, h, n):
                 prod *= hi ** ai
         out[i] = sqrt_n_fact / space._sqrt_fact[sl.start + i] * prod
     return out
+
+
+def _compositions(d, n):
+    """The occupations (a_1 .. a_d) with sum n, descending lexicographically,
+    built from the box of all occupations rather than from multisets."""
+    return sorted((a for a in itertools.product(range(n + 1), repeat=d)
+                   if sum(a) == n), reverse=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_the_basis_is_the_multisets_of_modes(d):
+    # gamma's parent-first recursion and creation_overflow_mass rely on
+    # this order: level by level, occupations descending
+    for N in range(7):
+        fs = FockSpace(d, N)
+        assert len(fs.words) == N + 1
+        for n, sl in enumerate(fs.level_slices):
+            words = [tuple(w) for w in fs.words[n].tolist()]
+            assert words == list(
+                itertools.combinations_with_replacement(range(d), n))
+            assert not fs.words[n].flags.writeable
+            occupations = [tuple(a) for a in fs.occ[sl].tolist()]
+            assert occupations == [tuple(map(w.count, range(d)))
+                                   for w in words]
+            assert occupations == _compositions(d, n)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

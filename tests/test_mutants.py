@@ -134,6 +134,20 @@ def one_particle_transposed(original):
     return mutant
 
 
+def levels_reversed(original):
+    """The basis with each level's states in reverse order, every table
+    permuted with it, so the tables still agree with one another."""
+    def mutant(d, cutoff):
+        words, occ, up, sqrt_fact, level_slices, index = original(d, cutoff)
+        # new state k is old state perm[k]; perm is its own inverse
+        perm = np.concatenate([np.arange(sl.start, sl.stop)[::-1]
+                               for sl in level_slices])
+        return (tuple(w[::-1] for w in words), occ[perm],
+                np.where(up[perm] >= 0, perm[up[perm]], -1), sqrt_fact[perm],
+                level_slices, {a: int(perm[i]) for a, i in index.items()})
+    return mutant
+
+
 MUTANTS = [
     (fock, "coherent", coherent_scaled, ["fock"], ["fock.coherent_inner"]),
     (freefield, "_shift", shift_scaled, ["freefield", "modloc"],
@@ -169,6 +183,12 @@ MUTANTS = [
      ["fock.gamma_on_coherent", "fock.conjugation_on_coherent"]),
     (fock, "tensor_power_level", sqrt_factorial_dropped, ["fock"],
      ["fock.symmetrization"]),
+    # gamma builds each level from the one below, parent first, in the
+    # order of the basis; both symmetrizations read the same tables, so
+    # fock.symmetrization still passes
+    (fock, "_ladder_tables", levels_reversed, ["fock"],
+     ["fock.gamma_on_coherent", "fock.conjugation_on_coherent",
+      "fock.weyl_conjugation", "fock.weyl_flow_covariance"]),
     (fock, "weyl_on_coherent", weyl_phase_flipped, ["fock"],
      ["fock.weyl_agreement", "fock.weyl_truncation_monotone"]),
     (standard, "modular_data", j_linear, ["subspace", "fock"],
@@ -219,19 +239,22 @@ def _decades(rec):
 
 
 @pytest.fixture
-def fresh_embed_caches():
+def fresh_caches():
     """Phase chunks and embeddings cached before a mutant would hide it,
-    and those cached under it would outlive the test."""
-    freefield._phase_chunk.cache_clear()
-    freefield.embed.cache_clear()
+    and those cached under it would outlive the test.  The Fock ladder
+    tables are cleared too: a mutant that reads them gets them built
+    afresh, and none that it saw outlives the test."""
+    caches = (freefield._phase_chunk, freefield.embed, fock._ladder_tables)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    freefield._phase_chunk.cache_clear()
-    freefield.embed.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("module, name, mutate, kinds, must_fail", MUTANTS,
                          ids=[_row_id(row) for row in MUTANTS])
-def test_mutant_fails_its_records(monkeypatch, fresh_embed_caches, module,
+def test_mutant_fails_its_records(monkeypatch, fresh_caches, module,
                                   name, mutate, kinds, must_fail):
     assert _patch_every_binding(monkeypatch, module, name, mutate)
     records = {}
