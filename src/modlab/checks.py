@@ -330,12 +330,14 @@ def _build_net(config, elements):
 
     The 24 dictionary functions and their 48 transports by the covariance
     elements are embedded first, in one sweep of the lattice rows
-    (ff.embed_sweep), and populate_wedge and net_checks, whose transports
-    equal these as values, find them in embed's memo.  Wedge by wedge and
-    element by element, four passes would each go over the same rows, and
-    the phase cache would have to hold a pass.  Its chunks live until the
-    sweep ends, which empties the cache (and restarts its cache_info()
-    counts), so the net's extractions run without them."""
+    (ff.embed_sweep), and populate_wedge and net_checks, whose transports equal
+    these as values, find them in embed's memo.  The dictionary moved by
+    (0, s), s = 0.5, 1, 1.5, embeds as phases times unmoved members: kind all
+    keeps 72 memo entries and computes 48 lattice quadratures.  Wedge by wedge
+    and element by element, four passes would each go over the same rows, and
+    the phase cache would have to hold a pass.  Its chunks live until the sweep
+    ends, which empties the cache (and restarts its cache_info() counts), so
+    the net's extractions run without them."""
     step = config.freefield["lattice_step"]
     base = [ff.TestFunction2.bump((c0, c1), r, step)
             for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),

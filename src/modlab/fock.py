@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from types import MappingProxyType
 
 import numpy as np
 
@@ -53,11 +52,10 @@ class TruncationError(ValueError):
 
 @functools.lru_cache(maxsize=32)
 def _ladder_tables(d, cutoff):
-    """words, occ, up, sqrt(alpha!), level slices and the index of each
-    occupation of FockSpace(d, cutoff): built once per (d, cutoff) and
-    shared read-only by every space of that shape.  words[n] holds one
-    sorted word of n modes per level-n state, in the order of
-    combinations_with_replacement, and every other table is read off it."""
+    """words, occ, up, sqrt(alpha!) and the level slices of a FockSpace
+    (d, cutoff), built once per shape and shared read-only by its spaces.
+    words[n] holds one sorted word of n modes per level-n state, in the
+    order of combinations_with_replacement; the rest is read off it."""
     words = tuple(np.fromiter(itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(d), n)), dtype=int)
         .reshape(math.comb(n + d - 1, n), n) for n in range(cutoff + 1))
@@ -72,7 +70,7 @@ def _ladder_tables(d, cutoff):
                           for a in index])
     for table in (occ, up, sqrt_fact) + words:
         table.flags.writeable = False
-    return words, occ, up, sqrt_fact, level_slices, MappingProxyType(index)
+    return words, occ, up, sqrt_fact, level_slices
 
 
 class FockSpace:
@@ -84,8 +82,8 @@ class FockSpace:
     the occupation multi-index of basis state k, an integer array of shape
     (dim, d); up[k, i] is the index of occ[k] + e_i, or -1 when that lies
     above the cutoff.  These tables, sqrt(alpha!) per basis state
-    (_sqrt_fact), level_slices and index are read-only and shared by the
-    spaces of one (d, N).
+    (_sqrt_fact) and level_slices are read-only and shared by the spaces
+    of one (d, N).
     """
 
     def __init__(self, one_particle_dim: int, cutoff: int):
@@ -93,8 +91,8 @@ class FockSpace:
             raise ValueError("need dim >= 1 and cutoff >= 0")
         self.d = int(one_particle_dim)
         self.cutoff = int(cutoff)
-        (self.words, self.occ, self.up, self._sqrt_fact, self.level_slices,
-         self.index) = _ladder_tables(self.d, self.cutoff)
+        (self.words, self.occ, self.up, self._sqrt_fact,
+         self.level_slices) = _ladder_tables(self.d, self.cutoff)
         self.dim = len(self.occ)
 
     def __repr__(self):

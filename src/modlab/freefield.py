@@ -10,7 +10,8 @@ their frames g; a double cone is a right and a left wedge.  Test
 functions are values, smooth bumps moved by Poincare elements, sampled
 on a global spacetime lattice when read; their embedding into the
 one-particle space is a Fourier quadrature windowed where the lattice
-stops resolving the oscillation of exp(i p.x).
+stops resolving the oscillation of exp(i p.x).  Whole lattice steps a
+move the samples by whole rows, so they move the embedding by exp(i a.p).
 
 The origin right wedge's delta^(1/2) is, by the Bisognano-Wichmann
 theorem, the Fourier multiplier exp(pi omega) in the rapidity frequency
@@ -438,8 +439,17 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
 
     The EMBED_MEMO most recent results are kept, keyed on (f, model):
     a test function is a value, so equal ones share one result, whose
-    values are read-only.
+    values are read-only.  A translate by whole lattice steps a is exp(i a.p)
+    times its unmoved value's result, formed here and not by poincare_act:
+    its samples are that value's moved by whole rows, zero off both boxes.
     """
+    a = (f.g.a0, f.g.a1)
+    if a != (0.0, 0.0) and all(round(x / f.step) * f.step == x for x in a):
+        p0, p1 = _momenta(model.mass, model.grid)
+        base = embed(replace(f, g=replace(f.g, a0=0.0, a1=0.0)), model).values
+        v = np.exp(1j * (a[0] * p0 - a[1] * p1)) * base
+        v.flags.writeable = False
+        return OneParticleVector(model, v)
     (i0, j0), values = f.lattice()
     (m0, m1), n = values.shape, model.grid.n_points
     half = n // 2 + 1

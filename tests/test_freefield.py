@@ -10,7 +10,7 @@ import pytest
 
 from modlab import checks, freefield, modloc
 from modlab.checks import run_checks
-from modlab.config import ExperimentConfig
+from modlab.config import REFINEMENT_RUNGS, ExperimentConfig
 from modlab.freefield import _band_mask, _window
 from modlab.freefield import (
     AMPLIFICATION_CAP, BAND_MARGIN, BAND_ROLL, DomainViolationError,
@@ -427,7 +427,7 @@ def test_a_test_function_is_a_value(kind_all_embeddings):
     # the samples are computed when read, not held
     assert not any(isinstance(v, np.ndarray) for v in vars(f).values())
     # the net's transports equal to dictionary members are memo hits
-    assert kind_all_embeddings.misses <= 72
+    assert kind_all_embeddings.info.misses <= 72
 
 
 def test_embed_memo_tells_lattice_origins_apart(light_model):
@@ -436,8 +436,52 @@ def test_embed_memo_tells_lattice_origins_apart(light_model):
     assert np.array_equal(f.values, g.values)
     assert f.lattice()[0] != g.lattice()[0]
     Ef, Eg = embed(f, light_model), embed(g, light_model)
-    assert np.array_equal(Eg.values, uncached_embedding(g, light_model))
+    # a lattice translate is its phase times the untranslated embedding
+    assert np.array_equal(Eg.values, translate_phase(g, light_model) * Ef.values)
+    assert relative_gap(Eg.values, uncached_embedding(g, light_model)) < 4e-15
     assert not np.array_equal(Ef.values, Eg.values)
+
+
+def translate_phase(f, model, sign1=-1):
+    """exp(i (a0 p0 - a1 p1)) for f's translation a; sign1=+1 flips the
+    a1 term."""
+    p0, p1 = model.momenta()
+    return np.exp(1j * (f.g.a0 * p0 + sign1 * f.g.a1 * p1))
+
+
+def relative_gap(v, w):
+    return np.linalg.norm(v - w) / np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("h", [
+    PoincareElement(),
+    PoincareElement.reflection(),
+    PoincareElement.boost(0.1),
+    PoincareElement(-0.15, 0.0, 0.0, True),
+], ids=["plain", "reflected", "boosted", "boosted_reflected"])
+# whole-step translations of either sign, along one axis or both
+@pytest.mark.parametrize("n0, n1", [
+    (8, 16), (-64, 128), (0, -192), (37, 0), (-5, -77)])
+def test_a_lattice_translate_embeds_as_its_phase_times_the_base(
+        light_model, monkeypatch, h, n0, n1):
+    clear_caches()
+    base = TestFunction2.bump((0.3, 2.6), 0.5).transform(h)
+    f = base.transform(PoincareElement.translation(n0 * base.step,
+                                                   n1 * base.step))
+    Ebase = embed(base, light_model).values
+    read = []
+    lattice = TestFunction2.lattice
+    monkeypatch.setattr(TestFunction2, "lattice",
+                        lambda g: read.append(g) or lattice(g))
+    Ef = embed(f, light_model).values
+    # the translate's own lattice is never read
+    assert read == [] and not Ef.flags.writeable
+    assert np.array_equal(Ef, translate_phase(f, light_model) * Ebase)
+    assert relative_gap(Ef, uncached_embedding(f, light_model)) < 4e-15
+    # must fail: with the a1 term's sign flipped the phase misses
+    if n1 != 0:
+        flipped = translate_phase(f, light_model, sign1=+1) * Ebase
+        assert relative_gap(flipped, uncached_embedding(f, light_model)) > 1e-2
 
 
 def test_embed_result_is_read_only(light_model):
@@ -572,14 +616,14 @@ def counted_fills(monkeypatch):
     return fills
 
 
-def test_default_checks_keep_16_phase_chunks_and_fill_at_most_62(counted_fills):
-    # 59 with the chunks kept past the net's sweep: check_doublecone
+def test_default_checks_keep_16_phase_chunks_and_fill_at_most_58(counted_fills):
+    # 55 with the chunks kept past the net's sweep: check_doublecone
     # fills 3 of them again
     for kind in ("freefield", "modloc"):
         records, _ = run_checks(ExperimentConfig.from_dict({"kind": kind}))
         assert all(r["passed"] for r in records)
     info = freefield._phase_chunk.cache_info()
-    assert info.currsize <= info.maxsize == 16 and len(counted_fills) <= 62
+    assert info.currsize <= info.maxsize == 16 and len(counted_fills) <= 58
 
 
 NET_ELEMENTS = (PoincareElement.translation(0.0, 0.5),
@@ -617,10 +661,24 @@ def net_records_and_fills(fills):
 
 @pytest.fixture(scope="module")
 def kind_all_embeddings():
-    """embed's cache_info after a kind-all run from cold caches."""
+    """embed's cache_info after a kind-all run from cold caches, and the
+    number of test-function lattices that run read."""
     clear_caches()
-    run_checks(ExperimentConfig.from_dict({"kind": "all"}))
-    return freefield.embed.cache_info()
+    reads = []
+    lattice = TestFunction2.lattice
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(TestFunction2, "lattice",
+                  lambda f: reads.append(f) or lattice(f))
+        run_checks(ExperimentConfig.from_dict({"kind": "all"}))
+    return SimpleNamespace(info=freefield.embed.cache_info(),
+                           lattice_reads=len(reads))
+
+
+def test_kind_all_reads_48_lattices_for_72_embeddings(kind_all_embeddings):
+    # the net's dictionary moved by (0, 0.5), (0, 1) and (0, 1.5), 24
+    # functions, is embedded as phases times the unmoved dictionary
+    assert kind_all_embeddings.info.currsize == 72
+    assert kind_all_embeddings.lattice_reads == 48
 
 
 def test_the_net_sweep_changes_only_the_order_of_work(monkeypatch,
@@ -633,7 +691,7 @@ def test_the_net_sweep_changes_only_the_order_of_work(monkeypatch,
     assert repr(swept) == repr(unswept)
     assert 0 < swept_fills < unswept_fills
     # every embedding of kind all stays in embed's memo until the run ends
-    info = kind_all_embeddings
+    info = kind_all_embeddings.info
     assert 0 < info.currsize == info.misses
 
 
@@ -751,6 +809,24 @@ def test_covariance_translation(model):
     assert res < 1e-6
     res2 = covariance_residual(f, PoincareElement.translation(0.1, 0.2), model)
     assert res2 < 1e-6
+
+
+def test_check_covariance_samples_every_translate_it_tests(monkeypatch):
+    # off the lattice at every rung, a translation is no phase identity:
+    # covariance_translation compares u(g) E f with a sampled E(f o g^-1)
+    clear_caches()
+    moved, read = [], set()
+    residual, lattice = freefield.covariance_residual, TestFunction2.lattice
+    monkeypatch.setattr(freefield, "covariance_residual", lambda f, g, m: (
+        moved.append(f.transform(g)) or residual(f, g, m)))
+    monkeypatch.setattr(TestFunction2, "lattice",
+                        lambda f: read.add(f) or lattice(f))
+    for k in REFINEMENT_RUNGS:
+        moved.clear()
+        read.clear()
+        checks.check_covariance(ExperimentConfig().on_rung(k), None)
+        translated = [f for f in moved if (f.g.a0, f.g.a1) != (0.0, 0.0)]
+        assert len(translated) == 2 and set(translated) <= read
 
 
 def test_covariance_boost(model):

@@ -138,13 +138,13 @@ def levels_reversed(original):
     """The basis with each level's states in reverse order, every table
     permuted with it, so the tables still agree with one another."""
     def mutant(d, cutoff):
-        words, occ, up, sqrt_fact, level_slices, index = original(d, cutoff)
+        words, occ, up, sqrt_fact, level_slices = original(d, cutoff)
         # new state k is old state perm[k]; perm is its own inverse
         perm = np.concatenate([np.arange(sl.start, sl.stop)[::-1]
                                for sl in level_slices])
         return (tuple(w[::-1] for w in words), occ[perm],
                 np.where(up[perm] >= 0, perm[up[perm]], -1), sqrt_fact[perm],
-                level_slices, {a: int(perm[i]) for a, i in index.items()})
+                level_slices)
     return mutant
 
 
