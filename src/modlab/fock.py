@@ -194,10 +194,9 @@ def sym_power_expand(space: FockSpace, vectors) -> np.ndarray:
     n = len(xs)
     if n > space.cutoff:
         raise TruncationError(f"degree {n} exceeds cutoff {space.cutoff}")
-    if n == 0:
-        return vacuum(space)
-    # row F of subsets is the 0/1 indicator of one nonempty F
-    subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
+    # row F of subsets is the 0/1 indicator of one F; the empty F gives
+    # the vacuum at n = 0 and exactly 0 above
+    subsets = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     signs = (-1.0) ** (subsets.sum(axis=1) + n)
     block = signs @ tensor_power_level(space, subsets @ xs, n)
     out = np.zeros(space.dim, dtype=complex)

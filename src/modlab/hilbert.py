@@ -13,7 +13,7 @@ iK, and d is the row count.  Subspaces of different d do not combine.
 Projections, residuals and principal angles use the real Gram matrix
 Re(A^H B).  This module alone realifies (a + ib as the column (a, b) of
 R^(2d), where the Euclidean product is Re<x, y>), and only where a real
-matrix is needed: Gram-Schmidt, the null space of the symplectic
+matrix is needed: the SVD of a span, the null space of the symplectic
 complement, the operator norm of a residual, the fixed space of a map and
 the SVD of a real-linear map.  realified() gives the real matrix of a map;
 ComplexVectorSpace(d).complex_structure(), that of i, has no caller here.
@@ -95,24 +95,17 @@ def inner(x, y) -> complex:
 def orthonormalize_columns(M: np.ndarray) -> np.ndarray:
     """Columns orthonormal for Re<.,.> with the real span of those of M.
 
-    Classical Gram-Schmidt applied twice (CGS2) on the realified columns,
-    one column at a time against the block of columns before it.  Columns
-    whose residual norm is at most ORTHO_DROP_TOL are linearly dependent
-    and become zero columns.  Returns complex columns in the order of the
-    input columns, trimmed as in the module docstring.
+    The left singular vectors of the realified columns, by one stacked
+    SVD; those of singular value at most ORTHO_DROP_TOL become zero
+    columns, so the kept dimension does not depend on the column order.
+    Returns complex columns, trimmed as in the module docstring.  A NaN
+    raises numpy's LinAlgError.
     """
-    M = _realify(np.asarray(M, dtype=complex))
-    QT = np.zeros(M.swapaxes(-1, -2).shape)   # Q^T: rows QT[..., :j, :] contiguous
-    for j in range(M.shape[-1]):
-        v = M[..., :, j, None].copy()
-        Qj = QT[..., :j, :]
-        for _ in range(2):
-            v -= Qj.swapaxes(-1, -2) @ (Qj @ v)
-        nv = np.sqrt(v.swapaxes(-1, -2) @ v)
-        np.divide(v, nv, out=QT[..., j, :, None], where=nv > ORTHO_DROP_TOL)
-    Q = _unrealify(QT.swapaxes(-1, -2))
-    live = np.any(Q, axis=tuple(range(Q.ndim - 1)))   # not zero in every slice
-    return Q if live.all() else Q[..., live]
+    U, sv, _ = np.linalg.svd(_realify(np.asarray(M, dtype=complex)),
+                             full_matrices=False)
+    keep = sv > ORTHO_DROP_TOL               # a prefix: sv descends
+    Q = _unrealify(U * keep[..., None, :])
+    return Q[..., :np.max(np.sum(keep, axis=-1), initial=0)]
 
 
 def operator_norm(M: np.ndarray):

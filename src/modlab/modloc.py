@@ -182,7 +182,8 @@ def _complement_within_span(joint: RealSubspace, K: RealSubspace) -> RealSubspac
     # the locality pairing Im<k, x>: constraints  x  joint coords
     C = (K.basis.conj().T @ joint.basis).imag
     _, _, Vt = np.linalg.svd(C, full_matrices=True)
-    return RealSubspace.span(joint.basis @ Vt[K.dim:].T)
+    # orthonormal columns times the orthonormal real rows of Vt
+    return RealSubspace(joint.basis @ Vt[K.dim:].T)
 
 
 def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:

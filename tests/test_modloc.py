@@ -7,7 +7,7 @@ from modlab.freefield import (
     bw_residual_of_vector, compressed_fixed_defect, embed, poincare_act,
     wedge_tomita_apply,
 )
-from modlab.hilbert import RealSubspace, subspace_distance
+from modlab.hilbert import RealSubspace, subspace_distance, subspace_sum
 from modlab.modloc import (
     EmptyModelError, LocalizedNet, PoincareRep2, doublecone_space,
     embed_probe, localized_subspace, net_checks,
@@ -124,7 +124,7 @@ def test_localized_subspace_contains_probes(rep):
 
 def test_extraction_moves_the_probes_once_each_way(rep, monkeypatch):
     # one pull into the wedge frame, one push of the kept basis back, and
-    # one Gram-Schmidt: the pushed columns are orthonormal already
+    # one orthonormalization: the pushed columns are orthonormal already
     W = Region2.right_wedge((0.0, 0.5))
     probes = [embed_probe(rep, f) for f in right_dict((0.0, 0.5))]
     calls = []
@@ -279,6 +279,20 @@ def test_net_checks(rep):
     assert rep_checks["covariance"]
     for row in rep_checks["covariance"]:
         assert row["residual"] < 1e-3, row
+
+
+def test_complement_within_span_needs_no_second_orthonormalization(rep):
+    # orthonormal joint columns times the orthonormal real rows of an SVD
+    # factor are Re-orthonormal as they stand, and pair to zero with K
+    net = build_net(rep)
+    for e in net.entries.values():
+        ec = net.entries[e.region.causal_complement()]
+        joint = subspace_sum(e.subspace, ec.subspace)
+        B = modloc._complement_within_span(joint, e.subspace).basis
+        assert B.shape[-1] == joint.dim - e.subspace.dim
+        gram = (B.conj().T @ B).real
+        assert np.max(np.abs(gram - np.eye(B.shape[-1]))) <= 1e-13
+        assert np.max(np.abs((e.subspace.basis.conj().T @ B).imag)) <= 1e-13
 
 
 def test_net_checks_transport_each_dictionary_function_once(rep):
