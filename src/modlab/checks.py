@@ -79,10 +79,10 @@ def check_standard_suite(config, rng):
         Kp = symplectic_complement(K)
         sp = tomita_operator(Kp)
         found["adjoint"].extend(operator_norm(sp.matrix - s.adjoint().matrix))
-        jK = RealSubspace.span(md.j.apply(K.basis))
+        jK = RealSubspace(md.j.apply(K.basis))
         found["conjugation"].extend(subspace_distance(jK, Kp))
         for t in FLOW_TIMES:
-            FK = RealSubspace.span(modular_flow(md, t).apply(K.basis))
+            FK = RealSubspace(modular_flow(md, t).apply(K.basis))
             found["flow"].extend(subspace_distance(FK, K))
         cap = subspace_intersection(K, Kp, cos_tol=1e-8)
         fix = subspace_intersection(fixed_space(md.j), delta_fixed_space(md),
@@ -332,12 +332,11 @@ def _build_net(config, elements):
     elements are embedded first, in one sweep of the lattice rows
     (ff.embed_sweep), and populate_wedge and net_checks, whose transports equal
     these as values, find them in embed's memo.  The dictionary moved by
-    (0, s), s = 0.5, 1, 1.5, embeds as phases times unmoved members: kind all
-    keeps 72 memo entries and computes 48 lattice quadratures.  Wedge by wedge
-    and element by element, four passes would each go over the same rows, and
-    the phase cache would have to hold a pass.  Its chunks live until the sweep
-    ends, which empties the cache (and restarts its cache_info() counts), so
-    the net's extractions run without them."""
+    (0, s), s = 0.5, 1, 1.5, embeds as phases times unmoved members.  Wedge
+    by wedge and element by element, four passes would each go over the same
+    rows, and the phase cache would have to hold a pass.  Its chunks live
+    until the sweep ends, which empties the cache (and restarts its
+    cache_info() counts), so the net's extractions run without them."""
     step = config.freefield["lattice_step"]
     base = [ff.TestFunction2.bump((c0, c1), r, step)
             for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),

@@ -131,9 +131,6 @@ class FreeFieldModel:
         if self.window >= self.grid.theta_max:
             raise ValueError("window must sit inside the grid")
 
-    def momenta(self):
-        return _momenta(self.mass, self.grid)
-
 
 def _momenta(mass: float, grid: RapidityGrid):
     """(p0, p1) = (m cosh theta, m sinh theta) on the grid."""
@@ -188,17 +185,14 @@ class PoincareElement:
         return (y0 + self.a0, y1 + self.a1)
 
     def __mul__(self, other: "PoincareElement") -> "PoincareElement":
-        # L = L1 L2 (gamma is central in 2D), a = a1 + L1 a2
-        La2 = PoincareElement(self.rapidity, 0.0, 0.0, self.reflect).apply_point(
-            (other.a0, other.a1))
-        return PoincareElement(self.rapidity + other.rapidity,
-                               self.a0 + La2[0], self.a1 + La2[1],
+        # L = L1 L2 (gamma is central in 2D), a = a1 + L1 a2 = g1 a2
+        a0, a1 = self.apply_point((other.a0, other.a1))
+        return PoincareElement(self.rapidity + other.rapidity, a0, a1,
                                self.reflect != other.reflect)
 
     def inv(self) -> "PoincareElement":
-        ainv = PoincareElement(-self.rapidity, 0.0, 0.0, self.reflect).apply_point(
-            (-self.a0, -self.a1))
-        return PoincareElement(-self.rapidity, ainv[0], ainv[1], self.reflect)
+        return (replace(self, rapidity=-self.rapidity, a0=0.0, a1=0.0)
+                * PoincareElement.translation(-self.a0, -self.a1))
 
 
 # -- spacetime regions ----------------------------------------------------
@@ -377,13 +371,13 @@ def _phase_chunk(mass: float, grid: RapidityGrid, step: float, axis: int,
     the real and sin(arg) into the imaginary part: bit-identical to
     exp(+-1j * outer(x, p)) where the host's exp and cos/sin agree, and
     cheaper.  arg carries the signs of zero of the complex products:
-    1j * t has imaginary part t + 0.0 and -1j * t has -t.
+    -1j * t has imaginary part -t, and 1j * t has t + 0.0, which is t
+    itself on axis 0, where t = (k h) m cosh theta with k >= 0 is never
+    -0.0.
     """
     x = step * np.arange(c * PHASE_CHUNK, (c + 1) * PHASE_CHUNK)
     arg = np.outer(x, _momenta(mass, grid)[axis][:grid.n_points // 2 + 1])
-    if axis == 0:
-        arg += 0.0
-    else:
+    if axis:
         np.negative(arg, out=arg)
     rows = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=rows.real)
@@ -528,7 +522,7 @@ def poincare_act(g: PoincareElement, v, model: FreeFieldModel) -> np.ndarray:
         if leak > LEAKAGE_BUDGET:
             raise LeakageError(leak)
     if g.a0 != 0.0 or g.a1 != 0.0:
-        p0, p1 = model.momenta()
+        p0, p1 = _momenta(model.mass, model.grid)
         v = np.exp(1j * (g.a0 * p0 - g.a1 * p1)) * v
     return v
 

@@ -92,12 +92,6 @@ def embed_probe(rep: PoincareRep2, f: TestFunction2, summand: int = 0) -> np.nda
     return X
 
 
-def _pull(rep: PoincareRep2, W: Region2, X):
-    """(g, u(g)^(-1) X) for W = g W_R."""
-    g = W.frame
-    return g, rep.act(g.inv(), X)
-
-
 @dataclass
 class ExtractionReport:
     singular_values: np.ndarray
@@ -123,7 +117,8 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes):
 
     Returns (RealSubspace over the summed grid space, ExtractionReport).
     """
-    g, P = _pull(rep, W, _stack(rep, probes))
+    g = W.frame
+    P = rep.act(g.inv(), _stack(rep, probes))
     certs = np.max(domain_certificate(P, rep.grid), axis=-1)
     live = certs <= DOMAIN_CERT_THRESHOLD
     if not np.any(live):

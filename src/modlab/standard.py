@@ -244,7 +244,7 @@ def rotated_standard_subspace(fibers, Z) -> RealSubspace:
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     U = Q * (diag / np.abs(diag))[..., None, :]
-    return RealSubspace.span(U @ fibers)
+    return RealSubspace(U @ fibers)
 
 
 def random_standard_subspace(d: int, rng: np.random.Generator) -> RealSubspace:

@@ -53,7 +53,8 @@ def test_grid_validation():
 @pytest.mark.parametrize("theta_max, n", [(5.3, 4096), (7.1, 2048), (6.0, 4096)])
 def test_grid_is_antisymmetric_bit_for_bit(theta_max, n):
     model = FreeFieldModel(1.0, RapidityGrid(theta_max, n), 4.0, 1.2)
-    theta, (p0, p1) = model.grid.theta, model.momenta()
+    theta = model.grid.theta
+    p0, p1 = freefield._momenta(model.mass, model.grid)
     j = np.arange(1, n)
     assert np.array_equal(theta[n - j], -theta[j])
     assert np.array_equal(p0[n - j], p0[j])
@@ -160,17 +161,33 @@ def test_wedge_inclusion_agrees_with_sampled_points():
 
 def test_poincare_group_law():
     rng = np.random.default_rng(61)
+
+    def element():
+        return PoincareElement(rng.uniform(-0.5, 0.5), *rng.uniform(-1, 1, 2),
+                               bool(rng.integers(2)))
+
+    def fields(g):
+        return (g.rapidity, g.a0, g.a1)
+
     for _ in range(20):
-        g1 = PoincareElement(rng.uniform(-0.5, 0.5), *rng.uniform(-1, 1, 2),
-                             bool(rng.integers(2)))
-        g2 = PoincareElement(rng.uniform(-0.5, 0.5), *rng.uniform(-1, 1, 2),
-                             bool(rng.integers(2)))
+        g1, g2, g3 = element(), element(), element()
         x = tuple(rng.uniform(-2, 2, 2))
         lhs = g1.apply_point(g2.apply_point(x))
         rhs = (g1 * g2).apply_point(x)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        # the product's translation is g1 applied to g2's, bit for bit
+        g12 = g1 * g2
+        assert (g12.a0, g12.a1) == g1.apply_point((g2.a0, g2.a1))
+        # a two-sided inverse
+        for e in (g1.inv() * g1, g1 * g1.inv()):
+            assert not e.reflect
+            np.testing.assert_allclose(fields(e), 0.0, atol=1e-12)
+            np.testing.assert_allclose(e.apply_point(x), x, atol=1e-12)
         np.testing.assert_allclose(g1.inv().apply_point(g1.apply_point(x)), x,
                                    atol=1e-12)
+        left, right = (g1 * g2) * g3, g1 * (g2 * g3)
+        assert left.reflect == right.reflect
+        np.testing.assert_allclose(fields(left), fields(right), atol=1e-12)
 
 
 def test_bump_support_validation():
@@ -217,7 +234,7 @@ def test_embed_reality(light_model):
     # evaluated at -p(theta) directly, inside the window bulk
     f = TestFunction2.bump((0.3, 2.7), 0.5)
     Ef = embed(f, light_model)
-    p0, p1 = light_model.momenta()
+    p0, p1 = freefield._momenta(light_model.mass, light_model.grid)
     E0 = np.exp(1j * np.outer(f.x0, -p0))
     E1 = np.exp(-1j * np.outer(f.x1, -p1))
     v = np.einsum("xt,xt->t", E0, f.values @ E1) * f.step ** 2 / math.sqrt(2 * np.pi)
@@ -227,7 +244,7 @@ def test_embed_reality(light_model):
 
 def uncached_embedding(f, model):
     """The embedding formula with whole exp(i p.x) tables and no cache."""
-    p0, p1 = model.momenta()
+    p0, p1 = freefield._momenta(model.mass, model.grid)
     E0 = np.exp(1j * np.outer(f.x0, p0))
     E1 = np.exp(-1j * np.outer(f.x1, p1))
     v = np.einsum("xt,xt->t", E0, f.values @ E1)
@@ -345,7 +362,7 @@ def test_phase_rows_equal_the_complex_exponential(big_model, k0):
     for count in (1, 2, 31, 32, 33, 64, 65, 97, 131):
         x = step * np.arange(k0, k0 + count)
         for axis, sign in ((0, 1j), (1, -1j)):
-            p = big_model.momenta()[axis][:half]
+            p = freefield._momenta(big_model.mass, big_model.grid)[axis][:half]
             full = np.exp(sign * np.outer(x, p))
             # all the columns, and ranges of them, written into out
             for a, b in ((0, half), (0, 2), (7, 263), (half - 2, half)):
@@ -445,7 +462,7 @@ def test_embed_memo_tells_lattice_origins_apart(light_model):
 def translate_phase(f, model, sign1=-1):
     """exp(i (a0 p0 - a1 p1)) for f's translation a; sign1=+1 flips the
     a1 term."""
-    p0, p1 = model.momenta()
+    p0, p1 = freefield._momenta(model.mass, model.grid)
     return np.exp(1j * (f.g.a0 * p0 + sign1 * f.g.a1 * p1))
 
 

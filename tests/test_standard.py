@@ -10,8 +10,8 @@ from modlab.hilbert import (
     symplectic_complement,
 )
 from modlab.standard import (
-    NotStandardError, delta_fixed_space, fiber_standard_subspace, fiberize,
-    is_standard, modular_data, modular_flow, random_standard_subspace,
+    NotStandardError, delta_fixed_space, draw_standard_subspace,
+    fiber_standard_subspace, fiberize, is_standard, modular_data, modular_flow, random_standard_subspace,
     reassemble_modular, rotated_standard_subspace, tomita_operator,
 )
 
@@ -386,6 +386,26 @@ def test_stack_with_one_nonstandard_slice_raises_its_certificate():
     cert = is_standard(RealSubspace(line))[1]
     assert exc.value.certificate == cert
     assert (cert.dim_intersection, cert.dim_sum) == (2, 2)
+
+
+@pytest.mark.parametrize("d", [2, 5, checks.MAX_DIM])
+def test_isometry_images_are_re_orthonormal(d):
+    # rotated_standard_subspace and check_standard_suite hold these images
+    # as RealSubspace bases without re-orthonormalizing them: U and the
+    # modular flow are unitary, j antiunitary, and the fibers Re-orthonormal.
+    # j divides by the basis' singular values, down to about 0.1 at the
+    # smallest fiber angle, so its image is orthonormal to 1e-12, not 1e-13
+    rng = np.random.default_rng(d)
+    fibers, Z = map(np.stack, zip(*(draw_standard_subspace(d, rng)
+                                    for _ in range(16))))
+    K = rotated_standard_subspace(fibers, Z)
+    md = modular_data(K)
+    images = [(fibers, 1e-13), (K.basis, 1e-13), (md.j.apply(K.basis), 1e-12),
+              *((modular_flow(md, t).apply(K.basis), 1e-13)
+                for t in checks.FLOW_TIMES)]
+    for B, tol in images:
+        gram = (B.conj().swapaxes(-1, -2) @ B).real
+        assert np.max(np.abs(gram - np.eye(d))) <= tol
 
 
 def loop_reference(config, rng):
