@@ -29,6 +29,8 @@ from .config import REFINEMENT_RUNGS, ConfigError, ExperimentConfig, schema_text
 def _verify_out_dir(out_dir):
     """Refuse, before any check runs, an out_dir that cannot be made a
     writable directory; the report writer creates it."""
+    if not out_dir:                 # abspath would make it the working dir
+        raise ConfigError("out_dir: cannot create '': the path is empty")
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -139,23 +141,23 @@ def build_parser():
         description="configuration-driven verification runs for the "
                     "modular-theory laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    options = argparse.ArgumentParser(add_help=False)  # run and refine share
+    options.add_argument("--config", required=True,
+                         help="path to a JSON config")
+    options.add_argument("--seed", type=int, default=None,
+                         help="override the configured seed")
+    options.add_argument("--out", default=None,
+                         help="override the configured output directory")
 
-    run_p = sub.add_parser("run", help="run the configured check suites")
-    run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
-    run_p.add_argument("--out", default=None,
-                       help="override the configured output directory")
+    run_p = sub.add_parser("run", parents=[options],
+                           help="run the configured check suites")
     run_p.set_defaults(fn=cmd_run)
 
-    ref_p = sub.add_parser("refine",
+    ref_p = sub.add_parser("refine", parents=[options],
                            help="re-run resolution-dependent checks on a "
                                 "refinement ladder")
-    ref_p.add_argument("--config", required=True)
     ref_p.add_argument("--ladder", required=True,
                        help="comma-separated rung indices, e.g. 1,2,3")
-    ref_p.add_argument("--seed", type=int, default=None)
-    ref_p.add_argument("--out", default=None)
     ref_p.set_defaults(fn=cmd_refine)
 
     lc_p = sub.add_parser("list-checks", help="list the registered checks")

@@ -45,7 +45,7 @@ CHECK_REACH = 8.7 + 32 * max(r["lattice_step"] for r in REFINEMENT_RUNGS.values(
 # section -> key -> (type, default, description)
 SCHEMA = {
     "": {
-        "kind": (str, "all", "suite to run: subspace | fock | freefield | modloc | all"),
+        "kind": (str, "all", "suite to run: " + " | ".join(KINDS)),
         "seed": (int, 7, "random seed recorded in every report (>= 0)"),
         "out_dir": (str, "results", "output directory for reports and CSV data"),
     },
@@ -138,20 +138,21 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed, "out_dir": self.out_dir,
-                "subspace": dict(self.subspace),
-                "freefield": {"mass": self.freefield["mass"]}}
+        return {**{key: getattr(self, key) for key in SCHEMA[""]},
+                **{section: {key: getattr(self, section)[key]
+                             for key in SCHEMA[section]}
+                   for section in SECTIONS}}
 
 
 def schema_text() -> str:

@@ -171,14 +171,12 @@ def sym_project(space: FockSpace, vectors) -> np.ndarray:
     if math.factorial(n) * (sl.stop - sl.start) > 2_000_000:
         raise ValueError("symmetrization too large: n! x level size "
                          "above 2e6 product terms; lower n or d")
-    if n == 0:
-        return vacuum(space)
-    words = space.words[n]
+    words = space.words[n]      # one empty word at n = 0: T is the vacuum's 1
     T = np.zeros(sl.stop - sl.start, dtype=complex)
     perms = itertools.permutations(range(n))
-    step = max(1, 2 ** 16 // words.size)     # 1 MB of terms per chunk
+    step = max(1, 2 ** 16 // (words.size or 1))     # 1 MB of terms per chunk
     while chunk := list(itertools.islice(perms, step)):
-        sigma = np.array(chunk)[:, None, :]
+        sigma = np.array(chunk, dtype=int)[:, None, :]
         T += np.prod(xs[sigma, words], axis=2).sum(axis=0)
     T /= math.factorial(n)
     out = np.zeros(space.dim, dtype=complex)

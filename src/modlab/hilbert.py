@@ -235,7 +235,7 @@ def subspace_sum(K1: RealSubspace, K2: RealSubspace) -> RealSubspace:
 
 
 def subspace_intersection(K1: RealSubspace, K2: RealSubspace,
-                          cos_tol: float = 1e-9) -> RealSubspace:
+                          cos_tol: float = 1e-8) -> RealSubspace:
     """Intersection via principal vectors: directions with principal angle
     cos above 1 - cos_tol are common to both subspaces."""
     _same_space(K1, K2)

@@ -182,7 +182,7 @@ def fiberize(K: RealSubspace) -> Fibers:
     k = np.count_nonzero(md.log_delta < -EIGENVALUE_ONE_TOL)
     v, t = md.frame[:, :k], np.exp(0.5 * md.log_delta[:k])   # ascending
     jv, scale = md.j.apply(v), 1.0 / np.sqrt(1.0 + t * t)
-    fixed = subspace_intersection(K, delta_fixed_space(md), cos_tol=1e-8)
+    fixed = subspace_intersection(K, delta_fixed_space(md))
     return Fibers(2.0 * np.arctan(t), v, jv, scale * (v + t * jv),
                   scale * 1j * (v - t * jv), fixed, md)
 

@@ -13,7 +13,7 @@ from modlab.checks import (
     check_borchers, check_coherent_calculus, check_covariance,
     check_direct_sum, check_doublecone, check_fiberization, check_locality,
     check_net, check_second_quantized, check_standard_suite,
-    check_symmetrization, check_weyl, record, run_checks,
+    check_symmetrization, check_weyl, record, run_checks, worst,
 )
 from modlab.config import ExperimentConfig
 from modlab.freefield import (
@@ -294,6 +294,21 @@ def test_an_empty_net_category_fails_its_record(monkeypatch):
     assert not records["modloc.duality"]["passed"]
     assert records["modloc.isotony"]["passed"]
     assert records["modloc.covariance"]["passed"]
+
+
+def test_an_empty_measurement_fails_every_frozen_bound():
+    # worst() of no values is 1.0: none of the records it feeds can pass
+    # on an empty measurement
+    fed_by_worst = [name for name in FROZEN_BOUNDS if name.startswith((
+        "subspace.", "fock.symmetrization", "fock.coherent_inner",
+        "fock.gamma_on_coherent", "freefield.locality_spacelike",
+        "freefield.covariance_translation", "modloc.isotony",
+        "modloc.duality", "modloc.covariance", "modloc.doublecone"))]
+    assert len(fed_by_worst) == 16
+    for name in fed_by_worst:
+        bound, direction = FROZEN_BOUNDS[name]
+        rec = record(name, "a claim", worst([]), bound, direction)
+        assert not rec["passed"], name
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["default", "broken"])

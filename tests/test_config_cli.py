@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -157,6 +158,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["refine", "--config", cfg, "--ladder", "3,1"]) == 2
     assert main(["refine", "--config", cfg, "--ladder", "1,2,9"]) == 2
     capsys.readouterr()
+    # JSON is UTF-8: a UTF-16 file is refused, not a traceback with exit 1
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes('{"kind": "fock"}'.encode("utf-16"))
+    assert main(["run", "--config", str(utf16)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: config is not valid JSON")
 
 
 @pytest.mark.parametrize("data, field", [
@@ -269,7 +276,8 @@ def test_refine_refuses_fewer_than_two_rungs(tmp_path, capsys, ladder):
 @pytest.mark.parametrize("where", ["option", "config"])
 def test_out_dir_that_cannot_be_created_is_a_usage_error(
         tmp_path, capsys, monkeypatch, argv, where):
-    # an existing file, as the directory or as its parent: exit 2 naming
+    # an existing file, as the directory or as its parent, and the empty
+    # path, which abspath reads as the working directory: exit 2 naming
     # out_dir, before any check runs
     from modlab import checks
 
@@ -279,20 +287,38 @@ def test_out_dir_that_cannot_be_created_is_a_usage_error(
                  "check_locality"):
         monkeypatch.setattr(checks, name, must_not_run)
     monkeypatch.setitem(checks.CHECKS, "fock", [must_not_run])
+    monkeypatch.chdir(tmp_path)     # where the empty path would write
     blocker = tmp_path / "file"
     blocker.write_text("")
-    for out in (blocker, blocker / "out"):
+    not_writable = f"{str(blocker)!r} is not a writable directory"
+    for out, reason in ((str(blocker), not_writable),
+                        (str(blocker / "out"), not_writable),
+                        ("", "the path is empty")):
         data = {"kind": "fock"}
         if where == "config":
-            data["out_dir"] = str(out)
+            data["out_dir"] = out
         cfg = write_config(tmp_path, data)
-        extra = ["--out", str(out)] if where == "option" else []
+        extra = ["--out", out] if where == "option" else []
         assert main([argv[0], "--config", cfg, *argv[1:], *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: out_dir: cannot create "
-                              f"{str(out)!r}: {str(blocker)!r} is not a "
-                              f"writable directory")
+                              f"{out!r}: {reason}")
     assert blocker.read_text() == ""
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+def test_run_and_refine_share_the_run_options():
+    # --config, --seed and --out are declared once, and every option of
+    # each subcommand says what it does
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    for command, extra in (("run", []), ("refine", ["--ladder", "1,2"])):
+        args = parser.parse_args([command, "--config", "c.json", "--seed", "3",
+                                  "--out", "o", *extra])
+        assert (args.config, args.seed, args.out) == ("c.json", 3, "o")
+        for action in sub.choices[command]._actions:
+            assert action.help, f"{command} {action.option_strings}: no help"
 
 
 def test_cli_list_checks(capsys):

@@ -103,6 +103,15 @@ def test_sym_project_at_degree_8_stays_small():
     assert peak <= 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_both_symmetrizations_of_no_vectors_are_the_vacuum(d):
+    # the general path at n = 0: one permutation of nothing, over the
+    # one empty word, and the empty subset's sign
+    fs = FockSpace(d, 2)
+    for symmetrize in (sym_project, sym_power_expand):
+        np.testing.assert_array_equal(symmetrize(fs, []), vacuum(fs))
+
+
 def test_sym_power_expand_single_vector():
     fs = FockSpace(3, 2)
     rng = np.random.default_rng(43)
