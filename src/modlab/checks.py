@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 import time
 
 import numpy as np
@@ -324,9 +323,10 @@ def check_borchers(config, rng):
 # -- modular localization suite ---------------------------------------------
 
 def _build_net(config, elements):
-    """Right and left wedges at the apexes (0, a), a in 0, 0.5, 1.  The
-    dictionary moved by (0, s) lies in the right wedge at (0, a) for
-    s >= a, and reflected, in the left wedge for s <= a.
+    """Right and left wedges at the apexes (0, a), a in 0, 0.5, 1.  Each
+    wedge takes the dictionaries moved into the wedges it includes, the
+    inclusion isotony tests: those moved by (0, s), s >= a on the right,
+    and reflected, s <= a on the left.
 
     The 24 dictionary functions and their 48 transports by the covariance
     elements are embedded first, in one sweep of the lattice rows
@@ -342,24 +342,20 @@ def _build_net(config, elements):
             for c0, c1, r in ((0.0, 3.0, 0.5), (0.4, 3.6, 0.55),
                               (-0.3, 2.8, 0.45), (0.1, 4.0, 0.6))]
     reflected = [f.transform(ff.PoincareElement.reflection()) for f in base]
-    shifts = (0.0, 0.5, 1.0)
-    wedges = [(region, inside,
-               {s: [f.transform(ff.PoincareElement.translation(0.0, s))
-                    for f in fns] for s in shifts})
-              for region, fns, inside in (
-                  (ff.Region2.right_wedge, base, operator.ge),
-                  (ff.Region2.left_wedge, reflected, operator.le))]
+    T = ff.PoincareElement.translation
+    wedges = [{region((0.0, s)): [f.transform(T(0.0, s)) for f in fns]
+               for s in (0.0, 0.5, 1.0)}
+              for region, fns in ((ff.Region2.right_wedge, base),
+                                  (ff.Region2.left_wedge, reflected))]
     model = _model(config)
-    functions = [f for _, _, moved in wedges
-                 for fns in moved.values() for f in fns]
+    functions = [f for moved in wedges for fns in moved.values() for f in fns]
     ff.embed_sweep(functions + [f.transform(g) for f in functions
                                 for g in elements], model)
     net = ml.LocalizedNet(ml.PoincareRep2([model]))
-    for region, inside, moved in wedges:
-        for a in shifts:
-            net.populate_wedge(region((0.0, a)),
-                               [f for s in shifts if inside(s, a)
-                                for f in moved[s]])
+    for moved in wedges:
+        for W in moved:
+            net.populate_wedge(W, [f for V, fns in moved.items()
+                                   if W.includes(V) for f in fns])
     return net
 
 

@@ -31,6 +31,9 @@ def _verify_out_dir(out_dir):
     writable directory; the report writer creates it."""
     if not out_dir:                 # abspath would make it the working dir
         raise ConfigError("out_dir: cannot create '': the path is empty")
+    if "\0" in out_dir:             # which os.path.exists reads as missing
+        raise ConfigError(f"out_dir: cannot create {out_dir!r}: "
+                          "the path holds a NUL character")
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)

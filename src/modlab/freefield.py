@@ -278,8 +278,8 @@ class TestFunction2:
     """The bump exp(-1/(1 - |y - c|^2/r^2)) on the disk of center c and
     radius r, moved by g: x -> bump(g^(-1) x).  A value, so equal functions
     share their embedding.  The samples on the global lattice {(i h, j h)}
-    over the box of the moved boundary circle are computed from the
-    profile when read, never interpolated or held."""
+    over the moved disk's box, which is in closed form, are computed from
+    the profile when read, never interpolated or held."""
 
     __test__ = False            # despite the name, not a pytest class
 
@@ -299,19 +299,15 @@ class TestFunction2:
             raise SupportError("support is not inside the named region")
         return f
 
-    @property
-    def _boundary(self):
-        """The disk's 256-point boundary circle, moved by g."""
-        ang = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        return self.g.apply_point((self.center[0] + self.radius * np.cos(ang),
-                                   self.center[1] + self.radius * np.sin(ang)))
-
     def _rows(self):
-        """Lattice integers of the rows along x0 and along x1, from one
-        ring: the boundary's box, one step wider on each side."""
-        return [np.arange(math.floor(b.min() / self.step) - 1,
-                          math.ceil(b.max() / self.step) + 2)
-                for b in self._boundary]
+        """Lattice integers of the rows along x0 and along x1: the moved
+        disk's box, of half-width r hypot(cosh l, sinh l) (the norm of a
+        row of the boost) about g c, one step wider on each side."""
+        l = self.g.rapidity
+        w = self.radius * math.hypot(math.cosh(l), math.sinh(l))
+        return [np.arange(math.floor((m - w) / self.step) - 1,
+                          math.ceil((m + w) / self.step) + 2)
+                for m in self.g.apply_point(self.center)]
 
     x0 = property(lambda self: self.step * self._rows()[0])
     x1 = property(lambda self: self.step * self._rows()[1])
@@ -319,7 +315,7 @@ class TestFunction2:
 
     def lattice(self):
         """The lattice integers of x0[0] and x1[0], and the samples on
-        the lattice, from one ring."""
+        the lattice, from one read of the box."""
         k0, k1 = self._rows()
         y0, y1 = self.g.inv().apply_point((self.step * k0[:, None],
                                            self.step * k1[None, :]))
@@ -328,8 +324,15 @@ class TestFunction2:
                 _bump(((y0 - c0) ** 2 + (y1 - c1) ** 2) / self.radius ** 2))
 
     def supported_in(self, region: Region2) -> bool:
-        """Whether the moved boundary circle lies in region."""
-        return bool(np.all(region.contains(*self._boundary)))
+        """Whether the moved disk lies in region.  A region's edges are
+        light rays, which the Poincare group maps to light rays, so the
+        points of the moved disk that reach farthest across them are among
+        its four light-cone points c + (r/sqrt 2)(+-1, +-1), moved by g;
+        those four decide."""
+        d = self.radius / math.sqrt(2.0)
+        x = self.g.apply_point((self.center[0] + d * np.array([1, 1, -1, -1]),
+                                self.center[1] + d * np.array([1, -1, 1, -1])))
+        return bool(np.all(region.contains(*x)))
 
     def refine(self) -> "TestFunction2":
         return replace(self, step=self.step / 2)

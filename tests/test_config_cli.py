@@ -276,9 +276,10 @@ def test_refine_refuses_fewer_than_two_rungs(tmp_path, capsys, ladder):
 @pytest.mark.parametrize("where", ["option", "config"])
 def test_out_dir_that_cannot_be_created_is_a_usage_error(
         tmp_path, capsys, monkeypatch, argv, where):
-    # an existing file, as the directory or as its parent, and the empty
-    # path, which abspath reads as the working directory: exit 2 naming
-    # out_dir, before any check runs
+    # an existing file, as the directory or as its parent, the empty path,
+    # which abspath reads as the working directory, and a path holding a
+    # NUL, which os.path.exists reads as missing: exit 2 naming out_dir,
+    # before any check runs
     from modlab import checks
 
     def must_not_run(config, rng):
@@ -293,7 +294,8 @@ def test_out_dir_that_cannot_be_created_is_a_usage_error(
     not_writable = f"{str(blocker)!r} is not a writable directory"
     for out, reason in ((str(blocker), not_writable),
                         (str(blocker / "out"), not_writable),
-                        ("", "the path is empty")):
+                        ("", "the path is empty"),
+                        ("a\0b", "the path holds a NUL character")):
         data = {"kind": "fock"}
         if where == "config":
             data["out_dir"] = out

@@ -388,36 +388,56 @@ def test_reflected_bump_reuses_the_cached_phase_rows(model):
     assert freefield._phase_chunk.cache_info().misses == fills
 
 
-def test_transformed_support_corners_equal_the_pointwise_images():
+def moved_ring(f, n=4096):
+    """n points of the boundary circle of f's disk, moved by f.g."""
+    ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return f.g.apply_point((f.center[0] + f.radius * np.cos(ang),
+                            f.center[1] + f.radius * np.sin(ang)))
+
+
+def test_transformed_box_and_support_are_the_composed_elements():
     f = TestFunction2.bump((0.3, 2.5), 0.5)
     g, h = PoincareElement(0.2, 0.3, -0.45, True), PoincareElement.boost(-0.1)
     moved = f.transform(g).transform(h)
     assert moved.g == h * g
-    # the boundary circle, moved by the composed element point by point
-    expected = np.array([(h * g).apply_point((float(p0), float(p1)))
-                         for p0, p1 in zip(*f._boundary)]).T
-    assert np.array_equal(moved._boundary, expected)
+    # the box and the support of the disk moved point by point by h g
+    ring = moved_ring(moved)
+    for x, b in zip((moved.x0, moved.x1), ring):
+        assert x[0] <= b.min() - f.step and x[-1] >= b.max() + f.step
+    answers = []
+    for region in (Region2.left_wedge(), Region2.left_wedge((0.0, -2.5)),
+                   Region2.left_wedge((0.5, -2.0)), Region2.right_wedge(),
+                   Region2.double_cone((-0.2, -3.0), 1.2),
+                   Region2.double_cone((-0.2, -3.0), 0.8)):
+        answers.append(moved.supported_in(region))
+        assert answers[-1] == bool(np.all(region.contains(*ring))), region
+    assert True in answers and False in answers
+
+
+def count_calls(monkeypatch, *names):
+    """The list to which each call of the named TestFunction2 methods
+    appends the method's name."""
+    calls = []
+    for name in names:
+        def counted(f, *args, _name=name, _method=getattr(TestFunction2, name)):
+            calls.append(_name)
+            return _method(f, *args)
+        monkeypatch.setattr(TestFunction2, name, counted)
+    return calls
 
 
 def test_building_or_moving_a_test_function_computes_nothing(monkeypatch):
-    calls = []
-    boundary = TestFunction2._boundary
-    monkeypatch.setattr(TestFunction2, "_boundary", property(
-        lambda f: calls.append(f) or boundary.fget(f)))
+    calls = count_calls(monkeypatch, "_rows", "supported_in")
     f = TestFunction2.bump((0.0, 3.0), 0.5)
     f.transform(PoincareElement(0.3, 0.1, -0.2, True)).refine()
     assert calls == []
     # support is checked only where a region is named, once
     TestFunction2.bump((0.0, 3.0), 0.5, region=Region2.right_wedge())
-    assert len(calls) == 1
+    assert calls == ["supported_in"]
 
 
-def test_each_lattice_read_computes_the_boundary_ring_once(monkeypatch,
-                                                            light_model):
-    calls = []
-    boundary = TestFunction2._boundary
-    monkeypatch.setattr(TestFunction2, "_boundary", property(
-        lambda f: calls.append(f) or boundary.fget(f)))
+def test_each_lattice_read_computes_the_box_once(monkeypatch, light_model):
+    calls = count_calls(monkeypatch, "_rows")
     f = TestFunction2.bump((0.1, 2.6), 0.5)
     for read in ("x0", "x1", "lattice", "values"):
         calls.clear()
@@ -431,6 +451,66 @@ def test_each_lattice_read_computes_the_boundary_ring_once(monkeypatch,
     calls.clear()
     freefield.embed_sweep([f], light_model)
     assert len(calls) == 1
+
+
+def tangent_disks(margin):
+    """(region, disk) pairs, each disk tangent to an edge of its region
+    but for margin: inside by margin if margin > 0, across the edge by
+    -margin if not.  q is sqrt 2 times the distance from a centre to its
+    edge, the light-cone coordinate across the edge."""
+    r, q = 0.5, math.sqrt(2.0) * (0.5 + margin)
+    return [(Region2.right_wedge(), TestFunction2.bump((0.3, 0.3 + q), r)),
+            (Region2.left_wedge((0.0, 1.0)),
+             TestFunction2.bump((0.3, 0.7 - q), r)),
+            # |x0| + |x1| < 2, the edge x0 + x1 = 2
+            (Region2.double_cone((0.0, 0.0), 2.0),
+             TestFunction2.bump((0.1, 1.9 - q), r))]
+
+
+@pytest.mark.parametrize("margin", [1e-9, -1e-9])
+def test_support_of_a_tangent_disk_is_exact_under_the_poincare_group(margin):
+    # the disk's points farthest across a light-like edge are its
+    # light-cone points, whatever boost, reflection or translation moves
+    # the disk and the region together
+    for rapidity in (0.0, 0.7, -1.2):
+        for reflect in (False, True):
+            for a in ((0.0, 0.0), (0.8, -1.3)):
+                g = PoincareElement(rapidity, *a, reflect)
+                for region, f in tangent_disks(margin):
+                    moved = f.transform(g).supported_in(region.transform(g))
+                    assert moved == (margin > 0), (g, region)
+
+
+def random_moved_disk(rng):
+    return TestFunction2.bump(rng.uniform(-2.0, 2.0, 2),
+                              rng.uniform(0.1, 1.0)).transform(
+        PoincareElement(rng.uniform(-1.5, 1.5), *rng.uniform(-1.0, 1.0, 2),
+                        bool(rng.integers(2))))
+
+
+def test_support_agrees_with_a_dense_ring():
+    rng = np.random.default_rng(11)
+    answers = []
+    for _ in range(400):
+        f = random_moved_disk(rng)
+        center = tuple(rng.uniform(-2.0, 2.0, 2))
+        region = [Region2.right_wedge(center), Region2.left_wedge(center),
+                  Region2.double_cone(center, rng.uniform(0.5, 3.0))][
+                      rng.integers(3)]
+        answers.append(f.supported_in(region))
+        assert answers[-1] == bool(np.all(region.contains(*moved_ring(f))))
+    assert 40 < sum(answers) < 360
+
+
+def test_box_covers_a_dense_ring_and_one_step_more():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        f = random_moved_disk(rng)
+        for x, b in zip((f.x0, f.x1), moved_ring(f)):
+            assert x[0] <= b.min() - f.step and x[-1] >= b.max() + f.step
+            # and less than two: the box is the disk's, not a looser bound
+            assert x[0] > b.min() - 2.0 * f.step - 1e-6
+            assert x[-1] < b.max() + 2.0 * f.step + 1e-6
 
 
 def test_a_test_function_is_a_value(kind_all_embeddings):

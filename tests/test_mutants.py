@@ -126,6 +126,13 @@ def log_multiplier_scaled(original):
     return lambda grid: 1.02 * original(grid)
 
 
+def log_multiplier_bounded(original):
+    """delta^(1/2) bounded: its log-multiplier clipped at +-log(1e3), so
+    no vector leaves its domain."""
+    return lambda grid: np.clip(original(grid), -math.log(1e3),
+                                math.log(1e3))
+
+
 def one_particle_transposed(original):
     """gamma(a) built from the transpose of a's matrix, antilinear
     where a is."""
@@ -225,6 +232,12 @@ MUTANTS = [
     # rather than by raising
     (freefield, "_log_multiplier", log_multiplier_scaled, ["freefield"],
      ["freefield.bw_right_wedge"]),
+    # the left-wedge probe is in the bounded operator's domain: its
+    # certificate reads 0 and its blow-up profile stays flat.  The modloc
+    # checks raise under it too
+    (freefield, "_log_multiplier", log_multiplier_bounded, ["freefield"],
+     ["freefield.bw_left_wedge_certificate", "freefield.bw_left_wedge_blowup",
+      "freefield.bw_right_wedge"]),
     # no probe's fixed-point defect reaches EXTRACTION_TOL, so all three
     # modloc checks raise, and each gives one error record
     (freefield, "_window", window_cosh_measure, ["freefield", "modloc"],
