@@ -1,8 +1,9 @@
 """Named verification checks behind the experiment runner.
 
-Each check computes one or more measured values, compares them against
-their thresholds, and returns records carrying the mathematical claim
-they verify.  Checks are deterministic given (config, seed).
+RECORDS declares every record once: the check that measures it, the
+mathematical claim it verifies, its threshold and direction.  Each check
+returns its measured values by record name, and the runner builds the
+records from the table.  Checks are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +30,8 @@ from .standard import (
     reassemble_modular, rotated_standard_subspace, tomita_operator,
 )
 
-__all__ = ["CHECKS", "run_checks", "run_refinement", "list_checks",
-           "REFINEMENT_SENSITIVE"]
-
-
-# bounds a test shares; every other bound is a literal at its record
-GAMMA_TOLERANCE = 1e-10
-WEYL_TOLERANCE = 1e-6
-MODULAR_TOLERANCE = 1e-7
+__all__ = ["CHECKS", "RECORDS", "declared", "run_checks", "run_refinement",
+           "list_checks", "REFINEMENT_SENSITIVE"]
 
 # inputs a test reads, and the second summand's mass; every other input
 # is a literal at its use, and THETA_MAX is in config, whose bounds read it
@@ -44,6 +40,116 @@ FLOW_TIMES = (0.3, 1.7)         # modular flow times checked
 FOCK_CUTOFF = 10                # Fock truncation of the modular checks
 FIBER_THETA = math.pi / 3       # angle of the fiber model
 SECOND_MASS = 1.4               # mass of check_direct_sum's second summand
+
+
+class Declared(NamedTuple):
+    """A record's row: the check that measures it (its function's name
+    without "check_"), its claim, and the threshold its value must lie
+    below or above; None is the config's subspace.tolerance."""
+    check: str
+    claim: str
+    threshold: float | None
+    direction: str = "below"
+
+    def bound(self, config) -> float:
+        return (config.subspace["tolerance"] if self.threshold is None
+                else self.threshold)
+
+
+RECORDS = {
+    "subspace.involution": Declared(
+        "standard_suite", "the Tomita operator squares to the identity", None),
+    "subspace.adjoint": Declared(
+        "standard_suite", "the complement's Tomita operator is the adjoint",
+        None),
+    "subspace.conjugation": Declared(
+        "standard_suite", "the modular conjugation maps K onto K'", None),
+    "subspace.flow": Declared(
+        "standard_suite", "the modular flow preserves K", None),
+    "subspace.fixed": Declared(
+        "standard_suite", "K cap K' is the joint fixed space of j and delta",
+        None),
+    "subspace.fiber_angles": Declared(
+        "fiberization",
+        "fiber angles equal the principal angles between K and iK", 1e-9),
+    "subspace.fiber_reassembly": Declared(
+        "fiberization",
+        "(j, delta) reassemble from the angle blocks and fixed part", 1e-9),
+    "fock.symmetrization": Declared(
+        "symmetrization", "permutation-average symmetrization equals the "
+        "tensor-power expansion", 1e-12),
+    "fock.coherent_inner": Declared(
+        "coherent_calculus",
+        "<e^h, e^k> equals the truncated exponential series", 1e-12),
+    "fock.gamma_on_coherent": Declared(
+        "coherent_calculus", "second quantization acts on coherent vectors "
+        "by gamma(a) e^h = e^(ah)", 1e-10),
+    "fock.weyl_agreement": Declared(
+        "weyl", "closed-form Weyl action matches the matrix exponential on "
+        "coherent vectors", 1e-6),
+    "fock.ccr_phase": Declared(
+        "weyl", "W(h) W(k) = exp(-i Im<h,k>/2) W(h+k)", 1e-6),
+    "fock.weyl_truncation_monotone": Declared(
+        "weyl", "Weyl truncation defects decrease with the cutoff", 0.5,
+        "above"),
+    "fock.conjugation_on_coherent": Declared(
+        "second_quantized", "gamma(s) e^(ik) = e^(-ik) for k in K", 1e-7),
+    "fock.weyl_conjugation": Declared(
+        "second_quantized", "J W(k) J = W(jk)*", 1e-7),
+    "fock.weyl_flow_covariance": Declared(
+        "second_quantized", "Delta^it W(k) Delta^-it = W(delta^it k)", 1e-7),
+    "fock.ccr_phase_across_complement": Declared(
+        "second_quantized",
+        "the Weyl commutation phase is trivial across K and K'", 1e-7),
+    "freefield.locality_spacelike": Declared(
+        "locality", "Im<Ef, Eg> vanishes for spacelike-separated supports",
+        1e-6),
+    "freefield.locality_timelike": Declared(
+        "locality", "Im<Ef, Eg> stays away from zero for a timelike pair",
+        1e-3, "above"),
+    "freefield.covariance_translation": Declared(
+        "covariance", "E(f o g^-1) = u(g) E f for translations", 1e-6),
+    "freefield.covariance_boost": Declared(
+        "covariance", "E(f o g^-1) = u(g) E f for boosts", 1e-4),
+    "freefield.bw_right_wedge": Declared(
+        "bisognano_wichmann", "right-wedge embeddings are fixed by "
+        "conjugation after the half boost", 1e-3),
+    "freefield.bw_left_wedge_certificate": Declared(
+        "bisognano_wichmann",
+        "left-wedge embeddings fail the wedge domain certificate", 1e-3,
+        "above"),
+    "freefield.bw_left_wedge_blowup": Declared(
+        "bisognano_wichmann", "the capped half-boost image of a wrong-wedge "
+        "vector blows up along the cap ladder", 1e3, "above"),
+    "freefield.bw_right_wedge_stable": Declared(
+        "bisognano_wichmann", "the capped half-boost image of a right-wedge "
+        "vector stays bounded along the cap ladder", 1e3),
+    "freefield.borchers_flow": Declared(
+        "borchers", "Delta^it U(a) Delta^-it = U(exp(-2 pi t) a) on the "
+        "positive lightray", 1e-6),
+    "freefield.borchers_reflection": Declared(
+        "borchers", "J U(a) J = U(-a)", 1e-6),
+    "modloc.isotony": Declared(
+        "net", "nested wedges give nested localized models", 1e-3),
+    "modloc.duality": Declared(
+        "net", "the complement wedge model is the symplectic complement "
+        "within the joint span", 1e-3),
+    "modloc.covariance": Declared(
+        "net", "u(g) K(W) = K(gW) over matched dictionaries", 1e-3),
+    "modloc.doublecone": Declared(
+        "doublecone", "cone-supported embeddings lie in the intersection of "
+        "the generating wedge models", 1e-2),
+    "modloc.direct_sum": Declared(
+        "direct_sum", "the wedge model of a direct sum is the direct sum of "
+        "the block models", 1e-10),
+}
+
+
+def declared(fn) -> list:
+    """The names of the records the check function fn measures, in table
+    order."""
+    check = fn.__name__.removeprefix("check_")
+    return [name for name, row in RECORDS.items() if row.check == check]
 
 
 def record(name, claim, value, threshold, direction="below"):
@@ -87,15 +193,7 @@ def check_standard_suite(config, rng):
         cap = subspace_intersection(K, Kp)
         fix = subspace_intersection(fixed_space(md.j), delta_fixed_space(md))
         found["fixed"].extend(subspace_distance(cap, fix))
-    claims = {
-        "involution": "the Tomita operator squares to the identity",
-        "adjoint": "the complement's Tomita operator is the adjoint",
-        "conjugation": "the modular conjugation maps K onto K'",
-        "flow": "the modular flow preserves K",
-        "fixed": "K cap K' is the joint fixed space of j and delta",
-    }
-    return [record(f"subspace.{k}", claims[k], worst(v), p["tolerance"])
-            for k, v in found.items()]
+    return {f"subspace.{k}": worst(v) for k, v in found.items()}
 
 
 def check_fiberization(config, rng):
@@ -115,15 +213,8 @@ def check_fiberization(config, rng):
             float(operator_norm(jmat - md.j.matrix)),
             float(operator_norm(dmat - md.delta.matrix)
                   / max(1.0, math.sqrt(md.condition_number)))]
-    tol = 1e-9
-    return [
-        record("subspace.fiber_angles",
-               "fiber angles equal the principal angles between K and iK",
-               worst(angles), tol),
-        record("subspace.fiber_reassembly",
-               "(j, delta) reassemble from the angle blocks and fixed part",
-               worst(reassembly), tol),
-    ]
+    return {"subspace.fiber_angles": worst(angles),
+            "subspace.fiber_reassembly": worst(reassembly)}
 
 
 # -- fock suite ------------------------------------------------------------
@@ -139,9 +230,7 @@ def check_symmetrization(config, rng):
         a = fk.sym_project(fs, xs)
         b = fk.sym_power_expand(fs, xs)
         found.append(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)))
-    return [record("fock.symmetrization",
-                   "permutation-average symmetrization equals the "
-                   "tensor-power expansion", worst(found), 1e-12)]
+    return {"fock.symmetrization": worst(found)}
 
 
 def check_coherent_calculus(config, rng):
@@ -160,14 +249,8 @@ def check_coherent_calculus(config, rng):
             diff = np.linalg.norm(fk.gamma(fs, A).apply(fk.coherent(fs, h))
                                   - fk.coherent(fs, A @ h))
             gamma_devs.append(diff)
-    return [
-        record("fock.coherent_inner",
-               "<e^h, e^k> equals the truncated exponential series",
-               worst(inner_devs), 1e-12),
-        record("fock.gamma_on_coherent",
-               "second quantization acts on coherent vectors by gamma(a) "
-               "e^h = e^(ah)", worst(gamma_devs), GAMMA_TOLERANCE),
-    ]
+    return {"fock.coherent_inner": worst(inner_devs),
+            "fock.gamma_on_coherent": worst(gamma_devs)}
 
 
 def check_weyl(config, rng):
@@ -194,31 +277,14 @@ def check_weyl(config, rng):
     ccr = float(np.linalg.norm(lhs[:low] - rhs[:low]))
     monotone = all(a > b for a, b in zip(devs, devs[1:])) and \
         all(a > b for a, b in zip(defects, defects[1:]))
-    return [
-        record("fock.weyl_agreement",
-               "closed-form Weyl action matches the matrix exponential on "
-               "coherent vectors", devs[-1], WEYL_TOLERANCE),
-        record("fock.ccr_phase",
-               "W(h) W(k) = exp(-i Im<h,k>/2) W(h+k)", ccr, WEYL_TOLERANCE),
-        record("fock.weyl_truncation_monotone",
-               "Weyl truncation defects decrease with the cutoff",
-               1.0 if monotone else 0.0, 0.5, direction="above"),
-    ]
+    return {"fock.weyl_agreement": devs[-1], "fock.ccr_phase": ccr,
+            "fock.weyl_truncation_monotone": 1.0 if monotone else 0.0}
 
 
 def check_second_quantized(config, rng):
     K = fiber_standard_subspace(2, [FIBER_THETA])
     rep = fk.second_quantized_modular_check(K, FOCK_CUTOFF, rng)
-    claims = {
-        "conjugation_on_coherent": "gamma(s) e^(ik) = e^(-ik) for k in K",
-        "weyl_conjugation": "J W(k) J = W(jk)*",
-        "weyl_flow_covariance":
-            "Delta^it W(k) Delta^-it = W(delta^it k)",
-        "ccr_phase_across_complement":
-            "the Weyl commutation phase is trivial across K and K'",
-    }
-    return [record(f"fock.{k}", claims[k], v, MODULAR_TOLERANCE)
-            for k, v in rep.items()]
+    return {f"fock.{k}": v for k, v in rep.items()}
 
 
 # -- free field suite ------------------------------------------------------
@@ -243,14 +309,8 @@ def check_locality(config, rng):
     f = ff.TestFunction2.bump((0.0, 0.0), 0.5, step)
     g = ff.TestFunction2.bump((1.5, 0.0), 0.5, step)
     timelike = abs(ff.locality_pairing(f, g, model))
-    return [
-        record("freefield.locality_spacelike",
-               "Im<Ef, Eg> vanishes for spacelike-separated supports",
-               worst(spacelike), 1e-6),
-        record("freefield.locality_timelike",
-               "Im<Ef, Eg> stays away from zero for a timelike pair",
-               timelike, 1e-3, direction="above"),
-    ]
+    return {"freefield.locality_spacelike": worst(spacelike),
+            "freefield.locality_timelike": timelike}
 
 
 def check_covariance(config, rng):
@@ -263,12 +323,8 @@ def check_covariance(config, rng):
         ff.covariance_residual(f, ff.PoincareElement.translation(0.1, 0.2),
                                model)])
     b_res = ff.covariance_residual(f, ff.PoincareElement.boost(0.2), model)
-    return [
-        record("freefield.covariance_translation",
-               "E(f o g^-1) = u(g) E f for translations", t_res, 1e-6),
-        record("freefield.covariance_boost",
-               "E(f o g^-1) = u(g) E f for boosts", b_res, 1e-4),
-    ]
+    return {"freefield.covariance_translation": t_res,
+            "freefield.covariance_boost": b_res}
 
 
 def check_bisognano_wichmann(config, rng):
@@ -283,25 +339,11 @@ def check_bisognano_wichmann(config, rng):
     Eg = ff.embed(g, model).values
     cert = ff.domain_certificate(Eg, model.grid)
     blow = ff.modular_blowup_profile(Eg, model.grid)
-    growth = blow[-1] / blow[0]
     control = ff.modular_blowup_profile(Ef, model.grid)
-    blowup = 1e3
-    return [
-        record("freefield.bw_right_wedge",
-               "right-wedge embeddings are fixed by conjugation after the "
-               "half boost", res, 1e-3),
-        record("freefield.bw_left_wedge_certificate",
-               "left-wedge embeddings fail the wedge domain certificate",
-               cert, 1e-3, direction="above"),
-        record("freefield.bw_left_wedge_blowup",
-               "the capped half-boost image of a wrong-wedge vector blows "
-               "up along the cap ladder", growth, blowup,
-               direction="above"),
-        record("freefield.bw_right_wedge_stable",
-               "the capped half-boost image of a right-wedge vector stays "
-               "bounded along the cap ladder", control[-1] / control[0],
-               blowup),
-    ]
+    return {"freefield.bw_right_wedge": res,
+            "freefield.bw_left_wedge_certificate": cert,
+            "freefield.bw_left_wedge_blowup": blow[-1] / blow[0],
+            "freefield.bw_right_wedge_stable": control[-1] / control[0]}
 
 
 def check_borchers(config, rng):
@@ -310,14 +352,8 @@ def check_borchers(config, rng):
               ff.gaussian_packet(model.grid, center=0.3, width=0.7,
                                  momentum=-0.2)]
     rep = ff.borchers_check(0.5, (0.1, 0.25), probes, model)
-    tol = 1e-6
-    return [
-        record("freefield.borchers_flow",
-               "Delta^it U(a) Delta^-it = U(exp(-2 pi t) a) on the positive "
-               "lightray", rep["flow_commutation"], tol),
-        record("freefield.borchers_reflection",
-               "J U(a) J = U(-a)", rep["reflection_commutation"], tol),
-    ]
+    return {"freefield.borchers_flow": rep["flow_commutation"],
+            "freefield.borchers_reflection": rep["reflection_commutation"]}
 
 
 # -- modular localization suite ---------------------------------------------
@@ -364,16 +400,8 @@ def check_net(config, rng):
                 ff.PoincareElement.boost(0.1)]
     net = _build_net(config, elements)
     rep_checks = ml.net_checks(net, covariance_elements=elements)
-    found = {cat: worst([row["residual"] for row in rows])
-             for cat, rows in rep_checks.items()}
-    claims = {
-        "isotony": "nested wedges give nested localized models",
-        "duality": "the complement wedge model is the symplectic complement "
-                   "within the joint span",
-        "covariance": "u(g) K(W) = K(gW) over matched dictionaries",
-    }
-    return [record(f"modloc.{cat}", claims[cat], v, 1e-3)
-            for cat, v in found.items()]
+    return {f"modloc.{cat}": worst([row["residual"] for row in rows])
+            for cat, rows in rep_checks.items()}
 
 
 def check_doublecone(config, rng):
@@ -392,10 +420,7 @@ def check_doublecone(config, rng):
                        + [ff.TestFunction2.bump((0.0, -1.4), 0.5, step)])
     probes = [ml.embed_probe(rep, f) for f in cone_fns]
     _, report = ml.doublecone_space(net, O, cone_probes=probes)
-    return [record("modloc.doublecone",
-                   "cone-supported embeddings lie in the intersection of "
-                   "the generating wedge models",
-                   worst(report["probe_residuals"]), 1e-2)]
+    return {"modloc.doublecone": worst(report["probe_residuals"])}
 
 
 def check_direct_sum(config, rng):
@@ -410,10 +435,8 @@ def check_direct_sum(config, rng):
     K_joint, _ = ml.localized_subspace(rep2, W, [p1, p2])
     K1, _ = ml.localized_subspace(rep2, W, [p1])
     K2, _ = ml.localized_subspace(rep2, W, [p2])
-    dist = subspace_distance(K_joint, subspace_sum(K1, K2))
-    return [record("modloc.direct_sum",
-                   "the wedge model of a direct sum is the direct sum of "
-                   "the block models", dist, 1e-10)]
+    return {"modloc.direct_sum":
+            subspace_distance(K_joint, subspace_sum(K1, K2))}
 
 
 CHECKS = {
@@ -425,7 +448,7 @@ CHECKS = {
     "modloc": [check_net, check_doublecone, check_direct_sum],
 }
 
-# checks re-run by the refinement ladder, each with the floor below which
+# records re-run by the refinement ladder, each with the floor below which
 # its residual may stall: there monotone decrease is not meaningful
 REFINEMENT_SENSITIVE = {
     "freefield.bw_right_wedge": 0.0,
@@ -435,62 +458,64 @@ REFINEMENT_SENSITIVE = {
 }
 
 
-def _run_each(config, checks, prefix=""):
-    """Run each check of checks, a {kind: [check function]} map, with an
-    rng seeded from config.seed.  A check that raises a numerical error
-    gives one failed record "<prefix><kind>.<check>" instead, whose error
-    field names the exception.  Returns (records, timings), the seconds
-    of each check keyed "<prefix><check function>"."""
+def _run_each(config, fns):
+    """Run each check function of fns with an rng seeded from config.seed
+    and build the records it declares.  A check that raises a numerical
+    error fails each of them: the value is its threshold, which fails
+    either strict comparison and keeps the report strict JSON, and the
+    error field names the exception.  Returns (records, timings), the
+    seconds of each check keyed by its function's name."""
     records, timings = [], {}
-    for kind, fns in checks.items():
-        for fn in fns:
-            rng = np.random.default_rng(config.seed)
-            t0 = time.perf_counter()
-            try:
-                records.extend(fn(config, rng))
-            except (ff.DomainViolationError, ff.LeakageError,
-                    ml.EmptyModelError) as exc:
-                records.append(dict(record(
-                    f"{prefix}{kind}.{fn.__name__.removeprefix('check_')}",
-                    "the check runs without a numerical error", 0.0, 0.5,
-                    direction="above"), error=f"{type(exc).__name__}: {exc}"))
-            timings[prefix + fn.__name__] = time.perf_counter() - t0
+    for fn in fns:
+        rng = np.random.default_rng(config.seed)
+        t0 = time.perf_counter()
+        try:
+            values, error = fn(config, rng), None
+        except (ff.DomainViolationError, ff.LeakageError,
+                ml.EmptyModelError) as exc:
+            values, error = None, f"{type(exc).__name__}: {exc}"
+        for name in declared(fn):
+            row = RECORDS[name]
+            bound = row.bound(config)
+            rec = record(name, row.claim, bound if error else values[name],
+                         bound, row.direction)
+            records.append(dict(rec, error=error) if error else rec)
+        timings[fn.__name__] = time.perf_counter() - t0
     return records, timings
 
 
 def run_checks(config: ExperimentConfig):
     """Run the checks of the configured kind, every kind of CHECKS for
-    "all".  Returns (records, timings); a check that raises a numerical
-    error is one failed record "<kind>.<check>" (see _run_each)."""
-    return _run_each(config, CHECKS if config.kind == "all"
-                     else {config.kind: CHECKS[config.kind]})
+    "all".  Returns (records, timings); see _run_each."""
+    kinds = CHECKS if config.kind == "all" else [config.kind]
+    return _run_each(config, [fn for kind in kinds for fn in CHECKS[kind]])
 
 
 def run_refinement(config: ExperimentConfig, ladder):
-    """Re-run the resolution-dependent freefield checks on each rung's
+    """Re-run the checks of the REFINEMENT_SENSITIVE records on each rung's
     grid (config.on_rung) and check the residuals decrease (a 10 percent
     slack allows stalls at the numerical floor).
 
-    Each rung runs as run_checks does, with prefix "rung<k>." (see
-    _run_each), so a check that raises is a failed record
-    "rung<k>.freefield.<check>".  Returns (records, rows, timings):
-    those failed records, then one "refine.<name>" record per
-    REFINEMENT_SENSITIVE name measured on two rungs or more; the
-    sensitive residuals of each rung; and timings keyed
-    "rung<k>.<check function>".
+    Each rung runs as run_checks does, so a check that raises fails each
+    of its records (see _run_each), named "rung<k>.<name>".  Returns
+    (records, rows, timings): those failed records, then one
+    "refine.<name>" record per REFINEMENT_SENSITIVE name measured on two
+    rungs or more; the sensitive residuals each rung measured; and
+    timings keyed "rung<k>.<check function>".
     """
+    # looked up at call time, so a replaced module attribute runs
+    fns = [globals()[f"check_{check}"] for check in
+           dict.fromkeys(RECORDS[name].check for name in REFINEMENT_SENSITIVE)]
     records, rows, timings = [], [], {}
     for rung in map(int, ladder):
-        cfg = config.on_rung(rung)
-        # looked up at call time, so a replaced module attribute runs
-        recs, times = _run_each(cfg, {"freefield": [
-            check_bisognano_wichmann, check_covariance, check_locality]},
-            prefix=f"rung{rung}.")
-        timings.update(times)
-        records += [rec for rec in recs if "error" in rec]
+        recs, times = _run_each(config.on_rung(rung), fns)
+        prefix = f"rung{rung}."
+        timings.update((prefix + fn, s) for fn, s in times.items())
+        records += [dict(rec, name=prefix + rec["name"])
+                    for rec in recs if "error" in rec]
         rows += [{"resolution": rung, "check": rec["name"],
-                  "residual": rec["value"]}
-                 for rec in recs if rec["name"] in REFINEMENT_SENSITIVE]
+                  "residual": rec["value"]} for rec in recs
+                 if rec["name"] in REFINEMENT_SENSITIVE and "error" not in rec]
     for name, floor in REFINEMENT_SENSITIVE.items():
         seq = [r["residual"] for r in rows if r["check"] == name]
         if len(seq) < 2:
@@ -504,5 +529,6 @@ def run_refinement(config: ExperimentConfig, ladder):
 
 
 def list_checks():
-    return [(kind, fn.__name__.removeprefix("check_"))
+    """(kind, check, the names of its records) for every registered check."""
+    return [(kind, fn.__name__.removeprefix("check_"), declared(fn))
             for kind, fns in CHECKS.items() for fn in fns]

@@ -22,8 +22,11 @@ try:
 except ImportError:                 # not on Windows
     resource = None
 
-from .checks import list_checks, run_checks, run_refinement
+from .checks import RECORDS, list_checks, run_checks, run_refinement
 from .config import REFINEMENT_RUNGS, ConfigError, ExperimentConfig, schema_text
+
+
+COMPARISON = {"below": "<", "above": ">"}   # a record's value to its threshold
 
 
 def _verify_out_dir(out_dir):
@@ -91,10 +94,11 @@ def _run_and_report(config, run, name, csv_name, columns, **extra):
         flag = "pass" if r["passed"] else "FAIL"
         if "sequence" in r:
             detail = ", ".join(f"{v:.3e}" for v in r["sequence"])
+        elif "error" in r:
+            detail = f"not measured: {r['error']}"
         else:
-            cmp_ = "<" if r["direction"] == "below" else ">"
-            error = f" ({r['error']})" if "error" in r else ""
-            detail = f"{r['value']:.3e} {cmp_} {r['threshold']:.1e}{error}"
+            detail = (f"{r['value']:.3e} {COMPARISON[r['direction']]} "
+                      f"{r['threshold']:.1e}")
         print(f"[{flag}] {r['name']}: {detail}")
     print(f"report written to {path}")
     return 0 if status == "pass" else 1
@@ -128,8 +132,15 @@ def cmd_refine(args):
 
 
 def cmd_list_checks(args):
-    for kind, name in list_checks():
-        print(f"{kind}: {name}")
+    """Each check, then each of its records: name, bound and claim."""
+    for kind, check, names in list_checks():
+        print(f"{kind}: {check}")
+        for name in names:
+            row = RECORDS[name]
+            bound = ("subspace.tolerance" if row.threshold is None
+                     else f"{row.threshold:g}")
+            print(f"  {name} {COMPARISON[row.direction]} {bound}: "
+                  f"{row.claim}")
     return 0
 
 
@@ -163,7 +174,8 @@ def build_parser():
                        help="comma-separated rung indices, e.g. 1,2,3")
     ref_p.set_defaults(fn=cmd_refine)
 
-    lc_p = sub.add_parser("list-checks", help="list the registered checks")
+    lc_p = sub.add_parser("list-checks",
+                          help="list the registered checks and their records")
     lc_p.set_defaults(fn=cmd_list_checks)
 
     ps_p = sub.add_parser("print-schema",

@@ -413,6 +413,16 @@ def _phase_rows(model: FreeFieldModel, step: float, axis: int, k0: int,
     return out
 
 
+def _untranslated(f: TestFunction2) -> TestFunction2:
+    """f without its translation where that is by whole lattice steps,
+    so that embed reads the lattice rows of the result in f's stead;
+    otherwise f itself."""
+    a = (f.g.a0, f.g.a1)
+    if a != (0.0, 0.0) and all(round(x / f.step) * f.step == x for x in a):
+        return replace(f, g=replace(f.g, a0=0.0, a1=0.0))
+    return f
+
+
 @functools.lru_cache(maxsize=EMBED_MEMO)
 def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     """(Ef)(theta) = sqrt(2 pi) fhat(p(theta)) with
@@ -440,11 +450,11 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
     times its unmoved value's result, formed here and not by poincare_act:
     its samples are that value's moved by whole rows, zero off both boxes.
     """
-    a = (f.g.a0, f.g.a1)
-    if a != (0.0, 0.0) and all(round(x / f.step) * f.step == x for x in a):
+    base = _untranslated(f)
+    if base is not f:
         p0, p1 = _momenta(model.mass, model.grid)
-        base = embed(replace(f, g=replace(f.g, a0=0.0, a1=0.0)), model).values
-        v = np.exp(1j * (a[0] * p0 - a[1] * p1)) * base
+        v = (np.exp(1j * (f.g.a0 * p0 - f.g.a1 * p1))
+             * embed(base, model).values)
         v.flags.writeable = False
         return OneParticleVector(model, v)
     (i0, j0), values = f.lattice()
@@ -475,11 +485,15 @@ def embed(f: TestFunction2, model: FreeFieldModel) -> OneParticleVector:
 
 def embed_sweep(functions, model: FreeFieldModel) -> None:
     """Embed the functions in one sweep of the lattice rows, in ascending
-    |x1| of each one's moved disk centre: embed reads the phase rows of
-    |k|, so the sweep walks the rows once, and a later embed of any of
+    |x1| of the moved disk centre whose rows embed reads (a whole-step
+    translate reads its untranslated value's): embed reads the phase rows
+    of |k|, so the sweep walks the rows once, and a later embed of any of
     the functions is a memo hit.  No such embed reads a phase row, so the
     chunks go when the sweep ends."""
-    for f in sorted(functions, key=lambda f: abs(f.g.apply_point(f.center)[1])):
+    def row(f):
+        f = _untranslated(f)
+        return abs(f.g.apply_point(f.center)[1])
+    for f in sorted(functions, key=row):
         embed(f, model)
     _phase_chunk.cache_clear()
 

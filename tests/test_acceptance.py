@@ -5,14 +5,13 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
 from modlab import checks, freefield, modloc
 from modlab.checks import (
-    check_borchers, check_coherent_calculus, check_covariance,
-    check_direct_sum, check_doublecone, check_fiberization, check_locality,
-    check_net, check_second_quantized, check_standard_suite,
+    RECORDS, REFINEMENT_SENSITIVE, check_borchers, check_coherent_calculus,
+    check_covariance, check_direct_sum, check_doublecone, check_fiberization,
+    check_locality, check_net, check_second_quantized, check_standard_suite,
     check_symmetrization, check_weyl, record, run_checks, worst,
 )
 from modlab.config import ExperimentConfig
@@ -36,9 +35,9 @@ def report_line(number, label, passed, detail=""):
     assert passed, f"criterion {number}: {label} {detail}"
 
 
-def run_records(fn, config, seed=7):
-    rng = np.random.default_rng(seed)
-    return fn(config, rng)
+def run_records(fn, config):
+    """The records of one check, run as run_checks runs it."""
+    return checks._run_each(config, [fn])[0]
 
 
 def test_criterion_01_standard_subspace_suite():
@@ -225,8 +224,9 @@ def test_criterion_12_determinism(tmp_path):
                     "modulo timings", ok)
 
 
-# (threshold, direction) of every record of kind "all"; the bounds are
-# constants, so none may drift without this table changing
+# (threshold, direction) of every record of kind "all" at the default
+# config, stated here apart from checks.RECORDS, so no bound there may
+# drift without this table changing
 FROZEN_BOUNDS = {
     "subspace.involution": (1e-9, "below"),
     "subspace.adjoint": (1e-9, "below"),
@@ -264,9 +264,16 @@ FROZEN_BOUNDS = {
 
 
 def test_every_record_keeps_its_frozen_bound():
-    records, _ = run_checks(default_config())
+    config = default_config()
+    assert {name: (row.bound(config), row.direction)
+            for name, row in RECORDS.items()} == FROZEN_BOUNDS
+    records, _ = run_checks(config)
     assert {r["name"]: (r["threshold"], r["direction"])
             for r in records} == FROZEN_BOUNDS
+
+
+def test_refinement_sensitive_names_are_declared_records():
+    assert set(REFINEMENT_SENSITIVE) <= set(RECORDS)
 
 
 def test_a_nan_measurement_fails_its_record(monkeypatch):
@@ -275,7 +282,7 @@ def test_a_nan_measurement_fails_its_record(monkeypatch):
     pairings = iter([1e-9, float("nan"), 1.0])
     monkeypatch.setattr(freefield, "locality_pairing",
                         lambda f, g, model: next(pairings))
-    rec = check_locality(default_config(), None)[0]
+    rec = run_records(check_locality, default_config())[0]
     assert rec["name"] == "freefield.locality_spacelike"
     assert math.isnan(rec["value"]) and not rec["passed"]
     assert not record("x", "a claim", float("nan"), 1.0, "above")["passed"]
@@ -289,7 +296,7 @@ def test_an_empty_net_category_fails_its_record(monkeypatch):
     monkeypatch.setattr(checks, "_build_net", lambda config, elements: None)
     monkeypatch.setattr(modloc, "net_checks",
                         lambda net, covariance_elements=(): rows)
-    records = {r["name"]: r for r in check_net(default_config(), None)}
+    records = {r["name"]: r for r in run_records(check_net, default_config())}
     assert records["modloc.duality"]["value"] == 1.0
     assert not records["modloc.duality"]["passed"]
     assert records["modloc.isotony"]["passed"]
@@ -330,7 +337,7 @@ def test_a_covariance_pair_without_a_model_fails_its_record(monkeypatch,
         return found[-1]
 
     monkeypatch.setattr(modloc, "net_checks", recorded)
-    records = {r["name"]: r for r in check_net(default_config(), None)}
+    records = {r["name"]: r for r in run_records(check_net, default_config())}
     rows = found[0]["covariance"]
     assert len(rows) == 12
     failed = [row for row in rows if "error" in row]

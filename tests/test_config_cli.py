@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from modlab import cli
+from modlab import checks, cli, freefield
+from modlab.checks import CHECKS, RECORDS, declared
 from modlab.cli import main
 from modlab.config import (REFINEMENT_RUNGS, SCHEMA, ConfigError,
                            ExperimentConfig, schema_text)
@@ -324,10 +325,18 @@ def test_run_and_refine_share_the_run_options():
 
 
 def test_cli_list_checks(capsys):
+    # each check, then each of its records with its bound, from RECORDS
     assert main(["list-checks"]) == 0
     out = capsys.readouterr().out
     assert "subspace: standard_suite" in out
     assert "modloc: net" in out
+    lines = [line for line in out.splitlines() if line.startswith("  ")]
+    assert [line.split()[0] for line in lines] == list(RECORDS)
+    assert ("  subspace.involution < subspace.tolerance: the Tomita operator "
+            "squares to the identity") in lines
+    assert ("  freefield.bw_left_wedge_blowup > 1000: the capped half-boost "
+            "image of a wrong-wedge vector blows up along the cap ladder"
+            ) in lines
 
 
 def test_cli_print_schema(capsys):
@@ -365,16 +374,13 @@ def _refuse_constant(name):
 
 
 @pytest.mark.parametrize("kind, window, raised, error", [
-    ("freefield", 2.0, {"freefield.bisognano_wichmann"},
-     "DomainViolationError"),
-    ("modloc", 4.5, {"modloc.net", "modloc.doublecone", "modloc.direct_sum"},
-     "EmptyModelError"),
+    ("freefield", 2.0, {"bisognano_wichmann"}, "DomainViolationError"),
+    ("modloc", 4.5, {"net", "doublecone", "direct_sum"}, "EmptyModelError"),
 ])
 def test_check_that_raises_becomes_a_failed_record(tmp_path, capsys,
                                                    monkeypatch, kind, window,
                                                    raised, error):
     # the window is the rung table's, so it is patched there, in process
-    from modlab.checks import CHECKS
     monkeypatch.setitem(REFINEMENT_RUNGS[3], "window", window)
     cfg = write_config(tmp_path, {"kind": kind, "out_dir": str(tmp_path / "out")})
     assert main(["run", "--config", cfg]) == 1
@@ -384,13 +390,35 @@ def test_check_that_raises_becomes_a_failed_record(tmp_path, capsys,
     assert report["status"] == "fail"
     assert set(report["timings"]) == ({fn.__name__ for fn in CHECKS[kind]}
                                       | REPORT_TIMINGS)
+    # each check gives the records it declares, measured or failed with
+    # the error; a failed one reads its threshold, finite in strict JSON
+    assert [r["name"] for r in report["checks"]] == [
+        name for fn in CHECKS[kind] for name in declared(fn)]
     errors = {r["name"]: r for r in report["checks"] if "error" in r}
-    assert set(errors) == raised
+    assert set(errors) == {name for name, row in RECORDS.items()
+                           if row.check in raised}
     for rec in errors.values():
-        assert not rec["passed"]
+        assert not rec["passed"] and rec["value"] == rec["threshold"]
         assert rec["error"].startswith(error + ": ")
-    # every check gave at least one record, its own or the error record
-    assert len(report["checks"]) >= len(CHECKS[kind])
+
+
+def test_a_flipped_wedge_direction_fails_every_record_it_reaches(
+        tmp_path, monkeypatch):
+    # every right-wedge probe fails the domain certificate, so the checks
+    # that embed one raise: each of their records is in the report, failed
+    # and naming the error, and no <kind>.<check> record stands in for them
+    monkeypatch.setattr(freefield, "RIGHT_WEDGE_DIRECTION", +1)
+    cfg = write_config(tmp_path, {"kind": "all",
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_refuse_constant)
+    assert [r["name"] for r in report["checks"]] == list(RECORDS)
+    raised = [checks.check_bisognano_wichmann, checks.check_net,
+              checks.check_doublecone, checks.check_direct_sum]
+    assert {r["name"] for r in report["checks"] if "error" in r} == {
+        name for fn in raised for name in declared(fn)}
+    assert not any(r["passed"] for r in report["checks"] if "error" in r)
 
 
 def test_refine_rung_that_raises_is_a_failed_record(tmp_path):
@@ -412,10 +440,13 @@ def test_refine_rung_that_raises_is_a_failed_record(tmp_path):
     assert report["status"] == "fail"
     names = [r["name"] for r in report["checks"]]
     assert [n for n in names if n.startswith("rung")] == [
-        "rung1.freefield.bisognano_wichmann"]
-    failed = report["checks"][names.index("rung1.freefield.bisognano_wichmann")]
-    assert not failed["passed"]
-    assert failed["error"].startswith("DomainViolationError: ")
+        "rung1.freefield.bw_right_wedge",
+        "rung1.freefield.bw_left_wedge_certificate",
+        "rung1.freefield.bw_left_wedge_blowup",
+        "rung1.freefield.bw_right_wedge_stable"]
+    for failed in report["checks"][:4]:
+        assert not failed["passed"]
+        assert failed["error"].startswith("DomainViolationError: ")
     assert any(n.startswith("refine.") for n in names)
     assert (out / "refinement.csv").exists()
 

@@ -18,8 +18,7 @@ from modlab.fock import (
     weyl_matrix, weyl_on_coherent, weyl_unitarity_defect,
     second_quantized_modular_check,
 )
-from modlab.checks import (FIBER_THETA, FOCK_CUTOFF, GAMMA_TOLERANCE,
-                           MODULAR_TOLERANCE, WEYL_TOLERANCE)
+from modlab.checks import FIBER_THETA, FOCK_CUTOFF, RECORDS
 from modlab.hilbert import (
     Operator, RealSubspace, symplectic_complement,
 )
@@ -621,7 +620,7 @@ def _phase_residual(K1, K2, rng):
 
 
 def test_gamma_on_coherent_fails_for_the_transpose():
-    tol = GAMMA_TOLERANCE
+    tol = RECORDS["fock.gamma_on_coherent"].threshold
     rng = np.random.default_rng(80)
     for d in (2, 3):
         fs = FockSpace(d, 10)
@@ -634,7 +633,7 @@ def test_gamma_on_coherent_fails_for_the_transpose():
 
 
 def test_ccr_phase_fails_with_the_sign_flipped():
-    tol = WEYL_TOLERANCE
+    tol = RECORDS["fock.ccr_phase"].threshold
     fs = FockSpace(1, 16)
     h = np.array([1.0], dtype=complex)
     k = np.array([1j], dtype=complex)
@@ -646,7 +645,8 @@ def test_ccr_phase_fails_with_the_sign_flipped():
 
 
 def test_second_quantized_claims_fail_on_wrong_samples():
-    tol = MODULAR_TOLERANCE
+    # the bound of every record of check_second_quantized
+    tol = RECORDS["fock.conjugation_on_coherent"].threshold
     K = fiber_standard_subspace(2, [FIBER_THETA])
     fs = FockSpace(2, FOCK_CUTOFF)
     rng = np.random.default_rng(81)

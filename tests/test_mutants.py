@@ -4,11 +4,14 @@ Each row breaks one function or constant of modlab, by a small factor
 or in one piece of its structure, patched at
 every module that binds it (checks, fock and modloc import names from
 other modules, so a patch of the defining module alone can miss a
-caller), or one method, patched on its class.  It then runs the checks of the named kinds at seed 7 and
-asserts that every named record is there and fails.  Bounds and
-thresholds are those of the unpatched program, under which the same
-records pass (tests/test_acceptance.py).  Run with -s to see by
-how many decades each value crossed its threshold.
+caller), or one method, patched on its class.  It then runs the checks
+of the named kinds at seed 7 and asserts that the records that fail are
+exactly those its row names, each the way the row says: by its measured
+value, or with an error field because its check raised.  Together the
+rows fail every declared record.  Bounds and thresholds are those of the
+unpatched program, under which the same records pass
+(tests/test_acceptance.py).  Run with -s to see by how many decades each
+measured value crossed its threshold.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ import pytest
 
 from modlab import (checks, cli, config, fock, freefield, hilbert, modloc,
                     standard)
-from modlab.checks import run_checks
+from modlab.checks import RECORDS, declared, run_checks
 from modlab.config import ExperimentConfig
 
 MODULES = (checks, cli, config, fock, freefield, hilbert, modloc, standard)
@@ -173,84 +176,87 @@ def levels_reversed(original):
     return mutant
 
 
+# the records of check_bisognano_wichmann and of check_net
+BW = declared(checks.check_bisognano_wichmann)
+NET = declared(checks.check_net)
+
+# module, name, mutant, kinds run, then every record the mutant fails:
+# those it fails by a measured value, and those whose check raises
 MUTANTS = [
-    (fock, "coherent", coherent_scaled, ["fock"], ["fock.coherent_inner"]),
+    (fock, "coherent", coherent_scaled, ["fock"], ["fock.coherent_inner"], []),
     (freefield, "_shift", shift_scaled, ["freefield", "modloc"],
      ["freefield.covariance_boost", "freefield.borchers_flow",
-      "modloc.covariance"]),
+      "modloc.covariance"], []),
     (freefield, "_momenta", p0_off_shell, ["freefield", "modloc"],
      ["freefield.covariance_boost", "modloc.covariance",
-      "modloc.doublecone"]),
+      "modloc.doublecone"], []),
     # the left wedge fixed: every right-wedge probe fails the domain
-    # certificate, so the BW check and all three modloc checks raise, and
-    # each gives one error record
-    (freefield, "RIGHT_WEDGE_DIRECTION", +1, ["freefield", "modloc"],
-     ["freefield.bisognano_wichmann", "modloc.net", "modloc.doublecone",
-      "modloc.direct_sum"]),
+    # certificate, so the BW check and all three modloc checks raise.  No
+    # measured record detects the flip
+    (freefield, "RIGHT_WEDGE_DIRECTION", +1, ["freefield", "modloc"], [],
+     [*BW, *NET, "modloc.doublecone", "modloc.direct_sum"]),
     (freefield.TestFunction2, "transform", boost_reversed,
      ["freefield", "modloc"],
-     ["freefield.covariance_boost", "modloc.covariance"]),
+     ["freefield.covariance_boost", "modloc.covariance"], []),
     # J becomes the identity in borchers_check; the reflected dictionary
     # embeds unconjugated, outside the left wedges, so check_net raises
-    # and gives its one error record
     (freefield, "poincare_act", reflection_dropped, ["freefield", "modloc"],
-     ["freefield.borchers_reflection", "modloc.net", "modloc.doublecone"]),
+     ["freefield.borchers_reflection", "modloc.doublecone"], NET),
     # the translated dictionary leaves its wedges, and check_doublecone
-    # raises and gives its one error record
+    # raises
     (freefield, "poincare_act", translation_mirrored,
      ["freefield", "modloc"],
-     ["freefield.covariance_translation", "modloc.isotony", "modloc.duality",
-      "modloc.covariance", "modloc.doublecone"]),
+     ["freefield.covariance_translation", *NET], ["modloc.doublecone"]),
     (fock, "field_operator", field_unscaled, ["fock"],
      ["fock.weyl_agreement", "fock.ccr_phase",
-      "fock.weyl_truncation_monotone"]),
+      "fock.weyl_truncation_monotone"], []),
     (fock, "gamma", one_particle_transposed, ["fock"],
-     ["fock.gamma_on_coherent", "fock.conjugation_on_coherent"]),
+     ["fock.gamma_on_coherent", "fock.conjugation_on_coherent"], []),
     (fock, "tensor_power_level", sqrt_factorial_dropped, ["fock"],
-     ["fock.symmetrization"]),
+     ["fock.symmetrization"], []),
     # gamma builds each level from the one below, parent first, in the
     # order of the basis; both symmetrizations read the same tables, so
     # fock.symmetrization still passes
     (fock, "_ladder_tables", levels_reversed, ["fock"],
      ["fock.gamma_on_coherent", "fock.conjugation_on_coherent",
-      "fock.weyl_conjugation", "fock.weyl_flow_covariance"]),
+      "fock.weyl_conjugation", "fock.weyl_flow_covariance"], []),
     (fock, "weyl_on_coherent", weyl_phase_flipped, ["fock"],
-     ["fock.weyl_agreement", "fock.weyl_truncation_monotone"]),
+     ["fock.weyl_agreement", "fock.weyl_truncation_monotone"], []),
     (standard, "modular_data", j_linear, ["subspace", "fock"],
      ["subspace.conjugation", "subspace.fixed", "subspace.fiber_reassembly",
-      "fock.weyl_conjugation"]),
+      "fock.weyl_conjugation"], []),
     (standard, "modular_data", delta_inverted, ["subspace"],
-     ["subspace.fiber_angles"]),
+     ["subspace.fiber_angles"], []),
     (standard, "modular_data", s_scaled, ["subspace"],
-     ["subspace.involution"]),
+     ["subspace.involution"], []),
     (standard, "modular_flow", flow_imaginary, ["subspace", "fock"],
-     ["subspace.flow", "fock.weyl_flow_covariance"]),
+     ["subspace.flow", "fock.weyl_flow_covariance"], []),
     (hilbert, "symplectic_complement", complement_orthogonal,
      ["subspace", "fock"],
-     ["subspace.adjoint", "fock.ccr_phase_across_complement"]),
+     ["subspace.adjoint", "subspace.conjugation", "subspace.fixed",
+      "fock.ccr_phase_across_complement"], []),
     # the first bisognano_wichmann row that fails on a measured value
     # rather than by raising
     (freefield, "_log_multiplier", log_multiplier_scaled, ["freefield"],
-     ["freefield.bw_right_wedge"]),
+     ["freefield.bw_right_wedge"], []),
     # the left-wedge probe is in the bounded operator's domain: its
-    # certificate reads 0 and its blow-up profile stays flat.  The modloc
-    # checks raise under it too
+    # certificate reads 0 and its blow-up profile stays flat
     (freefield, "_log_multiplier", log_multiplier_bounded, ["freefield"],
-     ["freefield.bw_left_wedge_certificate", "freefield.bw_left_wedge_blowup",
-      "freefield.bw_right_wedge"]),
+     ["freefield.bw_right_wedge", "freefield.bw_left_wedge_certificate",
+      "freefield.bw_left_wedge_blowup"], []),
     # no probe's fixed-point defect reaches EXTRACTION_TOL, so all three
-    # modloc checks raise, and each gives one error record
+    # modloc checks raise
     (freefield, "_window", window_cosh_measure, ["freefield", "modloc"],
      ["freefield.locality_spacelike", "freefield.covariance_boost",
-      "freefield.bw_right_wedge", "freefield.bw_right_wedge_stable",
-      "modloc.net", "modloc.doublecone", "modloc.direct_sum"]),
+      "freefield.bw_right_wedge", "freefield.bw_right_wedge_stable"],
+     [*NET, "modloc.doublecone", "modloc.direct_sum"]),
     # a real embedding commutes with every other: the timelike commutator
     # vanishes, and the BW probe and the net's probes fail the domain
     # certificate, so those checks raise
     (freefield, "_phase_chunk", phase_real, ["freefield", "modloc"],
      ["freefield.locality_timelike", "freefield.covariance_translation",
-      "freefield.covariance_boost", "freefield.bisognano_wichmann",
-      "modloc.net", "modloc.doublecone", "modloc.direct_sum"]),
+      "freefield.covariance_boost", "modloc.doublecone"],
+     [*BW, *NET, "modloc.direct_sum"]),
 ]
 
 
@@ -296,21 +302,26 @@ def fresh_caches():
         cache.cache_clear()
 
 
-@pytest.mark.parametrize("module, name, mutate, kinds, must_fail", MUTANTS,
-                         ids=[_row_id(row) for row in MUTANTS])
-def test_mutant_fails_its_records(monkeypatch, fresh_caches, module,
-                                  name, mutate, kinds, must_fail):
+@pytest.mark.parametrize("module, name, mutate, kinds, measured, errored",
+                         MUTANTS, ids=[_row_id(row) for row in MUTANTS])
+def test_mutant_fails_its_records(monkeypatch, fresh_caches, module, name,
+                                  mutate, kinds, measured, errored):
     assert _patch_every_binding(monkeypatch, module, name, mutate)
     records = {}
     for kind in kinds:
         recs, _ = run_checks(ExperimentConfig.from_dict(
             {"kind": kind, "seed": 7}))
         records.update((r["name"], r) for r in recs)
-    for rec_name in must_fail:
-        assert rec_name in records, f"{rec_name}: missing"
+    for rec_name in measured:
         rec = records[rec_name]
         print(f"{module.__name__}.{name}: {rec_name} {rec['value']:.3e} "
               f"against {rec['threshold']:.0e}, "
               f"{_decades(rec):+.2f} decades")
-        assert not rec["passed"], f"{rec_name} passed under the mutant"
+    failed = {n: "error" in r for n, r in records.items() if not r["passed"]}
+    assert failed == {**dict.fromkeys(measured, False),
+                      **dict.fromkeys(errored, True)}
 
+
+def test_the_rows_fail_every_declared_record():
+    named = {n for row in MUTANTS for n in row[4] + row[5]}
+    assert named == set(RECORDS)

@@ -449,8 +449,7 @@ def test_stacked_suite_matches_the_loop_reference(monkeypatch, seed, subspace,
     monkeypatch.setattr(checks, "MAX_DIM", max_dim)
     cfg = ExperimentConfig.from_dict({"kind": "subspace", "seed": seed,
                                       "subspace": subspace})
-    got = {r["name"]: r["value"]
-           for r in check_standard_suite(cfg, np.random.default_rng(seed))}
+    got = check_standard_suite(cfg, np.random.default_rng(seed))
     want = loop_reference(cfg, np.random.default_rng(seed))
     assert got.keys() == want.keys()
     for name, value in want.items():
@@ -460,6 +459,6 @@ def test_stacked_suite_matches_the_loop_reference(monkeypatch, seed, subspace,
 def test_tiny_tolerance_fails_every_suite_record():
     cfg = ExperimentConfig.from_dict({"kind": "subspace",
                                       "subspace": {"tolerance": 1e-300}})
-    records = check_standard_suite(cfg, np.random.default_rng(7))
+    records, _ = checks._run_each(cfg, [check_standard_suite])
     assert len(records) == 5
     assert not any(r["passed"] for r in records)
