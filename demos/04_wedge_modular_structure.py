@@ -9,6 +9,8 @@ certificate and blow up as the cap is raised.  Vectors are complex
 arrays on the rapidity grid, which the spectral maps take explicitly.
 """
 
+import numpy as np
+
 from modlab.checks import _model
 from modlab.config import ExperimentConfig
 from modlab.freefield import (FreeFieldModel, Region2, TestFunction2,
@@ -54,9 +56,9 @@ print("bounded for domain vectors, unbounded growth outside the domain\n")
 print("== translation commutation relations ==")
 probes = [gaussian_packet(grid, width=0.65, momentum=0.3),
           gaussian_packet(grid, center=0.3, width=0.7, momentum=-0.2)]
-rep = borchers_check(0.5, (0.1, 0.25), probes, model)
+flow, reflection = borchers_check(0.5, (0.1, 0.25), probes, model)
 print(f"   Delta^it U(a) Delta^-it = U(e^(-2 pi t) a): "
-      f"deviation {rep['flow_commutation']:.2e}")
-print(f"   J U(a) J = U(-a): deviation {rep['reflection_commutation']:.2e}")
+      f"largest deviation {np.max(flow):.2e}")
+print(f"   J U(a) J = U(-a): largest deviation {np.max(reflection):.2e}")
 print("the lightlike translation generator is positive and the boost")
 print("rescales it exactly by e^(-2 pi t).")

@@ -7,6 +7,8 @@ the dictionary only supplies the finite-dimensional stage.  The
 resulting net is isotonous, dual, and covariant.
 """
 
+import numpy as np
+
 from modlab.freefield import (FreeFieldModel, PoincareElement, Region2,
                               TestFunction2)
 from modlab.modloc import (LocalizedNet, PoincareRep2, doublecone_space,
@@ -28,8 +30,8 @@ net.populate_wedge(Region2.right_wedge((0.0, 1.0)), inner_dict)
 gamma = PoincareElement.reflection()
 net.populate_wedge(Region2.left_wedge((0.0, 0.0)),
                    [f.transform(gamma) for f in base])
-for entry in net.entries.values():
-    g = entry.region.frame          # the wedge is g W_R
+for W, entry in net.entries.items():
+    g = W.frame                     # the wedge is g W_R
     side = "left" if g.reflect else "right"
     sv = entry.report.singular_values
     print(f"   {side:5s} wedge at ({g.a0:.1f}, {g.a1:.1f}): "
@@ -41,7 +43,7 @@ print("== net checks ==")
 report = net_checks(net, covariance_elements=[
     PoincareElement.translation(0.0, 0.5), PoincareElement.boost(0.1)])
 for cat, rows in report.items():
-    worst = max((r["residual"] for r in rows), default=0.0)
+    worst = np.max([r["residual"] for r in rows])
     print(f"   {cat:10s}: {len(rows)} pair(s), worst residual {worst:.2e}")
 print()
 
@@ -54,10 +56,10 @@ net2 = LocalizedNet(rep)
 net2.populate_wedge(WR, cone_fns + [TestFunction2.bump((0.0, 1.4), 0.5)])
 net2.populate_wedge(WL, cone_fns + [TestFunction2.bump((0.0, -1.4), 0.5)])
 probes = [embed_probe(rep, f) for f in cone_fns]
-K, rep_cone = doublecone_space(net2, O, cone_probes=probes)
-print(f"   intersection dimension: {rep_cone['dimension']}")
-print(f"   cone-probe residuals: "
-      f"{[f'{r:.1e}' for r in rep_cone['probe_residuals']]}")
+K, residuals = doublecone_space(net2, O, cone_probes=probes)
+print(f"   intersection dimension: {K.dim}")
+print(f"   cone-probe residuals: {[f'{r:.1e}' for r in residuals]}, "
+      f"largest {np.max(residuals):.1e}")
 print()
 
 print("== wrong-wedge dictionaries are rejected ==")

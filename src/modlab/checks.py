@@ -284,7 +284,7 @@ def check_weyl(config, rng):
 def check_second_quantized(config, rng):
     K = fiber_standard_subspace(2, [FIBER_THETA])
     rep = fk.second_quantized_modular_check(K, FOCK_CUTOFF, rng)
-    return {f"fock.{k}": v for k, v in rep.items()}
+    return {f"fock.{k}": worst(v) for k, v in rep.items()}
 
 
 # -- free field suite ------------------------------------------------------
@@ -351,9 +351,9 @@ def check_borchers(config, rng):
     probes = [ff.gaussian_packet(model.grid, width=0.65, momentum=0.3),
               ff.gaussian_packet(model.grid, center=0.3, width=0.7,
                                  momentum=-0.2)]
-    rep = ff.borchers_check(0.5, (0.1, 0.25), probes, model)
-    return {"freefield.borchers_flow": rep["flow_commutation"],
-            "freefield.borchers_reflection": rep["reflection_commutation"]}
+    flow, reflection = ff.borchers_check(0.5, (0.1, 0.25), probes, model)
+    return {"freefield.borchers_flow": worst(flow),
+            "freefield.borchers_reflection": worst(reflection)}
 
 
 # -- modular localization suite ---------------------------------------------
@@ -419,8 +419,8 @@ def check_doublecone(config, rng):
     net.populate_wedge(WL, cone_fns
                        + [ff.TestFunction2.bump((0.0, -1.4), 0.5, step)])
     probes = [ml.embed_probe(rep, f) for f in cone_fns]
-    _, report = ml.doublecone_space(net, O, cone_probes=probes)
-    return {"modloc.doublecone": worst(report["probe_residuals"])}
+    _, residuals = ml.doublecone_space(net, O, cone_probes=probes)
+    return {"modloc.doublecone": worst(residuals)}
 
 
 def check_direct_sum(config, rng):

@@ -118,7 +118,7 @@ def cmd_run(args):
 def cmd_refine(args):
     config = _load_config(args)
     try:
-        ladder = [int(x) for x in args.ladder.split(",") if x]
+        ladder = [int(x) for x in args.ladder.split(",")]
     except ValueError:
         raise ConfigError("ladder must be a comma-separated list of rungs")
     if len(ladder) < 2 or sorted(set(ladder)) != ladder:

@@ -95,7 +95,6 @@ def embed_probe(rep: PoincareRep2, f: TestFunction2, summand: int = 0) -> np.nda
 @dataclass
 class ExtractionReport:
     singular_values: np.ndarray
-    kept: int
     discarded_probes: int
     fallback_used: bool = False         # no fallback exists; always False
     certificates: list = field(default_factory=list)
@@ -135,7 +134,7 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes):
             f"{EXTRACTION_TOL} (smallest {sv.min():.2e})")
     # u(g) is real-orthogonal: the pushed columns stay orthonormal
     basis = _columns(rep.act(g, _stack(rep, (B @ Vt[keep].T).T)))
-    report = ExtractionReport(singular_values=sv, kept=int(basis.shape[1]),
+    report = ExtractionReport(singular_values=sv,
                               discarded_probes=int(np.sum(~live)),
                               certificates=certs.tolist())
     return RealSubspace(basis), report
@@ -143,8 +142,7 @@ def localized_subspace(rep: PoincareRep2, W: Region2, probes):
 
 @dataclass
 class NetEntry:
-    region: Region2
-    functions: list            # TestFunction2s supported in the region
+    functions: list            # TestFunction2s supported in its wedge
     subspace: RealSubspace
     report: ExtractionReport
 
@@ -163,7 +161,7 @@ class LocalizedNet:
                 raise SupportError("dictionary member not supported in wedge")
         probes = np.array([embed_probe(self.rep, f) for f in functions])
         K, report = localized_subspace(self.rep, W, probes)
-        self.entries[W] = NetEntry(W, list(functions), K, report)
+        self.entries[W] = NetEntry(list(functions), K, report)
         return K
 
     def act_on_subspace(self, g: PoincareElement, K: RealSubspace) -> RealSubspace:
@@ -189,36 +187,33 @@ def net_checks(net: LocalizedNet, covariance_elements=()) -> dict:
     dictionary of W.  A transported dictionary with no model for gW
     gives a row of residual 1.0 with the error text.
     """
-    entries = list(net.entries.values())
+    entries = list(net.entries.items())
     report = {"isotony": [], "duality": [], "covariance": []}
 
-    for e1 in entries:
-        for e2 in entries:
-            if e1 is e2 or not e2.region.includes(e1.region):
+    for W1, e1 in entries:
+        for W2, e2 in entries:
+            if e1 is e2 or not W2.includes(W1):
                 continue
             res = inclusion_residual(e1.subspace, e2.subspace)
             report["isotony"].append({
-                "small": e1.region, "large": e2.region,
-                "residual": float(res)})
+                "small": W1, "large": W2, "residual": float(res)})
 
-    for e in entries:
-        ec = net.entries.get(e.region.causal_complement())
+    for W, e in entries:
+        ec = net.entries.get(W.causal_complement())
         if ec is None:
             continue
         joint = subspace_sum(e.subspace, ec.subspace)
         modeled = _complement_within_span(joint, e.subspace)
         res = subspace_distance(modeled, ec.subspace)
-        report["duality"].append({
-            "wedge": e.region, "residual": float(res)})
+        report["duality"].append({"wedge": W, "residual": float(res)})
 
     for g in covariance_elements:
-        for e in entries:
-            gW = e.region.transform(g)
+        for W, e in entries:
             moved = net.act_on_subspace(g, e.subspace)
             probes = [embed_probe(net.rep, f.transform(g)) for f in e.functions]
-            row = {"wedge": e.region, "element": repr(g)}
+            row = {"wedge": W, "element": repr(g)}
             try:
-                K_gW, _ = localized_subspace(net.rep, gW, probes)
+                K_gW, _ = localized_subspace(net.rep, W.transform(g), probes)
                 row["residual"] = float(subspace_distance(moved, K_gW))
             except EmptyModelError as exc:
                 row.update(residual=1.0, error=str(exc))
@@ -230,9 +225,9 @@ def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=()):
     """K(O) as the intersection of the models of the right and the left
     wedge of O, at cos_tol 1e-4.
 
-    Requires both wedges of O in the net.  Returns (subspace, report)
-    with the real dimension and the projection residuals of the given
-    cone-supported probes against the intersection.
+    Requires both wedges of O in the net.  Returns (subspace, residuals):
+    the relative projection residuals of the given cone-supported probes
+    against the intersection, one per probe.
     """
     if not O.is_double_cone:
         raise ValueError(f"not a right and a left wedge: {O}")
@@ -245,6 +240,4 @@ def doublecone_space(net: LocalizedNet, O: Region2, cone_probes=()):
     V = _columns(_stack(net.rep, cone_probes)).T[..., None]
     residuals = (np.linalg.norm(V - K.project(V), axis=(1, 2))
                  / np.linalg.norm(V, axis=(1, 2)))
-    report = {"dimension": K.dim, "probe_residuals": residuals.tolist(),
-              "conditioning_warning": K.dim == 0}
-    return K, report
+    return K, residuals.tolist()

@@ -308,10 +308,13 @@ def test_an_empty_measurement_fails_every_frozen_bound():
     # on an empty measurement
     fed_by_worst = [name for name in FROZEN_BOUNDS if name.startswith((
         "subspace.", "fock.symmetrization", "fock.coherent_inner",
-        "fock.gamma_on_coherent", "freefield.locality_spacelike",
-        "freefield.covariance_translation", "modloc.isotony",
-        "modloc.duality", "modloc.covariance", "modloc.doublecone"))]
-    assert len(fed_by_worst) == 16
+        "fock.gamma_on_coherent", "fock.conjugation_on_coherent",
+        "fock.weyl_conjugation", "fock.weyl_flow_covariance",
+        "fock.ccr_phase_across_complement", "freefield.locality_spacelike",
+        "freefield.covariance_translation", "freefield.borchers_",
+        "modloc.isotony", "modloc.duality", "modloc.covariance",
+        "modloc.doublecone"))]
+    assert len(fed_by_worst) == 22
     for name in fed_by_worst:
         bound, direction = FROZEN_BOUNDS[name]
         rec = record(name, "a claim", worst([]), bound, direction)

@@ -261,9 +261,10 @@ def test_refine_reports_each_rung_and_its_timings(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("ladder", ["2", "1,1"])
+@pytest.mark.parametrize("ladder", ["2", "1,1", "2,,3", ",2,3", "2,3,"])
 def test_refine_refuses_fewer_than_two_rungs(tmp_path, capsys, ladder):
-    # one rung has nothing to decrease along, and used to pass with no record
+    # one rung has nothing to decrease along, and used to pass with no
+    # record; an empty entry is no rung, not one to skip
     cfg = write_config(tmp_path, {
         "kind": "freefield", "out_dir": str(tmp_path / "out"),
         "freefield": {"mass": 0.2}})

@@ -582,16 +582,20 @@ def test_second_quantized_check_real_line():
     K = RealSubspace(np.eye(1))
     rng = np.random.default_rng(54)
     rep = second_quantized_modular_check(K, 8, rng)
-    assert rep["conjugation_on_coherent"] < 1e-12
-    assert rep["ccr_phase_across_complement"] < 1e-12
+    assert np.max(rep["conjugation_on_coherent"]) < 1e-12
+    assert np.max(rep["ccr_phase_across_complement"]) < 1e-12
 
 
 def test_second_quantized_check_fiber():
     K = fiber_standard_subspace(2, [np.pi / 3])
     rng = np.random.default_rng(55)
     rep = second_quantized_modular_check(K, 10, rng)
-    for name, val in rep.items():
-        assert val < 1e-7, (name, val)
+    # every sample: 6 for (1), 3 for (2), 3 times 2 for (3), 50 for (4)
+    assert {name: len(vals) for name, vals in rep.items()} == {
+        "conjugation_on_coherent": 6, "weyl_conjugation": 3,
+        "weyl_flow_covariance": 6, "ccr_phase_across_complement": 50}
+    for name, vals in rep.items():
+        assert np.max(vals) < 1e-7, (name, vals)
 
 
 # -- controls: each claim must fail on a wrong input --------------------------

@@ -1096,19 +1096,41 @@ def test_borchers_relations(model):
     # periodic boundary at the 1e-9 level
     probes = [gaussian_packet(model.grid, width=0.65, momentum=0.3),
               gaussian_packet(model.grid, center=0.3, width=0.7, momentum=-0.2)]
-    rep = borchers_check(0.5, (0.1, 0.25), probes, model)
-    assert rep["flow_commutation"] < 1e-6
-    assert rep["reflection_commutation"] < 1e-6
-    rep0 = borchers_check(0.0, (0.3,), probes, model)
-    assert rep0["flow_commutation"] < 1e-14
-    rep_t0 = borchers_check(0.7, (0.0,), probes, model)
-    assert rep_t0["flow_commutation"] < 1e-14
+    flow, reflection = borchers_check(0.5, (0.1, 0.25), probes, model)
+    # one deviation per probe and time for the flow, per probe for J
+    assert len(flow) == 4 and len(reflection) == 2
+    assert np.max(flow) < 1e-6
+    assert np.max(reflection) < 1e-6
+    flow0, _ = borchers_check(0.0, (0.3,), probes, model)
+    assert np.max(flow0) < 1e-14
+    flow_t0, _ = borchers_check(0.7, (0.0,), probes, model)
+    assert np.max(flow_t0) < 1e-14
 
 
+def test_borchers_check_without_times_measures_no_flow(model):
+    # no time is no flow sample, and worst() of none fails the record
+    probes = [gaussian_packet(model.grid)]
+    flow, reflection = borchers_check(0.5, (), probes, model)
+    assert flow == [] and len(reflection) == 1
+    row = checks.RECORDS["freefield.borchers_flow"]
+    assert not checks.record("freefield.borchers_flow", row.claim,
+                             checks.worst(flow), row.threshold,
+                             row.direction)["passed"]
 
-def test_borchers_check_keeps_a_nan_deviation(model):
-    # a NaN probe after a finite one: max(worst, nan) would keep worst
+
+def test_borchers_check_keeps_a_nan_deviation(model, monkeypatch):
+    # a NaN probe after a finite one: its samples come back as they are,
+    # and the check's records, built from them by worst(), fail
     probes = [gaussian_packet(model.grid), np.full(model.grid.n_points, np.nan + 0j)]
-    rep = borchers_check(0.5, (0.1,), probes, model)
-    assert math.isnan(rep["flow_commutation"])
-    assert math.isnan(rep["reflection_commutation"])
+    flow, reflection = borchers_check(0.5, (0.1,), probes, model)
+    for samples in (flow, reflection):
+        assert not math.isnan(samples[0]) and math.isnan(samples[1])
+    packet = freefield.gaussian_packet
+    monkeypatch.setattr(freefield, "gaussian_packet", lambda grid, **kw: (
+        np.full(grid.n_points, np.nan + 0j) if kw.get("center")
+        else packet(grid, **kw)))
+    records, _ = checks._run_each(ExperimentConfig(), [checks.check_borchers])
+    assert [r["name"] for r in records] == ["freefield.borchers_flow",
+                                            "freefield.borchers_reflection"]
+    for rec in records:
+        assert math.isnan(rec["value"]) and not rec["passed"], rec
